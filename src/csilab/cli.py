@@ -18,6 +18,7 @@ import sys
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .errors import (
     BandError,
     ConfigError,
@@ -60,18 +61,15 @@ def _apply_overrides(sc: Scenario, seed, sets) -> Scenario:
 
 
 def _write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def _write_csv(path, columns: dict) -> None:
     arr = np.column_stack(list(columns.values()))
-    tmp = f"{path}.tmp"
-    np.savetxt(tmp, arr, delimiter=",", fmt="%.9e", comments="",
-               header=",".join(columns))
-    os.replace(tmp, path)
+    with atomic_write(path) as fh:
+        np.savetxt(fh, arr, delimiter=",", fmt="%.9e", comments="",
+                   header=",".join(columns))
 
 
 def _parse_cutoffs(text: str):
@@ -101,11 +99,12 @@ def _analysis_summary(sc: Scenario, ts, compensate: bool):
     curves = g2_curves(ts, a.tau_max)
 
     verdict = "CSI VIOLATED" if stats["violated"] else "CSI NOT VIOLATED"
+    fallback = " (no significant peak; uncompensated)" if stats["delay_fallback"] else ""
     lines = [
         f"scenario: {sc.name}",
         f"sets: {ts.num_sets} ({stats['num_degenerate']} degenerate)",
         f"band: {band[0] / 1e6:.2f}-{band[1] / 1e6:.2f} MHz",
-        f"delay estimate: {stats['delay'] * 1e9:.3f} ns",
+        f"delay estimate: {stats['delay'] * 1e9:.3f} ns{fallback}",
         f"V = {stats['v_mean']:.6f} +/- {stats['v_sigma']:.6f} (set-to-set std)",
         f"standard error {stats['v_sem']:.6f}, sigma_count = {stats['sigma_count']:.1f}",
         f"verdict: {verdict}",

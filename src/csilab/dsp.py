@@ -91,7 +91,11 @@ def psd_estimate(traces, rate, window: str | None = None) -> Psd:
     if window is not None:
         w = get_window(window, n)
         x = x * (w / math.sqrt(np.mean(w * w)))
-    spec = np.fft.rfft(x, axis=1)
+    return _psd_from_spectra(np.fft.rfft(x, axis=1), n, rate)
+
+
+def _psd_from_spectra(spec: np.ndarray, n: int, rate: float) -> Psd:
+    """Psd of per-set rfft rows ``spec`` (num_sets, n // 2 + 1) of n samples."""
     p = (np.abs(spec) ** 2).mean(axis=0) * (2.0 / (n * rate))
     p[0] *= 0.5
     if n % 2 == 0:
@@ -99,7 +103,7 @@ def psd_estimate(traces, rate, window: str | None = None) -> Psd:
     return Psd(
         frequencies=np.fft.rfftfreq(n, d=1.0 / rate),
         power=p,
-        num_averages=nsets,
+        num_averages=spec.shape[0],
     )
 
 
@@ -116,14 +120,19 @@ def butterworth_bandpass(traces, spec: FilterSpec, rate) -> np.ndarray:
         If f_hi reaches the Nyquist frequency of ``rate``.
     """
     rate = float(getattr(rate, "sample_rate", rate))
+    x = np.asarray(traces, dtype=float)
+    n = x.shape[-1]
+    h = _bandpass_gain(spec, n, rate)
+    return np.fft.irfft(np.fft.rfft(x, axis=-1) * h, n=n, axis=-1)
+
+
+def _bandpass_gain(spec: FilterSpec, n: int, rate: float) -> np.ndarray:
+    """|H| of ``spec`` on the rfft grid of n samples; SpecError at Nyquist."""
     if spec.f_hi >= rate / 2.0:
         raise SpecError(
             f"f_hi={spec.f_hi} is not below the Nyquist frequency {rate / 2.0}"
         )
-    x = np.asarray(traces, dtype=float)
-    n = x.shape[-1]
-    h = spec.magnitude(np.fft.rfftfreq(n, d=1.0 / rate))
-    return np.fft.irfft(np.fft.rfft(x, axis=-1) * h, n=n, axis=-1)
+    return spec.magnitude(np.fft.rfftfreq(n, d=1.0 / rate))
 
 
 def cross_covariance(probe, conj, max_lag: int | None = None):
@@ -139,15 +148,20 @@ def cross_covariance(probe, conj, max_lag: int | None = None):
     if p.shape != c.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {c.shape}")
     n = p.shape[1]
-    if max_lag is None:
-        max_lag = n // 10
-    max_lag = int(min(max_lag, n // 2 - 1))
     p = p - p.mean(axis=1, keepdims=True)
     c = c - c.mean(axis=1, keepdims=True)
     spec = np.conj(np.fft.rfft(p, axis=1)) * np.fft.rfft(c, axis=1)
     cov = np.fft.irfft(spec, n=n, axis=1).mean(axis=0) / n
-    lags = np.arange(-max_lag, max_lag + 1)
+    lags = _lag_window(n, max_lag)
     return lags, cov[lags % n]
+
+
+def _lag_window(n: int, max_lag: int | None) -> np.ndarray:
+    """Integer lags [-max_lag, max_lag]; n // 10 by default, under n / 2."""
+    if max_lag is None:
+        max_lag = n // 10
+    max_lag = int(min(max_lag, n // 2 - 1))
+    return np.arange(-max_lag, max_lag + 1)
 
 
 def _parabolic_vertex(ym1: float, y0: float, yp1: float) -> float:
@@ -173,6 +187,15 @@ def estimate_delay(probe, conj, rate, max_lag: int | None = None) -> float:
     """
     rate = float(getattr(rate, "sample_rate", rate))
     lags, cov = cross_covariance(probe, conj, max_lag)
+    return _delay_from_covariance(lags, cov, rate)
+
+
+def _delay_from_covariance(lags: np.ndarray, cov: np.ndarray, rate: float) -> float:
+    """Parabola-refined argmax of an ensemble cross-covariance, in seconds.
+
+    Raises NoPeak when the peak does not stand out from the lags more
+    than 25 samples away by three times their rms.
+    """
     i = int(np.argmax(cov))
     peak = cov[i]
     bg = cov[np.abs(lags - lags[i]) > 25]
@@ -204,8 +227,14 @@ def compensate_delay(traces, delay: float, rate) -> np.ndarray:
     rate = float(getattr(rate, "sample_rate", rate))
     x = np.asarray(traces, dtype=float)
     n = x.shape[-1]
+    ramp = _delay_ramp(n, rate, delay)
+    return np.fft.irfft(np.fft.rfft(x, axis=-1) * ramp, n=n, axis=-1)
+
+
+def _delay_ramp(n: int, rate: float, delay: float) -> np.ndarray:
+    """Phase ramp on the rfft grid of n samples advancing a trace by delay."""
     f = np.fft.rfftfreq(n, d=1.0 / rate)
     ramp = np.exp(2j * np.pi * f * delay).astype(complex)
     if n % 2 == 0 and abs(ramp[-1].imag) > 1e-12:
         ramp[-1] = 0.0
-    return np.fft.irfft(np.fft.rfft(x, axis=-1) * ramp, n=n, axis=-1)
+    return ramp

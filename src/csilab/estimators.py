@@ -15,19 +15,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dsp import (
     FilterSpec,
     Psd,
-    butterworth_bandpass,
-    compensate_delay,
-    estimate_delay,
-    psd_estimate,
+    _bandpass_gain,
+    _delay_from_covariance,
+    _delay_ramp,
+    _lag_window,
+    _parabolic_vertex,
+    _psd_from_spectra,
 )
 from .errors import BandError, DcMissing, DegenerateSet, NoPeak
-from .synth import TraceSet
+from .synth import CHANNEL_NAMES, TraceSet
 
 EDGE_GUARD = 32  # samples dropped at each end after delay compensation
 
@@ -80,28 +83,150 @@ class SpectraReport:
     smooth_hz: float
 
 
-def _channels(ts: TraceSet):
-    if ts.dc_means is None or np.any(np.asarray(ts.dc_means) <= 0.0):
-        raise DcMissing("trace set carries no usable DC means")
-    return ts.ac("p1"), ts.ac("p2"), ts.ac("c1"), ts.ac("c2")
+class _Spectra:
+    """One rfft per channel of a TraceSet, DC bin zeroed.
+
+    Zeroing the DC bin removes each set's mean.  Every estimator below is
+    built from these rows: a bandpass is a real |H| factor, delay
+    compensation a phase ramp, zero-lag covariances Parseval sums over
+    bins, and lagged covariances come from a few inverse transforms.
+    """
+
+    def __init__(self, ts: TraceSet):
+        if ts.dc_means is None or np.any(np.asarray(ts.dc_means) <= 0.0):
+            raise DcMissing("trace set carries no usable DC means")
+        self.rate = float(ts.acquisition.sample_rate)
+        self.n = n = ts.codes.shape[2]
+        self.dc = tuple(float(v) for v in ts.dc_means)
+        rows = []
+        for name in CHANNEL_NAMES:
+            x = np.fft.rfft(ts.ac(name), axis=1)
+            x[:, 0] = 0.0
+            rows.append(x)
+        self.p1, self.p2, self.c1, self.c2 = rows
+        self.probe = self.p1 + self.p2
+        self.conj = self.c1 + self.c2
+        # one-sided Parseval weights: mean(x * y) == Re(conj(X) Y) @ weights
+        self.weights = np.full(self.probe.shape[1], 2.0 / (n * n))
+        self.weights[0] *= 0.5
+        if n % 2 == 0:
+            self.weights[-1] *= 0.5
+
+    @cached_property
+    def _split_cross(self) -> np.ndarray:
+        """Re(conj(P1) P2) and Re(conj(C1) C2), shape (2, sets, bins)."""
+        return np.stack(
+            [np.real(np.conj(self.p1) * self.p2), np.real(np.conj(self.c1) * self.c2)]
+        )
+
+    def psd(self, spec: np.ndarray) -> Psd:
+        return _psd_from_spectra(spec, self.n, self.rate)
+
+    def sql(self) -> tuple[Psd, Psd, Psd]:
+        """Shot-noise references of the probe, the conjugate and their difference."""
+        sql_p = self.psd(self.p1 - self.p2)
+        sql_c = self.psd(self.c1 - self.c2)
+        sql_diff = Psd(
+            frequencies=sql_p.frequencies,
+            power=sql_p.power + sql_c.power,
+            num_averages=sql_p.num_averages,
+        )
+        return sql_p, sql_c, sql_diff
+
+    def delay(self) -> tuple[float, bool]:
+        """(ensemble delay, whether the cross-covariance had a peak).
+
+        Without a significant peak the delay is 0 and the conjugate stays
+        uncompensated.
+        """
+        cov = np.fft.irfft((np.conj(self.probe) * self.conj).mean(axis=0), n=self.n)
+        lags = _lag_window(self.n, None)
+        try:
+            return _delay_from_covariance(lags, cov[lags % self.n] / self.n, self.rate), True
+        except NoPeak:
+            return 0.0, False
+
+    def violation_stats(self, delay: float, gain: np.ndarray | None = None) -> dict:
+        """Per-set eps and V values; eps_ab at the compensated ensemble peak.
+
+        ``gain`` is a bandpass |H| on the rfft grid, None for no filter.
+        """
+        dc_p1, dc_p2, dc_c1, dc_c2 = self.dc
+        dc_p = dc_p1 + dc_p2
+        dc_c = dc_c1 + dc_c2
+        probe, conj, weights = self.probe, self.conj, self.weights
+        shift = _delay_ramp(self.n, self.rate, delay) if delay else None
+        if gain is not None:
+            probe = probe * gain
+            weights = weights * gain * gain
+            shift = gain if shift is None else shift * gain
+        if shift is not None:
+            conj = conj * shift
+        g = EDGE_GUARD
+        pr = np.fft.irfft(probe, n=self.n, axis=1)[:, g:-g]
+        co = np.fft.irfft(conj, n=self.n, axis=1)[:, g:-g]
+        pr -= pr.mean(axis=1, keepdims=True)
+        co -= co.mean(axis=1, keepdims=True)
+
+        # After compensation the peak sits at lag zero by construction, so the
+        # center lag is fixed a priori (an argmax over the window would select
+        # upward noise when the covariance is flat across neighboring lags and
+        # bias eps_ab high).  A parabola through the ensemble curve only
+        # refines the sub-sample position.
+        ym1, y0, yp1 = _circular_covariances(pr, co)
+        frac = _parabolic_vertex(ym1.mean(), y0.mean(), yp1.mean())
+        frac = float(np.clip(frac, -1.0, 1.0))
+
+        # per-set parabola through the fixed three lags, read at the fixed vertex
+        a = 0.5 * (ym1 + yp1) - y0
+        b = 0.5 * (yp1 - ym1)
+        peak_per_set = y0 + b * frac + a * frac * frac
+
+        eps_ab = peak_per_set / (dc_p * dc_c)
+        eps_aa, eps_bb = self._split_cross @ weights
+        eps_aa /= dc_p1 * dc_p2
+        eps_bb /= dc_c1 * dc_c2
+
+        valid = eps_ab > 0.0
+        num_degenerate = int(np.count_nonzero(~valid))
+        if np.count_nonzero(valid) < 2:
+            raise DegenerateSet(
+                f"only {np.count_nonzero(valid)} sets carry a positive "
+                f"cross-correlation ({num_degenerate} degenerate)"
+            )
+        v_per_set = (eps_aa[valid] + eps_bb[valid]) / (2.0 * eps_ab[valid])
+        v_mean = float(v_per_set.mean())
+        v_sigma = float(v_per_set.std(ddof=1))
+        v_sem = v_sigma / math.sqrt(v_per_set.size)
+        v_pooled = float(
+            (eps_aa[valid].mean() + eps_bb[valid].mean()) / (2.0 * eps_ab[valid].mean())
+        )
+        return dict(
+            eps_aa=float(eps_aa[valid].mean()),
+            eps_bb=float(eps_bb[valid].mean()),
+            eps_ab_peak=float(eps_ab[valid].mean()),
+            v_per_set=v_per_set,
+            v_mean=v_mean,
+            v_sigma=v_sigma,
+            v_sem=v_sem,
+            sigma_count=abs(1.0 - v_mean) / v_sem if v_sem > 0 else math.inf,
+            violated=v_mean < 1.0,
+            v_pooled=v_pooled,
+            num_degenerate=num_degenerate,
+        )
 
 
-def _per_set_curves(x, y, max_lag: int):
-    """Per-set circular cross-covariance rows over lags [-max_lag, max_lag]."""
-    n = x.shape[1]
-    x = x - x.mean(axis=1, keepdims=True)
-    y = y - y.mean(axis=1, keepdims=True)
-    spec = np.conj(np.fft.rfft(x, axis=1)) * np.fft.rfft(y, axis=1)
-    cov = np.fft.irfft(spec, n=n, axis=1) / n
-    lags = np.arange(-max_lag, max_lag + 1)
-    return lags, cov[:, lags % n]
+def _circular_covariances(x: np.ndarray, y: np.ndarray):
+    """Per-row circular covariances mean(x[t] y[t + k]) at lags k = -1, 0, +1."""
+    m = x.shape[1]
 
+    def dot(a, b):
+        return np.einsum("ij,ij->i", a, b)
 
-def _ensemble_delay(probe, conj, rate) -> float:
-    try:
-        return estimate_delay(probe, conj, rate)
-    except NoPeak:
-        return 0.0
+    lag_m1 = dot(x[:, 1:], y[:, :-1]) + x[:, 0] * y[:, -1]
+    lag_0 = dot(x, y)
+    lag_p1 = dot(x[:, :-1], y[:, 1:]) + x[:, -1] * y[:, 0]
+    return lag_m1 / m, lag_0 / m, lag_p1 / m
 
 
 def g2_curves(ts: TraceSet, tau_max: float = 100e-9) -> CorrelationReport:
@@ -113,106 +238,34 @@ def g2_curves(ts: TraceSet, tau_max: float = 100e-9) -> CorrelationReport:
     cross curve is reported against the raw lag axis, while eps_ab is
     evaluated at the delay-compensated peak.
     """
-    rate = ts.acquisition.sample_rate
-    p1, p2, c1, c2 = _channels(ts)
-    dc_p1, dc_p2, dc_c1, dc_c2 = (float(v) for v in ts.dc_means)
-    probe = p1 + p2
-    conj = c1 + c2
-    dc_p = dc_p1 + dc_p2
-    dc_c = dc_c1 + dc_c2
+    sp = _Spectra(ts)
+    dc_p1, dc_p2, dc_c1, dc_c2 = sp.dc
+    n = sp.n
 
-    max_lag = max(4, int(round(tau_max * rate)))
-    lags, cross = _per_set_curves(probe, conj, max_lag)
-    _, auto_p = _per_set_curves(p1, p2, max_lag)
-    _, auto_c = _per_set_curves(c1, c2, max_lag)
-    nsets = cross.shape[0]
+    max_lag = max(4, int(round(tau_max * sp.rate)))
+    lags = np.arange(-max_lag, max_lag + 1)
+    cross = np.stack(
+        [np.conj(sp.probe) * sp.conj, np.conj(sp.p1) * sp.p2, np.conj(sp.c1) * sp.c2]
+    )
+    cov = np.fft.irfft(cross, n=n, axis=-1)[..., lags % n] / n
+    norm = np.array([(dc_p1 + dc_p2) * (dc_c1 + dc_c2), dc_p1 * dc_p2, dc_c1 * dc_c2])
+    g = 1.0 + cov / norm[:, np.newaxis, np.newaxis]
+    nsets = g.shape[1]
     root_n = math.sqrt(nsets) if nsets > 1 else 1.0
+    g_mean = g.mean(axis=1)
+    g_sem = g.std(axis=1, ddof=1) / root_n
 
-    g_ab = 1.0 + cross / (dc_p * dc_c)
-    g_aa = 1.0 + auto_p / (dc_p1 * dc_p2)
-    g_bb = 1.0 + auto_c / (dc_c1 * dc_c2)
-
-    delay = _ensemble_delay(probe, conj, rate)
-    stats = _violation_stats(probe, conj, p1, p2, c1, c2, ts.dc_means, rate, delay)
-
+    delay, _ = sp.delay()
     return CorrelationReport(
-        tau_grid=lags / rate,
-        g2_ab=g_ab.mean(axis=0),
-        g2_aa=g_aa.mean(axis=0),
-        g2_bb=g_bb.mean(axis=0),
-        g2_ab_sem=g_ab.std(axis=0, ddof=1) / root_n,
-        g2_aa_sem=g_aa.std(axis=0, ddof=1) / root_n,
-        g2_bb_sem=g_bb.std(axis=0, ddof=1) / root_n,
+        tau_grid=lags / sp.rate,
+        g2_ab=g_mean[0],
+        g2_aa=g_mean[1],
+        g2_bb=g_mean[2],
+        g2_ab_sem=g_sem[0],
+        g2_aa_sem=g_sem[1],
+        g2_bb_sem=g_sem[2],
         delay=delay,
-        **stats,
-    )
-
-
-def _violation_stats(probe, conj, p1, p2, c1, c2, dc_means, rate, delay) -> dict:
-    """Per-set eps and V values; eps_ab at the compensated ensemble peak."""
-    dc_p1, dc_p2, dc_c1, dc_c2 = (float(v) for v in dc_means)
-    dc_p = dc_p1 + dc_p2
-    dc_c = dc_c1 + dc_c2
-    g = EDGE_GUARD
-
-    conj_aligned = compensate_delay(conj, delay, rate) if delay else conj
-    pr = probe[:, g:-g] - probe[:, g:-g].mean(axis=1, keepdims=True)
-    co = conj_aligned[:, g:-g] - conj_aligned[:, g:-g].mean(axis=1, keepdims=True)
-
-    # After compensation the peak sits at lag zero by construction, so the
-    # center lag is fixed a priori (an argmax over the window would select
-    # upward noise when the covariance is flat across neighboring lags and
-    # bias eps_ab high).  A parabola through the ensemble curve only
-    # refines the sub-sample position.
-    lags, cov = _per_set_curves(pr, co, 4)
-    curve = cov.mean(axis=0)
-    i0 = cov.shape[1] // 2
-    denom = curve[i0 - 1] - 2.0 * curve[i0] + curve[i0 + 1]
-    frac = 0.5 * (curve[i0 - 1] - curve[i0 + 1]) / denom if denom else 0.0
-    frac = float(np.clip(frac, -1.0, 1.0))
-
-    # per-set parabola through the fixed three lags, read at the fixed vertex
-    ym1, y0, yp1 = cov[:, i0 - 1], cov[:, i0], cov[:, i0 + 1]
-    a = 0.5 * (ym1 + yp1) - y0
-    b = 0.5 * (yp1 - ym1)
-    peak_per_set = y0 + b * frac + a * frac * frac
-
-    eps_ab = peak_per_set / (dc_p * dc_c)
-    eps_aa = np.mean(
-        (p1 - p1.mean(axis=1, keepdims=True)) * (p2 - p2.mean(axis=1, keepdims=True)),
-        axis=1,
-    ) / (dc_p1 * dc_p2)
-    eps_bb = np.mean(
-        (c1 - c1.mean(axis=1, keepdims=True)) * (c2 - c2.mean(axis=1, keepdims=True)),
-        axis=1,
-    ) / (dc_c1 * dc_c2)
-
-    valid = eps_ab > 0.0
-    num_degenerate = int(np.count_nonzero(~valid))
-    if np.count_nonzero(valid) < 2:
-        raise DegenerateSet(
-            f"only {np.count_nonzero(valid)} sets carry a positive "
-            f"cross-correlation ({num_degenerate} degenerate)"
-        )
-    v_per_set = (eps_aa[valid] + eps_bb[valid]) / (2.0 * eps_ab[valid])
-    v_mean = float(v_per_set.mean())
-    v_sigma = float(v_per_set.std(ddof=1))
-    v_sem = v_sigma / math.sqrt(v_per_set.size)
-    v_pooled = float(
-        (eps_aa[valid].mean() + eps_bb[valid].mean()) / (2.0 * eps_ab[valid].mean())
-    )
-    return dict(
-        eps_aa=float(eps_aa[valid].mean()),
-        eps_bb=float(eps_bb[valid].mean()),
-        eps_ab_peak=float(eps_ab[valid].mean()),
-        v_per_set=v_per_set,
-        v_mean=v_mean,
-        v_sigma=v_sigma,
-        v_sem=v_sem,
-        sigma_count=abs(1.0 - v_mean) / v_sem if v_sem > 0 else math.inf,
-        violated=v_mean < 1.0,
-        v_pooled=v_pooled,
-        num_degenerate=num_degenerate,
+        **sp.violation_stats(delay),
     )
 
 
@@ -223,13 +276,10 @@ def violation_factor(ts: TraceSet, delay: float | None = None):
     compensated cross-correlation peak is not positive are excluded and
     counted; DegenerateSet is raised when fewer than two sets survive.
     """
-    rate = ts.acquisition.sample_rate
-    p1, p2, c1, c2 = _channels(ts)
-    probe = p1 + p2
-    conj = c1 + c2
+    sp = _Spectra(ts)
     if delay is None:
-        delay = _ensemble_delay(probe, conj, rate)
-    stats = _violation_stats(probe, conj, p1, p2, c1, c2, ts.dc_means, rate, delay)
+        delay, _ = sp.delay()
+    stats = sp.violation_stats(delay)
     return stats["v_per_set"], stats["v_mean"], stats["v_sigma"], stats["sigma_count"]
 
 
@@ -240,16 +290,7 @@ def sql_spectra(ts: TraceSet):
     whatever classical noise rides the beam, and the SQL of the
     intensity-difference measurement is the sum of the two.
     """
-    rate = ts.acquisition.sample_rate
-    p1, p2, c1, c2 = _channels(ts)
-    sql_p = psd_estimate(p1 - p2, rate)
-    sql_c = psd_estimate(c1 - c2, rate)
-    sql_diff = Psd(
-        frequencies=sql_p.frequencies,
-        power=sql_p.power + sql_c.power,
-        num_averages=sql_p.num_averages,
-    )
-    return sql_p, sql_c, sql_diff
+    return _Spectra(ts).sql()
 
 
 def _smooth(power: np.ndarray, width: int) -> np.ndarray:
@@ -275,18 +316,16 @@ def normalized_spectra(
     copy of s_diff (window ``smooth_hz``) so single-bin estimator noise
     does not fake a deeper minimum; the reported arrays stay raw.
     """
-    rate = ts.acquisition.sample_rate
-    p1, p2, c1, c2 = _channels(ts)
-    probe = p1 + p2
-    conj = c1 + c2
-    sql_p, sql_c, sql_diff = sql_spectra(ts)
+    sp = _Spectra(ts)
+    rate = sp.rate
+    sql_p, sql_c, sql_diff = sp.sql()
 
-    delay = _ensemble_delay(probe, conj, rate) if compensate else 0.0
-    conj_used = compensate_delay(conj, delay, rate) if delay else conj
+    delay = sp.delay()[0] if compensate else 0.0
+    conj_used = sp.conj * _delay_ramp(sp.n, rate, delay) if delay else sp.conj
 
-    tot_p = psd_estimate(probe, rate)
-    tot_c = psd_estimate(conj, rate)
-    diff = psd_estimate(probe - conj_used, rate)
+    tot_p = sp.psd(sp.probe)
+    tot_c = sp.psd(sp.conj)
+    diff = sp.psd(sp.probe - conj_used)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         s_p = np.where(sql_p.power > 0, tot_p.power / sql_p.power, np.nan)
@@ -378,18 +417,12 @@ def cutoff_sweep(
     f_hi_list = list(f_hi_list)
     if not f_hi_list:
         raise BandError("cutoff list is empty")
-    rate = ts.acquisition.sample_rate
-    p1, p2, c1, c2 = _channels(ts)
-    delay = _ensemble_delay(p1 + p2, c1 + c2, rate)
+    sp = _Spectra(ts)
+    delay, _ = sp.delay()
     rows = []
     for f_hi in f_hi_list:
         spec = FilterSpec(f_hi=float(f_hi), f_lo=f_lo, order=order)
-        fp1, fp2, fc1, fc2 = (
-            butterworth_bandpass(x, spec, rate) for x in (p1, p2, c1, c2)
-        )
-        stats = _violation_stats(
-            fp1 + fp2, fc1 + fc2, fp1, fp2, fc1, fc2, ts.dc_means, rate, delay
-        )
+        stats = sp.violation_stats(delay, _bandpass_gain(spec, sp.n, sp.rate))
         rows.append((float(f_hi), stats["v_mean"], stats["v_sigma"]))
     return np.array(rows)
 
@@ -399,14 +432,13 @@ def filtered_violation(ts: TraceSet, spec: FilterSpec) -> dict:
 
     Same filtering as one cutoff_sweep step, but returns the complete
     stats dict (v_per_set, v_mean, v_sigma, v_sem, sigma_count, violated,
-    v_pooled, num_degenerate) for verdict reporting.
+    v_pooled, num_degenerate) for verdict reporting, plus the delay and
+    ``delay_fallback``, true when the cross-covariance had no significant
+    peak and the delay was taken as 0.
     """
-    rate = ts.acquisition.sample_rate
-    p1, p2, c1, c2 = _channels(ts)
-    delay = _ensemble_delay(p1 + p2, c1 + c2, rate)
-    fp1, fp2, fc1, fc2 = (butterworth_bandpass(x, spec, rate) for x in (p1, p2, c1, c2))
-    stats = _violation_stats(
-        fp1 + fp2, fc1 + fc2, fp1, fp2, fc1, fc2, ts.dc_means, rate, delay
-    )
+    sp = _Spectra(ts)
+    delay, peaked = sp.delay()
+    stats = sp.violation_stats(delay, _bandpass_gain(spec, sp.n, sp.rate))
     stats["delay"] = delay
+    stats["delay_fallback"] = not peaked
     return stats

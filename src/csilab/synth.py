@@ -261,18 +261,32 @@ def quantize(trace, adc_bits: int, full_scale: float) -> np.ndarray:
         raise ConfigError(f"adc_bits must be between 2 and 16, got {adc_bits}")
     if full_scale <= 0.0:
         raise ConfigError(f"full_scale must be > 0, got {full_scale}")
+    x = np.asarray(trace, dtype=float)
+    codes = np.empty(x.shape, dtype=np.int16)
+    clipped = _quantize_into(codes, x, adc_bits, full_scale)
+    _warn_clipping(clipped, x.size, stacklevel=3)
+    return codes
+
+
+def _quantize_into(out: np.ndarray, x: np.ndarray, adc_bits: int, full_scale: float) -> int:
+    """Write quantize's codes of x into the int16 array out; return rail hits."""
     half = 2 ** (adc_bits - 1)
-    step = full_scale / half
-    raw = np.rint(np.asarray(trace, dtype=float) / step)
-    clipped = (raw < -half) | (raw > half - 1)
-    frac = float(np.mean(clipped))
+    raw = np.rint(x / (full_scale / half))
+    clipped = int(np.count_nonzero((raw < -half) | (raw > half - 1)))
+    np.clip(raw, -half, half - 1, out=raw)
+    out[...] = raw
+    return clipped
+
+
+def _warn_clipping(clipped: int, size: int, stacklevel: int) -> None:
+    """ClipWarning when more than 0.1% of size samples railed."""
+    frac = clipped / size if size else 0.0
     if frac > 1e-3:
         warnings.warn(
             f"{100 * frac:.2f}% of samples clipped at the quantizer rails",
             ClipWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    return np.clip(raw, -half, half - 1).astype(np.int16)
 
 
 def split_and_detect(trace, dc: float, acq: AcquisitionConfig, charge_scale: float, rng=None):
@@ -356,7 +370,8 @@ def synthesize(model: FwmModel, acq: AcquisitionConfig) -> TraceSet:
     sig_c = math.sqrt(csd.sql_conj * acq.sample_rate / 2.0)
 
     seeds = np.random.SeedSequence(acq.rng_seed).spawn(acq.num_sets)
-    ac = np.empty((4, acq.num_sets, n_keep), dtype=float)
+    codes = np.empty((4, acq.num_sets, n_keep), dtype=np.int16)
+    clipped = np.zeros(acq.num_sets, dtype=np.int64)
 
     def run_set(i: int) -> None:
         gen = np.random.default_rng(seeds[i])
@@ -370,10 +385,12 @@ def synthesize(model: FwmModel, acq: AcquisitionConfig) -> TraceSet:
         parent_c = parents[1, pad : pad + n_keep]
         w_p = gen.standard_normal(n_keep) * sig_p
         w_c = gen.standard_normal(n_keep) * sig_c
-        ac[0, i] = (parent_p + w_p) / 2.0
-        ac[1, i] = (parent_p - w_p) / 2.0
-        ac[2, i] = (parent_c + w_c) / 2.0
-        ac[3, i] = (parent_c - w_c) / 2.0
+        halves = ((parent_p + w_p) / 2.0, (parent_p - w_p) / 2.0,
+                  (parent_c + w_c) / 2.0, (parent_c - w_c) / 2.0)
+        clipped[i] = sum(
+            _quantize_into(codes[k, i], x, acq.adc_bits, acq.full_scale)
+            for k, x in enumerate(halves)
+        )
 
     threads = _thread_count()
     if threads > 1:
@@ -383,7 +400,7 @@ def synthesize(model: FwmModel, acq: AcquisitionConfig) -> TraceSet:
         for i in range(acq.num_sets):
             run_set(i)
 
-    codes = quantize(ac, acq.adc_bits, acq.full_scale)
+    _warn_clipping(int(clipped.sum()), codes.size, stacklevel=2)
     dc_means = np.array(
         [
             model.probe_dc / 2.0,

@@ -28,6 +28,7 @@ import zlib
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .errors import TraceFileError
 from .synth import AcquisitionConfig, TraceSet
 
@@ -56,16 +57,15 @@ def write_tracefile(ts: TraceSet, path) -> None:
         *(float(x) for x in ts.dc_means),
         acq.rng_seed,
     )
-    # payload runs per set, per channel, per sample
-    payload = np.ascontiguousarray(codes.transpose(1, 0, 2)).tobytes()
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(_CRC.pack(zlib.crc32(header)))
-        fh.write(payload)
+        # payload runs per set, per channel, per sample; one set at a time
+        # keeps a transposed copy of the whole payload out of memory
+        for i in range(codes.shape[1]):
+            fh.write(np.ascontiguousarray(codes[:, i]))
         fh.flush()
         os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def read_tracefile(path) -> TraceSet:

@@ -1,0 +1,211 @@
+"""Slow reference implementations the one-pass estimators must reproduce.
+
+These are the time-domain estimators and the float-staged synthesis the
+package used before its analysis was rebuilt on one rfft per channel:
+every channel is dequantized, bandpassed and delay-compensated through
+the public ``dsp`` functions, trimmed by EDGE_GUARD and correlated with a
+full FFT cross-covariance, and synthesis stages the whole payload as
+float64 before quantizing it in one call.  Tests compare the fast code
+against them; nothing in the package imports this module.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from csilab.dsp import (
+    FilterSpec,
+    butterworth_bandpass,
+    compensate_delay,
+    estimate_delay,
+    psd_estimate,
+)
+from csilab.errors import DcMissing, DegenerateSet, NoPeak
+from csilab.estimators import EDGE_GUARD
+from csilab.synth import _csd_sqrt, quantize, suggest_full_scale
+
+
+def channels(ts):
+    if ts.dc_means is None or np.any(np.asarray(ts.dc_means) <= 0.0):
+        raise DcMissing("trace set carries no usable DC means")
+    return ts.ac("p1"), ts.ac("p2"), ts.ac("c1"), ts.ac("c2")
+
+
+def per_set_curves(x, y, max_lag):
+    """Per-set circular cross-covariance rows over lags [-max_lag, max_lag]."""
+    n = x.shape[1]
+    x = x - x.mean(axis=1, keepdims=True)
+    y = y - y.mean(axis=1, keepdims=True)
+    spec = np.conj(np.fft.rfft(x, axis=1)) * np.fft.rfft(y, axis=1)
+    cov = np.fft.irfft(spec, n=n, axis=1) / n
+    lags = np.arange(-max_lag, max_lag + 1)
+    return lags, cov[:, lags % n]
+
+
+def ensemble_delay(probe, conj, rate):
+    try:
+        return estimate_delay(probe, conj, rate)
+    except NoPeak:
+        return 0.0
+
+
+def violation_stats(probe, conj, p1, p2, c1, c2, dc_means, rate, delay):
+    dc_p1, dc_p2, dc_c1, dc_c2 = (float(v) for v in dc_means)
+    dc_p = dc_p1 + dc_p2
+    dc_c = dc_c1 + dc_c2
+    g = EDGE_GUARD
+
+    conj_aligned = compensate_delay(conj, delay, rate) if delay else conj
+    pr = probe[:, g:-g] - probe[:, g:-g].mean(axis=1, keepdims=True)
+    co = conj_aligned[:, g:-g] - conj_aligned[:, g:-g].mean(axis=1, keepdims=True)
+
+    _, cov = per_set_curves(pr, co, 4)
+    curve = cov.mean(axis=0)
+    i0 = cov.shape[1] // 2
+    denom = curve[i0 - 1] - 2.0 * curve[i0] + curve[i0 + 1]
+    frac = 0.5 * (curve[i0 - 1] - curve[i0 + 1]) / denom if denom else 0.0
+    frac = float(np.clip(frac, -1.0, 1.0))
+
+    ym1, y0, yp1 = cov[:, i0 - 1], cov[:, i0], cov[:, i0 + 1]
+    a = 0.5 * (ym1 + yp1) - y0
+    b = 0.5 * (yp1 - ym1)
+    peak_per_set = y0 + b * frac + a * frac * frac
+
+    eps_ab = peak_per_set / (dc_p * dc_c)
+    eps_aa = np.mean(
+        (p1 - p1.mean(axis=1, keepdims=True)) * (p2 - p2.mean(axis=1, keepdims=True)),
+        axis=1,
+    ) / (dc_p1 * dc_p2)
+    eps_bb = np.mean(
+        (c1 - c1.mean(axis=1, keepdims=True)) * (c2 - c2.mean(axis=1, keepdims=True)),
+        axis=1,
+    ) / (dc_c1 * dc_c2)
+
+    valid = eps_ab > 0.0
+    num_degenerate = int(np.count_nonzero(~valid))
+    if np.count_nonzero(valid) < 2:
+        raise DegenerateSet(f"only {np.count_nonzero(valid)} valid sets")
+    v_per_set = (eps_aa[valid] + eps_bb[valid]) / (2.0 * eps_ab[valid])
+    v_mean = float(v_per_set.mean())
+    v_sigma = float(v_per_set.std(ddof=1))
+    v_sem = v_sigma / math.sqrt(v_per_set.size)
+    return dict(
+        eps_aa=float(eps_aa[valid].mean()),
+        eps_bb=float(eps_bb[valid].mean()),
+        eps_ab_peak=float(eps_ab[valid].mean()),
+        v_per_set=v_per_set,
+        v_mean=v_mean,
+        v_sigma=v_sigma,
+        v_sem=v_sem,
+        sigma_count=abs(1.0 - v_mean) / v_sem if v_sem > 0 else math.inf,
+        violated=v_mean < 1.0,
+        v_pooled=float(
+            (eps_aa[valid].mean() + eps_bb[valid].mean()) / (2.0 * eps_ab[valid].mean())
+        ),
+        num_degenerate=num_degenerate,
+    )
+
+
+def filtered_violation(ts, spec):
+    rate = ts.acquisition.sample_rate
+    p1, p2, c1, c2 = channels(ts)
+    delay = ensemble_delay(p1 + p2, c1 + c2, rate)
+    fp1, fp2, fc1, fc2 = (butterworth_bandpass(x, spec, rate) for x in (p1, p2, c1, c2))
+    stats = violation_stats(fp1 + fp2, fc1 + fc2, fp1, fp2, fc1, fc2, ts.dc_means, rate, delay)
+    stats["delay"] = delay
+    return stats
+
+
+def cutoff_sweep(ts, f_hi_list, f_lo=500e3, order=10):
+    rate = ts.acquisition.sample_rate
+    p1, p2, c1, c2 = channels(ts)
+    delay = ensemble_delay(p1 + p2, c1 + c2, rate)
+    rows = []
+    for f_hi in f_hi_list:
+        spec = FilterSpec(f_hi=float(f_hi), f_lo=f_lo, order=order)
+        fp1, fp2, fc1, fc2 = (butterworth_bandpass(x, spec, rate) for x in (p1, p2, c1, c2))
+        stats = violation_stats(
+            fp1 + fp2, fc1 + fc2, fp1, fp2, fc1, fc2, ts.dc_means, rate, delay
+        )
+        rows.append((float(f_hi), stats["v_mean"], stats["v_sigma"]))
+    return np.array(rows)
+
+
+def g2_curves(ts, tau_max=100e-9):
+    """Mean curves, their SEMs, the delay and the unfiltered V statistics."""
+    rate = ts.acquisition.sample_rate
+    p1, p2, c1, c2 = channels(ts)
+    dc_p1, dc_p2, dc_c1, dc_c2 = (float(v) for v in ts.dc_means)
+    probe, conj = p1 + p2, c1 + c2
+    max_lag = max(4, int(round(tau_max * rate)))
+    lags, cross = per_set_curves(probe, conj, max_lag)
+    _, auto_p = per_set_curves(p1, p2, max_lag)
+    _, auto_c = per_set_curves(c1, c2, max_lag)
+    root_n = math.sqrt(cross.shape[0])
+    curves = {
+        "g2_ab": 1.0 + cross / ((dc_p1 + dc_p2) * (dc_c1 + dc_c2)),
+        "g2_aa": 1.0 + auto_p / (dc_p1 * dc_p2),
+        "g2_bb": 1.0 + auto_c / (dc_c1 * dc_c2),
+    }
+    out = {"tau_grid": lags / rate}
+    for name, g in curves.items():
+        out[name] = g.mean(axis=0)
+        out[name + "_sem"] = g.std(axis=0, ddof=1) / root_n
+    out["delay"] = ensemble_delay(probe, conj, rate)
+    out.update(violation_stats(probe, conj, p1, p2, c1, c2, ts.dc_means, rate, out["delay"]))
+    return out
+
+
+def normalized_spectra(ts, compensate=True):
+    """SQL-normalized spectra arrays, the SQL PSDs and the delay used."""
+    rate = ts.acquisition.sample_rate
+    p1, p2, c1, c2 = channels(ts)
+    probe, conj = p1 + p2, c1 + c2
+    sql_p = psd_estimate(p1 - p2, rate)
+    sql_c = psd_estimate(c1 - c2, rate)
+    sql_diff = sql_p.power + sql_c.power
+    delay = ensemble_delay(probe, conj, rate) if compensate else 0.0
+    conj_used = compensate_delay(conj, delay, rate) if delay else conj
+    out = {"frequencies": sql_p.frequencies, "sql_p": sql_p.power,
+           "sql_c": sql_c.power, "delay": delay}
+    # the DC bin holds rounding residue of the mean removal; callers skip it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out["s_p_norm"] = psd_estimate(probe, rate).power / sql_p.power
+        out["s_c_norm"] = psd_estimate(conj, rate).power / sql_c.power
+        out["s_diff_norm"] = psd_estimate(probe - conj_used, rate).power / sql_diff
+    return out
+
+
+def staged_codes(model, acq):
+    """Synthesis codes via a full float64 staging array and one quantize call."""
+    csd = model.spectral_model()
+    if acq.full_scale is None:
+        acq = replace(acq, full_scale=suggest_full_scale(model, acq))
+    n_keep = acq.samples_per_set
+    pad = int(math.ceil(0.125 * n_keep))
+    n_gen = n_keep + 2 * pad
+    freqs = np.fft.rfftfreq(n_gen, d=1.0 / acq.sample_rate)
+    b00, b01, b11 = _csd_sqrt(csd, freqs, zero_nyquist=(n_gen % 2 == 0))
+    scale = math.sqrt(n_gen * acq.sample_rate / 2.0)
+    sig_p = math.sqrt(csd.sql_probe * acq.sample_rate / 2.0)
+    sig_c = math.sqrt(csd.sql_conj * acq.sample_rate / 2.0)
+    seeds = np.random.SeedSequence(acq.rng_seed).spawn(acq.num_sets)
+    ac = np.empty((4, acq.num_sets, n_keep), dtype=float)
+    for i in range(acq.num_sets):
+        gen = np.random.default_rng(seeds[i])
+        z = gen.standard_normal((2, freqs.size, 2))
+        z0 = (z[0, :, 0] + 1j * z[0, :, 1]) / math.sqrt(2.0)
+        z1 = (z[1, :, 0] + 1j * z[1, :, 1]) / math.sqrt(2.0)
+        spec_p = (b00 * z0 + b01 * z1) * scale
+        spec_c = (np.conj(b01) * z0 + b11 * z1) * scale
+        parents = np.fft.irfft(np.vstack([spec_p, spec_c]), n=n_gen, axis=-1)
+        parent_p = parents[0, pad : pad + n_keep]
+        parent_c = parents[1, pad : pad + n_keep]
+        w_p = gen.standard_normal(n_keep) * sig_p
+        w_c = gen.standard_normal(n_keep) * sig_c
+        ac[0, i] = (parent_p + w_p) / 2.0
+        ac[1, i] = (parent_p - w_p) / 2.0
+        ac[2, i] = (parent_c + w_c) / 2.0
+        ac[3, i] = (parent_c - w_c) / 2.0
+    return quantize(ac, acq.adc_bits, acq.full_scale)

@@ -1,12 +1,17 @@
 """End-to-end CLI pipelines and exit-code mapping."""
 
+import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from csilab.cli import main
+from csilab._atomic import atomic_write
+from csilab.cli import _write_csv, _write_text, main
+from csilab.synth import AcquisitionConfig, coherent_traces
+from csilab.tracefile import write_tracefile
 
 
 def run(*argv):
@@ -139,3 +144,69 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "0.7500" in proc.stdout
+
+
+def test_analyze_reports_delay_fallback(tmp_path, capsys):
+    # independent beams: no cross-covariance peak, so the delay falls back
+    # to 0 and the summary says so (seed 6 draws no false noise peak)
+    trace = tmp_path / "coherent.cstf"
+    write_tracefile(coherent_traces(AcquisitionConfig(num_sets=24, rng_seed=6)), trace)
+    assert run("analyze", str(trace), "--out", str(tmp_path / "rep")) == 0
+    txt = capsys.readouterr().out
+    assert "delay estimate: 0.000 ns (no significant peak; uncompensated)\n" in txt
+
+
+def test_analyze_measured_delay_has_no_fallback_note(tmp_path, g10_file, capsys):
+    assert run("analyze", str(g10_file), "--out", str(tmp_path / "rep")) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("delay estimate:"))
+    assert line.endswith(" ns")
+
+
+def race(write, payloads, rounds=10):
+    """Run write(payload) for every payload at once, rounds times; return errors."""
+    errors = []
+
+    def worker(payload, barrier):
+        barrier.wait()
+        try:
+            write(payload)
+        except Exception as exc:  # collected: a thread cannot fail the test
+            errors.append(exc)
+
+    for _ in range(rounds):
+        barrier = threading.Barrier(len(payloads))
+        threads = [threading.Thread(target=worker, args=(p, barrier)) for p in payloads]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    return errors
+
+
+def test_concurrent_text_writers_leave_one_complete_file(tmp_path):
+    path = tmp_path / "summary.txt"
+    texts = ["a" * 400_000, "b" * 300_000]
+    assert race(lambda text: _write_text(path, text), texts) == []
+    assert path.read_text() in texts
+    assert os.listdir(tmp_path) == ["summary.txt"]
+
+
+def test_concurrent_csv_writers_leave_one_complete_file(tmp_path):
+    path = tmp_path / "vsweep.csv"
+    tables = [{"x": np.arange(20_000.0)}, {"x": -np.arange(30_000.0)}]
+    assert race(lambda cols: _write_csv(path, cols), tables) == []
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert any(np.array_equal(back, cols["x"]) for cols in tables)
+    assert os.listdir(tmp_path) == ["vsweep.csv"]
+
+
+def test_failed_write_removes_temporary_and_keeps_target(tmp_path):
+    path = tmp_path / "summary.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("partial")
+            raise RuntimeError("writer died")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["summary.txt"]

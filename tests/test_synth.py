@@ -1,5 +1,6 @@
 """Tests of trace synthesis: statistics fidelity, determinism, quantizer."""
 
+import dataclasses
 import math
 import warnings
 
@@ -355,3 +356,39 @@ class TestValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ClipWarning)
             synthesize(model, acq)  # must not warn at 8 sigma
+
+
+class TestQuantizeInWorker:
+    """Synthesis quantizes per set; codes must equal quantizing a float stage."""
+
+    @pytest.mark.parametrize("threads", [None, "1", "2"])
+    @pytest.mark.parametrize("num_sets", [1, 5, 16])
+    def test_codes_match_float_staged_reference(self, monkeypatch, threads, num_sets):
+        import slow_reference
+
+        if threads is None:
+            monkeypatch.delenv("CSILAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CSILAB_THREADS", threads)
+        acq = small_acq(num_sets=num_sets, rng_seed=1234)
+        ts = synthesize(model_g10(), acq)
+        assert ts.codes.dtype == np.int16
+        assert np.array_equal(ts.codes, slow_reference.staged_codes(model_g10(), acq))
+
+    def test_small_full_scale_warns_exactly_once(self, monkeypatch):
+        import slow_reference
+
+        monkeypatch.setenv("CSILAB_THREADS", "2")
+        acq = small_acq(num_sets=8)
+        fs = suggest_full_scale(model_g10(), acq) / 8.0  # one sigma: heavy clipping
+        acq = dataclasses.replace(acq, full_scale=fs)
+        messages = []
+        for make in (synthesize, slow_reference.staged_codes):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                make(model_g10(), acq)
+            messages.append([str(w.message) for w in caught
+                             if issubclass(w.category, ClipWarning)])
+        # one warning for the whole array, with the whole-array fraction
+        assert len(messages[0]) == 1
+        assert messages[0] == messages[1]

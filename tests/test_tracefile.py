@@ -1,6 +1,8 @@
 """Binary trace container round trips and corruption handling."""
 
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -118,3 +120,32 @@ def test_no_temp_left_behind(tmp_path, small_ts):
     path = tmp_path / "t.cstf"
     write_tracefile(small_ts, path)
     assert [p.name for p in tmp_path.iterdir()] == ["t.cstf"]
+
+
+def test_concurrent_writers_leave_one_readable_file(tmp_path):
+    sc = preset("G10")
+    candidates = [
+        synthesize(sc.model, AcquisitionConfig(num_sets=n, samples_per_set=4096, rng_seed=n))
+        for n in (6, 9)
+    ]
+    path = tmp_path / "traces.cstf"
+    errors = []
+
+    def writer(ts, barrier):
+        barrier.wait()
+        try:
+            write_tracefile(ts, path)
+        except Exception as exc:  # collected: a thread cannot fail the test
+            errors.append(exc)
+
+    for _ in range(5):
+        barrier = threading.Barrier(2)
+        threads = [threading.Thread(target=writer, args=(ts, barrier)) for ts in candidates]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    assert errors == []
+    back = read_tracefile(path)
+    assert any(np.array_equal(back.codes, ts.codes) for ts in candidates)
+    assert os.listdir(tmp_path) == ["traces.cstf"]
