@@ -43,7 +43,7 @@ from .estimators import (
 )
 from .fock import FockMoments, fock_oracle_moments
 from .scenarios import AnalysisSettings, Scenario, load_scenario, preset, preset_names
-from .synth import AcquisitionConfig, FwmModel, TraceSet, apply_loss, synthesize
+from .synth import AcquisitionConfig, TraceSet, apply_loss, synthesize
 from .theory import (
     CsdModel,
     ExcessNoiseSpec,
@@ -77,7 +77,6 @@ __all__ = [
     "ExcessNoiseSpec",
     "FilterSpec",
     "FockMoments",
-    "FwmModel",
     "G2Ideal",
     "NoPeak",
     "Psd",

@@ -144,16 +144,21 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _write_sweep(outdir, sc: Scenario, ts, cutoffs):
+    """cutoff_sweep over the scenario's filter, written to outdir/vsweep.csv."""
+    a = sc.analysis
+    rows = cutoff_sweep(ts, cutoffs, f_lo=a.bandpass.f_lo, order=a.bandpass.order)
+    os.makedirs(outdir, exist_ok=True)
+    _write_csv(os.path.join(outdir, "vsweep.csv"), {
+        "f_hi_hz": rows[:, 0], "v_mean": rows[:, 1], "v_sigma": rows[:, 2],
+    })
+    return rows
+
+
 def cmd_sweep(args) -> int:
     ts = read_tracefile(args.trace)
     sc = _resolve_scenario(args.config)
-    a = sc.analysis
-    rows = cutoff_sweep(ts, _parse_cutoffs(args.cutoffs),
-                        f_lo=a.bandpass.f_lo, order=a.bandpass.order)
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, "vsweep.csv"), {
-        "f_hi_hz": rows[:, 0], "v_mean": rows[:, 1], "v_sigma": rows[:, 2],
-    })
+    rows = _write_sweep(args.out, sc, ts, _parse_cutoffs(args.cutoffs))
     for f_hi, v, sig in rows:
         print(f"f_hi {f_hi / 1e6:6.2f} MHz  V = {v:.4f} +/- {sig:.4f}")
     return 0
@@ -209,11 +214,7 @@ def cmd_report(args) -> int:
     else:
         top = int(sc.analysis.bandpass.f_hi / 1e6)
         cutoffs = [f * 1e6 for f in range(1, max(top, 1) + 1)]
-    a = sc.analysis
-    rows = cutoff_sweep(ts, cutoffs, f_lo=a.bandpass.f_lo, order=a.bandpass.order)
-    _write_csv(os.path.join(args.out, "vsweep.csv"), {
-        "f_hi_hz": rows[:, 0], "v_mean": rows[:, 1], "v_sigma": rows[:, 2],
-    })
+    _write_sweep(args.out, sc, ts, cutoffs)
     print(summary, end="")
     return 0
 

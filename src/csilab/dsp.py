@@ -182,8 +182,10 @@ def estimate_delay(probe, conj, rate, max_lag: int | None = None) -> float:
     Raises
     ------
     NoPeak
-        If the peak does not stand out from the off-peak background by at
-        least three times its rms.
+        If the peak does not stand out from the off-peak background by
+        sqrt(2 ln N) + 1.5 times its rms, N being the number of background
+        lags: the largest of N Gaussian noise lags reaches about
+        sqrt(2 ln N) rms, so a fixed bar would call it a peak.
     """
     rate = float(getattr(rate, "sample_rate", rate))
     lags, cov = cross_covariance(probe, conj, max_lag)
@@ -193,8 +195,8 @@ def estimate_delay(probe, conj, rate, max_lag: int | None = None) -> float:
 def _delay_from_covariance(lags: np.ndarray, cov: np.ndarray, rate: float) -> float:
     """Parabola-refined argmax of an ensemble cross-covariance, in seconds.
 
-    Raises NoPeak when the peak does not stand out from the lags more
-    than 25 samples away by three times their rms.
+    Raises NoPeak when the peak does not stand out from the N lags more
+    than 25 samples away by sqrt(2 ln N) + 1.5 times their rms.
     """
     i = int(np.argmax(cov))
     peak = cov[i]
@@ -203,10 +205,11 @@ def _delay_from_covariance(lags: np.ndarray, cov: np.ndarray, rate: float) -> fl
         raise NoPeak("not enough off-peak lags to judge significance")
     prominence = peak - float(np.median(bg))
     noise = float(np.std(bg))
-    if noise > 0.0 and prominence < 3.0 * noise:
+    bar = math.sqrt(2.0 * math.log(bg.size)) + 1.5
+    if noise > 0.0 and prominence < bar * noise:
         raise NoPeak(
             f"cross-covariance peak prominence {prominence:.3g} is below "
-            f"3 x background rms {noise:.3g}"
+            f"{bar:.2f} x background rms {noise:.3g}"
         )
     if 0 < i < cov.size - 1:
         offset = _parabolic_vertex(cov[i - 1], peak, cov[i + 1])

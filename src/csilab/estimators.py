@@ -239,6 +239,9 @@ def g2_curves(ts: TraceSet, tau_max: float = 100e-9) -> CorrelationReport:
     evaluated at the delay-compensated peak.
     """
     sp = _Spectra(ts)
+    delay, _ = sp.delay()
+    # raises DegenerateSet before a one-set ensemble reaches the ddof=1 SEM
+    stats = sp.violation_stats(delay)
     dc_p1, dc_p2, dc_c1, dc_c2 = sp.dc
     n = sp.n
 
@@ -250,12 +253,8 @@ def g2_curves(ts: TraceSet, tau_max: float = 100e-9) -> CorrelationReport:
     cov = np.fft.irfft(cross, n=n, axis=-1)[..., lags % n] / n
     norm = np.array([(dc_p1 + dc_p2) * (dc_c1 + dc_c2), dc_p1 * dc_p2, dc_c1 * dc_c2])
     g = 1.0 + cov / norm[:, np.newaxis, np.newaxis]
-    nsets = g.shape[1]
-    root_n = math.sqrt(nsets) if nsets > 1 else 1.0
     g_mean = g.mean(axis=1)
-    g_sem = g.std(axis=1, ddof=1) / root_n
-
-    delay, _ = sp.delay()
+    g_sem = g.std(axis=1, ddof=1) / math.sqrt(g.shape[1])
     return CorrelationReport(
         tau_grid=lags / sp.rate,
         g2_ab=g_mean[0],
@@ -265,7 +264,7 @@ def g2_curves(ts: TraceSet, tau_max: float = 100e-9) -> CorrelationReport:
         g2_aa_sem=g_sem[1],
         g2_bb_sem=g_sem[2],
         delay=delay,
-        **sp.violation_stats(delay),
+        **stats,
     )
 
 

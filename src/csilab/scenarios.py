@@ -32,8 +32,14 @@ from dataclasses import dataclass
 
 from .dsp import FilterSpec
 from .errors import ConfigError
-from .synth import AcquisitionConfig, FwmModel
-from .theory import ExcessNoiseSpec, SqueezeParams, TechnicalNoiseSpec
+from .synth import AcquisitionConfig
+from .theory import (
+    CsdModel,
+    ExcessNoiseSpec,
+    SqueezeParams,
+    TechnicalNoiseSpec,
+    spectral_model,
+)
 
 
 @dataclass(frozen=True)
@@ -49,7 +55,7 @@ class AnalysisSettings:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    model: FwmModel
+    model: CsdModel
     acquisition: AcquisitionConfig
     analysis: AnalysisSettings
 
@@ -205,10 +211,10 @@ def _build(name: str, params) -> Scenario:
     technical = TechnicalNoiseSpec(
         level=m["technical_level"], corner_hz=m["technical_corner_khz"] * 1e3
     )
-    model = FwmModel.from_params(
+    model = spectral_model(
         SqueezeParams.from_gain(m["gain"], alpha=m["alpha"]),
+        m["gain_bandwidth_mhz"] * 1e6,
         probe_dc=m["probe_dc"],
-        gain_bandwidth=m["gain_bandwidth_mhz"] * 1e6,
         delay=m["delay_ns"] * 1e-9,
         eta=m["eta"],
         excess=excess,
@@ -262,8 +268,6 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path) as fh:
             cp.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

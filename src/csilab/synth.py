@@ -10,24 +10,16 @@ results are bit-identical no matter how the work is chunked or threaded.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ClipWarning, ConfigError, DomainError
-from .theory import (
-    CsdModel,
-    ExcessNoiseSpec,
-    SqueezeParams,
-    TechnicalNoiseSpec,
-    mean_photon_numbers,
-    spectral_model,
-)
+from .errors import ClipWarning, ConfigError
+from .theory import CsdModel, mean_photon_numbers
 
 CHANNEL_NAMES = ("p1", "p2", "c1", "c2")
 
@@ -41,133 +33,6 @@ def _thread_count() -> int:
     except ValueError:
         raise ConfigError(f"CSILAB_THREADS must be an integer, got {raw!r}")
     return max(1, n)
-
-
-@dataclass(frozen=True)
-class FwmModel:
-    """Source and detection parameters of one twin-beam configuration.
-
-    The DC ratio is not free: it must match the photon-number ratio of
-    the squeeze parameters (build instances with :meth:`from_params`).
-    """
-
-    squeeze: SqueezeParams
-    probe_dc: float
-    conj_dc: float
-    gain_bandwidth: float
-    delay: float = 0.0
-    eta: float = 1.0
-    excess: ExcessNoiseSpec = field(default_factory=ExcessNoiseSpec)
-    technical: TechnicalNoiseSpec = field(default_factory=TechnicalNoiseSpec)
-    carrier_detuning: float = 0.0
-    delay_dispersion: float = 0.0
-    dispersion_corner_hz: float = 0.0
-    dispersion_order: int = 2
-    dispersion_cutoff_hz: float | None = None
-
-    def __post_init__(self):
-        if self.probe_dc <= 0.0 or self.conj_dc <= 0.0:
-            raise ConfigError("probe_dc and conj_dc must be > 0")
-        n_p, n_c = mean_photon_numbers(self.squeeze)
-        if n_p <= 0.0 or n_c <= 0.0:
-            raise ConfigError(
-                f"squeeze leaves a beam empty (n_probe={n_p}, n_conj={n_c})"
-            )
-        want = n_c / n_p
-        have = self.conj_dc / self.probe_dc
-        if abs(have - want) > 1e-9 * want:
-            raise ConfigError(
-                f"conj_dc/probe_dc = {have!r} must equal n_conj/n_probe = "
-                f"{want!r} (use FwmModel.from_params)"
-            )
-        if self.delay < 0.0:
-            raise ConfigError("delay must be >= 0 (conjugate arrives later)")
-
-    @classmethod
-    def from_params(
-        cls,
-        squeeze: SqueezeParams,
-        probe_dc: float = 1.0,
-        *,
-        gain_bandwidth: float,
-        delay: float = 0.0,
-        eta: float = 1.0,
-        excess: ExcessNoiseSpec | None = None,
-        technical: TechnicalNoiseSpec | None = None,
-        carrier_detuning: float = 0.0,
-        delay_dispersion: float = 0.0,
-        dispersion_corner_hz: float = 0.0,
-        dispersion_order: int = 2,
-        dispersion_cutoff_hz: float | None = None,
-    ) -> "FwmModel":
-        """Build a model with the conjugate DC pinned to the photon ratio."""
-        n_p, n_c = mean_photon_numbers(squeeze)
-        if n_p <= 0.0 or n_c <= 0.0:
-            raise ConfigError(
-                f"squeeze leaves a beam empty (n_probe={n_p}, n_conj={n_c})"
-            )
-        return cls(
-            squeeze=squeeze,
-            probe_dc=probe_dc,
-            conj_dc=probe_dc * n_c / n_p,
-            gain_bandwidth=gain_bandwidth,
-            delay=delay,
-            eta=eta,
-            excess=excess or ExcessNoiseSpec(),
-            technical=technical or TechnicalNoiseSpec(),
-            carrier_detuning=carrier_detuning,
-            delay_dispersion=delay_dispersion,
-            dispersion_corner_hz=dispersion_corner_hz,
-            dispersion_order=dispersion_order,
-            dispersion_cutoff_hz=dispersion_cutoff_hz,
-        )
-
-    def spectral_model(self) -> CsdModel:
-        try:
-            return spectral_model(
-                self.squeeze,
-                self.gain_bandwidth,
-                delay=self.delay,
-                eta=self.eta,
-                excess=self.excess,
-                technical=self.technical,
-                probe_dc=self.probe_dc,
-                conj_dc=self.conj_dc,
-                carrier_detuning=self.carrier_detuning,
-                delay_dispersion=self.delay_dispersion,
-                dispersion_corner_hz=self.dispersion_corner_hz,
-                dispersion_order=self.dispersion_order,
-                dispersion_cutoff_hz=self.dispersion_cutoff_hz,
-            )
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def digest(self) -> str:
-        payload = repr(
-            (
-                self.squeeze.s,
-                complex(self.squeeze.alpha),
-                self.probe_dc,
-                self.conj_dc,
-                self.gain_bandwidth,
-                self.delay,
-                self.eta,
-                (
-                    self.excess.conj_level,
-                    self.excess.probe_level,
-                    self.excess.onset_hz,
-                    self.excess.order,
-                    self.excess.conj_cutoff_hz,
-                    self.excess.probe_onset_hz,
-                    self.excess.probe_order,
-                ),
-                (self.technical.level, self.technical.corner_hz),
-                self.carrier_detuning,
-                (self.delay_dispersion, self.dispersion_corner_hz,
-                 self.dispersion_order, self.dispersion_cutoff_hz),
-            )
-        ).encode()
-        return hashlib.sha1(payload).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -228,6 +93,12 @@ class TraceSet:
     def __post_init__(self):
         if self.codes.shape[0] != 4 or self.codes.ndim != 3:
             raise ConfigError(f"codes must be (4, sets, samples), got {self.codes.shape}")
+        if self.codes.dtype != np.int16:
+            raise ConfigError(f"codes must be int16, got {self.codes.dtype}")
+        if np.shape(self.dc_means) != (4,):
+            raise ConfigError(
+                f"dc_means must hold one value per channel, got shape {np.shape(self.dc_means)}"
+            )
         # non-positive DC readings are representable (dead channel in an
         # external file); analysis raises DcMissing when it needs them
 
@@ -305,9 +176,9 @@ def split_and_detect(trace, dc: float, acq: AcquisitionConfig, charge_scale: flo
     return (x + w) / 2.0, (x - w) / 2.0
 
 
-def suggest_full_scale(model: FwmModel, acq: AcquisitionConfig) -> float:
+def suggest_full_scale(model: CsdModel, acq: AcquisitionConfig) -> float:
     """Full-scale range covering 8 standard deviations of the busiest channel."""
-    var_p, var_c = model.spectral_model().channel_variances(acq.nyquist)
+    var_p, var_c = model.channel_variances(acq.nyquist)
     return 8.0 * math.sqrt(max(var_p, var_c))
 
 
@@ -338,25 +209,39 @@ def _csd_sqrt(m: CsdModel, freqs: np.ndarray, zero_nyquist: bool):
     return b00, b01, b11
 
 
-def synthesize(model: FwmModel, acq: AcquisitionConfig) -> TraceSet:
+def synthesize(model: CsdModel, acq: AcquisitionConfig) -> TraceSet:
     """Generate a quantized four-channel TraceSet realizing the model.
 
+    The model's DC ratio must match the photon-number ratio of its squeeze
+    parameters, as :func:`~csilab.theory.spectral_model` sets it by default.
     Each set is synthesized on a 25% longer grid and trimmed symmetrically
     so the circular wrap of the delay phase never touches the kept window.
     Per-set RNG streams come from SeedSequence(rng_seed).spawn, making the
     result independent of chunk size and thread schedule.
     """
-    if acq.sample_rate <= 10.0 * model.gain_bandwidth:
+    n_p, n_c = mean_photon_numbers(model.params)
+    if min(n_p, n_c, model.probe_dc) <= 0.0:
+        raise ConfigError(
+            f"model leaves a beam dark (n_probe={n_p}, n_conj={n_c}, "
+            f"probe_dc={model.probe_dc})"
+        )
+    want = n_c / n_p
+    have = model.conj_dc / model.probe_dc
+    if abs(have - want) > 1e-9 * want:
+        raise ConfigError(
+            f"conj_dc/probe_dc = {have!r} must equal n_conj/n_probe = {want!r} "
+            "(leave conj_dc unset in spectral_model)"
+        )
+    if acq.sample_rate <= 10.0 * model.bandwidth:
         raise ConfigError(
             f"sample_rate {acq.sample_rate} too low to resolve the correlation "
-            f"structure; need > 10 * gain_bandwidth = {10 * model.gain_bandwidth}"
+            f"structure; need > 10 * bandwidth = {10 * model.bandwidth}"
         )
     if abs(model.delay) >= 0.1 * acq.set_duration:
         raise ConfigError(
             f"delay {model.delay} must stay below 10% of the set duration "
             f"{acq.set_duration}"
         )
-    csd = model.spectral_model()
     if acq.full_scale is None:
         acq = replace(acq, full_scale=suggest_full_scale(model, acq))
 
@@ -364,10 +249,8 @@ def synthesize(model: FwmModel, acq: AcquisitionConfig) -> TraceSet:
     pad = int(math.ceil(0.125 * n_keep))
     n_gen = n_keep + 2 * pad
     freqs = np.fft.rfftfreq(n_gen, d=1.0 / acq.sample_rate)
-    b00, b01, b11 = _csd_sqrt(csd, freqs, zero_nyquist=(n_gen % 2 == 0))
+    b00, b01, b11 = _csd_sqrt(model, freqs, zero_nyquist=(n_gen % 2 == 0))
     scale = math.sqrt(n_gen * acq.sample_rate / 2.0)
-    sig_p = math.sqrt(csd.sql_probe * acq.sample_rate / 2.0)
-    sig_c = math.sqrt(csd.sql_conj * acq.sample_rate / 2.0)
 
     seeds = np.random.SeedSequence(acq.rng_seed).spawn(acq.num_sets)
     codes = np.empty((4, acq.num_sets, n_keep), dtype=np.int16)
@@ -381,12 +264,12 @@ def synthesize(model: FwmModel, acq: AcquisitionConfig) -> TraceSet:
         spec_p = (b00 * z0 + b01 * z1) * scale
         spec_c = (np.conj(b01) * z0 + b11 * z1) * scale
         parents = np.fft.irfft(np.vstack([spec_p, spec_c]), n=n_gen, axis=-1)
-        parent_p = parents[0, pad : pad + n_keep]
-        parent_c = parents[1, pad : pad + n_keep]
-        w_p = gen.standard_normal(n_keep) * sig_p
-        w_c = gen.standard_normal(n_keep) * sig_c
-        halves = ((parent_p + w_p) / 2.0, (parent_p - w_p) / 2.0,
-                  (parent_c + w_c) / 2.0, (parent_c - w_c) / 2.0)
+        halves = (
+            *split_and_detect(parents[0, pad : pad + n_keep], model.probe_dc, acq,
+                              model.charge_scale, gen),
+            *split_and_detect(parents[1, pad : pad + n_keep], model.conj_dc, acq,
+                              model.charge_scale, gen),
+        )
         clipped[i] = sum(
             _quantize_into(codes[k, i], x, acq.adc_bits, acq.full_scale)
             for k, x in enumerate(halves)
@@ -414,7 +297,7 @@ def synthesize(model: FwmModel, acq: AcquisitionConfig) -> TraceSet:
         dc_means=dc_means,
         acquisition=acq,
         provenance=f"fwm:{model.digest()}",
-        charge_scale=csd.charge_scale,
+        charge_scale=model.charge_scale,
     )
 
 
@@ -436,10 +319,8 @@ def coherent_traces(
         raise ConfigError("probe_dc and conj_dc must be > 0")
     if charge_scale is None:
         charge_scale = probe_dc / (100.0 * acq.sample_rate)
-    sig = [
-        math.sqrt(2.0 * charge_scale * dc * acq.sample_rate / 2.0)
-        for dc in (probe_dc, conj_dc)
-    ]
+    dcs = (probe_dc, conj_dc)
+    sig = [math.sqrt(2.0 * charge_scale * dc * acq.sample_rate / 2.0) for dc in dcs]
     if acq.full_scale is None:
         # each half: (parent + w)/2 with both at the parent SQL
         acq = replace(acq, full_scale=8.0 * max(sig) / math.sqrt(2.0))
@@ -450,9 +331,9 @@ def coherent_traces(
         gen = np.random.default_rng(seeds[i])
         for beam in range(2):
             parent = gen.standard_normal(n) * sig[beam]
-            w = gen.standard_normal(n) * sig[beam]
-            codes[2 * beam, i] = quantize((parent + w) / 2.0, acq.adc_bits, acq.full_scale)
-            codes[2 * beam + 1, i] = quantize((parent - w) / 2.0, acq.adc_bits, acq.full_scale)
+            halves = split_and_detect(parent, dcs[beam], acq, charge_scale, gen)
+            for k, half in enumerate(halves):
+                codes[2 * beam + k, i] = quantize(half, acq.adc_bits, acq.full_scale)
     dc_means = np.array([probe_dc / 2.0, probe_dc / 2.0, conj_dc / 2.0, conj_dc / 2.0])
     return TraceSet(
         codes=codes,

@@ -34,8 +34,9 @@ independent of eta; only SQL-relative noise levels change.
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -276,8 +277,9 @@ class TechnicalNoiseSpec:
 class CsdModel:
     """One-sided 2x2 cross-spectral density of the detected photocurrents.
 
-    Assembled by :func:`spectral_model`; shared by the trace synthesizer
-    and by the analytic band predictions used to design scenarios.
+    Assembled by :func:`spectral_model`; the one source model, shared by
+    the scenarios, the trace synthesizer and the analytic band
+    predictions used to design scenarios.
     """
 
     params: SqueezeParams
@@ -299,6 +301,11 @@ class CsdModel:
     dispersion_cutoff_hz: float | None = None
     # derived, filled in by spectral_model
     charge_scale: float = field(default=0.0)
+
+    def digest(self) -> str:
+        """Short sha1 of every field, nested specs included."""
+        payload = repr(astuple(self)).encode()
+        return hashlib.sha1(payload).hexdigest()[:12]
 
     @property
     def sql_probe(self) -> float:
@@ -404,6 +411,16 @@ class CsdModel:
         spc = mag * np.exp(-1j * TWO_PI * f * self.group_delay(f))
         return spp, scc, spc
 
+    def _phased_parts(self, f, compensated: bool):
+        """(s_p, s_c, cross) with the cross term projected on the residual phase.
+
+        The residual is the relative delay left after removing its
+        line-center value (``compensated``) or nothing.
+        """
+        s_p, s_c, x = self._normalized_parts(f)
+        residual = self.group_delay(f) - (self.delay if compensated else 0.0)
+        return s_p, s_c, x * np.cos(TWO_PI * f * residual)
+
     def normalized_spectra(self, f, compensated: bool = True):
         """Predicted (s_p, s_c, s_diff) over the combined SQLs.
 
@@ -415,11 +432,9 @@ class CsdModel:
         cos(2 pi f tau(f)).
         """
         f = np.asarray(f, dtype=float)
-        s_p, s_c, x = self._normalized_parts(f)
+        s_p, s_c, cross = self._phased_parts(f, compensated)
         wp = self.sql_probe
         wc = self.sql_conj
-        residual = self.group_delay(f) - (self.delay if compensated else 0.0)
-        cross = x * np.cos(TWO_PI * f * residual)
         s_diff = (wp * s_p + wc * s_c - 2.0 * math.sqrt(wp * wc) * cross) / (wp + wc)
         return s_p, s_c, s_diff
 
@@ -432,12 +447,10 @@ class CsdModel:
         measurement restricted to that band converges to.
         """
         freqs = np.asarray(freqs, dtype=float)
-        s_p, s_c, x = self._normalized_parts(freqs)
+        s_p, s_c, cross = self._phased_parts(freqs, compensated=True)
         w = np.ones_like(freqs) if weight is None else np.asarray(weight(freqs))
         qp = self.sql_probe
         qc = self.sql_conj
-        residual = self.group_delay(freqs) - self.delay
-        cross = x * np.cos(TWO_PI * freqs * residual)
         eps_aa = np.trapezoid(w * (s_p - 1.0) * qp, freqs) / self.probe_dc**2
         eps_bb = np.trapezoid(w * (s_c - 1.0) * qc, freqs) / self.conj_dc**2
         eps_ab = np.trapezoid(w * cross * math.sqrt(qp * qc), freqs) / (

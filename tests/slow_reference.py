@@ -179,7 +179,7 @@ def normalized_spectra(ts, compensate=True):
 
 def staged_codes(model, acq):
     """Synthesis codes via a full float64 staging array and one quantize call."""
-    csd = model.spectral_model()
+    csd = model
     if acq.full_scale is None:
         acq = replace(acq, full_scale=suggest_full_scale(model, acq))
     n_keep = acq.samples_per_set

@@ -53,6 +53,14 @@ def test_simulate_invalid_bits_names_field(tmp_path, capsys):
     assert "adc_bits" in capsys.readouterr().err
 
 
+def test_simulate_invalid_model_names_field(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[model]\neta = 1.5\n")
+    rc = run("simulate", "--config", str(cfg), "--out", str(tmp_path / "x.cstf"))
+    assert rc == 2
+    assert "eta" in capsys.readouterr().err
+
+
 def test_simulate_missing_config_is_io_error(tmp_path):
     rc = run("simulate", "--config", str(tmp_path / "absent.ini"),
              "--out", str(tmp_path / "x.cstf"))
@@ -148,7 +156,7 @@ def test_module_entry_point():
 
 def test_analyze_reports_delay_fallback(tmp_path, capsys):
     # independent beams: no cross-covariance peak, so the delay falls back
-    # to 0 and the summary says so (seed 6 draws no false noise peak)
+    # to 0 and the summary says so
     trace = tmp_path / "coherent.cstf"
     write_tracefile(coherent_traces(AcquisitionConfig(num_sets=24, rng_seed=6)), trace)
     assert run("analyze", str(trace), "--out", str(tmp_path / "rep")) == 0

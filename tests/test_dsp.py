@@ -12,6 +12,7 @@ from csilab.dsp import (
     psd_estimate,
 )
 from csilab.errors import NoPeak, SpecError
+from csilab.synth import AcquisitionConfig, coherent_traces
 
 RATE = 1e9
 
@@ -159,6 +160,20 @@ class TestDelay:
                 RATE,
                 max_lag=64,
             )
+
+    @pytest.mark.parametrize("samples", [4096, 10000])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_no_peak_on_coherent_beams(self, samples, seed):
+        """The largest of up to ~2000 background lags is not a peak.
+
+        On uncorrelated beams the noise maximum over the searched lags
+        reaches 3-4 background rms, so the bar must grow with the lag count.
+        """
+        ts = coherent_traces(
+            AcquisitionConfig(num_sets=24, samples_per_set=samples, rng_seed=seed)
+        )
+        with pytest.raises(NoPeak):
+            estimate_delay(ts.ac("p1") + ts.ac("p2"), ts.ac("c1") + ts.ac("c2"), RATE)
 
     def test_compensation_round_trip(self):
         # odd length: no Nyquist bin, so the fractional shift is lossless

@@ -1,6 +1,7 @@
 """Estimator checks against synthesized traces with known statistics."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from csilab.estimators import (
 )
 from csilab.synth import (
     AcquisitionConfig,
-    FwmModel,
     TraceSet,
     apply_loss,
     coherent_traces,
@@ -25,16 +25,15 @@ from csilab.synth import (
     split_and_detect,
     synthesize,
 )
-from csilab.theory import ExcessNoiseSpec, SqueezeParams
+from csilab.theory import ExcessNoiseSpec, SqueezeParams, spectral_model
 
 
 def g10_model(**kwargs):
-    kwargs.setdefault("gain_bandwidth", 20e6)
     kwargs.setdefault("delay", 8e-9)
     kwargs.setdefault("eta", 0.8)
     kwargs.setdefault("excess", ExcessNoiseSpec(conj_level=3.0))
-    return FwmModel.from_params(
-        SqueezeParams.from_gain(10.0, alpha=100.0), probe_dc=1.0, **kwargs
+    return spectral_model(
+        SqueezeParams.from_gain(10.0, alpha=100.0), 20e6, probe_dc=1.0, **kwargs
     )
 
 
@@ -218,6 +217,12 @@ class TestViolationFactor:
         flipped = dataclasses.replace(ts, codes=codes)
         with pytest.raises(DegenerateSet):
             violation_factor(flipped)
+
+    def test_g2_curves_single_set_is_degenerate(self, ts_g10):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSet):
+                g2_curves(subset(ts_g10, 1), tau_max=50e-9)
 
     def test_missing_dc_raises(self, ts_g10):
         broken = dataclasses.replace(ts_g10, dc_means=np.zeros(4))

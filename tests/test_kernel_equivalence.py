@@ -41,8 +41,7 @@ def scenario_ts(request):
 
 @pytest.fixture(scope="module")
 def ts_coherent():
-    # independent beams; the 3-sigma prominence test still calls a noise
-    # maximum a peak for many seeds, and seed 0 is one where it does not
+    # independent beams: no cross-covariance peak, so the delay falls back to 0
     return coherent_traces(AcquisitionConfig(num_sets=24, samples_per_set=4096, rng_seed=0))
 
 

@@ -14,8 +14,8 @@ def test_preset_names():
 def test_g10_preset_values():
     sc = preset("G10")
     m = sc.model
-    assert np.isclose(m.squeeze.gain, 10.0, rtol=1e-12)
-    assert m.gain_bandwidth == 12e6
+    assert np.isclose(m.params.gain, 10.0, rtol=1e-12)
+    assert m.bandwidth == 12e6
     assert m.delay == 8e-9
     assert m.eta == 0.8
     assert m.excess.conj_level == 1.7241
@@ -39,7 +39,7 @@ def test_g10_preset_values():
 def test_g2_preset_values():
     sc = preset("G2")
     m = sc.model
-    assert np.isclose(m.squeeze.gain, 4.0, rtol=1e-12)
+    assert np.isclose(m.params.gain, 4.0, rtol=1e-12)
     assert m.delay == 13e-9
     assert m.excess.conj_level == 2.0
     assert m.excess.onset_hz == 6e6
@@ -98,7 +98,7 @@ def test_load_overlays_preset(tmp_path):
     sc = load_scenario(p)
     assert sc.name == "g2-short"
     assert sc.model.delay == 5e-9
-    assert np.isclose(sc.model.squeeze.gain, 4.0)  # rest of G2 kept
+    assert np.isclose(sc.model.params.gain, 4.0)  # rest of G2 kept
     assert sc.acquisition.num_sets == 40
     assert sc.acquisition.rng_seed == 0x1234
 

@@ -11,7 +11,6 @@ from csilab.dsp import estimate_delay, psd_estimate
 from csilab.errors import ClipWarning, ConfigError
 from csilab.synth import (
     AcquisitionConfig,
-    FwmModel,
     TraceSet,
     apply_loss,
     coherent_traces,
@@ -20,16 +19,16 @@ from csilab.synth import (
     suggest_full_scale,
     synthesize,
 )
-from csilab.theory import ExcessNoiseSpec, SqueezeParams
+from csilab.theory import ExcessNoiseSpec, SqueezeParams, spectral_model
 
 RATE = 1e9
 
 
 def model_g10(delay=8e-9, eta=0.8, **kw):
-    return FwmModel.from_params(
+    return spectral_model(
         SqueezeParams.from_gain(10.0, alpha=100.0),
+        20e6,
         probe_dc=1.0,
-        gain_bandwidth=20e6,
         delay=delay,
         eta=eta,
         **kw,
@@ -58,7 +57,7 @@ def block_mean(x, width):
 class TestFidelity:
     def test_parent_spectra_match_model(self, ts_g10):
         """Measured PSDs of the recombined beams track the CSD model to 5%."""
-        m = model_g10().spectral_model()
+        m = model_g10()
         acq = ts_g10.acquisition
         for names, pick in ((("p1", "p2"), 0), (("c1", "c2"), 1)):
             total = ts_g10.ac(names[0]) + ts_g10.ac(names[1])
@@ -71,7 +70,7 @@ class TestFidelity:
 
     def test_sql_channels_are_flat_white(self, ts_g10):
         """p1 - p2 must sit at the probe SQL independent of frequency."""
-        m = model_g10().spectral_model()
+        m = model_g10()
         acq = ts_g10.acquisition
         diff = ts_g10.ac("p1") - ts_g10.ac("p2")
         psd = psd_estimate(diff, acq.sample_rate)
@@ -86,7 +85,7 @@ class TestFidelity:
         fraction of the cross term scales with the full beam noise, not
         with the squeezed floor.
         """
-        m = model_g10().spectral_model()
+        m = model_g10()
         acq = ts_g10.acquisition
         probe = ts_g10.ac("p1") + ts_g10.ac("p2")
         conj = ts_g10.ac("c1") + ts_g10.ac("c2")
@@ -110,7 +109,7 @@ class TestFidelity:
         where S(0+) is the channel PSD at low frequency; the white-noise
         sigma/sqrt(N) would be ~3x too small for these colored traces.
         """
-        m = model_g10().spectral_model()
+        m = model_g10()
         acq = ts_g10.acquisition
         s_p, s_c, _ = m.normalized_spectra(np.array([acq.sample_rate / 4096]))
         floor = {
@@ -309,21 +308,35 @@ class TestLossHook:
 class TestValidation:
     def test_dc_ratio_enforced(self):
         sq = SqueezeParams.from_gain(10.0, alpha=100.0)
-        with pytest.raises(ConfigError):
-            FwmModel(
-                squeeze=sq,
-                probe_dc=1.0,
-                conj_dc=1.0,  # should be ~0.9
-                gain_bandwidth=20e6,
-            )
+        off_ratio = spectral_model(sq, 20e6, probe_dc=1.0, conj_dc=1.0)  # should be ~0.9
+        with pytest.raises(ConfigError, match="conj_dc/probe_dc"):
+            synthesize(off_ratio, small_acq(num_sets=2))
 
     def test_from_params_hits_ratio_exactly(self):
         m = model_g10()
         ts_ratio = m.conj_dc / m.probe_dc
         from csilab.theory import mean_photon_numbers
 
-        n_p, n_c = mean_photon_numbers(m.squeeze)
+        n_p, n_c = mean_photon_numbers(m.params)
         assert abs(ts_ratio - n_c / n_p) < 1e-15
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32])
+    def test_traceset_rejects_non_int16_codes(self, dtype):
+        with pytest.raises(ConfigError, match="int16"):
+            TraceSet(
+                codes=np.zeros((4, 1, 16), dtype=dtype),
+                dc_means=np.ones(4),
+                acquisition=small_acq(samples_per_set=16, num_sets=1),
+            )
+
+    @pytest.mark.parametrize("dc_means", [np.ones(3), np.ones((4, 1)), np.float64(1.0)])
+    def test_traceset_rejects_misshapen_dc_means(self, dc_means):
+        with pytest.raises(ConfigError, match="dc_means"):
+            TraceSet(
+                codes=np.zeros((4, 1, 16), dtype=np.int16),
+                dc_means=dc_means,
+                acquisition=small_acq(samples_per_set=16, num_sets=1),
+            )
 
     def test_sample_rate_guard(self):
         with pytest.raises(ConfigError):

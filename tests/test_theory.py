@@ -1,5 +1,6 @@
 """Tests of the closed-form Gaussian predictions and the CSD model."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -347,3 +348,41 @@ class TestSpectralModel:
                 dispersion_corner_hz=5e6,
                 dispersion_cutoff_hz=4e6,
             )
+
+
+def _bumped(value):
+    """A different valid value for one model field."""
+    if value is None:
+        return 7e6  # above every default onset and corner
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return value * 2.0 + 1.0
+
+
+def _perturbations(obj):
+    """Every one-field variant of a dataclass, nested dataclasses included."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            for inner in _perturbations(value):
+                yield f"{f.name}.{inner[0]}", dataclasses.replace(obj, **{f.name: inner[1]})
+        else:
+            yield f.name, dataclasses.replace(obj, **{f.name: _bumped(value)})
+
+
+def test_digest_covers_every_field():
+    base = spectral_model(
+        SqueezeParams.from_gain(10.0, alpha=100.0), 12e6, delay=8e-9, eta=0.8
+    )
+    assert base.digest() == spectral_model(
+        SqueezeParams.from_gain(10.0, alpha=100.0), 12e6, delay=8e-9, eta=0.8
+    ).digest()
+    seen = set()
+    for name, variant in _perturbations(base):
+        seen.add(name)
+        assert variant.digest() != base.digest(), name
+    # the walk reached into every nested spec
+    assert {"params.alpha", "excess.probe_order", "technical.corner_hz",
+            "charge_scale"} <= seen
