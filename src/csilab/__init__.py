@@ -20,6 +20,7 @@ from .dsp import (
 from .errors import (
     BandError,
     ConfigError,
+    ClipWarning,
     CsilabError,
     CutoffTooSmall,
     DcMissing,
@@ -32,14 +33,13 @@ from .errors import (
 )
 from .estimators import (
     CorrelationReport,
+    Spectra,
     SpectraReport,
     csi_frequency_test,
     cutoff_sweep,
     filtered_violation,
     g2_curves,
     normalized_spectra,
-    sql_spectra,
-    violation_factor,
 )
 from .fock import FockMoments, fock_oracle_moments
 from .scenarios import AnalysisSettings, Scenario, load_scenario, preset, preset_names
@@ -65,6 +65,7 @@ __all__ = [
     "AcquisitionConfig",
     "AnalysisSettings",
     "BandError",
+    "ClipWarning",
     "ConfigError",
     "CorrelationReport",
     "CsdModel",
@@ -82,6 +83,7 @@ __all__ = [
     "Psd",
     "Scenario",
     "SpecError",
+    "Spectra",
     "SpectraReport",
     "SqueezeParams",
     "TechnicalNoiseSpec",
@@ -107,10 +109,8 @@ __all__ = [
     "psd_estimate",
     "read_tracefile",
     "spectral_model",
-    "sql_spectra",
     "squeezing_ideal",
     "synthesize",
-    "violation_factor",
     "violation_factor_ideal",
     "write_tracefile",
 ]

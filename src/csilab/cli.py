@@ -28,6 +28,7 @@ from .errors import (
     TraceFileError,
 )
 from .estimators import (
+    Spectra,
     csi_frequency_test,
     cutoff_sweep,
     filtered_violation,
@@ -76,10 +77,16 @@ def _parse_cutoffs(text: str):
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
-def cmd_simulate(args) -> int:
+def _simulate(args, path):
+    """(scenario, traces) synthesized from the command's settings, written to path."""
     sc = _apply_overrides(_resolve_scenario(args.config), args.seed, args.sets)
     ts = synthesize(sc.model, sc.acquisition)
-    write_tracefile(ts, args.out)
+    write_tracefile(ts, path)
+    return sc, ts
+
+
+def cmd_simulate(args) -> int:
+    sc, ts = _simulate(args, args.out)
     acq = ts.acquisition
     print(f"scenario {sc.name}: {acq.num_sets} sets x {acq.samples_per_set} "
           f"samples x 4 channels at {acq.sample_rate / 1e9:g} GS/s")
@@ -89,14 +96,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _analysis_summary(sc: Scenario, ts, compensate: bool):
+def _analyze(outdir, sc: Scenario, ts, compensate: bool):
+    """(summary, Spectra): every estimator on one Spectra, written to outdir."""
     a = sc.analysis
-    stats = filtered_violation(ts, a.bandpass)
-    rep = normalized_spectra(ts, compensate=compensate, band=a.spectra_band,
+    sp = Spectra(ts)
+    stats = filtered_violation(sp, a.bandpass)
+    rep = normalized_spectra(sp, compensate=compensate, band=a.spectra_band,
                              smooth_hz=a.smooth_hz)
     band = (a.bandpass.f_lo, a.bandpass.f_hi)
     lhs, rhs, classical = csi_frequency_test(rep, ts, band)
-    curves = g2_curves(ts, a.tau_max)
+    curves = g2_curves(sp, a.tau_max)
 
     verdict = "CSI VIOLATED" if stats["violated"] else "CSI NOT VIOLATED"
     fallback = " (no significant peak; uncompensated)" if stats["delay_fallback"] else ""
@@ -114,10 +123,7 @@ def _analysis_summary(sc: Scenario, ts, compensate: bool):
         f"squeezing: max {rep.squeezing_db_max:.2f} dB below SQL, "
         f"bandwidth {rep.squeezing_bandwidth / 1e6:.2f} MHz",
     ]
-    return curves, rep, "\n".join(lines) + "\n"
-
-
-def _write_analysis(outdir, curves, rep, summary: str) -> None:
+    summary = "\n".join(lines) + "\n"
     os.makedirs(outdir, exist_ok=True)
     _write_csv(os.path.join(outdir, "g2_curves.csv"), {
         "tau_s": curves.tau_grid,
@@ -133,13 +139,13 @@ def _write_analysis(outdir, curves, rep, summary: str) -> None:
         "s_diff_norm": rep.s_diff_norm[keep],
     })
     _write_text(os.path.join(outdir, "summary.txt"), summary)
+    return summary, sp
 
 
 def cmd_analyze(args) -> int:
     ts = read_tracefile(args.trace)
     sc = _resolve_scenario(args.config)
-    curves, rep, summary = _analysis_summary(sc, ts, not args.no_compensate_delay)
-    _write_analysis(args.out, curves, rep, summary)
+    summary, _ = _analyze(args.out, sc, ts, not args.no_compensate_delay)
     print(summary, end="")
     return 0
 
@@ -203,18 +209,15 @@ def cmd_theory(args) -> int:
 
 
 def cmd_report(args) -> int:
-    sc = _apply_overrides(_resolve_scenario(args.config), args.seed, args.sets)
-    ts = synthesize(sc.model, sc.acquisition)
     os.makedirs(args.out, exist_ok=True)
-    write_tracefile(ts, os.path.join(args.out, "traces.cstf"))
-    curves, rep, summary = _analysis_summary(sc, ts, not args.no_compensate_delay)
-    _write_analysis(args.out, curves, rep, summary)
+    sc, ts = _simulate(args, os.path.join(args.out, "traces.cstf"))
+    summary, sp = _analyze(args.out, sc, ts, not args.no_compensate_delay)
     if args.cutoffs:
         cutoffs = _parse_cutoffs(args.cutoffs)
     else:
         top = int(sc.analysis.bandpass.f_hi / 1e6)
         cutoffs = [f * 1e6 for f in range(1, max(top, 1) + 1)]
-    _write_sweep(args.out, sc, ts, cutoffs)
+    _write_sweep(args.out, sc, sp, cutoffs)
     print(summary, end="")
     return 0
 

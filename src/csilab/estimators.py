@@ -83,13 +83,17 @@ class SpectraReport:
     smooth_hz: float
 
 
-class _Spectra:
-    """One rfft per channel of a TraceSet, DC bin zeroed.
+class Spectra:
+    """One rfft per channel of a TraceSet, DC bin zeroed, and one delay.
 
     Zeroing the DC bin removes each set's mean.  Every estimator below is
     built from these rows: a bandpass is a real |H| factor, delay
     compensation a phase ramp, zero-lag covariances Parseval sums over
     bins, and lagged covariances come from a few inverse transforms.
+    ``delay`` is the conjugate's ensemble delay at the cross-covariance
+    peak; without a significant peak it is 0, ``delay_fallback`` is true
+    and the conjugate stays uncompensated.  Build one per analysis and
+    pass it to each estimator in place of the TraceSet.
     """
 
     def __init__(self, ts: TraceSet):
@@ -111,6 +115,7 @@ class _Spectra:
         self.weights[0] *= 0.5
         if n % 2 == 0:
             self.weights[-1] *= 0.5
+        self.delay, self.delay_fallback = self._ensemble_delay()
 
     @cached_property
     def _split_cross(self) -> np.ndarray:
@@ -123,7 +128,12 @@ class _Spectra:
         return _psd_from_spectra(spec, self.n, self.rate)
 
     def sql(self) -> tuple[Psd, Psd, Psd]:
-        """Shot-noise references of the probe, the conjugate and their difference."""
+        """(sql_p, sql_c, sql_diff): shot-noise references from the half sums.
+
+        The difference of a split pair has exactly the parent's shot density
+        whatever classical noise rides the beam, and the SQL of the
+        intensity-difference measurement is the sum of the two.
+        """
         sql_p = self.psd(self.p1 - self.p2)
         sql_c = self.psd(self.c1 - self.c2)
         sql_diff = Psd(
@@ -133,20 +143,15 @@ class _Spectra:
         )
         return sql_p, sql_c, sql_diff
 
-    def delay(self) -> tuple[float, bool]:
-        """(ensemble delay, whether the cross-covariance had a peak).
-
-        Without a significant peak the delay is 0 and the conjugate stays
-        uncompensated.
-        """
+    def _ensemble_delay(self) -> tuple[float, bool]:
         cov = np.fft.irfft((np.conj(self.probe) * self.conj).mean(axis=0), n=self.n)
         lags = _lag_window(self.n, None)
         try:
-            return _delay_from_covariance(lags, cov[lags % self.n] / self.n, self.rate), True
+            return _delay_from_covariance(lags, cov[lags % self.n] / self.n, self.rate), False
         except NoPeak:
-            return 0.0, False
+            return 0.0, True
 
-    def violation_stats(self, delay: float, gain: np.ndarray | None = None) -> dict:
+    def violation_stats(self, gain: np.ndarray | None = None) -> dict:
         """Per-set eps and V values; eps_ab at the compensated ensemble peak.
 
         ``gain`` is a bandpass |H| on the rfft grid, None for no filter.
@@ -155,7 +160,7 @@ class _Spectra:
         dc_p = dc_p1 + dc_p2
         dc_c = dc_c1 + dc_c2
         probe, conj, weights = self.probe, self.conj, self.weights
-        shift = _delay_ramp(self.n, self.rate, delay) if delay else None
+        shift = _delay_ramp(self.n, self.rate, self.delay) if self.delay else None
         if gain is not None:
             probe = probe * gain
             weights = weights * gain * gain
@@ -216,6 +221,18 @@ class _Spectra:
         )
 
 
+def _spectra(x: TraceSet | Spectra) -> Spectra:
+    return x if isinstance(x, Spectra) else Spectra(x)
+
+
+def _band_mask(f: np.ndarray, band: tuple[float, float]) -> np.ndarray:
+    """Bins of the grid f inside band; BandError when band leaves the grid."""
+    lo, hi = band
+    if lo < f[0] or hi > f[-1]:
+        raise BandError(f"band {band} exceeds the data grid [{f[0]}, {f[-1]}]")
+    return (f >= lo) & (f <= hi)
+
+
 def _circular_covariances(x: np.ndarray, y: np.ndarray):
     """Per-row circular covariances mean(x[t] y[t + k]) at lags k = -1, 0, +1."""
     m = x.shape[1]
@@ -229,32 +246,36 @@ def _circular_covariances(x: np.ndarray, y: np.ndarray):
     return lag_m1 / m, lag_0 / m, lag_p1 / m
 
 
-def g2_curves(ts: TraceSet, tau_max: float = 100e-9) -> CorrelationReport:
+def g2_curves(ts: TraceSet | Spectra, tau_max: float = 100e-9) -> CorrelationReport:
     """Normalized intensity correlation curves with per-set V statistics.
 
     The cross curve correlates the recombined beams, the autos correlate
     the two halves of one beam (shot noise cancels in both cases).  The
     conjugate delay is estimated from the ensemble cross-covariance; the
     cross curve is reported against the raw lag axis, while eps_ab is
-    evaluated at the delay-compensated peak.
+    evaluated at the delay-compensated peak.  Sets whose compensated peak
+    is not positive are excluded and counted; fewer than two raise
+    DegenerateSet.
     """
-    sp = _Spectra(ts)
-    delay, _ = sp.delay()
+    sp = _spectra(ts)
     # raises DegenerateSet before a one-set ensemble reaches the ddof=1 SEM
-    stats = sp.violation_stats(delay)
+    stats = sp.violation_stats()
     dc_p1, dc_p2, dc_c1, dc_c2 = sp.dc
     n = sp.n
 
     max_lag = max(4, int(round(tau_max * sp.rate)))
     lags = np.arange(-max_lag, max_lag + 1)
-    cross = np.stack(
-        [np.conj(sp.probe) * sp.conj, np.conj(sp.p1) * sp.p2, np.conj(sp.c1) * sp.c2]
+    pairs = (
+        (sp.probe, sp.conj, (dc_p1 + dc_p2) * (dc_c1 + dc_c2)),
+        (sp.p1, sp.p2, dc_p1 * dc_p2),
+        (sp.c1, sp.c2, dc_c1 * dc_c2),
     )
-    cov = np.fft.irfft(cross, n=n, axis=-1)[..., lags % n] / n
-    norm = np.array([(dc_p1 + dc_p2) * (dc_c1 + dc_c2), dc_p1 * dc_p2, dc_c1 * dc_c2])
-    g = 1.0 + cov / norm[:, np.newaxis, np.newaxis]
-    g_mean = g.mean(axis=1)
-    g_sem = g.std(axis=1, ddof=1) / math.sqrt(g.shape[1])
+    g_mean, g_sem = [], []
+    for x, y, norm in pairs:
+        # one curve at a time, keeping only the lag window of its transform
+        g = 1.0 + np.fft.irfft(np.conj(x) * y, n=n, axis=-1)[:, lags % n] / n / norm
+        g_mean.append(g.mean(axis=0))
+        g_sem.append(g.std(axis=0, ddof=1) / math.sqrt(g.shape[0]))
     return CorrelationReport(
         tau_grid=lags / sp.rate,
         g2_ab=g_mean[0],
@@ -263,33 +284,9 @@ def g2_curves(ts: TraceSet, tau_max: float = 100e-9) -> CorrelationReport:
         g2_ab_sem=g_sem[0],
         g2_aa_sem=g_sem[1],
         g2_bb_sem=g_sem[2],
-        delay=delay,
+        delay=sp.delay,
         **stats,
     )
-
-
-def violation_factor(ts: TraceSet, delay: float | None = None):
-    """(v_per_set, v_mean, v_sigma, sigma_count) from per-set correlations.
-
-    The delay is estimated from the ensemble unless given.  Sets whose
-    compensated cross-correlation peak is not positive are excluded and
-    counted; DegenerateSet is raised when fewer than two sets survive.
-    """
-    sp = _Spectra(ts)
-    if delay is None:
-        delay, _ = sp.delay()
-    stats = sp.violation_stats(delay)
-    return stats["v_per_set"], stats["v_mean"], stats["v_sigma"], stats["sigma_count"]
-
-
-def sql_spectra(ts: TraceSet):
-    """(sql_p, sql_c, sql_diff): shot-noise references from the half sums.
-
-    The difference of a split pair has exactly the parent's shot density
-    whatever classical noise rides the beam, and the SQL of the
-    intensity-difference measurement is the sum of the two.
-    """
-    return _Spectra(ts).sql()
 
 
 def _smooth(power: np.ndarray, width: int) -> np.ndarray:
@@ -302,7 +299,7 @@ def _smooth(power: np.ndarray, width: int) -> np.ndarray:
 
 
 def normalized_spectra(
-    ts: TraceSet,
+    ts: TraceSet | Spectra,
     compensate: bool = True,
     band: tuple[float, float] | None = None,
     smooth_hz: float = 1.5e6,
@@ -315,11 +312,11 @@ def normalized_spectra(
     copy of s_diff (window ``smooth_hz``) so single-bin estimator noise
     does not fake a deeper minimum; the reported arrays stay raw.
     """
-    sp = _Spectra(ts)
+    sp = _spectra(ts)
     rate = sp.rate
     sql_p, sql_c, sql_diff = sp.sql()
 
-    delay = sp.delay()[0] if compensate else 0.0
+    delay = sp.delay if compensate else 0.0
     conj_used = sp.conj * _delay_ramp(sp.n, rate, delay) if delay else sp.conj
 
     tot_p = sp.psd(sp.probe)
@@ -334,11 +331,8 @@ def normalized_spectra(
     f = sql_p.frequencies
     if band is None:
         band = (500e3, 0.8 * rate / 2.0)
-    lo, hi = band
-    if lo < f[0] or hi > f[-1]:
-        raise BandError(f"band {band} exceeds the data grid [{f[0]}, {f[-1]}]")
+    sel = _band_mask(f, band)
     width = max(1, int(round(smooth_hz / sql_p.df)))
-    sel = (f >= lo) & (f <= hi)
     fsel = f[sel]
     # smooth inside the metric band only; a full-grid window would pull
     # out-of-band bins (DC junk, the technical-noise shelf below f_lo)
@@ -390,10 +384,7 @@ def csi_frequency_test(report: SpectraReport, ts: TraceSet, band: tuple[float, f
     dc_p = ts.dc("p1") + ts.dc("p2")
     dc_c = ts.dc("c1") + ts.dc("c2")
     f = report.frequencies
-    lo, hi = band
-    if lo < f[0] or hi > f[-1]:
-        raise BandError(f"band {band} exceeds the data grid [{f[0]}, {f[-1]}]")
-    sel = (f >= lo) & (f <= hi)
+    sel = _band_mask(f, band)
     fsel = f[sel]
     lhs = np.trapezoid(report.s_diff_norm[sel] - 1.0, fsel)
     asym = (dc_p - dc_c) / (dc_p + dc_c)
@@ -402,7 +393,7 @@ def csi_frequency_test(report: SpectraReport, ts: TraceSet, band: tuple[float, f
 
 
 def cutoff_sweep(
-    ts: TraceSet,
+    ts: TraceSet | Spectra,
     f_hi_list,
     f_lo: float = 500e3,
     order: int = 10,
@@ -416,17 +407,16 @@ def cutoff_sweep(
     f_hi_list = list(f_hi_list)
     if not f_hi_list:
         raise BandError("cutoff list is empty")
-    sp = _Spectra(ts)
-    delay, _ = sp.delay()
+    sp = _spectra(ts)
     rows = []
     for f_hi in f_hi_list:
         spec = FilterSpec(f_hi=float(f_hi), f_lo=f_lo, order=order)
-        stats = sp.violation_stats(delay, _bandpass_gain(spec, sp.n, sp.rate))
+        stats = sp.violation_stats(_bandpass_gain(spec, sp.n, sp.rate))
         rows.append((float(f_hi), stats["v_mean"], stats["v_sigma"]))
     return np.array(rows)
 
 
-def filtered_violation(ts: TraceSet, spec: FilterSpec) -> dict:
+def filtered_violation(ts: TraceSet | Spectra, spec: FilterSpec) -> dict:
     """Full per-set V statistics after bandpassing all four channels.
 
     Same filtering as one cutoff_sweep step, but returns the complete
@@ -435,9 +425,8 @@ def filtered_violation(ts: TraceSet, spec: FilterSpec) -> dict:
     ``delay_fallback``, true when the cross-covariance had no significant
     peak and the delay was taken as 0.
     """
-    sp = _Spectra(ts)
-    delay, peaked = sp.delay()
-    stats = sp.violation_stats(delay, _bandpass_gain(spec, sp.n, sp.rate))
-    stats["delay"] = delay
-    stats["delay_fallback"] = not peaked
+    sp = _spectra(ts)
+    stats = sp.violation_stats(_bandpass_gain(spec, sp.n, sp.rate))
+    stats["delay"] = sp.delay
+    stats["delay_fallback"] = sp.delay_fallback
     return stats

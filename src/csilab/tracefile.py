@@ -71,49 +71,48 @@ def write_tracefile(ts: TraceSet, path) -> None:
 def read_tracefile(path) -> TraceSet:
     """Read and validate a trace container written by write_tracefile."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < HEADER_SIZE:
-        raise TraceFileError(f"{path}: file shorter than a valid header")
-    header = blob[: _HEADER.size]
-    (stored_crc,) = _CRC.unpack_from(blob, _HEADER.size)
-    if zlib.crc32(header) != stored_crc:
-        # check the magic first so the error points at the actual problem
-        if header[:4] != MAGIC:
-            raise TraceFileError(f"{path}: bad magic {header[:4]!r}")
-        raise TraceFileError(f"{path}: header checksum mismatch")
-    (
-        magic,
-        version,
-        channels,
-        num_sets,
-        samples,
-        rate,
-        adc_bits,
-        full_scale,
-        dc1,
-        dc2,
-        dc3,
-        dc4,
-        seed,
-    ) = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise TraceFileError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise TraceFileError(f"{path}: unsupported format version {version}")
-    if channels != 4:
-        raise TraceFileError(f"{path}: expected 4 channels, found {channels}")
-    expected = channels * num_sets * samples * 2
-    body = blob[HEADER_SIZE:]
-    if len(body) != expected:
-        raise TraceFileError(
-            f"{path}: payload is {len(body)} bytes, header promises {expected}"
-        )
-    codes = (
-        np.frombuffer(body, dtype="<i2")
-        .reshape(num_sets, channels, samples)
-        .transpose(1, 0, 2)
-        .astype(np.int16)
-    )
+        blob = fh.read(HEADER_SIZE)
+        if len(blob) < HEADER_SIZE:
+            raise TraceFileError(f"{path}: file shorter than a valid header")
+        header = blob[: _HEADER.size]
+        (stored_crc,) = _CRC.unpack_from(blob, _HEADER.size)
+        if zlib.crc32(header) != stored_crc:
+            # check the magic first so the error points at the actual problem
+            if header[:4] != MAGIC:
+                raise TraceFileError(f"{path}: bad magic {header[:4]!r}")
+            raise TraceFileError(f"{path}: header checksum mismatch")
+        (
+            magic,
+            version,
+            channels,
+            num_sets,
+            samples,
+            rate,
+            adc_bits,
+            full_scale,
+            dc1,
+            dc2,
+            dc3,
+            dc4,
+            seed,
+        ) = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise TraceFileError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise TraceFileError(f"{path}: unsupported format version {version}")
+        if channels != 4:
+            raise TraceFileError(f"{path}: expected 4 channels, found {channels}")
+        expected = channels * num_sets * samples * 2
+        body = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+        if body != expected:
+            raise TraceFileError(f"{path}: payload is {body} bytes, header promises {expected}")
+        # one set at a time, straight into the channel-major codes: one copy
+        codes = np.empty((channels, num_sets, samples), dtype="<i2")
+        for i in range(num_sets):
+            for row in codes[:, i]:
+                if fh.readinto(row) != row.nbytes:
+                    raise TraceFileError(f"{path}: payload ended early")
+    codes = codes.astype(np.int16, copy=False)  # a copy only on big-endian hosts
     acq = AcquisitionConfig(
         sample_rate=rate,
         samples_per_set=samples,

@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from csilab import estimators
 from csilab._atomic import atomic_write
 from csilab.cli import _write_csv, _write_text, main
 from csilab.synth import AcquisitionConfig, coherent_traces
@@ -142,6 +143,26 @@ def test_report_pipeline(tmp_path, capsys):
         assert (outdir / name).exists()
     rows = np.loadtxt(outdir / "vsweep.csv", delimiter=",", skiprows=1)
     assert rows[0, 1] < 1.0 < rows[-1, 1]  # violation at 1 MHz, lost by 15 MHz
+
+
+def test_report_transforms_each_channel_once(tmp_path, monkeypatch):
+    calls = {"rfft": 0, "delay": 0}
+    rfft, fit = np.fft.rfft, estimators._delay_from_covariance
+
+    def counted_rfft(*args, **kwargs):
+        calls["rfft"] += 1
+        return rfft(*args, **kwargs)
+
+    def counted_fit(*args):
+        calls["delay"] += 1
+        return fit(*args)
+
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    monkeypatch.setattr(estimators, "_delay_from_covariance", counted_fit)
+    rc = run("report", "--config", "G10", "--out", str(tmp_path / "rep"), "--sets", "12")
+    assert rc == 0
+    # analysis and sweep share one Spectra: one rfft per channel, one delay
+    assert calls == {"rfft": 4, "delay": 1}
 
 
 def test_module_entry_point():

@@ -6,15 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
+from csilab import estimators
 from csilab.dsp import FilterSpec, butterworth_bandpass
 from csilab.errors import BandError, DcMissing, DegenerateSet
 from csilab.estimators import (
+    Spectra,
     csi_frequency_test,
     cutoff_sweep,
+    filtered_violation,
     g2_curves,
     normalized_spectra,
-    sql_spectra,
-    violation_factor,
 )
 from csilab.synth import (
     AcquisitionConfig,
@@ -180,15 +181,10 @@ class TestThermalBeam:
 class TestViolationFactor:
     def test_matches_report_fields(self, ts_g10):
         rep = g2_curves(ts_g10, tau_max=50e-9)
-        v_per_set, v_mean, v_sigma, sigma_count = violation_factor(ts_g10)
-        assert v_mean == pytest.approx(rep.v_mean, rel=1e-12)
-        assert v_sigma == pytest.approx(rep.v_sigma, rel=1e-12)
-        assert v_per_set.size == rep.v_per_set.size
-
-    def test_explicit_delay_matches_estimated(self, ts_g10):
-        _, v_auto, _, _ = violation_factor(ts_g10)
-        _, v_fixed, _, _ = violation_factor(ts_g10, delay=8e-9)
-        assert v_fixed == pytest.approx(v_auto, abs=2e-3)
+        stats = Spectra(ts_g10).violation_stats()
+        assert stats["v_mean"] == pytest.approx(rep.v_mean, rel=1e-12)
+        assert stats["v_sigma"] == pytest.approx(rep.v_sigma, rel=1e-12)
+        assert stats["v_per_set"].size == rep.v_per_set.size
 
     def test_sem_shrinks_with_set_count(self, ts_g10):
         sems = {}
@@ -216,7 +212,7 @@ class TestViolationFactor:
         codes[3] = -codes[1]
         flipped = dataclasses.replace(ts, codes=codes)
         with pytest.raises(DegenerateSet):
-            violation_factor(flipped)
+            g2_curves(flipped)
 
     def test_g2_curves_single_set_is_degenerate(self, ts_g10):
         with warnings.catch_warnings():
@@ -227,7 +223,7 @@ class TestViolationFactor:
     def test_missing_dc_raises(self, ts_g10):
         broken = dataclasses.replace(ts_g10, dc_means=np.zeros(4))
         with pytest.raises(DcMissing):
-            violation_factor(broken)
+            g2_curves(broken)
 
 
 class TestLossInvariance:
@@ -254,7 +250,8 @@ class TestLossInvariance:
 
 class TestSpectra:
     def test_sql_diff_is_pointwise_sum(self, ts_g10):
-        sql_p, sql_c, sql_diff = sql_spectra(ts_g10)
+        rep = normalized_spectra(ts_g10)
+        sql_p, sql_c, sql_diff = rep.sql_p, rep.sql_c, rep.sql_diff
         np.testing.assert_allclose(sql_diff.power, sql_p.power + sql_c.power)
         assert sql_diff.num_averages == sql_p.num_averages
 
@@ -315,7 +312,7 @@ class TestCsiFrequencyTest:
                 ),
             )
             # quantizing refiltered floats loses little: the verdicts must agree
-            _, v_mean, _, _ = violation_factor(filtered)
+            v_mean = g2_curves(filtered).v_mean
             rep = normalized_spectra(ts_g10)
             _, _, classical = csi_frequency_test(rep, ts_g10, (5e5, band_hi))
             assert (v_mean < 1.0) == (not classical)
@@ -338,3 +335,69 @@ class TestCutoffSweep:
     def test_empty_cutoff_list_raises(self, ts_g10):
         with pytest.raises(BandError):
             cutoff_sweep(ts_g10, [])
+
+
+def assert_identical(a, b):
+    """Bitwise equality of estimator results: dicts, dataclasses, arrays, tuples."""
+    if dataclasses.is_dataclass(a):
+        a, b = dataclasses.asdict(a), dataclasses.asdict(b)
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_identical(a[key], b[key])
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_identical(x, y)
+    else:
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+class TestSharedSpectra:
+    @pytest.fixture(scope="class")
+    def ts40(self, ts_g10):
+        return subset(ts_g10, 40)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: filtered_violation(x, FilterSpec(f_hi=12e6, f_lo=5e5, order=10)),
+            lambda x: normalized_spectra(x),
+            lambda x: normalized_spectra(x, compensate=False, band=(1e6, 30e6)),
+            lambda x: g2_curves(x, tau_max=50e-9),
+            lambda x: cutoff_sweep(x, [2e6, 10e6, 30e6]),
+        ],
+        ids=["filtered_violation", "normalized_spectra", "uncompensated",
+             "g2_curves", "cutoff_sweep"],
+    )
+    def test_spectra_and_traces_give_identical_results(self, ts40, call):
+        assert_identical(call(Spectra(ts40)), call(ts40))
+
+    def test_frequency_test_identical_on_shared_report(self, ts40):
+        band = (5e5, 5e6)
+        shared = csi_frequency_test(normalized_spectra(Spectra(ts40)), ts40, band)
+        assert shared == csi_frequency_test(normalized_spectra(ts40), ts40, band)
+
+    def test_delay_estimated_once_per_spectra(self, ts40, monkeypatch):
+        calls = []
+        fit = estimators._delay_from_covariance
+
+        def counted(*args):
+            calls.append(args)
+            return fit(*args)
+
+        monkeypatch.setattr(estimators, "_delay_from_covariance", counted)
+        sp = Spectra(ts40)
+        filtered_violation(sp, FilterSpec(f_hi=12e6, f_lo=5e5, order=10))
+        normalized_spectra(sp)
+        g2_curves(sp, tau_max=50e-9)
+        cutoff_sweep(sp, [2e6, 10e6])
+        assert len(calls) == 1
+        assert sp.delay == pytest.approx(8e-9, abs=1e-9)
+        assert not sp.delay_fallback
+
+    def test_fallback_carried_by_spectra(self, ts_coherent):
+        sp = Spectra(ts_coherent)
+        assert (sp.delay, sp.delay_fallback) == (0.0, True)
+        stats = filtered_violation(sp, FilterSpec(f_hi=12e6, f_lo=5e5, order=10))
+        assert stats["delay_fallback"]

@@ -246,6 +246,12 @@ class TestSplit:
             split_and_detect(np.zeros(16), 0.0, small_acq(), self.Q)
 
 
+def test_clip_warning_exported():
+    import csilab
+
+    assert csilab.ClipWarning is ClipWarning and "ClipWarning" in csilab.__all__
+
+
 class TestCoherent:
     def test_no_cross_correlation_and_sql_spectra(self):
         acq = small_acq(num_sets=300)

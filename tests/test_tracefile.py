@@ -3,9 +3,12 @@
 import os
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csilab.errors import TraceFileError
 from csilab.scenarios import preset
@@ -109,6 +112,30 @@ def test_truncated_payload(tmp_path, small_ts):
         read_tracefile(path)
 
 
+@pytest.mark.parametrize("extra", [-1, 1, 4096])
+def test_payload_size_must_match_header(tmp_path, small_ts, extra):
+    path, blob = _written(tmp_path, small_ts)
+    blob = blob[:extra] if extra < 0 else blob + b"\0" * extra
+    path.write_bytes(blob)
+    with pytest.raises(TraceFileError, match="payload is"):
+        read_tracefile(path)
+
+
+def test_read_holds_one_copy_of_the_payload(tmp_path):
+    acq = AcquisitionConfig(num_sets=50, samples_per_set=4096, full_scale=1.0)
+    codes = np.random.default_rng(3).integers(-256, 256, size=(4, 50, 4096), dtype=np.int16)
+    path = tmp_path / "t.cstf"
+    write_tracefile(TraceSet(codes=codes, dc_means=np.ones(4), acquisition=acq), path)
+    tracemalloc.start()
+    try:
+        back = read_tracefile(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.codes, codes)
+    assert peak < 1.2 * codes.nbytes
+
+
 def test_truncated_header(tmp_path, small_ts):
     path, blob = _written(tmp_path, small_ts)
     path.write_bytes(blob[:40])
@@ -149,3 +176,30 @@ def test_concurrent_writers_leave_one_readable_file(tmp_path):
     back = read_tracefile(path)
     assert any(np.array_equal(back.codes, ts.codes) for ts in candidates)
     assert os.listdir(tmp_path) == ["traces.cstf"]
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    num_sets=st.integers(1, 5),
+    samples=st.integers(16, 300),
+    adc_bits=st.integers(2, 16),
+    dc_means=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_round_trip_exact_for_random_containers(
+    tmp_path_factory, num_sets, samples, adc_bits, dc_means, seed
+):
+    acq = AcquisitionConfig(samples_per_set=samples, num_sets=num_sets, adc_bits=adc_bits,
+                            full_scale=2.5, rng_seed=seed)
+    top = 2 ** (adc_bits - 1)
+    codes = np.random.default_rng(seed).integers(
+        -top, top, size=(4, num_sets, samples), dtype=np.int16
+    )
+    ts = TraceSet(codes=codes, dc_means=np.array(dc_means), acquisition=acq)
+    path = tmp_path_factory.mktemp("round_trip") / "t.cstf"
+    write_tracefile(ts, path)
+    back = read_tracefile(path)
+    assert back.codes.dtype == np.int16
+    assert np.array_equal(back.codes, codes)
+    assert np.array_equal(back.dc_means, ts.dc_means)
+    assert back.acquisition == acq
