@@ -13,6 +13,7 @@ preset applies.
 
 import argparse
 import dataclasses
+import locale  # noqa: F401  (argparse's gettext imports it on first use)
 import os
 import sys
 

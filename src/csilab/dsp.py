@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
+import numpy.fft  # noqa: F401  (numpy loads it lazily; load it at import)
+import numpy.ma  # noqa: F401  (np.median imports it on its first call)
 
 from .errors import NoPeak, SpecError
 
@@ -73,12 +74,11 @@ def _as_sets(traces) -> np.ndarray:
     return x
 
 
-def psd_estimate(traces, rate, window: str | None = None) -> Psd:
+def psd_estimate(traces, rate) -> Psd:
     """Average of one rectangular-window periodogram per set.
 
     No overlap, no segmenting: one FFT per set, matching an analyzer that
-    stores whole sets and averages their spectra.  A taper can be passed
-    (any scipy window name) and is power-compensated, but the default is
+    stores whole sets and averages their spectra.  The window is
     rectangular for spectral fidelity of already-stationary noise.
 
     Parseval holds exactly: sum(power) * df equals the mean per-set
@@ -86,12 +86,8 @@ def psd_estimate(traces, rate, window: str | None = None) -> Psd:
     """
     rate = float(getattr(rate, "sample_rate", rate))
     x = _as_sets(traces)
-    nsets, n = x.shape
     x = x - x.mean(axis=1, keepdims=True)
-    if window is not None:
-        w = get_window(window, n)
-        x = x * (w / math.sqrt(np.mean(w * w)))
-    return _psd_from_spectra(np.fft.rfft(x, axis=1), n, rate)
+    return _psd_from_spectra(np.fft.rfft(x, axis=1), x.shape[1], rate)
 
 
 def _psd_from_spectra(spec: np.ndarray, n: int, rate: float) -> Psd:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import numpy.fft  # noqa: F401  (numpy loads it lazily; load it at import)
 
 from .dsp import (
     FilterSpec,

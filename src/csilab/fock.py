@@ -22,13 +22,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CutoffTooSmall
 from .theory import SqueezeParams
 
 MAX_CUTOFF = 256
-NORM_TOLERANCE = 1e-10
+# The g2 moments are fourth order in the ladder operators, so their
+# truncation error is the norm deficit weighted by about m², up to ~1500
+# times it at dimension 24: a 1e-10 deficit put g2 up to 5e-8 off the closed
+# forms (s = 0.6, |alpha| = 0.6), past the CLI's 1e-8 oracle tolerance.
+NORM_TOLERANCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,11 @@ class FockMoments:
     norm: float
 
 
+def _log_factorials(dim: int) -> np.ndarray:
+    """log(n!) for n = 0 .. dim - 1, as a running sum of log(n)."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
+
+
 def _amplitudes(p: SqueezeParams, dim: int) -> np.ndarray:
     """Two-mode amplitude array psi[m, k] for photon numbers m, k < dim."""
     s = p.s
@@ -54,9 +62,10 @@ def _amplitudes(p: SqueezeParams, dim: int) -> np.ndarray:
 
     psi = np.zeros((dim, dim), dtype=complex)
     n = np.arange(dim, dtype=float)
+    log_fact = _log_factorials(dim)
     # log of e^(-|a|²/2) |alpha|^n / n! together with the sech^(n+1) weight
     if amag > 0.0:
-        log_seed = -0.5 * amag**2 + n * math.log(amag) - gammaln(n + 1.0)
+        log_seed = -0.5 * amag**2 + n * math.log(amag) - log_fact
     else:
         log_seed = np.full(dim, -np.inf)
         log_seed[0] = 0.0
@@ -66,18 +75,16 @@ def _amplitudes(p: SqueezeParams, dim: int) -> np.ndarray:
     if th == 0.0:
         # no pair production: the conjugate stays in vacuum and the n!
         # denominator reverts to the coherent state's sqrt(n!)
-        psi[:, 0] = np.exp(log_seed + 0.5 * gammaln(n + 1.0)) * seed_phase
+        psi[:, 0] = np.exp(log_seed + 0.5 * log_fact) * seed_phase
         return psi
 
     log_th = math.log(th)
     for k in range(dim):
-        ns = np.arange(dim - k, dtype=float)
-        m = ns + float(k)
         logw = (
             log_seed[: dim - k]
             + k * log_th
-            + 0.5 * gammaln(m + 1.0)
-            - 0.5 * gammaln(k + 1.0)
+            + 0.5 * log_fact[k:]
+            - 0.5 * log_fact[k]
         )
         psi[k:, k] = np.exp(logw) * seed_phase[: dim - k] * ((-1.0) ** k)
     return psi
@@ -106,7 +113,7 @@ def fock_oracle_moments(p: SqueezeParams, cutoff: int = 24) -> FockMoments:
     """Photon numbers and g²(0) values from the truncated number basis.
 
     The cutoff is the per-mode dimension; it doubles automatically until
-    the truncated state holds at least 1 - 1e-10 of the norm, up to a hard
+    the truncated state holds at least 1 - 1e-13 of the norm, up to a hard
     cap of 256.  Entries whose normalization vanishes (an empty mode) come
     back as NaN.
 

@@ -17,6 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.fft  # noqa: F401  (numpy loads these lazily; load them at import)
+import numpy.random  # noqa: F401
 
 from .errors import ClipWarning, ConfigError
 from .theory import CsdModel, mean_photon_numbers
@@ -134,15 +136,21 @@ def quantize(trace, adc_bits: int, full_scale: float) -> np.ndarray:
         raise ConfigError(f"full_scale must be > 0, got {full_scale}")
     x = np.asarray(trace, dtype=float)
     codes = np.empty(x.shape, dtype=np.int16)
-    clipped = _quantize_into(codes, x, adc_bits, full_scale)
+    clipped = _quantize_into(codes, x, np.empty(x.shape), adc_bits, full_scale)
     _warn_clipping(clipped, x.size, stacklevel=3)
     return codes
 
 
-def _quantize_into(out: np.ndarray, x: np.ndarray, adc_bits: int, full_scale: float) -> int:
-    """Write quantize's codes of x into the int16 array out; return rail hits."""
+def _quantize_into(
+    out: np.ndarray, x: np.ndarray, raw: np.ndarray, adc_bits: int, full_scale: float
+) -> int:
+    """Write quantize's codes of x into the int16 array out; return rail hits.
+
+    ``raw`` is float64 scratch of x's shape; it is overwritten.
+    """
     half = 2 ** (adc_bits - 1)
-    raw = np.rint(x / (full_scale / half))
+    np.divide(x, full_scale / half, out=raw)
+    np.rint(raw, out=raw)
     clipped = int(np.count_nonzero((raw < -half) | (raw > half - 1)))
     np.clip(raw, -half, half - 1, out=raw)
     out[...] = raw
@@ -171,9 +179,28 @@ def split_and_detect(trace, dc: float, acq: AcquisitionConfig, charge_scale: flo
         raise ConfigError(f"dc must be > 0, got {dc}")
     rng = np.random.default_rng() if rng is None else rng
     x = np.asarray(trace, dtype=float)
+    halves = np.empty((2,) + x.shape)
+    _split_into(halves, x, np.empty(x.shape), rng, _shot_sigma(dc, acq, charge_scale))
+    return halves[0], halves[1]
+
+
+def _shot_sigma(dc: float, acq: AcquisitionConfig, charge_scale: float) -> float:
+    """Per-sample rms of the shot noise of a beam of DC current dc."""
     sql = 2.0 * charge_scale * dc
-    w = rng.standard_normal(x.shape) * math.sqrt(sql * acq.sample_rate / 2.0)
-    return (x + w) / 2.0, (x - w) / 2.0
+    return math.sqrt(sql * acq.sample_rate / 2.0)
+
+
+def _split_into(halves: np.ndarray, x: np.ndarray, w: np.ndarray, rng, sigma: float) -> None:
+    """Write split_and_detect's halves of x into halves[0] and halves[1].
+
+    ``w`` is float64 scratch of x's shape; it receives the shot noise.
+    """
+    rng.standard_normal(out=w)
+    w *= sigma
+    np.add(x, w, out=halves[0])
+    halves[0] /= 2.0
+    np.subtract(x, w, out=halves[1])
+    halves[1] /= 2.0
 
 
 def suggest_full_scale(model: CsdModel, acq: AcquisitionConfig) -> float:
@@ -217,7 +244,8 @@ def synthesize(model: CsdModel, acq: AcquisitionConfig) -> TraceSet:
     Each set is synthesized on a 25% longer grid and trimmed symmetrically
     so the circular wrap of the delay phase never touches the kept window.
     Per-set RNG streams come from SeedSequence(rng_seed).spawn, making the
-    result independent of chunk size and thread schedule.
+    result independent of chunk size and thread schedule.  Each worker
+    allocates one scratch set and reuses it for every set it synthesizes.
     """
     n_p, n_c = mean_photon_numbers(model.params)
     if min(n_p, n_c, model.probe_dc) <= 0.0:
@@ -252,36 +280,49 @@ def synthesize(model: CsdModel, acq: AcquisitionConfig) -> TraceSet:
     b00, b01, b11 = _csd_sqrt(model, freqs, zero_nyquist=(n_gen % 2 == 0))
     scale = math.sqrt(n_gen * acq.sample_rate / 2.0)
 
+    b01_conj = np.conj(b01)
+    sigmas = [_shot_sigma(dc, acq, model.charge_scale) for dc in (model.probe_dc, model.conj_dc)]
+
     seeds = np.random.SeedSequence(acq.rng_seed).spawn(acq.num_sets)
     codes = np.empty((4, acq.num_sets, n_keep), dtype=np.int16)
     clipped = np.zeros(acq.num_sets, dtype=np.int64)
 
-    def run_set(i: int) -> None:
-        gen = np.random.default_rng(seeds[i])
-        z = gen.standard_normal((2, freqs.size, 2))
-        z0 = (z[0, :, 0] + 1j * z[0, :, 1]) / math.sqrt(2.0)
-        z1 = (z[1, :, 0] + 1j * z[1, :, 1]) / math.sqrt(2.0)
-        spec_p = (b00 * z0 + b01 * z1) * scale
-        spec_c = (np.conj(b01) * z0 + b11 * z1) * scale
-        parents = np.fft.irfft(np.vstack([spec_p, spec_c]), n=n_gen, axis=-1)
-        halves = (
-            *split_and_detect(parents[0, pad : pad + n_keep], model.probe_dc, acq,
-                              model.charge_scale, gen),
-            *split_and_detect(parents[1, pad : pad + n_keep], model.conj_dc, acq,
-                              model.charge_scale, gen),
-        )
-        clipped[i] = sum(
-            _quantize_into(codes[k, i], x, acq.adc_bits, acq.full_scale)
-            for k, x in enumerate(halves)
-        )
+    def run_sets(sets: range) -> None:
+        # one scratch set per worker: each set's temporaries would otherwise
+        # be freed to the kernel and faulted in again for the next set
+        z = np.empty((2, freqs.size, 2))
+        z01 = z.view(complex)[..., 0]  # z0 and z1, real and imaginary parts from z
+        spec = np.empty((2, freqs.size), dtype=complex)  # spec_p, spec_c
+        term = np.empty(freqs.size, dtype=complex)
+        parents = np.empty((2, n_gen))
+        halves = np.empty((2, n_keep))
+        w = np.empty(n_keep)
+        raw = np.empty(n_keep)
+        for i in sets:
+            gen = np.random.default_rng(seeds[i])
+            gen.standard_normal(out=z)
+            z01 /= math.sqrt(2.0)
+            np.multiply(b00, z01[0], out=spec[0])
+            spec[0] += np.multiply(b01, z01[1], out=term)
+            np.multiply(b01_conj, z01[0], out=spec[1])
+            spec[1] += np.multiply(b11, z01[1], out=term)
+            spec *= scale
+            np.fft.irfft(spec, n=n_gen, axis=-1, out=parents)
+            n_clipped = 0
+            for beam in range(2):
+                _split_into(halves, parents[beam, pad : pad + n_keep], w, gen, sigmas[beam])
+                for k in range(2):
+                    n_clipped += _quantize_into(codes[2 * beam + k, i], halves[k], raw,
+                                                acq.adc_bits, acq.full_scale)
+            clipped[i] = n_clipped
 
-    threads = _thread_count()
+    threads = min(_thread_count(), acq.num_sets)
     if threads > 1:
+        # thread t takes sets t, t + threads, ...; each set has its own seed
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_set, range(acq.num_sets)))
+            list(pool.map(run_sets, [range(acq.num_sets)[t::threads] for t in range(threads)]))
     else:
-        for i in range(acq.num_sets):
-            run_set(i)
+        run_sets(range(acq.num_sets))
 
     _warn_clipping(int(clipped.sum()), codes.size, stacklevel=2)
     dc_means = np.array(

@@ -10,9 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from csilab.cli import ORACLE_TOL
 from csilab.errors import CutoffTooSmall
-from csilab.fock import fock_oracle_moments
+from csilab.fock import MAX_CUTOFF, _log_factorials, fock_oracle_moments
 from csilab.theory import SqueezeParams, g2_ideal, mean_photon_numbers
 
 # regression anchors computed once with the oracle at cutoff 48
@@ -80,3 +83,33 @@ def test_unpopulated_conjugate_reported_as_nan():
     assert fm.n_conj == 0.0
     assert math.isnan(fm.g2_bb)
     assert math.isnan(fm.g2_ab0)
+
+
+def test_log_factorials_match_lgamma():
+    lf = _log_factorials(MAX_CUTOFF)
+    assert lf.shape == (MAX_CUTOFF,)
+    ref = np.array([math.lgamma(n + 1) for n in range(MAX_CUTOFF)])
+    assert lf[0] == lf[1] == 0.0
+    np.testing.assert_allclose(lf, ref, rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    gain=st.floats(min_value=1.0, max_value=math.cosh(0.6) ** 2, exclude_min=True),
+    amag=st.floats(min_value=0.0, max_value=2.0),
+    phase=st.floats(min_value=-math.pi, max_value=math.pi),
+)
+def test_closed_forms_match_oracle_in_trusted_domain(gain, amag, phase):
+    """g2_ideal agrees with the oracle where `theory --oracle` trusts it.
+
+    Like the CLI check, the state is built from its gain and kept when
+    0 < s <= 0.6.  A gain of 1.27 at |alpha| = 1 failed the 1e-8 tolerance
+    while the truncation accepted a norm deficit of up to 1e-10.
+    """
+    p = SqueezeParams.from_gain(gain, alpha=amag * complex(math.cos(phase), math.sin(phase)))
+    assume(0.0 < p.s <= 0.6)
+    ideal = g2_ideal(p)
+    oracle = fock_oracle_moments(p)
+    for name in ("g2_aa", "g2_bb", "g2_ab0"):
+        a, b = getattr(ideal, name), getattr(oracle, name)
+        assert abs(a - b) <= ORACLE_TOL * abs(b), (name, a, b)

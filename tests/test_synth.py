@@ -2,10 +2,15 @@
 
 import dataclasses
 import math
+import os
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csilab.dsp import estimate_delay, psd_estimate
 from csilab.errors import ClipWarning, ConfigError
@@ -151,6 +156,36 @@ class TestDeterminism:
         monkeypatch.setenv("CSILAB_THREADS", "3")
         b = synthesize(model_g10(), small_acq(num_sets=6))
         assert np.array_equal(a.codes, b.codes)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        threads=st.sampled_from([None, "1", "2", "3"]),
+        num_sets=st.integers(min_value=1, max_value=7),
+        samples=st.integers(min_value=96, max_value=4096),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        data=st.data(),
+    )
+    def test_codes_independent_of_threads_and_set_count(self, threads, num_sets, samples,
+                                                        seed, data):
+        """Threads split the sets by stride, each with its own scratch; no
+        thread count and no set count may change a set's codes."""
+        model = model_g10()
+        acq = small_acq(num_sets=num_sets, samples_per_set=samples, rng_seed=seed)
+        k = data.draw(st.integers(min_value=1, max_value=num_sets), label="k")
+        interval = sys.getswitchinterval()
+        with mock.patch.dict(os.environ):
+            os.environ.pop("CSILAB_THREADS", None)
+            serial = synthesize(model, acq).codes
+            if threads is not None:
+                os.environ["CSILAB_THREADS"] = threads
+            sys.setswitchinterval(1e-6)  # switch threads as often as possible
+            try:
+                threaded = synthesize(model, acq).codes
+                prefix = synthesize(model, dataclasses.replace(acq, num_sets=k)).codes
+            finally:
+                sys.setswitchinterval(interval)
+        assert np.array_equal(threaded, serial)
+        assert np.array_equal(prefix, serial[:, :k])
 
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("CSILAB_THREADS", "many")
