@@ -8,15 +8,7 @@ band, with closed-form Gaussian predictions and a Fock-space oracle to
 validate against.
 """
 
-from .dsp import (
-    FilterSpec,
-    Psd,
-    butterworth_bandpass,
-    compensate_delay,
-    cross_covariance,
-    estimate_delay,
-    psd_estimate,
-)
+from .dsp import FilterSpec, Psd, psd_estimate
 from .errors import (
     BandError,
     ConfigError,
@@ -90,13 +82,9 @@ __all__ = [
     "TraceFileError",
     "TraceSet",
     "apply_loss",
-    "butterworth_bandpass",
-    "compensate_delay",
-    "cross_covariance",
     "csi_frequency_test",
     "cutoff_sweep",
     "db",
-    "estimate_delay",
     "filtered_violation",
     "fock_oracle_moments",
     "g2_curves",

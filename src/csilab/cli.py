@@ -146,7 +146,7 @@ def _analyze(outdir, sc: Scenario, ts, compensate: bool):
 def cmd_analyze(args) -> int:
     ts = read_tracefile(args.trace)
     sc = _resolve_scenario(args.config)
-    summary, _ = _analyze(args.out, sc, ts, not args.no_compensate_delay)
+    summary, _ = _analyze(args.out, sc, ts, args.compensate)
     print(summary, end="")
     return 0
 
@@ -212,7 +212,7 @@ def cmd_theory(args) -> int:
 def cmd_report(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     sc, ts = _simulate(args, os.path.join(args.out, "traces.cstf"))
-    summary, sp = _analyze(args.out, sc, ts, not args.no_compensate_delay)
+    summary, sp = _analyze(args.out, sc, ts, args.compensate)
     if args.cutoffs:
         cutoffs = _parse_cutoffs(args.cutoffs)
     else:
@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("trace", help="trace container to analyze")
     ana.add_argument("--config", help="preset name or scenario INI path")
     ana.add_argument("--out", required=True, help="output directory")
-    ana.add_argument("--no-compensate-delay", action="store_true")
+    ana.add_argument("--no-compensate-delay", dest="compensate",
+                     action="store_false")
     ana.set_defaults(func=cmd_analyze)
 
     sw = sub.add_parser("sweep", help="violation factor vs high-frequency cutoff")
@@ -266,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--seed", type=lambda s: int(s, 0))
     rep.add_argument("--sets", type=int)
     rep.add_argument("--cutoffs", help="override the sweep cutoff list (Hz)")
-    rep.add_argument("--no-compensate-delay", action="store_true")
+    rep.add_argument("--no-compensate-delay", dest="compensate",
+                     action="store_false")
     rep.set_defaults(func=cmd_report)
     return ap
 

@@ -19,18 +19,10 @@ from functools import cached_property
 
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; load it at import)
+import numpy.ma  # noqa: F401  (np.median imports it on its first call)
 
-from .dsp import (
-    FilterSpec,
-    Psd,
-    _bandpass_gain,
-    _delay_from_covariance,
-    _delay_ramp,
-    _lag_window,
-    _parabolic_vertex,
-    _psd_from_spectra,
-)
-from .errors import BandError, DcMissing, DegenerateSet, NoPeak
+from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_spectra
+from .errors import BandError, ConfigError, DcMissing, DegenerateSet, NoPeak
 from .synth import CHANNEL_NAMES, TraceSet
 
 EDGE_GUARD = 32  # samples dropped at each end after delay compensation
@@ -95,14 +87,23 @@ class Spectra:
     peak; without a significant peak it is 0, ``delay_fallback`` is true
     and the conjugate stays uncompensated.  Build one per analysis and
     pass it to each estimator in place of the TraceSet.
+
+    Raises DcMissing unless every DC mean is finite and positive, and
+    ConfigError when a set is too short to survive the EDGE_GUARD trim.
     """
 
     def __init__(self, ts: TraceSet):
-        if ts.dc_means is None or np.any(np.asarray(ts.dc_means) <= 0.0):
+        dc = np.asarray(ts.dc_means, dtype=float)
+        if not np.all(np.isfinite(dc) & (dc > 0.0)):
             raise DcMissing("trace set carries no usable DC means")
-        self.rate = float(ts.acquisition.sample_rate)
         self.n = n = ts.codes.shape[2]
-        self.dc = tuple(float(v) for v in ts.dc_means)
+        if n <= 2 * EDGE_GUARD:
+            raise ConfigError(
+                f"{n} samples per set leave nothing after trimming {EDGE_GUARD} "
+                f"at each end; need more than {2 * EDGE_GUARD}"
+            )
+        self.rate = float(ts.acquisition.sample_rate)
+        self.dc = tuple(float(v) for v in dc)
         rows = []
         for name in CHANNEL_NAMES:
             x = np.fft.rfft(ts.ac(name), axis=1)
@@ -112,10 +113,7 @@ class Spectra:
         self.probe = self.p1 + self.p2
         self.conj = self.c1 + self.c2
         # one-sided Parseval weights: mean(x * y) == Re(conj(X) Y) @ weights
-        self.weights = np.full(self.probe.shape[1], 2.0 / (n * n))
-        self.weights[0] *= 0.5
-        if n % 2 == 0:
-            self.weights[-1] *= 0.5
+        self.weights = _one_sided(n) * (2.0 / (n * n))
         self.delay, self.delay_fallback = self._ensemble_delay()
 
     @cached_property
@@ -146,7 +144,8 @@ class Spectra:
 
     def _ensemble_delay(self) -> tuple[float, bool]:
         cov = np.fft.irfft((np.conj(self.probe) * self.conj).mean(axis=0), n=self.n)
-        lags = _lag_window(self.n, None)
+        m = self.n // 10  # search lags within a tenth of the set length
+        lags = np.arange(-m, m + 1)
         try:
             return _delay_from_covariance(lags, cov[lags % self.n] / self.n, self.rate), False
         except NoPeak:
@@ -245,6 +244,58 @@ def _circular_covariances(x: np.ndarray, y: np.ndarray):
     lag_0 = dot(x, y)
     lag_p1 = dot(x[:, :-1], y[:, 1:]) + x[:, -1] * y[:, 0]
     return lag_m1 / m, lag_0 / m, lag_p1 / m
+
+
+def _parabolic_vertex(ym1: float, y0: float, yp1: float) -> float:
+    """Sub-sample offset of the extremum of a 3-point parabola."""
+    denom = ym1 - 2.0 * y0 + yp1
+    if denom == 0.0:
+        return 0.0
+    return 0.5 * (ym1 - yp1) / denom
+
+
+def _delay_from_covariance(lags: np.ndarray, cov: np.ndarray, rate: float) -> float:
+    """Parabola-refined argmax of an ensemble cross-covariance, in seconds.
+
+    A positive result means the conjugate lags the probe.  Raises NoPeak
+    when the peak does not stand out from the N lags more than 25 samples
+    away by sqrt(2 ln N) + 1.5 times their rms: the largest of N Gaussian
+    noise lags reaches about sqrt(2 ln N) rms, so a fixed bar would call
+    it a peak.
+    """
+    i = int(np.argmax(cov))
+    peak = cov[i]
+    bg = cov[np.abs(lags - lags[i]) > 25]
+    if bg.size < 8:
+        raise NoPeak("not enough off-peak lags to judge significance")
+    prominence = peak - float(np.median(bg))
+    noise = float(np.std(bg))
+    bar = math.sqrt(2.0 * math.log(bg.size)) + 1.5
+    if noise > 0.0 and prominence < bar * noise:
+        raise NoPeak(
+            f"cross-covariance peak prominence {prominence:.3g} is below "
+            f"{bar:.2f} x background rms {noise:.3g}"
+        )
+    if 0 < i < cov.size - 1:
+        offset = _parabolic_vertex(cov[i - 1], peak, cov[i + 1])
+    else:
+        offset = 0.0
+    return (lags[i] + offset) / rate
+
+
+def _delay_ramp(n: int, rate: float, delay: float) -> np.ndarray:
+    """Phase ramp on the rfft grid of n samples advancing a trace by delay.
+
+    The ramp is pure phase, so the shift is exact in the spectral sense
+    for sub-sample delays too.  For even n a fractional shift has no
+    real-valued representation at the Nyquist bin, so that bin is zeroed
+    (irrelevant for band-limited data).
+    """
+    f = np.fft.rfftfreq(n, d=1.0 / rate)
+    ramp = np.exp(2j * np.pi * f * delay).astype(complex)
+    if n % 2 == 0 and abs(ramp[-1].imag) > 1e-12:
+        ramp[-1] = 0.0
+    return ramp
 
 
 def g2_curves(ts: TraceSet | Spectra, tau_max: float = 100e-9) -> CorrelationReport:

@@ -28,6 +28,7 @@ given.
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .dsp import FilterSpec
@@ -257,9 +258,12 @@ def _coerce(section: str, key: str, raw: str):
     try:
         if key in _INT_KEYS:
             return int(raw, 0)  # base 0 so hex seeds work
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a finite number")
+    return value
 
 
 def load_scenario(path) -> Scenario:

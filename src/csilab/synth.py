@@ -49,8 +49,10 @@ class AcquisitionConfig:
     rng_seed: int = 0xC51F00D
 
     def __post_init__(self):
-        if self.sample_rate <= 0.0:
-            raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate}")
+        if not (0.0 < self.sample_rate < math.inf):
+            raise ConfigError(
+                f"sample_rate must be finite and > 0, got {self.sample_rate}"
+            )
         if self.samples_per_set < 16:
             raise ConfigError(
                 f"samples_per_set must be >= 16, got {self.samples_per_set}"
@@ -61,8 +63,10 @@ class AcquisitionConfig:
             raise ConfigError(
                 f"adc_bits must be between 2 and 16 for int16 codes, got {self.adc_bits}"
             )
-        if self.full_scale is not None and self.full_scale <= 0.0:
-            raise ConfigError(f"full_scale must be > 0, got {self.full_scale}")
+        if self.full_scale is not None and not (0.0 < self.full_scale < math.inf):
+            raise ConfigError(
+                f"full_scale must be finite and > 0, got {self.full_scale}"
+            )
         if not (0 <= self.rng_seed < 2**64):
             raise ConfigError("rng_seed must fit an unsigned 64-bit integer")
 

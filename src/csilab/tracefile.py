@@ -18,8 +18,10 @@ Layout (little endian throughout):
 
 Files are written to a temporary sibling and moved into place so a
 crashed writer never leaves a half-written file under the final name.
-Readers validate the checksum and the byte count; anything off raises
-TraceFileError rather than returning partial data.
+Readers validate the checksum, the header fields and the byte count
+before they allocate the payload; anything off raises TraceFileError
+rather than returning partial data.  DC means are not checked: a dead
+channel is representable, and analysis raises DcMissing on it.
 """
 
 import os
@@ -29,7 +31,7 @@ import zlib
 import numpy as np
 
 from ._atomic import atomic_write
-from .errors import TraceFileError
+from .errors import ConfigError, TraceFileError
 from .synth import AcquisitionConfig, TraceSet
 
 MAGIC = b"CSTF"
@@ -102,6 +104,17 @@ def read_tracefile(path) -> TraceSet:
             raise TraceFileError(f"{path}: unsupported format version {version}")
         if channels != 4:
             raise TraceFileError(f"{path}: expected 4 channels, found {channels}")
+        try:
+            acq = AcquisitionConfig(
+                sample_rate=rate,
+                samples_per_set=samples,
+                num_sets=num_sets,
+                adc_bits=adc_bits,
+                full_scale=full_scale,
+                rng_seed=seed,
+            )
+        except ConfigError as exc:
+            raise TraceFileError(f"{path}: invalid header: {exc}") from exc
         expected = channels * num_sets * samples * 2
         body = os.fstat(fh.fileno()).st_size - HEADER_SIZE
         if body != expected:
@@ -113,14 +126,6 @@ def read_tracefile(path) -> TraceSet:
                 if fh.readinto(row) != row.nbytes:
                     raise TraceFileError(f"{path}: payload ended early")
     codes = codes.astype(np.int16, copy=False)  # a copy only on big-endian hosts
-    acq = AcquisitionConfig(
-        sample_rate=rate,
-        samples_per_set=samples,
-        num_sets=num_sets,
-        adc_bits=adc_bits,
-        full_scale=full_scale,
-        rng_seed=seed,
-    )
     return TraceSet(
         codes=codes,
         dc_means=np.array([dc1, dc2, dc3, dc4]),

@@ -2,11 +2,15 @@
 
 These are the time-domain estimators and the float-staged synthesis the
 package used before its analysis was rebuilt on one rfft per channel:
-every channel is dequantized, bandpassed and delay-compensated through
-the public ``dsp`` functions, trimmed by EDGE_GUARD and correlated with a
-full FFT cross-covariance, and synthesis stages the whole payload as
-float64 before quantizing it in one call.  Tests compare the fast code
-against them; nothing in the package imports this module.
+every channel is dequantized, bandpassed and delay-compensated in the
+time domain, trimmed by EDGE_GUARD and correlated with a full FFT
+cross-covariance, and synthesis stages the whole payload as float64
+before quantizing it in one call.  The bandpass, the delay estimate and
+the delay compensation are this module's own copies of the time-domain
+functions the package once exported, so a bug in the kernel's private
+helpers cannot hide by appearing on both sides of a comparison.  Tests
+compare the fast code against them; nothing in the package imports this
+module.
 """
 
 import math
@@ -14,14 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from csilab.dsp import (
-    FilterSpec,
-    butterworth_bandpass,
-    compensate_delay,
-    estimate_delay,
-    psd_estimate,
-)
-from csilab.errors import DcMissing, DegenerateSet, NoPeak
+from csilab.dsp import FilterSpec, psd_estimate
+from csilab.errors import DcMissing, DegenerateSet, NoPeak, SpecError
 from csilab.estimators import EDGE_GUARD
 from csilab.synth import _csd_sqrt, quantize, suggest_full_scale
 
@@ -30,6 +28,62 @@ def channels(ts):
     if ts.dc_means is None or np.any(np.asarray(ts.dc_means) <= 0.0):
         raise DcMissing("trace set carries no usable DC means")
     return ts.ac("p1"), ts.ac("p2"), ts.ac("c1"), ts.ac("c2")
+
+
+def butterworth_bandpass(x, spec, rate):
+    """Zero-phase bandpass: the analog |H| of spec as a real rfft multiplier."""
+    if spec.f_hi >= rate / 2.0:
+        raise SpecError(
+            f"f_hi={spec.f_hi} is not below the Nyquist frequency {rate / 2.0}"
+        )
+    n = x.shape[-1]
+    h = spec.magnitude(np.fft.rfftfreq(n, d=1.0 / rate))
+    return np.fft.irfft(np.fft.rfft(x, axis=-1) * h, n=n, axis=-1)
+
+
+def compensate_delay(x, delay, rate):
+    """Advance x by delay with a phase ramp; even n zeroes a fractional Nyquist bin."""
+    n = x.shape[-1]
+    f = np.fft.rfftfreq(n, d=1.0 / rate)
+    ramp = np.exp(2j * np.pi * f * delay).astype(complex)
+    if n % 2 == 0 and abs(ramp[-1].imag) > 1e-12:
+        ramp[-1] = 0.0
+    return np.fft.irfft(np.fft.rfft(x, axis=-1) * ramp, n=n, axis=-1)
+
+
+def estimate_delay(probe, conj, rate):
+    """Parabola-refined argmax of the ensemble circular cross-covariance.
+
+    Searches lags within n // 10 of zero; raises NoPeak unless the peak
+    beats the lags more than 25 samples from it by sqrt(2 ln N) + 1.5
+    times their rms.
+    """
+    n = probe.shape[1]
+    p = probe - probe.mean(axis=1, keepdims=True)
+    c = conj - conj.mean(axis=1, keepdims=True)
+    spec = np.conj(np.fft.rfft(p, axis=1)) * np.fft.rfft(c, axis=1)
+    full = np.fft.irfft(spec, n=n, axis=1).mean(axis=0) / n
+    max_lag = int(min(n // 10, n // 2 - 1))
+    lags = np.arange(-max_lag, max_lag + 1)
+    cov = full[lags % n]
+
+    i = int(np.argmax(cov))
+    peak = cov[i]
+    bg = cov[np.abs(lags - lags[i]) > 25]
+    if bg.size < 8:
+        raise NoPeak("not enough off-peak lags to judge significance")
+    prominence = peak - float(np.median(bg))
+    noise = float(np.std(bg))
+    bar = math.sqrt(2.0 * math.log(bg.size)) + 1.5
+    if noise > 0.0 and prominence < bar * noise:
+        raise NoPeak("peak does not stand out from the background")
+    offset = 0.0
+    if 0 < i < cov.size - 1:
+        ym1, yp1 = cov[i - 1], cov[i + 1]
+        denom = ym1 - 2.0 * peak + yp1
+        if denom != 0.0:
+            offset = 0.5 * (ym1 - yp1) / denom
+    return (lags[i] + offset) / rate
 
 
 def per_set_curves(x, y, max_lag):

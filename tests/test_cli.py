@@ -1,9 +1,12 @@
 """End-to-end CLI pipelines and exit-code mapping."""
 
+import json
 import os
+import struct
 import subprocess
 import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from csilab import estimators
 from csilab._atomic import atomic_write
 from csilab.cli import _write_csv, _write_text, main
 from csilab.synth import AcquisitionConfig, coherent_traces
-from csilab.tracefile import write_tracefile
+from csilab.tracefile import HEADER_SIZE, write_tracefile
 
 
 def run(*argv):
@@ -62,6 +65,23 @@ def test_simulate_invalid_model_names_field(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "report"])
+@pytest.mark.parametrize("line", [
+    "[acquisition]\nsample_rate_mhz = nan\n",
+    "[acquisition]\nsample_rate_mhz = inf\n",
+    "[model]\ngain_bandwidth_mhz = nan\n",
+    "[analysis]\nf_hi_mhz = -inf\n",
+])
+def test_non_finite_config_number_writes_nothing(tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(line)
+    out = tmp_path / "out"
+    target = ["--out", str(out / "t.cstf")] if command == "simulate" else ["--out", str(out)]
+    assert run(command, "--config", str(cfg), "--sets", "2", *target) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_simulate_missing_config_is_io_error(tmp_path):
     rc = run("simulate", "--config", str(tmp_path / "absent.ini"),
              "--out", str(tmp_path / "x.cstf"))
@@ -92,6 +112,51 @@ def test_analyze_truncated_file(tmp_path, g10_file, capsys):
     rc = run("analyze", str(bad), "--out", str(tmp_path / "rep"))
     assert rc == 4
     assert not (tmp_path / "rep").exists()  # nothing written on failure
+
+
+@pytest.mark.parametrize("samples", [16, 64])
+def test_analyze_short_sets_is_config_error(tmp_path, capsys, samples):
+    """Sets no longer than 2 * EDGE_GUARD leave no window to correlate."""
+    cfg = tmp_path / "short.ini"
+    cfg.write_text("[scenario]\npreset = G10_IDEAL\n"
+                   f"[acquisition]\nsamples_per_set = {samples}\n")
+    trace = tmp_path / "short.cstf"
+    assert run("simulate", "--config", str(cfg), "--sets", "4", "--out", str(trace)) == 0
+    capsys.readouterr()
+    rc = run("analyze", str(trace), "--config", "G10_IDEAL", "--out", str(tmp_path / "r"))
+    assert rc == 2
+    assert f"{samples} samples per set" in capsys.readouterr().err
+
+
+def _rewrite_header(path, offset, fmt, value):
+    """Overwrite one header field of a container and recompute its CRC."""
+    blob = bytearray(path.read_bytes())
+    struct.pack_into(fmt, blob, offset, value)
+    struct.pack_into("<I", blob, HEADER_SIZE - 4, zlib.crc32(blob[: HEADER_SIZE - 4]))
+    path.write_bytes(blob)
+
+
+@pytest.mark.parametrize("offset, fmt, value", [
+    (28, "<H", 20),               # ADC bits
+    (12, "<Q", 8),                # samples per set
+    (8, "<I", 0),                 # number of sets
+    (20, "<d", float("nan")),     # sample rate
+    (30, "<d", float("inf")),     # full scale
+])
+def test_analyze_malformed_header_field_is_trace_error(tmp_path, capsys, offset, fmt, value):
+    trace = tmp_path / "t.cstf"
+    write_tracefile(coherent_traces(AcquisitionConfig(num_sets=2, samples_per_set=256)), trace)
+    _rewrite_header(trace, offset, fmt, value)
+    assert run("analyze", str(trace), "--out", str(tmp_path / "r")) == 4
+    assert "invalid header" in capsys.readouterr().err
+
+
+def test_analyze_nan_dc_mean_is_dc_missing(tmp_path, capsys):
+    trace = tmp_path / "t.cstf"
+    write_tracefile(coherent_traces(AcquisitionConfig(num_sets=4, samples_per_set=256)), trace)
+    _rewrite_header(trace, 38, "<d", float("nan"))  # DC mean of p1
+    assert run("analyze", str(trace), "--out", str(tmp_path / "r")) == 2
+    assert "DC means" in capsys.readouterr().err
 
 
 def test_analyze_missing_trace(tmp_path):
@@ -248,6 +313,16 @@ def test_failed_write_removes_temporary_and_keeps_target(tmp_path):
     assert os.listdir(tmp_path) == ["summary.txt"]
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _fresh_env(**extra):
+    """Environment of a fresh interpreter that imports csilab from this tree."""
+    path = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 IMPORT_HYGIENE = """
 import os, sys
 import csilab.cli
@@ -271,10 +346,43 @@ def test_commands_import_no_module(tmp_path):
     numpy.random and numpy.ma lazily, and argparse imports locale on first
     use.  A fresh interpreter is used because this one has imported them.
     """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE, str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_fresh_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+TRACED_REPORT = """
+import json, sys
+import numpy
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+tracer = Tracer(run_id="guard")
+tracer.install(numpy.fft)
+import csilab.cli
+rc = csilab.cli.main(["report", "--config", "G10", "--sets", "4", "--out", sys.argv[2]])
+print(json.dumps({"rc": rc, "spans": tracer.spans, "counters": tracer.counters}))
+"""
+
+
+def test_benchmark_tracer_runs_a_report(tmp_path):
+    """The benchmark's span recorder still installs on the package.
+
+    It patches every public function of the modules it names, csilab.dsp
+    among them, so a refactor that drops or renames one of those modules
+    fails here and not only when the benchmark runs.  The benchmark's
+    files are only read: no bytecode is written next to them.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_REPORT, os.path.join(ROOT, "benchmarks"),
+         str(tmp_path / "r")],
+        capture_output=True, text=True, env=_fresh_env(PYTHONDONTWRITEBYTECODE="1"),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["rc"] == 0
+    names = {span[0] for span in record["spans"]}
+    assert {"estimators.filtered_violation", "estimators.cutoff_sweep"} <= names
+    assert not [span for span in record["spans"] if span[5] is not None]
+    assert record["counters"]["fft.rfft.calls"] == 4

@@ -1,20 +1,45 @@
-"""Tests for PSD estimation, the bandpass filter and delay handling."""
+"""Tests for PSD estimation, the bandpass filter and delay handling.
+
+The bandpass is checked through ``FilterSpec.magnitude``, the gain
+``Spectra`` applies on the rfft grid, and the delay through
+``Spectra(ts).delay`` on pairs packed into a 16-bit TraceSet.
+"""
 
 import numpy as np
 import pytest
 
-from csilab.dsp import (
-    FilterSpec,
-    butterworth_bandpass,
-    compensate_delay,
-    cross_covariance,
-    estimate_delay,
-    psd_estimate,
-)
-from csilab.errors import NoPeak, SpecError
-from csilab.synth import AcquisitionConfig, coherent_traces
+from csilab.dsp import FilterSpec, psd_estimate
+from csilab.estimators import Spectra, _delay_ramp, filtered_violation
+from csilab.errors import SpecError
+from csilab.synth import AcquisitionConfig, TraceSet, coherent_traces, quantize
 
 RATE = 1e9
+
+
+def bandpass(x, spec):
+    """x filtered by the real gain |H| of spec on its rfft grid."""
+    n = x.shape[-1]
+    h = spec.magnitude(np.fft.rfftfreq(n, d=1.0 / RATE))
+    return np.fft.irfft(np.fft.rfft(x, axis=-1) * h, n=n, axis=-1)
+
+
+def advance(x, delay):
+    """x advanced in time by delay (a negative delay lags it)."""
+    n = x.shape[-1]
+    return np.fft.irfft(np.fft.rfft(x, axis=-1) * _delay_ramp(n, RATE, delay), n=n, axis=-1)
+
+
+def pack(probe, conj):
+    """A 16-bit TraceSet whose halves are probe / 2 and conj / 2."""
+    full_scale = 1.01 * max(np.abs(probe).max(), np.abs(conj).max()) / 2.0
+    acq = AcquisitionConfig(
+        num_sets=probe.shape[0], samples_per_set=probe.shape[1], adc_bits=16,
+        full_scale=full_scale,
+    )
+    codes = np.stack(
+        [quantize(x / 2.0, 16, full_scale) for x in (probe, probe, conj, conj)]
+    )
+    return TraceSet(codes=codes, dc_means=np.ones(4), acquisition=acq)
 
 
 class TestPsd:
@@ -61,35 +86,24 @@ class TestButterworth:
     SPEC = FilterSpec(f_hi=15e6, f_lo=500e3, order=10)
 
     def sine_gain(self, freq, spec=SPEC):
-        # n chosen so 500 kHz and 15 MHz land exactly on bins (df = 10 kHz)
+        # n chosen so 500 kHz and 15 MHz land exactly on bins (df = 10 kHz);
+        # a sine on a bin leaves the real rfft multiplier scaled by |H| there
         n = 100000
-        t = np.arange(n) / RATE
         f0 = round(freq * n / RATE) * RATE / n
-        x = np.sin(2 * np.pi * f0 * t)
-        y = butterworth_bandpass(x, spec, RATE)
-        return np.sqrt(np.mean(y**2) / np.mean(x**2)), f0
+        return float(spec.magnitude(f0))
 
     def test_midband_unity(self):
-        g, _ = self.sine_gain(np.sqrt(500e3 * 15e6))
+        g = self.sine_gain(np.sqrt(500e3 * 15e6))
         assert abs(g - 1.0) < 1e-3
 
     @pytest.mark.parametrize("edge", [500e3, 15e6])
     def test_edges_at_minus_three_db(self, edge):
-        g, _ = self.sine_gain(edge)
+        g = self.sine_gain(edge)
         assert abs(20 * np.log10(g) + 3.0) < 0.01
 
     def test_stopband_attenuation(self):
-        g, _ = self.sine_gain(30e6)
+        g = self.sine_gain(30e6)
         assert 20 * np.log10(g) < -55.0
-
-    def test_passband_idempotent(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 4096))
-        once = butterworth_bandpass(x, self.SPEC, RATE)
-        twice = butterworth_bandpass(once, self.SPEC, RATE)
-        dev1 = np.sqrt(np.mean((once - x) ** 2))
-        dev2 = np.sqrt(np.mean((twice - once) ** 2))
-        assert dev2 <= 2.0 * dev1
 
     def test_zero_phase_no_peak_shift(self):
         """Filtering must not move a correlation peak (no group delay)."""
@@ -98,10 +112,9 @@ class TestButterworth:
         shift = 12
         y = np.roll(x, shift, axis=1)
         spec = FilterSpec(f_hi=200e6, f_lo=1e6, order=10)
-        xf = butterworth_bandpass(x, spec, RATE)
-        yf = butterworth_bandpass(y, spec, RATE)
-        d = estimate_delay(xf, yf, RATE)
-        assert abs(d - shift / RATE) < 0.2 / RATE
+        sp = Spectra(pack(bandpass(x, spec), bandpass(y, spec)))
+        assert not sp.delay_fallback
+        assert abs(sp.delay - shift / RATE) < 0.2 / RATE
 
     def test_invalid_specs(self):
         with pytest.raises(SpecError):
@@ -110,8 +123,9 @@ class TestButterworth:
             FilterSpec(f_hi=15e6, order=3)
         with pytest.raises(SpecError):
             FilterSpec(f_hi=15e6, order=0)
+        ts = coherent_traces(AcquisitionConfig(num_sets=2, samples_per_set=256))
         with pytest.raises(SpecError):
-            butterworth_bandpass(np.zeros(64), FilterSpec(f_hi=600e6), RATE)
+            filtered_violation(ts, FilterSpec(f_hi=600e6))
 
 
 class TestDelay:
@@ -120,46 +134,45 @@ class TestDelay:
         rng = np.random.default_rng(seed)
         base = rng.standard_normal((nsets, n + 200))
         spec = FilterSpec(f_hi=40e6, f_lo=100e3, order=10)
-        base = butterworth_bandpass(base, spec, RATE)
+        base = bandpass(base, spec)
         probe = base[:, 100 : 100 + n].copy()
-        conj = compensate_delay(base, -delay_s, RATE)[:, 100 : 100 + n].copy()
+        conj = advance(base, -delay_s)[:, 100 : 100 + n].copy()
         if snr_noise:
             probe = probe + snr_noise * rng.standard_normal(probe.shape)
             conj = conj + snr_noise * rng.standard_normal(conj.shape)
         return probe, conj
 
+    def delay(self, probe, conj):
+        sp = Spectra(pack(probe, conj))
+        assert not sp.delay_fallback
+        return sp.delay
+
     def test_identical_traces_zero(self):
         p, _ = self.make_pair(0.0)
-        assert abs(estimate_delay(p, p, RATE)) < 1e-12
+        assert abs(self.delay(p, p)) < 1e-12
 
     @pytest.mark.parametrize("delay_ns", [8.0, 13.0])
     def test_recovers_injected_delay(self, delay_ns):
         p, c = self.make_pair(delay_ns * 1e-9, snr_noise=0.5)
-        d = estimate_delay(p, c, RATE)
-        assert abs(d - delay_ns * 1e-9) < 1e-9
+        assert abs(self.delay(p, c) - delay_ns * 1e-9) < 1e-9
 
     def test_sub_sample_resolution(self):
         p, c = self.make_pair(8.4e-9, snr_noise=0.2)
-        d = estimate_delay(p, c, RATE)
-        assert abs(d - 8.4e-9) < 0.2e-9
+        assert abs(self.delay(p, c) - 8.4e-9) < 0.2e-9
 
     def test_unbiased_over_seeds(self):
         """Mean estimate error over many draws stays below 0.1 ns."""
         errs = []
         for seed in range(40):
             p, c = self.make_pair(8e-9, nsets=4, seed=seed, snr_noise=0.5)
-            errs.append(estimate_delay(p, c, RATE) - 8e-9)
+            errs.append(self.delay(p, c) - 8e-9)
         assert abs(np.mean(errs)) < 0.1e-9
 
     def test_no_peak_on_independent_noise(self):
         rng = np.random.default_rng(16)
-        with pytest.raises(NoPeak):
-            estimate_delay(
-                rng.standard_normal((10, 4096)),
-                rng.standard_normal((10, 4096)),
-                RATE,
-                max_lag=64,
-            )
+        sp = Spectra(pack(rng.standard_normal((10, 4096)), rng.standard_normal((10, 4096))))
+        assert sp.delay_fallback
+        assert sp.delay == 0.0
 
     @pytest.mark.parametrize("samples", [4096, 10000])
     @pytest.mark.parametrize("seed", range(12))
@@ -172,39 +185,46 @@ class TestDelay:
         ts = coherent_traces(
             AcquisitionConfig(num_sets=24, samples_per_set=samples, rng_seed=seed)
         )
-        with pytest.raises(NoPeak):
-            estimate_delay(ts.ac("p1") + ts.ac("p2"), ts.ac("c1") + ts.ac("c2"), RATE)
+        sp = Spectra(ts)
+        assert sp.delay_fallback
+        assert sp.delay == 0.0
 
     def test_compensation_round_trip(self):
         # odd length: no Nyquist bin, so the fractional shift is lossless
         rng = np.random.default_rng(23)
         x = rng.standard_normal((5, 4095))
         d = 7.3e-9
-        back = compensate_delay(compensate_delay(x, d, RATE), -d, RATE)
+        ramp = _delay_ramp(x.shape[-1], RATE, d)
+        np.testing.assert_allclose(np.abs(ramp), 1.0, rtol=1e-14)
+        back = advance(advance(x, d), -d)
         assert np.sqrt(np.mean((back - x) ** 2)) < 1e-9
 
     def test_even_length_round_trip_drops_only_nyquist(self):
+        """Advancing by d and then by -d restores every bin but one.
+
+        The compensation ramp is pure phase.  Only the Nyquist bin of an
+        even length is lost: a fractional shift cannot represent it, so the
+        ramp zeroes it.
+        """
+        n = 4096
+        d = 7.3e-9
+        ramp = _delay_ramp(n, RATE, d)
+        assert ramp.size == n // 2 + 1
+        np.testing.assert_allclose(np.abs(ramp[:-1]), 1.0, rtol=1e-14)
+        assert ramp[-1] == 0.0
         rng = np.random.default_rng(24)
-        x = rng.standard_normal((5, 4096))
+        x = rng.standard_normal((5, n))
         spec_in = np.fft.rfft(x, axis=-1)
         spec_in[:, -1] = 0.0
-        x = np.fft.irfft(spec_in, n=4096, axis=-1)
-        d = 7.3e-9
-        back = compensate_delay(compensate_delay(x, d, RATE), -d, RATE)
+        x = np.fft.irfft(spec_in, n=n, axis=-1)
+        back = advance(advance(x, d), -d)
         assert np.sqrt(np.mean((back - x) ** 2)) < 1e-9
 
     def test_compensation_aligns_lagged_pair(self):
         p, c = self.make_pair(8e-9)
-        aligned = compensate_delay(c, 8e-9, RATE)
-        # after alignment the covariance peak sits at lag zero
-        lags, cov = cross_covariance(p, aligned, max_lag=50)
-        assert lags[int(np.argmax(cov))] == 0
-
-    def test_cross_covariance_shapes_and_symmetry(self):
-        rng = np.random.default_rng(31)
-        x = rng.standard_normal((6, 2048))
-        lags, cov = cross_covariance(x, x, max_lag=64)
-        assert lags.size == cov.size == 129
-        i0 = int(np.argmax(cov))
-        assert lags[i0] == 0
-        assert np.allclose(cov, cov[::-1], atol=1e-12)  # autocovariance is even
+        sp = Spectra(pack(p, c))
+        aligned = sp.conj * _delay_ramp(sp.n, sp.rate, sp.delay)
+        # after alignment the ensemble covariance peak sits at lag zero
+        cov = np.fft.irfft((np.conj(sp.probe) * aligned).mean(axis=0), n=sp.n)
+        lags = np.arange(-50, 51)
+        assert lags[int(np.argmax(cov[lags % sp.n]))] == 0

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from csilab import estimators
-from csilab.dsp import FilterSpec, butterworth_bandpass
-from csilab.errors import BandError, DcMissing, DegenerateSet
+from csilab.dsp import FilterSpec
+from csilab.errors import BandError, ConfigError, DcMissing, DegenerateSet
 from csilab.estimators import (
     Spectra,
     csi_frequency_test,
@@ -225,6 +225,18 @@ class TestViolationFactor:
         with pytest.raises(DcMissing):
             g2_curves(broken)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dc_raises(self, ts_g10, bad):
+        broken = dataclasses.replace(ts_g10, dc_means=np.array([1.0, bad, 1.0, 1.0]))
+        with pytest.raises(DcMissing):
+            Spectra(broken)
+
+    @pytest.mark.parametrize("samples", [16, 64])
+    def test_sets_within_the_edge_guard_raise(self, samples):
+        ts = coherent_traces(AcquisitionConfig(num_sets=4, samples_per_set=samples))
+        with pytest.raises(ConfigError, match=f"{samples} samples per set"):
+            Spectra(ts)
+
 
 class TestLossInvariance:
     def test_g2_curves_survive_extra_loss(self, ts_g10):
@@ -295,25 +307,11 @@ class TestCsiFrequencyTest:
         assert classical
 
     def test_verdict_matches_time_domain(self, ts_g10):
-        rate = ts_g10.acquisition.sample_rate
+        sp = Spectra(ts_g10)
+        rep = normalized_spectra(sp)
         for band_hi in (5e6, 100e6):
             spec = FilterSpec(f_hi=band_hi, f_lo=5e5, order=10)
-            chans = [
-                butterworth_bandpass(ts_g10.ac(n), spec, rate)
-                for n in ("p1", "p2", "c1", "c2")
-            ]
-            filtered = dataclasses.replace(
-                ts_g10,
-                codes=np.stack(
-                    [
-                        quantize(c, ts_g10.acquisition.adc_bits, ts_g10.step * 256)
-                        for c in chans
-                    ]
-                ),
-            )
-            # quantizing refiltered floats loses little: the verdicts must agree
-            v_mean = g2_curves(filtered).v_mean
-            rep = normalized_spectra(ts_g10)
+            v_mean = filtered_violation(sp, spec)["v_mean"]
             _, _, classical = csi_frequency_test(rep, ts_g10, (5e5, band_hi))
             assert (v_mean < 1.0) == (not classical)
 

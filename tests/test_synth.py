@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csilab.dsp import estimate_delay, psd_estimate
+from csilab.dsp import psd_estimate
 from csilab.errors import ClipWarning, ConfigError
+from csilab.estimators import Spectra
 from csilab.synth import (
     AcquisitionConfig,
     TraceSet,
@@ -102,10 +103,9 @@ class TestFidelity:
         assert level < 0.5  # still clearly squeezed in this band
 
     def test_delay_recovered(self, ts_g10):
-        probe = ts_g10.ac("p1") + ts_g10.ac("p2")
-        conj = ts_g10.ac("c1") + ts_g10.ac("c2")
-        d = estimate_delay(probe, conj, RATE)
-        assert abs(d - 8e-9) < 1e-9
+        sp = Spectra(ts_g10)
+        assert not sp.delay_fallback
+        assert abs(sp.delay - 8e-9) < 1e-9
 
     def test_per_set_means_vanish(self, ts_g10):
         """Stationarity: per-set AC means are zero within 5 standard errors.

@@ -4,6 +4,7 @@ import os
 import struct
 import threading
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -80,8 +81,6 @@ def test_unsupported_version(tmp_path, small_ts):
     path, blob = _written(tmp_path, small_ts)
     struct.pack_into("<H", blob, 4, 9)
     # keep the header CRC consistent so the version check is what fires
-    import zlib
-
     struct.pack_into("<I", blob, HEADER_SIZE - 4, zlib.crc32(blob[: HEADER_SIZE - 4]))
     path.write_bytes(blob)
     with pytest.raises(TraceFileError, match="version"):
@@ -203,3 +202,50 @@ def test_round_trip_exact_for_random_containers(
     assert np.array_equal(back.codes, codes)
     assert np.array_equal(back.dc_means, ts.dc_means)
     assert back.acquisition == acq
+
+
+_FIELDS = struct.Struct("<4sHHIQdHd4dQ")  # the header layout before its CRC
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    version=st.one_of(st.just(1), st.integers(0, 2**16 - 1)),
+    channels=st.one_of(st.just(4), st.integers(0, 2**16 - 1)),
+    num_sets=st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1)),
+    samples=st.one_of(st.integers(0, 80), st.integers(0, 2**64 - 1)),
+    rate=st.one_of(st.just(1e9), _ANY_FLOAT),
+    adc_bits=st.one_of(st.integers(0, 20), st.integers(0, 2**16 - 1)),
+    full_scale=st.one_of(st.just(2.5), _ANY_FLOAT),
+    dc_means=st.lists(_ANY_FLOAT, min_size=4, max_size=4),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_any_header_gives_trace_file_error_or_trace_set(
+    tmp_path_factory, version, channels, num_sets, samples, rate, adc_bits,
+    full_scale, dc_means, seed, data,
+):
+    """Header fields under a valid CRC, then truncation or one flipped byte."""
+    header = _FIELDS.pack(b"CSTF", version, channels, num_sets, samples, rate,
+                          adc_bits, full_scale, *dc_means, seed)
+    promised = 8 * num_sets * samples
+    size = promised if promised <= 8 * 3 * 80 else data.draw(st.integers(0, 64))
+    blob = bytearray(header + struct.pack("<I", zlib.crc32(header)) + bytes(size))
+    damage = data.draw(st.sampled_from(["none", "truncate", "flip"]))
+    if damage == "truncate":
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    elif damage == "flip":
+        blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    path = tmp_path_factory.mktemp("header") / "t.cstf"
+    path.write_bytes(blob)
+    try:
+        ts = read_tracefile(path)
+    except TraceFileError:
+        header_valid = (
+            version == 1 and channels == 4 and num_sets >= 1 and samples >= 16
+            and 2 <= adc_bits <= 16 and 0.0 < rate < np.inf and 0.0 < full_scale < np.inf
+        )
+        assert damage != "none" or not header_valid or size != promised
+        return
+    assert isinstance(ts, TraceSet)
+    assert ts.codes.shape == (4, num_sets, samples)
