@@ -78,16 +78,15 @@ def _parse_cutoffs(text: str):
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
-def _simulate(args, path):
-    """(scenario, traces) synthesized from the command's settings, written to path."""
+def _simulate(args):
+    """(scenario, traces) synthesized from the command's settings."""
     sc = _apply_overrides(_resolve_scenario(args.config), args.seed, args.sets)
-    ts = synthesize(sc.model, sc.acquisition)
-    write_tracefile(ts, path)
-    return sc, ts
+    return sc, synthesize(sc.model, sc.acquisition)
 
 
 def cmd_simulate(args) -> int:
-    sc, ts = _simulate(args, args.out)
+    sc, ts = _simulate(args)
+    write_tracefile(ts, args.out)
     acq = ts.acquisition
     print(f"scenario {sc.name}: {acq.num_sets} sets x {acq.samples_per_set} "
           f"samples x 4 channels at {acq.sample_rate / 1e9:g} GS/s")
@@ -210,8 +209,11 @@ def cmd_theory(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # the directory is made only once the scenario has been accepted, so a
+    # refused configuration leaves nothing behind
+    sc, ts = _simulate(args)
     os.makedirs(args.out, exist_ok=True)
-    sc, ts = _simulate(args, os.path.join(args.out, "traces.cstf"))
+    write_tracefile(ts, os.path.join(args.out, "traces.cstf"))
     summary, sp = _analyze(args.out, sc, ts, args.compensate)
     if args.cutoffs:
         cutoffs = _parse_cutoffs(args.cutoffs)

@@ -86,7 +86,8 @@ def psd_estimate(traces, rate) -> Psd:
     rate = float(getattr(rate, "sample_rate", rate))
     x = _as_sets(traces)
     x = x - x.mean(axis=1, keepdims=True)
-    return _psd_from_spectra(np.fft.rfft(x, axis=1), x.shape[1], rate)
+    power = np.add.reduce(np.abs(np.fft.rfft(x, axis=1)) ** 2, axis=0)
+    return _psd_from_sum(power, x.shape[0], x.shape[1], rate)
 
 
 def _one_sided(n: int) -> np.ndarray:
@@ -102,13 +103,13 @@ def _one_sided(n: int) -> np.ndarray:
     return w
 
 
-def _psd_from_spectra(spec: np.ndarray, n: int, rate: float) -> Psd:
-    """Psd of per-set rfft rows ``spec`` (num_sets, n // 2 + 1) of n samples."""
-    p = (np.abs(spec) ** 2).mean(axis=0) * (2.0 / (n * rate)) * _one_sided(n)
+def _psd_from_sum(total: np.ndarray, num_sets: int, n: int, rate: float) -> Psd:
+    """Psd from ``total``, the sum of |X|^2 over num_sets rfft rows of n samples."""
+    p = total / num_sets * (2.0 / (n * rate)) * _one_sided(n)
     return Psd(
         frequencies=np.fft.rfftfreq(n, d=1.0 / rate),
         power=p,
-        num_averages=spec.shape[0],
+        num_averages=num_sets,
     )
 
 

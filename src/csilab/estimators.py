@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; load it at import)
 import numpy.ma  # noqa: F401  (np.median imports it on its first call)
 
-from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_spectra
+from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_sum
 from .errors import BandError, ConfigError, DcMissing, DegenerateSet, NoPeak
-from .synth import CHANNEL_NAMES, TraceSet
+from .synth import CHANNEL_NAMES, TraceSet, _run_strided
 
 EDGE_GUARD = 32  # samples dropped at each end after delay compensation
+_CHUNK = 16  # sets transformed and correlated at a time
 
 
 @dataclass(frozen=True)
@@ -77,19 +77,29 @@ class SpectraReport:
 
 
 class Spectra:
-    """One rfft per channel of a TraceSet, DC bin zeroed, and one delay.
+    """The ensemble spectra every estimator reads, and one delay.
 
-    Zeroing the DC bin removes each set's mean.  Every estimator below is
-    built from these rows: a bandpass is a real |H| factor, delay
-    compensation a phase ramp, zero-lag covariances Parseval sums over
-    bins, and lagged covariances come from a few inverse transforms.
-    ``delay`` is the conjugate's ensemble delay at the cross-covariance
-    peak; without a significant peak it is 0, ``delay_fallback`` is true
-    and the conjugate stays uncompensated.  Build one per analysis and
-    pass it to each estimator in place of the TraceSet.
+    Each channel is transformed once, with the DC bin zeroed, which
+    removes each set's mean.  A Spectra keeps four spectra per set: the
+    recombined beams ``probe`` = P1 + P2 and ``conj`` = C1 + C2, and the
+    split-pair cross-spectra conj(P1) P2 and conj(C1) C2.  Building it
+    also sums over sets what only enters as an ensemble mean: |P1 - P2|²
+    and |C1 - C2|² for the shot-noise references and conj(P) C for the
+    delay.  Sets are transformed _CHUNK at a time, so no channel is
+    held whole.
+
+    Every estimator below is built from these rows: a bandpass is a real
+    |H| factor, delay compensation a phase ramp, zero-lag covariances
+    Parseval sums over bins, and lagged covariances come from a few
+    inverse transforms.  ``delay`` is the conjugate's ensemble delay at
+    the cross-covariance peak; without a significant peak it is 0,
+    ``delay_fallback`` is true and the conjugate stays uncompensated.
+    Build one per analysis and pass it to each estimator in place of the
+    TraceSet.
 
     Raises DcMissing unless every DC mean is finite and positive, and
-    ConfigError when a set is too short to survive the EDGE_GUARD trim.
+    ConfigError when fewer than 3 samples of a set survive the
+    EDGE_GUARD trim.
     """
 
     def __init__(self, ts: TraceSet):
@@ -97,34 +107,42 @@ class Spectra:
         if not np.all(np.isfinite(dc) & (dc > 0.0)):
             raise DcMissing("trace set carries no usable DC means")
         self.n = n = ts.codes.shape[2]
-        if n <= 2 * EDGE_GUARD:
+        kept = n - 2 * EDGE_GUARD
+        if kept < 3:
             raise ConfigError(
-                f"{n} samples per set leave nothing after trimming {EDGE_GUARD} "
-                f"at each end; need more than {2 * EDGE_GUARD}"
+                f"{n} samples per set leave a window of {max(kept, 0)} after "
+                f"trimming {EDGE_GUARD} at each end; the lag -1, 0 and +1 "
+                f"covariances need 3, so samples_per_set must be at least "
+                f"{2 * EDGE_GUARD + 3}"
             )
         self.rate = float(ts.acquisition.sample_rate)
         self.dc = tuple(float(v) for v in dc)
-        rows = []
-        for name in CHANNEL_NAMES:
-            x = np.fft.rfft(ts.ac(name), axis=1)
-            x[:, 0] = 0.0
-            rows.append(x)
-        self.p1, self.p2, self.c1, self.c2 = rows
-        self.probe = self.p1 + self.p2
-        self.conj = self.c1 + self.c2
+        sets, bins = ts.num_sets, n // 2 + 1
+        self.probe = np.empty((sets, bins), dtype=complex)
+        self.conj = np.empty((sets, bins), dtype=complex)
+        # conj(P1) P2 and conj(C1) C2 for the split-pair g2 curves; their
+        # real parts, contiguous, for the Parseval sums eps_aa and eps_bb
+        self._cross = np.empty((2, sets, bins), dtype=complex)
+        self._split_cross = np.empty((2, sets, bins))
+        self._sql_sums = np.zeros((2, bins))  # sums of |P1 - P2|², |C1 - C2|²
+        cross_sum = np.zeros(bins, dtype=complex)  # sum of conj(P) C
+        step = ts.step
+        for lo in range(0, sets, _CHUNK):
+            hi = min(lo + _CHUNK, sets)
+            p1, p2, c1, c2 = (np.fft.rfft(ts.codes[ch, lo:hi] * step, axis=1)
+                              for ch in range(len(CHANNEL_NAMES)))
+            for x in (p1, p2, c1, c2):
+                x[:, 0] = 0.0
+            for k, (a, b) in enumerate(((p1, p2), (c1, c2))):
+                np.multiply(np.conj(a), b, out=self._cross[k, lo:hi])
+                self._split_cross[k, lo:hi] = self._cross[k, lo:hi].real
+                _add_rows(self._sql_sums[k], np.abs(a - b) ** 2)
+            probe = np.add(p1, p2, out=self.probe[lo:hi])
+            conj = np.add(c1, c2, out=self.conj[lo:hi])
+            _add_rows(cross_sum, np.conj(probe) * conj)
         # one-sided Parseval weights: mean(x * y) == Re(conj(X) Y) @ weights
         self.weights = _one_sided(n) * (2.0 / (n * n))
-        self.delay, self.delay_fallback = self._ensemble_delay()
-
-    @cached_property
-    def _split_cross(self) -> np.ndarray:
-        """Re(conj(P1) P2) and Re(conj(C1) C2), shape (2, sets, bins)."""
-        return np.stack(
-            [np.real(np.conj(self.p1) * self.p2), np.real(np.conj(self.c1) * self.c2)]
-        )
-
-    def psd(self, spec: np.ndarray) -> Psd:
-        return _psd_from_spectra(spec, self.n, self.rate)
+        self.delay, self.delay_fallback = self._ensemble_delay(cross_sum / sets)
 
     def sql(self) -> tuple[Psd, Psd, Psd]:
         """(sql_p, sql_c, sql_diff): shot-noise references from the half sums.
@@ -133,8 +151,8 @@ class Spectra:
         whatever classical noise rides the beam, and the SQL of the
         intensity-difference measurement is the sum of the two.
         """
-        sql_p = self.psd(self.p1 - self.p2)
-        sql_c = self.psd(self.c1 - self.c2)
+        sets = self.probe.shape[0]
+        sql_p, sql_c = (_psd_from_sum(s, sets, self.n, self.rate) for s in self._sql_sums)
         sql_diff = Psd(
             frequencies=sql_p.frequencies,
             power=sql_p.power + sql_c.power,
@@ -142,8 +160,8 @@ class Spectra:
         )
         return sql_p, sql_c, sql_diff
 
-    def _ensemble_delay(self) -> tuple[float, bool]:
-        cov = np.fft.irfft((np.conj(self.probe) * self.conj).mean(axis=0), n=self.n)
+    def _ensemble_delay(self, cross_mean: np.ndarray) -> tuple[float, bool]:
+        cov = np.fft.irfft(cross_mean, n=self.n)
         m = self.n // 10  # search lags within a tenth of the set length
         lags = np.arange(-m, m + 1)
         try:
@@ -151,34 +169,71 @@ class Spectra:
         except NoPeak:
             return 0.0, True
 
+    def _lag_covariances(self, gains) -> np.ndarray:
+        """Per-set circular covariances at lags -1, 0, +1, shape (gains, 3, sets).
+
+        For each gain (a bandpass |H| on the rfft grid, None for no
+        filter) the probe is filtered, the conjugate filtered and advanced
+        by the delay, both are inverse transformed, trimmed by EDGE_GUARD
+        and demeaned.  The chunk loop is outside the gain loop, so a
+        chunk's spectra are read while still in cache, and each worker of
+        CSILAB_THREADS reuses one scratch set for all its chunks.
+        """
+        n, g = self.n, EDGE_GUARD
+        sets, bins = self.probe.shape
+        ramp = _delay_ramp(n, self.rate, self.delay) if self.delay else None
+        out = np.empty((len(gains), 3, sets))
+        rows = min(_CHUNK, sets)
+
+        def run(starts: range) -> None:
+            spec = np.empty((rows, bins), dtype=complex)
+            shift = np.empty(bins, dtype=complex)
+            # einsum sums a lone row in another order than a stack of rows,
+            # so a one-set chunk is correlated together with a spare row
+            traces = np.zeros((2, max(rows, 2), n))
+            for lo in starts:
+                hi = min(lo + _CHUNK, sets)
+                k = hi - lo
+                win = traces[:, : max(k, 2), g:-g]
+                for j, gain in enumerate(gains):
+                    probe, conj = self.probe[lo:hi], self.conj[lo:hi]
+                    if gain is not None:
+                        probe = np.multiply(probe, gain, out=spec[:k])
+                    np.fft.irfft(probe, n=n, axis=1, out=traces[0, :k])
+                    if gain is not None and ramp is not None:
+                        factor = np.multiply(ramp, gain, out=shift)
+                    else:
+                        factor = ramp if gain is None else gain
+                    if factor is not None:
+                        conj = np.multiply(conj, factor, out=spec[:k])
+                    np.fft.irfft(conj, n=n, axis=1, out=traces[1, :k])
+                    for x in win[:, :k]:
+                        x -= x.mean(axis=1, keepdims=True)
+                    for dst, cov in zip(out[j, :, lo:hi], _circular_covariances(*win)):
+                        dst[:] = cov[:k]
+
+        _run_strided(run, range(0, sets, _CHUNK))
+        return out
+
     def violation_stats(self, gain: np.ndarray | None = None) -> dict:
         """Per-set eps and V values; eps_ab at the compensated ensemble peak.
 
         ``gain`` is a bandpass |H| on the rfft grid, None for no filter.
         """
+        return self._stats(gain, *self._lag_covariances([gain])[0])
+
+    def _stats(self, gain, ym1, y0, yp1) -> dict:
+        """violation_stats from the lag -1, 0, +1 covariances under gain."""
         dc_p1, dc_p2, dc_c1, dc_c2 = self.dc
         dc_p = dc_p1 + dc_p2
         dc_c = dc_c1 + dc_c2
-        probe, conj, weights = self.probe, self.conj, self.weights
-        shift = _delay_ramp(self.n, self.rate, self.delay) if self.delay else None
-        if gain is not None:
-            probe = probe * gain
-            weights = weights * gain * gain
-            shift = gain if shift is None else shift * gain
-        if shift is not None:
-            conj = conj * shift
-        g = EDGE_GUARD
-        pr = np.fft.irfft(probe, n=self.n, axis=1)[:, g:-g]
-        co = np.fft.irfft(conj, n=self.n, axis=1)[:, g:-g]
-        pr -= pr.mean(axis=1, keepdims=True)
-        co -= co.mean(axis=1, keepdims=True)
+        weights = self.weights if gain is None else self.weights * gain * gain
 
         # After compensation the peak sits at lag zero by construction, so the
         # center lag is fixed a priori (an argmax over the window would select
         # upward noise when the covariance is flat across neighboring lags and
         # bias eps_ab high).  A parabola through the ensemble curve only
         # refines the sub-sample position.
-        ym1, y0, yp1 = _circular_covariances(pr, co)
         frac = _parabolic_vertex(ym1.mean(), y0.mean(), yp1.mean())
         frac = float(np.clip(frac, -1.0, 1.0))
 
@@ -219,6 +274,18 @@ class Spectra:
             v_pooled=v_pooled,
             num_degenerate=num_degenerate,
         )
+
+
+def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
+    """Add the rows of ``rows`` to ``acc`` one by one, in order.
+
+    A reduction along axis 0 adds rows to a zero start in the same
+    order, so a sum built chunk by chunk is bit-identical to
+    ``.sum(axis=0)`` of the whole array, and so to its ``.mean(axis=0)``
+    once divided by the row count.
+    """
+    for row in rows:
+        acc += row
 
 
 def _spectra(x: TraceSet | Spectra) -> Spectra:
@@ -317,17 +384,23 @@ def g2_curves(ts: TraceSet | Spectra, tau_max: float = 100e-9) -> CorrelationRep
 
     max_lag = max(4, int(round(tau_max * sp.rate)))
     lags = np.arange(-max_lag, max_lag + 1)
-    pairs = (
-        (sp.probe, sp.conj, (dc_p1 + dc_p2) * (dc_c1 + dc_c2)),
-        (sp.p1, sp.p2, dc_p1 * dc_p2),
-        (sp.c1, sp.c2, dc_c1 * dc_c2),
-    )
-    g_mean, g_sem = [], []
-    for x, y, norm in pairs:
-        # one curve at a time, keeping only the lag window of its transform
-        g = 1.0 + np.fft.irfft(np.conj(x) * y, n=n, axis=-1)[:, lags % n] / n / norm
-        g_mean.append(g.mean(axis=0))
-        g_sem.append(g.std(axis=0, ddof=1) / math.sqrt(g.shape[0]))
+    norms = ((dc_p1 + dc_p2) * (dc_c1 + dc_c2), dc_p1 * dc_p2, dc_c1 * dc_c2)
+    sets, bins = sp.probe.shape
+    rows = min(_CHUNK, sets)
+    cross = np.empty((rows, bins), dtype=complex)
+    traces = np.empty((rows, n))
+    # per-set curves, of which only the lag window of each transform is kept;
+    # set-major in memory, so the ensemble mean sums sets pairwise
+    windows = np.empty((len(norms), lags.size, sets)).transpose(0, 2, 1)
+    for lo in range(0, sets, _CHUNK):
+        hi = min(lo + _CHUNK, sets)
+        k = hi - lo
+        np.multiply(np.conj(sp.probe[lo:hi]), sp.conj[lo:hi], out=cross[:k])
+        for window, xy, norm in zip(windows, (cross[:k], *sp._cross[:, lo:hi]), norms):
+            np.fft.irfft(xy, n=n, axis=-1, out=traces[:k])
+            window[lo:hi] = 1.0 + traces[:k, lags % n] / n / norm
+    g_mean = [g.mean(axis=0) for g in windows]
+    g_sem = [g.std(axis=0, ddof=1) / math.sqrt(sets) for g in windows]
     return CorrelationReport(
         tau_grid=lags / sp.rate,
         g2_ab=g_mean[0],
@@ -369,11 +442,15 @@ def normalized_spectra(
     sql_p, sql_c, sql_diff = sp.sql()
 
     delay = sp.delay if compensate else 0.0
-    conj_used = sp.conj * _delay_ramp(sp.n, rate, delay) if delay else sp.conj
-
-    tot_p = sp.psd(sp.probe)
-    tot_c = sp.psd(sp.conj)
-    diff = sp.psd(sp.probe - conj_used)
+    ramp = _delay_ramp(sp.n, rate, delay) if delay else None
+    sets, bins = sp.probe.shape
+    sums = np.zeros((3, bins))  # |P|², |C|² and |P - C|² summed over sets
+    for lo in range(0, sets, _CHUNK):
+        probe, conj = sp.probe[lo : lo + _CHUNK], sp.conj[lo : lo + _CHUNK]
+        conj_used = conj * ramp if delay else conj
+        for total, spec in zip(sums, (probe, conj, probe - conj_used)):
+            _add_rows(total, np.abs(spec) ** 2)
+    tot_p, tot_c, diff = (_psd_from_sum(total, sets, sp.n, rate) for total in sums)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         s_p = np.where(sql_p.power > 0, tot_p.power / sql_p.power, np.nan)
@@ -460,12 +537,14 @@ def cutoff_sweep(
     if not f_hi_list:
         raise BandError("cutoff list is empty")
     sp = _spectra(ts)
-    rows = []
-    for f_hi in f_hi_list:
-        spec = FilterSpec(f_hi=float(f_hi), f_lo=f_lo, order=order)
-        stats = sp.violation_stats(_bandpass_gain(spec, sp.n, sp.rate))
-        rows.append((float(f_hi), stats["v_mean"], stats["v_sigma"]))
-    return np.array(rows)
+    gains = [
+        _bandpass_gain(FilterSpec(f_hi=float(f_hi), f_lo=f_lo, order=order), sp.n, sp.rate)
+        for f_hi in f_hi_list
+    ]
+    # every cutoff in one pass of the lag kernel
+    stats = [sp._stats(g, *covs) for g, covs in zip(gains, sp._lag_covariances(gains))]
+    return np.array([(float(f_hi), st["v_mean"], st["v_sigma"])
+                     for f_hi, st in zip(f_hi_list, stats)])
 
 
 def filtered_violation(ts: TraceSet | Spectra, spec: FilterSpec) -> dict:

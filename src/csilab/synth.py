@@ -37,6 +37,21 @@ def _thread_count() -> int:
     return max(1, n)
 
 
+def _run_strided(run, items) -> None:
+    """Call run on every item, split over CSILAB_THREADS worker threads.
+
+    Worker t gets items t, t + threads, ...; with one thread run gets
+    them all.  Callers keep results bit-identical by having each item
+    write only its own outputs, with per-worker scratch.
+    """
+    threads = min(_thread_count(), len(items))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, [items[t::threads] for t in range(threads)]))
+    else:
+        run(items)
+
+
 @dataclass(frozen=True)
 class AcquisitionConfig:
     """Digitizer settings; defaults match a 1 GS/s 9-bit acquisition."""
@@ -320,13 +335,7 @@ def synthesize(model: CsdModel, acq: AcquisitionConfig) -> TraceSet:
                                                 acq.adc_bits, acq.full_scale)
             clipped[i] = n_clipped
 
-    threads = min(_thread_count(), acq.num_sets)
-    if threads > 1:
-        # thread t takes sets t, t + threads, ...; each set has its own seed
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_sets, [range(acq.num_sets)[t::threads] for t in range(threads)]))
-    else:
-        run_sets(range(acq.num_sets))
+    _run_strided(run_sets, range(acq.num_sets))  # each set has its own seed
 
     _warn_clipping(int(clipped.sum()), codes.size, stacklevel=2)
     dc_means = np.array(

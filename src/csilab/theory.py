@@ -536,6 +536,21 @@ def spectral_model(
     photon-number DC ratio differs from the carrier ratio G : G-1 by the
     single fluorescence photon).
     """
+    numbers = dict(
+        bandwidth=bandwidth,
+        delay=delay,
+        eta=eta,
+        probe_dc=probe_dc,
+        conj_dc=conj_dc,
+        carrier_detuning=carrier_detuning,
+        delay_dispersion=delay_dispersion,
+        dispersion_corner_hz=dispersion_corner_hz,
+        dispersion_cutoff_hz=dispersion_cutoff_hz,
+    )
+    for name, value in numbers.items():
+        # a NaN slips through every range check below
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if bandwidth <= 0.0:
         raise DomainError(f"gain bandwidth must be > 0, got {bandwidth}")
     if not (0.0 < eta <= 1.0):

@@ -79,7 +79,7 @@ def test_non_finite_config_number_writes_nothing(tmp_path, capsys, command, line
     target = ["--out", str(out / "t.cstf")] if command == "simulate" else ["--out", str(out)]
     assert run(command, "--config", str(cfg), "--sets", "2", *target) == 2
     assert "finite" in capsys.readouterr().err
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_simulate_missing_config_is_io_error(tmp_path):
@@ -114,9 +114,9 @@ def test_analyze_truncated_file(tmp_path, g10_file, capsys):
     assert not (tmp_path / "rep").exists()  # nothing written on failure
 
 
-@pytest.mark.parametrize("samples", [16, 64])
+@pytest.mark.parametrize("samples", [16, 64, 65, 66])
 def test_analyze_short_sets_is_config_error(tmp_path, capsys, samples):
-    """Sets no longer than 2 * EDGE_GUARD leave no window to correlate."""
+    """Sets that keep fewer than 3 samples after the EDGE_GUARD trim are refused."""
     cfg = tmp_path / "short.ini"
     cfg.write_text("[scenario]\npreset = G10_IDEAL\n"
                    f"[acquisition]\nsamples_per_set = {samples}\n")
@@ -125,7 +125,9 @@ def test_analyze_short_sets_is_config_error(tmp_path, capsys, samples):
     capsys.readouterr()
     rc = run("analyze", str(trace), "--config", "G10_IDEAL", "--out", str(tmp_path / "r"))
     assert rc == 2
-    assert f"{samples} samples per set" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{samples} samples per set" in err
+    assert f"window of {max(samples - 64, 0)} " in err and "samples_per_set" in err
 
 
 def _rewrite_header(path, offset, fmt, value):

@@ -1,13 +1,19 @@
 """Estimator checks against synthesized traces with known statistics."""
 
 import dataclasses
+import os
+import sys
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csilab import estimators
-from csilab.dsp import FilterSpec
+from csilab.dsp import FilterSpec, _bandpass_gain
 from csilab.errors import BandError, ConfigError, DcMissing, DegenerateSet
 from csilab.estimators import (
     Spectra,
@@ -231,11 +237,20 @@ class TestViolationFactor:
         with pytest.raises(DcMissing):
             Spectra(broken)
 
-    @pytest.mark.parametrize("samples", [16, 64])
+    @pytest.mark.parametrize("samples", [16, 64, 65, 66])
     def test_sets_within_the_edge_guard_raise(self, samples):
+        # lags -1, 0 and +1 need three distinct samples in the trimmed window
         ts = coherent_traces(AcquisitionConfig(num_sets=4, samples_per_set=samples))
-        with pytest.raises(ConfigError, match=f"{samples} samples per set"):
+        with pytest.raises(ConfigError, match=f"{samples} samples per set") as err:
             Spectra(ts)
+        assert f"window of {max(samples - 2 * estimators.EDGE_GUARD, 0)} " in str(err.value)
+        assert "samples_per_set" in str(err.value)
+
+    def test_three_trimmed_samples_are_enough(self):
+        samples = 2 * estimators.EDGE_GUARD + 3
+        ts = coherent_traces(AcquisitionConfig(num_sets=4, samples_per_set=samples))
+        covs = Spectra(ts)._lag_covariances([None])
+        assert covs.shape == (1, 3, 4) and np.all(np.isfinite(covs))
 
 
 class TestLossInvariance:
@@ -399,3 +414,72 @@ class TestSharedSpectra:
         assert (sp.delay, sp.delay_fallback) == (0.0, True)
         stats = filtered_violation(sp, FilterSpec(f_hi=12e6, f_lo=5e5, order=10))
         assert stats["delay_fallback"]
+
+
+def _every_estimate(ts):
+    """Results of each chunked estimator on a Spectra of ts; a raised
+    DegenerateSet stands in for its result."""
+    sp = Spectra(ts)
+    gain = _bandpass_gain(FilterSpec(f_hi=12e6, f_lo=2e6, order=10), sp.n, sp.rate)
+    calls = [
+        lambda: tuple(sp.violation_stats(g) for g in (None, gain)),
+        lambda: cutoff_sweep(sp, [4e6, 12e6, 30e6]),
+        lambda: g2_curves(sp, tau_max=40e-9),
+        lambda: normalized_spectra(sp),
+        lambda: normalized_spectra(sp, compensate=False),
+    ]
+    results = [(sp.delay, sp.delay_fallback)]
+    for call in calls:
+        try:
+            results.append(call())
+        except DegenerateSet as exc:
+            results.append(str(exc))
+    return results
+
+
+class TestChunkedAnalysis:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        num_sets=st.integers(min_value=2, max_value=40),
+        samples=st.sampled_from([1024, 1537, 8500]),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        chunk=st.sampled_from([1, 3, 16, None]),
+        threads=st.sampled_from([None, "1", "2", "3"]),
+    )
+    def test_results_independent_of_chunk_and_threads(self, num_sets, samples, seed,
+                                                     chunk, threads):
+        """Sets are transformed, summed and correlated a chunk at a time, the
+        lag kernel's chunks spread over threads; neither the chunk size nor
+        the thread count may change a single bit of any estimate."""
+        acq = AcquisitionConfig(num_sets=num_sets, samples_per_set=samples, rng_seed=seed)
+        ts = synthesize(g10_model(), acq)
+        interval = sys.getswitchinterval()
+        with mock.patch.dict(os.environ):
+            os.environ.pop("CSILAB_THREADS", None)
+            with mock.patch.object(estimators, "_CHUNK", num_sets + 1):
+                whole = _every_estimate(ts)  # one chunk: the ensemble at once
+            if threads is not None:
+                os.environ["CSILAB_THREADS"] = threads
+            sys.setswitchinterval(1e-6)  # switch threads as often as possible
+            try:
+                with mock.patch.object(estimators, "_CHUNK", chunk or num_sets + 1):
+                    chunked = _every_estimate(ts)
+            finally:
+                sys.setswitchinterval(interval)
+        assert_identical(tuple(chunked), tuple(whole))
+
+    def test_sweep_allocates_less_than_one_ensemble_spectrum(self, ts_g10, monkeypatch):
+        """A 15-cutoff sweep works in per-chunk scratch: it never holds a
+        (sets, bins) array, let alone one per cutoff."""
+        monkeypatch.delenv("CSILAB_THREADS", raising=False)
+        sp = Spectra(subset(ts_g10, 64))
+        cutoffs = [f * 1e6 for f in range(1, 16)]
+        cutoff_sweep(sp, cutoffs[:1])  # leave numpy's first-call set-up out
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cutoff_sweep(sp, cutoffs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < sp.probe.nbytes

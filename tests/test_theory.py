@@ -338,6 +338,17 @@ class TestSpectralModel:
         assert s_swung[1] > s_flat[1] + 0.5  # residual phase kills the cross term
         assert s_swung[2] == pytest.approx(s_flat[2], abs=1e-4)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [
+        "bandwidth", "delay", "eta", "probe_dc", "conj_dc", "carrier_detuning",
+        "delay_dispersion", "dispersion_corner_hz", "dispersion_cutoff_hz",
+    ])
+    def test_non_finite_parameter_names_field(self, field, value):
+        kw = dict(bandwidth=20e6, delay_dispersion=1e-9, dispersion_corner_hz=5e6)
+        kw[field] = value
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            spectral_model(SqueezeParams.from_gain(10.0, alpha=100.0), **kw)
+
     def test_dispersion_validation(self):
         p = SqueezeParams.from_gain(10.0, alpha=100.0)
         with pytest.raises(DomainError):
