@@ -45,7 +45,6 @@ from .theory import (
     db,
     g2_ideal,
     mean_photon_numbers,
-    spectral_model,
     squeezing_ideal,
     violation_factor_ideal,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "preset_names",
     "psd_estimate",
     "read_tracefile",
-    "spectral_model",
     "squeezing_ideal",
     "synthesize",
     "violation_factor_ideal",

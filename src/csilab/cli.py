@@ -104,7 +104,7 @@ def _analyze(outdir, sc: Scenario, ts, compensate: bool):
     rep = normalized_spectra(sp, compensate=compensate, band=a.spectra_band,
                              smooth_hz=a.smooth_hz)
     band = (a.bandpass.f_lo, a.bandpass.f_hi)
-    lhs, rhs, classical = csi_frequency_test(rep, ts, band)
+    lhs, rhs, classical = csi_frequency_test(rep, sp, band)
     curves = g2_curves(sp, a.tau_max)
 
     verdict = "CSI VIOLATED" if stats["violated"] else "CSI NOT VIOLATED"

@@ -293,11 +293,15 @@ def _spectra(x: TraceSet | Spectra) -> Spectra:
 
 
 def _band_mask(f: np.ndarray, band: tuple[float, float]) -> np.ndarray:
-    """Bins of the grid f inside band; BandError when band leaves the grid."""
+    """Bins of the grid f inside band; BandError when band leaves the grid
+    or holds no bin of it."""
     lo, hi = band
     if lo < f[0] or hi > f[-1]:
         raise BandError(f"band {band} exceeds the data grid [{f[0]}, {f[-1]}]")
-    return (f >= lo) & (f <= hi)
+    sel = (f >= lo) & (f <= hi)
+    if not sel.any():
+        raise BandError(f"band {band} holds no frequency bin")
+    return sel
 
 
 def _circular_covariances(x: np.ndarray, y: np.ndarray):
@@ -501,17 +505,21 @@ def normalized_spectra(
     )
 
 
-def csi_frequency_test(report: SpectraReport, ts: TraceSet, band: tuple[float, float]):
+def csi_frequency_test(
+    report: SpectraReport, ts: TraceSet | Spectra, band: tuple[float, float]
+):
     """Spectral form of the CSI verdict over an analysis band.
 
     lhs integrates the SQL-normalized intensity-difference excess; rhs is
     the beam-asymmetry weight (difference over sum of the DC currents)
     times the integrated difference of the two beams' normalized excess.
     Classical states satisfy lhs >= rhs; lhs < rhs certifies a violation.
-    Returns (lhs, rhs, satisfied_classically).
+    Returns (lhs, rhs, satisfied_classically).  ``ts`` supplies only the
+    DC means, so a TraceSet is read as it is, without a Spectra.
     """
-    dc_p = ts.dc("p1") + ts.dc("p2")
-    dc_c = ts.dc("c1") + ts.dc("c2")
+    dc = ts.dc if isinstance(ts, Spectra) else ts.dc_means
+    dc_p = float(dc[0]) + float(dc[1])
+    dc_c = float(dc[2]) + float(dc[3])
     f = report.frequencies
     sel = _band_mask(f, band)
     fsel = f[sel]

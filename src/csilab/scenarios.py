@@ -1,7 +1,8 @@
 """Scenario presets and INI configuration loading.
 
 A Scenario bundles everything one measurement run needs: the source
-model, the digitizer settings and the analysis band. The shipped
+model (a :class:`~csilab.theory.CsdModel`, which checks its own
+parameters), the digitizer settings and the analysis band. The shipped
 presets are tuned to reference scalar targets (violation factors,
 squeezing depth and bandwidth, cutoff-sweep behavior); the
 excess-noise and dispersion numbers in them are calibration knobs, not
@@ -24,7 +25,9 @@ Configuration files use INI syntax with unit-suffixed keys::
 
 Any key accepted in a section can be omitted; it falls back to the
 preset named under [scenario], or to the G10 values when no preset is
-given.
+given. ``_DEFAULTS`` lists every key of every section; a key whose
+default is an integer takes integer values (hex included), every other
+key a finite float.
 """
 
 import configparser
@@ -34,13 +37,7 @@ from dataclasses import dataclass
 from .dsp import FilterSpec
 from .errors import ConfigError
 from .synth import AcquisitionConfig
-from .theory import (
-    CsdModel,
-    ExcessNoiseSpec,
-    SqueezeParams,
-    TechnicalNoiseSpec,
-    spectral_model,
-)
+from .theory import CsdModel, ExcessNoiseSpec, SqueezeParams, TechnicalNoiseSpec
 
 
 @dataclass(frozen=True)
@@ -52,6 +49,15 @@ class AnalysisSettings:
     tau_max: float = 100e-9
     smooth_hz: float = 1.5e6
 
+    def __post_init__(self):
+        lo, hi = self.spectra_band
+        if not (0.0 <= lo < hi):
+            raise ConfigError(f"spectra band {self.spectra_band} must satisfy 0 <= lo < hi")
+        if not self.tau_max > 0.0:
+            raise ConfigError(f"tau_max must be > 0, got {self.tau_max}")
+        if not self.smooth_hz >= 0.0:
+            raise ConfigError(f"smooth_hz must be >= 0, got {self.smooth_hz}")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -61,60 +67,50 @@ class Scenario:
     analysis: AnalysisSettings
 
 
-# Parameter tables in config-file units. These dicts are the source of
-# truth for the presets; ``load_scenario`` overlays file values on a
-# copy before the objects are built, so every key here is overridable.
+# Parameter tables in config-file units, one per INI section. These dicts
+# are the source of truth for the presets; ``load_scenario`` overlays file
+# values on a copy before the objects are built, so every key here is
+# overridable.
 
-_MODEL_DEFAULTS = {
-    "gain": 10.0,
-    "alpha": 100.0,
-    "probe_dc": 1.0,
-    "eta": 0.8,
-    "gain_bandwidth_mhz": 12.0,
-    "delay_ns": 8.0,
-    "technical_level": 2.0,
-    "technical_corner_khz": 500.0,
-    "excess_conj_level": 0.0,
-    "excess_probe_level": 0.0,
-    "excess_onset_mhz": 5.0,
-    "excess_order": 2,
-    "excess_conj_cutoff_mhz": 0.0,  # 0 disables the upper edge
-    "excess_probe_onset_mhz": 0.0,  # 0 means: share the conjugate onset
-    "excess_probe_order": 0,
-    "carrier_detuning_mhz": 0.0,
-    "delay_dispersion_ns": 0.0,
-    "dispersion_corner_mhz": 0.0,
-    "dispersion_order": 2,
-    "dispersion_cutoff_mhz": 0.0,
-}
-
-_ACQ_DEFAULTS = {
-    "sample_rate_mhz": 1000.0,
-    "samples_per_set": 10000,
-    "num_sets": 500,
-    "adc_bits": 9,
-    "full_scale": 0.0,  # 0 means: derive from the model
-    "rng_seed": 0xC51F00D,
-}
-
-_ANALYSIS_DEFAULTS = {
-    "f_lo_mhz": 0.5,
-    "f_hi_mhz": 15.0,
-    "filter_order": 10,
-    "spectra_hi_mhz": 20.0,
-    "tau_max_ns": 100.0,
-    "smooth_mhz": 1.5,
-}
-
-_INT_KEYS = {
-    "excess_order",
-    "excess_probe_order",
-    "dispersion_order",
-    "samples_per_set",
-    "num_sets",
-    "adc_bits",
-    "rng_seed",
-    "filter_order",
+_DEFAULTS = {
+    "model": {
+        "gain": 10.0,
+        "alpha": 100.0,
+        "probe_dc": 1.0,
+        "eta": 0.8,
+        "gain_bandwidth_mhz": 12.0,
+        "delay_ns": 8.0,
+        "technical_level": 2.0,
+        "technical_corner_khz": 500.0,
+        "excess_conj_level": 0.0,
+        "excess_probe_level": 0.0,
+        "excess_onset_mhz": 5.0,
+        "excess_order": 2,
+        "excess_conj_cutoff_mhz": 0.0,  # 0 disables the upper edge
+        "excess_probe_onset_mhz": 0.0,  # 0 means: share the conjugate onset
+        "excess_probe_order": 0,
+        "carrier_detuning_mhz": 0.0,
+        "delay_dispersion_ns": 0.0,
+        "dispersion_corner_mhz": 0.0,
+        "dispersion_order": 2,
+        "dispersion_cutoff_mhz": 0.0,
+    },
+    "acquisition": {
+        "sample_rate_mhz": 1000.0,
+        "samples_per_set": 10000,
+        "num_sets": 500,
+        "adc_bits": 9,
+        "full_scale": 0.0,  # 0 means: derive from the model
+        "rng_seed": 0xC51F00D,
+    },
+    "analysis": {
+        "f_lo_mhz": 0.5,
+        "f_hi_mhz": 15.0,
+        "filter_order": 10,
+        "spectra_hi_mhz": 20.0,
+        "tau_max_ns": 100.0,
+        "smooth_mhz": 1.5,
+    },
 }
 
 _PRESETS = {
@@ -190,11 +186,7 @@ def _merged_params(name: str):
             f"unknown preset {name!r}; choose from {', '.join(_PRESETS)}"
         )
     over = _PRESETS[key]
-    params = {
-        "model": {**_MODEL_DEFAULTS, **over.get("model", {})},
-        "acquisition": {**_ACQ_DEFAULTS, **over.get("acquisition", {})},
-        "analysis": {**_ANALYSIS_DEFAULTS, **over.get("analysis", {})},
-    }
+    params = {s: {**table, **over.get(s, {})} for s, table in _DEFAULTS.items()}
     return key, params
 
 
@@ -212,14 +204,14 @@ def _build(name: str, params) -> Scenario:
     technical = TechnicalNoiseSpec(
         level=m["technical_level"], corner_hz=m["technical_corner_khz"] * 1e3
     )
-    model = spectral_model(
+    model = CsdModel(
         SqueezeParams.from_gain(m["gain"], alpha=m["alpha"]),
         m["gain_bandwidth_mhz"] * 1e6,
-        probe_dc=m["probe_dc"],
         delay=m["delay_ns"] * 1e-9,
         eta=m["eta"],
         excess=excess,
         technical=technical,
+        probe_dc=m["probe_dc"],
         carrier_detuning=m["carrier_detuning_mhz"] * 1e6,
         delay_dispersion=m["delay_dispersion_ns"] * 1e-9,
         dispersion_corner_hz=m["dispersion_corner_mhz"] * 1e6,
@@ -256,7 +248,7 @@ def preset(name: str) -> Scenario:
 
 def _coerce(section: str, key: str, raw: str):
     try:
-        if key in _INT_KEYS:
+        if isinstance(_DEFAULTS[section][key], int):
             return int(raw, 0)  # base 0 so hex seeds work
         value = float(raw)
     except ValueError as exc:
@@ -285,7 +277,7 @@ def load_scenario(path) -> Scenario:
         name = cp["scenario"].get("name")
 
     key, params = _merged_params(base)
-    for section in ("model", "acquisition", "analysis"):
+    for section in _DEFAULTS:
         if not cp.has_section(section):
             continue
         table = params[section]

@@ -1,6 +1,6 @@
 """Four-channel photodetector trace synthesis.
 
-Traces realize the joint statistics of the theory cross-spectral model:
+Traces realize the joint statistics of a :class:`~csilab.theory.CsdModel`:
 each set draws complex Gaussian spectra with the per-bin 2x2 CSD imposed
 through its Hermitian square root, inverse transforms to the time domain,
 splits each beam 50/50 with the correct shot-noise partition, and
@@ -259,7 +259,7 @@ def synthesize(model: CsdModel, acq: AcquisitionConfig) -> TraceSet:
     """Generate a quantized four-channel TraceSet realizing the model.
 
     The model's DC ratio must match the photon-number ratio of its squeeze
-    parameters, as :func:`~csilab.theory.spectral_model` sets it by default.
+    parameters, as :class:`~csilab.theory.CsdModel` derives it by default.
     Each set is synthesized on a 25% longer grid and trimmed symmetrically
     so the circular wrap of the delay phase never touches the kept window.
     Per-set RNG streams come from SeedSequence(rng_seed).spawn, making the
@@ -267,17 +267,12 @@ def synthesize(model: CsdModel, acq: AcquisitionConfig) -> TraceSet:
     allocates one scratch set and reuses it for every set it synthesizes.
     """
     n_p, n_c = mean_photon_numbers(model.params)
-    if min(n_p, n_c, model.probe_dc) <= 0.0:
-        raise ConfigError(
-            f"model leaves a beam dark (n_probe={n_p}, n_conj={n_c}, "
-            f"probe_dc={model.probe_dc})"
-        )
     want = n_c / n_p
     have = model.conj_dc / model.probe_dc
     if abs(have - want) > 1e-9 * want:
         raise ConfigError(
             f"conj_dc/probe_dc = {have!r} must equal n_conj/n_probe = {want!r} "
-            "(leave conj_dc unset in spectral_model)"
+            "(leave conj_dc unset in CsdModel)"
         )
     if acq.sample_rate <= 10.0 * model.bandwidth:
         raise ConfigError(

@@ -11,8 +11,9 @@ of a Gaussian state follows from the second moments by moment factorization.
 This module collects the closed forms for the photon numbers, the zero-delay
 second-order coherences g², the fluctuation correlations eps = g² - 1, the
 violation factor V = (eps_aa + eps_bb) / (2 eps_ab) of the Cauchy-Schwarz
-bound, and a one-sided cross-spectral-density model of the two detected
-photocurrents that the trace synthesizer and the analytic predictions share.
+bound, and :class:`CsdModel`, the one-sided cross-spectral-density model of
+the two detected photocurrents that the trace synthesizer and the analytic
+predictions share.  Its fields are the one parameter list of the source.
 
 Spectral conventions
 --------------------
@@ -36,7 +37,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import astuple, dataclass, field
+import numbers
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -48,6 +50,17 @@ TWO_PI = 2.0 * math.pi
 def db(ratio):
     """Power ratio expressed in decibels."""
     return 10.0 * np.log10(ratio)
+
+
+def _check_finite(spec) -> None:
+    """DomainError naming the first non-finite number among spec's fields.
+
+    A NaN slips through every range check, so this runs before them.
+    """
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value}")
 
 
 def highpass_shape(f, corner_hz, order):
@@ -220,6 +233,7 @@ class ExcessNoiseSpec:
     probe_order: int | None = None
 
     def __post_init__(self):
+        _check_finite(self)
         if self.conj_level < 0.0 or self.probe_level < 0.0:
             raise DomainError("excess noise levels must be >= 0")
         if self.onset_hz <= 0.0:
@@ -260,6 +274,7 @@ class TechnicalNoiseSpec:
     corner_hz: float = 5e5
 
     def __post_init__(self):
+        _check_finite(self)
         if self.level < 0.0:
             raise DomainError("technical noise level must be >= 0")
         if self.corner_hz <= 0.0:
@@ -277,20 +292,50 @@ class TechnicalNoiseSpec:
 class CsdModel:
     """One-sided 2x2 cross-spectral density of the detected photocurrents.
 
-    Assembled by :func:`spectral_model`; the one source model, shared by
-    the scenarios, the trace synthesizer and the analytic band
-    predictions used to design scenarios.
+    The one source model, shared by the scenarios, the trace synthesizer
+    and the analytic band predictions used to design scenarios.  Every
+    way of building one, ``dataclasses.replace`` included, runs the
+    checks in ``__post_init__``: a non-finite or out-of-range parameter
+    raises DomainError and a dark beam DegenerateState.
+
+    Parameters
+    ----------
+    params : SqueezeParams
+        Gain and seed of the source.
+    bandwidth : float
+        Gain-line half width f_B in Hz (Lorentzian knee of G(f) - 1).
+    delay : float
+        Conjugate arrival delay in seconds (positive = conjugate later).
+    eta : float
+        Detection efficiency per beam, in (0, 1].
+    excess, technical : noise specifications, quiet by default.
+    probe_dc : float
+        Detected probe DC in arbitrary current units.
+    conj_dc : float, optional
+        Detected conjugate DC; left unset, it follows the photon-number
+        ratio n_conj / n_probe.  A derived value is stored, so a
+        ``replace`` of ``params`` or ``probe_dc`` should pass
+        ``conj_dc=None`` to derive it again.
+
+    Notes
+    -----
+    ``charge_scale``, the current per unit photon flux, is derived from
+    the mode-rate identification in the module docstring.  At line center
+    the compensated difference spectrum reproduces
+    ``squeezing_ideal(G, eta)`` to O(1/|alpha|²) when no excess or
+    technical noise is configured (the photon-number DC ratio differs
+    from the carrier ratio G : G-1 by the single fluorescence photon).
     """
 
     params: SqueezeParams
     bandwidth: float
-    delay: float
-    eta: float
-    excess: ExcessNoiseSpec
-    technical: TechnicalNoiseSpec
-    probe_dc: float
-    conj_dc: float
-    carrier_detuning: float
+    delay: float = 0.0
+    eta: float = 1.0
+    excess: ExcessNoiseSpec = ExcessNoiseSpec()
+    technical: TechnicalNoiseSpec = TechnicalNoiseSpec()
+    probe_dc: float = 1.0
+    conj_dc: float | None = None
+    carrier_detuning: float = 0.0
     # relative group-delay dispersion: the conjugate-vs-probe delay swings
     # from ``delay`` at line center by ``delay_dispersion`` past the onset
     # at ``dispersion_corner_hz``; with a cutoff set, the excursion is a
@@ -299,13 +344,45 @@ class CsdModel:
     dispersion_corner_hz: float = 0.0
     dispersion_order: int = 2
     dispersion_cutoff_hz: float | None = None
-    # derived, filled in by spectral_model
-    charge_scale: float = field(default=0.0)
+
+    def __post_init__(self):
+        _check_finite(self)
+        if self.bandwidth <= 0.0:
+            raise DomainError(f"gain bandwidth must be > 0, got {self.bandwidth}")
+        if not (0.0 < self.eta <= 1.0):
+            raise DomainError(f"eta must be in (0, 1], got {self.eta}")
+        if self.probe_dc <= 0.0:
+            raise DomainError("probe DC must be > 0")
+        if self.delay < 0.0:
+            raise DomainError("conjugate delay must be >= 0")
+        if self.delay_dispersion != 0.0 and self.dispersion_corner_hz <= 0.0:
+            raise DomainError("delay dispersion needs a positive corner frequency")
+        if self.dispersion_order < 1:
+            raise DomainError("dispersion order must be >= 1")
+        if (self.dispersion_cutoff_hz is not None
+                and self.dispersion_cutoff_hz <= self.dispersion_corner_hz):
+            raise DomainError("dispersion cutoff must sit above the corner")
+        n_p, n_c = mean_photon_numbers(self.params)
+        if n_p <= 0.0 or n_c <= 0.0:
+            raise DegenerateState(
+                "spectral model needs both beams populated; "
+                f"got n_probe={n_p}, n_conj={n_c}"
+            )
+        if self.conj_dc is None:
+            object.__setattr__(self, "conj_dc", self.probe_dc * n_c / n_p)
+        elif self.conj_dc <= 0.0:
+            raise DomainError("conjugate DC must be > 0")
 
     def digest(self) -> str:
         """Short sha1 of every field, nested specs included."""
         payload = repr(astuple(self)).encode()
         return hashlib.sha1(payload).hexdigest()[:12]
+
+    @property
+    def charge_scale(self) -> float:
+        """Current per unit photon flux; the detected flux is eta n_probe pi f_B."""
+        n_p, _ = mean_photon_numbers(self.params)
+        return self.probe_dc / (self.eta * n_p * math.pi * self.bandwidth)
 
     @property
     def sql_probe(self) -> float:
@@ -490,106 +567,3 @@ class CsdModel:
         var_p = np.trapezoid((s_p + 1.0) * self.sql_probe, freqs) / 4.0
         var_c = np.trapezoid((s_c + 1.0) * self.sql_conj, freqs) / 4.0
         return float(var_p), float(var_c)
-
-
-def spectral_model(
-    params: SqueezeParams,
-    bandwidth: float,
-    *,
-    delay: float = 0.0,
-    eta: float = 1.0,
-    excess: ExcessNoiseSpec | None = None,
-    technical: TechnicalNoiseSpec | None = None,
-    probe_dc: float = 1.0,
-    conj_dc: float | None = None,
-    carrier_detuning: float = 0.0,
-    delay_dispersion: float = 0.0,
-    dispersion_corner_hz: float = 0.0,
-    dispersion_order: int = 2,
-    dispersion_cutoff_hz: float | None = None,
-) -> CsdModel:
-    """Assemble the photocurrent cross-spectral-density model.
-
-    Parameters
-    ----------
-    params : SqueezeParams
-        Gain and seed of the source.
-    bandwidth : float
-        Gain-line half width f_B in Hz (Lorentzian knee of G(f) - 1).
-    delay : float
-        Conjugate arrival delay in seconds (positive = conjugate later).
-    eta : float
-        Detection efficiency per beam, in (0, 1].
-    excess, technical : noise specifications, quiet by default.
-    probe_dc : float
-        Detected probe DC in arbitrary current units; the conjugate DC
-        follows the photon-number ratio unless given explicitly.
-
-    Notes
-    -----
-    The shot-noise scale is fixed by identifying the seed's photon flux
-    with |alpha|² photons per temporal mode at a mode rate pi * f_B, which
-    makes the frequency-integrated per-beam excess power match the
-    single-mode eps values for bright seeds.  At line center the
-    compensated difference spectrum reproduces ``squeezing_ideal(G, eta)``
-    to O(1/|alpha|²) when no excess or technical noise is configured (the
-    photon-number DC ratio differs from the carrier ratio G : G-1 by the
-    single fluorescence photon).
-    """
-    numbers = dict(
-        bandwidth=bandwidth,
-        delay=delay,
-        eta=eta,
-        probe_dc=probe_dc,
-        conj_dc=conj_dc,
-        carrier_detuning=carrier_detuning,
-        delay_dispersion=delay_dispersion,
-        dispersion_corner_hz=dispersion_corner_hz,
-        dispersion_cutoff_hz=dispersion_cutoff_hz,
-    )
-    for name, value in numbers.items():
-        # a NaN slips through every range check below
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-    if bandwidth <= 0.0:
-        raise DomainError(f"gain bandwidth must be > 0, got {bandwidth}")
-    if not (0.0 < eta <= 1.0):
-        raise DomainError(f"eta must be in (0, 1], got {eta}")
-    if probe_dc <= 0.0:
-        raise DomainError("probe DC must be > 0")
-    if delay < 0.0:
-        raise DomainError("conjugate delay must be >= 0")
-    if delay_dispersion != 0.0 and dispersion_corner_hz <= 0.0:
-        raise DomainError("delay dispersion needs a positive corner frequency")
-    if dispersion_order < 1:
-        raise DomainError("dispersion order must be >= 1")
-    if dispersion_cutoff_hz is not None and dispersion_cutoff_hz <= dispersion_corner_hz:
-        raise DomainError("dispersion cutoff must sit above the corner")
-    n_p, n_c = mean_photon_numbers(params)
-    if n_p <= 0.0 or n_c <= 0.0:
-        raise DegenerateState(
-            "spectral model needs both beams populated; "
-            f"got n_probe={n_p}, n_conj={n_c}"
-        )
-    if conj_dc is None:
-        conj_dc = probe_dc * n_c / n_p
-    elif conj_dc <= 0.0:
-        raise DomainError("conjugate DC must be > 0")
-    # current per photon flux: detected flux is eta * n * (pi f_B)
-    q = probe_dc / (eta * n_p * math.pi * bandwidth)
-    return CsdModel(
-        params=params,
-        bandwidth=float(bandwidth),
-        delay=float(delay),
-        eta=float(eta),
-        excess=excess or ExcessNoiseSpec(),
-        technical=technical or TechnicalNoiseSpec(),
-        probe_dc=float(probe_dc),
-        conj_dc=float(conj_dc),
-        carrier_detuning=float(carrier_detuning),
-        delay_dispersion=float(delay_dispersion),
-        dispersion_corner_hz=float(dispersion_corner_hz),
-        dispersion_order=int(dispersion_order),
-        dispersion_cutoff_hz=dispersion_cutoff_hz,
-        charge_scale=q,
-    )

@@ -82,6 +82,15 @@ def test_non_finite_config_number_writes_nothing(tmp_path, capsys, command, line
     assert not out.exists()
 
 
+def test_inverted_spectra_band_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[analysis]\nspectra_hi_mhz = 0.3\n")  # below f_lo = 0.5 MHz
+    out = tmp_path / "out"
+    assert run("report", "--config", str(cfg), "--sets", "2", "--out", str(out)) == 2
+    assert "spectra band" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_missing_config_is_io_error(tmp_path):
     rc = run("simulate", "--config", str(tmp_path / "absent.ini"),
              "--out", str(tmp_path / "x.cstf"))

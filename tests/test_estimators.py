@@ -32,14 +32,14 @@ from csilab.synth import (
     split_and_detect,
     synthesize,
 )
-from csilab.theory import ExcessNoiseSpec, SqueezeParams, spectral_model
+from csilab.theory import CsdModel, ExcessNoiseSpec, SqueezeParams
 
 
 def g10_model(**kwargs):
     kwargs.setdefault("delay", 8e-9)
     kwargs.setdefault("eta", 0.8)
     kwargs.setdefault("excess", ExcessNoiseSpec(conj_level=3.0))
-    return spectral_model(
+    return CsdModel(
         SqueezeParams.from_gain(10.0, alpha=100.0), 20e6, probe_dc=1.0, **kwargs
     )
 
@@ -308,6 +308,12 @@ class TestSpectra:
         with pytest.raises(BandError):
             normalized_spectra(ts_g10, band=(500e3, 2e9))
 
+    @pytest.mark.parametrize("band", [(15e6, 5e5), (1.00001e6, 1.00002e6)],
+                             ids=["inverted", "between_bins"])
+    def test_band_without_bins_raises(self, ts_g10, band):
+        with pytest.raises(BandError, match="no frequency bin"):
+            normalized_spectra(subset(ts_g10, 8), band=band)
+
 
 class TestCsiFrequencyTest:
     def test_quiet_band_flags_violation(self, ts_g10):
@@ -334,6 +340,11 @@ class TestCsiFrequencyTest:
         rep = normalized_spectra(ts_g10)
         with pytest.raises(BandError):
             csi_frequency_test(rep, ts_g10, (5e5, 2e9))
+
+    def test_inverted_band_raises(self, ts_g10):
+        sp = Spectra(subset(ts_g10, 8))
+        with pytest.raises(BandError, match="no frequency bin"):
+            csi_frequency_test(normalized_spectra(sp), sp, (5e6, 5e5))
 
 
 class TestCutoffSweep:
@@ -390,6 +401,18 @@ class TestSharedSpectra:
         band = (5e5, 5e6)
         shared = csi_frequency_test(normalized_spectra(Spectra(ts40)), ts40, band)
         assert shared == csi_frequency_test(normalized_spectra(ts40), ts40, band)
+
+    def test_frequency_test_takes_spectra_or_traces(self, ts40, monkeypatch):
+        band = (5e5, 5e6)
+        sp = Spectra(ts40)
+        rep = normalized_spectra(sp)
+        from_spectra = csi_frequency_test(rep, sp, band)
+
+        def refuse(*args):
+            raise AssertionError("a TraceSet's DC means need no Spectra")
+
+        monkeypatch.setattr(estimators.Spectra, "__init__", refuse)
+        assert from_spectra == csi_frequency_test(rep, ts40, band)
 
     def test_delay_estimated_once_per_spectra(self, ts40, monkeypatch):
         calls = []

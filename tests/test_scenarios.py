@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from csilab.dsp import FilterSpec
 from csilab.errors import ConfigError
-from csilab.scenarios import load_scenario, preset, preset_names
+from csilab.scenarios import _DEFAULTS, AnalysisSettings, load_scenario, preset, preset_names
 
 
 def test_preset_names():
@@ -135,6 +136,11 @@ def test_load_disable_flags(tmp_path):
         ("[scenario]\npreset = NOPE\n", "unknown preset"),
         ("[scenario]\nflavor = hot\n", "unknown \\[scenario\\] keys"),
         ("[model]\ngain = ten\n", "not a number"),
+        ("[acquisition]\nnum_sets = 2.5\n", "not a number"),
+        ("[analysis]\nspectra_hi_mhz = 0.3\n", "spectra band"),  # below f_lo
+        ("[analysis]\nspectra_hi_mhz = 0.5\n", "spectra band"),  # equal to f_lo
+        ("[analysis]\ntau_max_ns = 0\n", "tau_max"),
+        ("[analysis]\nsmooth_mhz = -0.5\n", "smooth_hz"),
     ],
 )
 def test_load_rejects(tmp_path, text, fragment):
@@ -146,3 +152,71 @@ def test_load_rejects(tmp_path, text, fragment):
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_scenario(tmp_path / "absent.ini")
+
+
+# a new valid value for every INI key, as an overlay on the G2 preset (its
+# dispersion is on, so the dispersion keys can move on their own)
+_BUMPS = {
+    ("model", "gain"): "5",
+    ("model", "alpha"): "50",
+    ("model", "probe_dc"): "2",
+    ("model", "eta"): "0.6",
+    ("model", "gain_bandwidth_mhz"): "10",
+    ("model", "delay_ns"): "5",
+    ("model", "technical_level"): "1",
+    ("model", "technical_corner_khz"): "300",
+    ("model", "excess_conj_level"): "1.5",
+    ("model", "excess_probe_level"): "0.3",
+    ("model", "excess_onset_mhz"): "4",
+    ("model", "excess_order"): "3",
+    ("model", "excess_conj_cutoff_mhz"): "9",
+    ("model", "excess_probe_onset_mhz"): "10",
+    ("model", "excess_probe_order"): "3",
+    ("model", "carrier_detuning_mhz"): "2",
+    ("model", "delay_dispersion_ns"): "40",
+    ("model", "dispersion_corner_mhz"): "5",
+    ("model", "dispersion_order"): "4",
+    ("model", "dispersion_cutoff_mhz"): "9",
+    ("acquisition", "sample_rate_mhz"): "800",
+    ("acquisition", "samples_per_set"): "4096",
+    ("acquisition", "num_sets"): "40",
+    ("acquisition", "adc_bits"): "12",
+    ("acquisition", "full_scale"): "2.5",
+    ("acquisition", "rng_seed"): "0x1234",
+    ("analysis", "f_lo_mhz"): "1",
+    ("analysis", "f_hi_mhz"): "12",
+    ("analysis", "filter_order"): "8",
+    ("analysis", "spectra_hi_mhz"): "18",
+    ("analysis", "tau_max_ns"): "50",
+    ("analysis", "smooth_mhz"): "2",
+}
+
+
+def test_bumps_cover_every_key():
+    assert set(_BUMPS) == {(s, k) for s, table in _DEFAULTS.items() for k in table}
+    assert len(_BUMPS) == 32
+
+
+@pytest.mark.parametrize("section, key", list(_BUMPS), ids=[k for _, k in _BUMPS])
+def test_every_key_reaches_the_scenario(tmp_path, section, key):
+    plain = load_scenario(_write(tmp_path, "[scenario]\npreset = G2\n"))
+    text = f"[scenario]\npreset = G2\n[{section}]\n{key} = {_BUMPS[section, key]}\n"
+    assert load_scenario(_write(tmp_path, text)) != plain
+
+
+def test_integer_keys_are_those_with_integer_defaults():
+    ints = {k for table in _DEFAULTS.values() for k, v in table.items() if isinstance(v, int)}
+    assert ints == {"excess_order", "excess_probe_order", "dispersion_order", "samples_per_set",
+                    "num_sets", "adc_bits", "rng_seed", "filter_order"}
+
+
+@pytest.mark.parametrize("kw", [
+    dict(spectra_band=(-1.0, 20e6)),
+    dict(spectra_band=(20e6, 5e5)),
+    dict(spectra_band=(5e5, float("nan"))),
+    dict(tau_max=-1e-9),
+    dict(smooth_hz=float("nan")),
+])
+def test_analysis_settings_validate(kw):
+    with pytest.raises(ConfigError):
+        AnalysisSettings(bandpass=FilterSpec(f_hi=15e6), **{"spectra_band": (5e5, 20e6), **kw})

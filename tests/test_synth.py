@@ -25,13 +25,13 @@ from csilab.synth import (
     suggest_full_scale,
     synthesize,
 )
-from csilab.theory import ExcessNoiseSpec, SqueezeParams, spectral_model
+from csilab.theory import CsdModel, ExcessNoiseSpec, SqueezeParams
 
 RATE = 1e9
 
 
 def model_g10(delay=8e-9, eta=0.8, **kw):
-    return spectral_model(
+    return CsdModel(
         SqueezeParams.from_gain(10.0, alpha=100.0),
         20e6,
         probe_dc=1.0,
@@ -349,7 +349,7 @@ class TestLossHook:
 class TestValidation:
     def test_dc_ratio_enforced(self):
         sq = SqueezeParams.from_gain(10.0, alpha=100.0)
-        off_ratio = spectral_model(sq, 20e6, probe_dc=1.0, conj_dc=1.0)  # should be ~0.9
+        off_ratio = CsdModel(sq, 20e6, probe_dc=1.0, conj_dc=1.0)  # should be ~0.9
         with pytest.raises(ConfigError, match="conj_dc/probe_dc"):
             synthesize(off_ratio, small_acq(num_sets=2))
 

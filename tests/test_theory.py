@@ -15,7 +15,6 @@ from csilab.theory import (
     db,
     g2_ideal,
     mean_photon_numbers,
-    spectral_model,
     squeezing_ideal,
     violation_factor_ideal,
 )
@@ -112,11 +111,27 @@ def test_noise_spec_shapes():
     assert tech.shape(5e6) < 0.05
 
 
+# every number-valued field of the model and of its nested noise specs; a
+# model field keeps its bare name as the test id
+_NUMBER_FIELDS = [
+    pytest.param(spec, f.name,
+                 id=f.name if isinstance(spec, CsdModel) else f"{type(spec).__name__}.{f.name}")
+    for spec in (
+        CsdModel(SqueezeParams.from_gain(10.0, alpha=100.0), 20e6,
+                 delay_dispersion=1e-9, dispersion_corner_hz=5e6),
+        ExcessNoiseSpec(),
+        TechnicalNoiseSpec(),
+    )
+    for f in dataclasses.fields(spec)
+    if not dataclasses.is_dataclass(getattr(spec, f.name))
+]
+
+
 class TestSpectralModel:
     def model(self, gain=10.0, nbar=1e4, **kw):
         p = SqueezeParams.from_gain(gain, alpha=math.sqrt(nbar))
         kw.setdefault("bandwidth", 20e6)
-        return spectral_model(p, **kw)
+        return CsdModel(p, **kw)
 
     def test_dc_ratio_follows_photon_numbers(self):
         m = self.model(probe_dc=3.0)
@@ -224,13 +239,13 @@ class TestSpectralModel:
     def test_model_validation(self):
         p = SqueezeParams.from_gain(10.0, alpha=100.0)
         with pytest.raises(DomainError):
-            spectral_model(p, bandwidth=-1.0)
+            CsdModel(p, bandwidth=-1.0)
         with pytest.raises(DomainError):
-            spectral_model(p, bandwidth=20e6, eta=1.2)
+            CsdModel(p, bandwidth=20e6, eta=1.2)
         with pytest.raises(DomainError):
-            spectral_model(p, bandwidth=20e6, probe_dc=0.0)
+            CsdModel(p, bandwidth=20e6, probe_dc=0.0)
         with pytest.raises(DegenerateState):
-            spectral_model(SqueezeParams(s=0.0, alpha=1.0), bandwidth=20e6)
+            CsdModel(SqueezeParams(s=0.0, alpha=1.0), bandwidth=20e6)
 
     def test_channel_variances_positive_and_ordered(self):
         m = self.model(probe_dc=2.0)
@@ -339,20 +354,22 @@ class TestSpectralModel:
         assert s_swung[2] == pytest.approx(s_flat[2], abs=1e-4)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", [
-        "bandwidth", "delay", "eta", "probe_dc", "conj_dc", "carrier_detuning",
-        "delay_dispersion", "dispersion_corner_hz", "dispersion_cutoff_hz",
-    ])
-    def test_non_finite_parameter_names_field(self, field, value):
-        kw = dict(bandwidth=20e6, delay_dispersion=1e-9, dispersion_corner_hz=5e6)
-        kw[field] = value
-        with pytest.raises(DomainError, match=f"{field} must be finite"):
-            spectral_model(SqueezeParams.from_gain(10.0, alpha=100.0), **kw)
+    @pytest.mark.parametrize("spec, field", _NUMBER_FIELDS)
+    def test_non_finite_parameter_names_field(self, spec, field, value):
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            dataclasses.replace(spec, **{field: value})
+
+    def test_replace_rederives_and_rechecks(self):
+        base = self.model(delay=8e-9, eta=0.8)
+        fresh = self.model(delay=8e-9, eta=0.4)
+        assert dataclasses.replace(base, eta=0.4).charge_scale == fresh.charge_scale
+        with pytest.raises(DomainError, match="eta"):
+            dataclasses.replace(base, eta=1.7)
 
     def test_dispersion_validation(self):
         p = SqueezeParams.from_gain(10.0, alpha=100.0)
         with pytest.raises(DomainError):
-            spectral_model(
+            CsdModel(
                 p,
                 bandwidth=20e6,
                 delay_dispersion=10e-9,
@@ -364,12 +381,12 @@ class TestSpectralModel:
 def _bumped(value):
     """A different valid value for one model field."""
     if value is None:
-        return 7e6  # above every default onset and corner
+        return 7e6  # above every onset and corner of the digest model
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
         return value + 1
-    return value * 2.0 + 1.0
+    return value * 0.5 if value else 1.0  # halving keeps eta in (0, 1]
 
 
 def _perturbations(obj):
@@ -384,16 +401,16 @@ def _perturbations(obj):
 
 
 def test_digest_covers_every_field():
-    base = spectral_model(
-        SqueezeParams.from_gain(10.0, alpha=100.0), 12e6, delay=8e-9, eta=0.8
-    )
-    assert base.digest() == spectral_model(
-        SqueezeParams.from_gain(10.0, alpha=100.0), 12e6, delay=8e-9, eta=0.8
-    ).digest()
+    def model():
+        # dispersion on, so bumping delay_dispersion leaves a valid model
+        return CsdModel(SqueezeParams.from_gain(10.0, alpha=100.0), 12e6, delay=8e-9,
+                        eta=0.8, delay_dispersion=20e-9, dispersion_corner_hz=5e6)
+
+    base = model()
+    assert base.digest() == model().digest()
     seen = set()
     for name, variant in _perturbations(base):
         seen.add(name)
         assert variant.digest() != base.digest(), name
     # the walk reached into every nested spec
-    assert {"params.alpha", "excess.probe_order", "technical.corner_hz",
-            "charge_scale"} <= seen
+    assert {"params.alpha", "excess.probe_order", "technical.corner_hz"} <= seen
