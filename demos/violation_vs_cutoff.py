@@ -17,13 +17,13 @@ import numpy as np
 from csilab import cutoff_sweep, preset, synthesize, violation_factor_ideal
 
 CUTOFFS_MHZ = list(range(1, 16))
-GAINS = {"G2": 2.0, "G5": 5.0, "G8": 8.0, "G10": 10.0}
+PRESETS = ("G2", "G5", "G8", "G10")
 
 
 def main(outdir="demo_out"):
     os.makedirs(outdir, exist_ok=True)
     table = {}
-    for name in GAINS:
+    for name in PRESETS:
         sc = preset(name)
         ts = synthesize(sc.model, sc.acquisition)
         rows = cutoff_sweep(
@@ -45,7 +45,8 @@ def main(outdir="demo_out"):
         print(
             f"{name}: V({CUTOFFS_MHZ[0]} MHz) = {rows[0, 1]:.4f}, "
             f"V({CUTOFFS_MHZ[-1]} MHz) = {rows[-1, 1]:.4f} "
-            f"(bright-beam floor {violation_factor_ideal(GAINS[name]):.3f}) -> {path}"
+            f"(bright-beam floor {violation_factor_ideal(sc.model.params.gain):.3f}) "
+            f"-> {path}"
         )
 
     try:

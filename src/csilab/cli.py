@@ -20,14 +20,7 @@ import sys
 import numpy as np
 
 from ._atomic import atomic_write
-from .errors import (
-    BandError,
-    ConfigError,
-    CsilabError,
-    DomainError,
-    SpecError,
-    TraceFileError,
-)
+from .errors import CsilabError, DomainError, TraceFileError
 from .estimators import (
     Spectra,
     csi_frequency_test,
@@ -282,15 +275,12 @@ def main(argv=None) -> int:
     except TraceFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, SpecError, DomainError, BandError) as exc:
+    except CsilabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except CsilabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

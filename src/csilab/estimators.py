@@ -30,12 +30,8 @@ _CHUNK = 16  # sets transformed and correlated at a time
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """g2 curves, their eps decomposition and per-set V statistics.
-
-    v_sigma is the set-to-set standard deviation (the spread a single
-    10 us set carries); v_sem is v_sigma / sqrt(num_valid) and is what
-    the distance-to-classical count uses.
-    """
+    """Ensemble-mean g2 curves against lag, their standard errors and the
+    conjugate delay.  V statistics come from filtered_violation."""
 
     tau_grid: np.ndarray
     g2_ab: np.ndarray
@@ -44,17 +40,6 @@ class CorrelationReport:
     g2_ab_sem: np.ndarray
     g2_aa_sem: np.ndarray
     g2_bb_sem: np.ndarray
-    eps_aa: float
-    eps_bb: float
-    eps_ab_peak: float
-    v_per_set: np.ndarray
-    v_mean: float
-    v_sigma: float
-    v_sem: float
-    sigma_count: float
-    violated: bool
-    v_pooled: float
-    num_degenerate: int
     delay: float
 
 
@@ -215,65 +200,67 @@ class Spectra:
         _run_strided(run, range(0, sets, _CHUNK))
         return out
 
-    def violation_stats(self, gain: np.ndarray | None = None) -> dict:
-        """Per-set eps and V values; eps_ab at the compensated ensemble peak.
+    def _violation_stats(self, gains) -> list[dict]:
+        """Per-set eps and V statistics under each gain, from one lag-kernel pass.
 
-        ``gain`` is a bandpass |H| on the rfft grid, None for no filter.
+        A gain is a bandpass |H| on the rfft grid, None for no filter;
+        eps_ab is read at the compensated ensemble peak.  Raises
+        DegenerateSet when fewer than 2 sets carry a positive
+        cross-correlation under some gain.
         """
-        return self._stats(gain, *self._lag_covariances([gain])[0])
-
-    def _stats(self, gain, ym1, y0, yp1) -> dict:
-        """violation_stats from the lag -1, 0, +1 covariances under gain."""
         dc_p1, dc_p2, dc_c1, dc_c2 = self.dc
         dc_p = dc_p1 + dc_p2
         dc_c = dc_c1 + dc_c2
-        weights = self.weights if gain is None else self.weights * gain * gain
+        out = []
+        for gain, (ym1, y0, yp1) in zip(gains, self._lag_covariances(gains)):
+            weights = self.weights if gain is None else self.weights * gain * gain
 
-        # After compensation the peak sits at lag zero by construction, so the
-        # center lag is fixed a priori (an argmax over the window would select
-        # upward noise when the covariance is flat across neighboring lags and
-        # bias eps_ab high).  A parabola through the ensemble curve only
-        # refines the sub-sample position.
-        frac = _parabolic_vertex(ym1.mean(), y0.mean(), yp1.mean())
-        frac = float(np.clip(frac, -1.0, 1.0))
+            # After compensation the peak sits at lag zero by construction, so
+            # the center lag is fixed a priori (an argmax over the window would
+            # select upward noise when the covariance is flat across neighboring
+            # lags and bias eps_ab high).  A parabola through the ensemble curve
+            # only refines the sub-sample position.
+            frac = _parabolic_vertex(ym1.mean(), y0.mean(), yp1.mean())
+            frac = float(np.clip(frac, -1.0, 1.0))
 
-        # per-set parabola through the fixed three lags, read at the fixed vertex
-        a = 0.5 * (ym1 + yp1) - y0
-        b = 0.5 * (yp1 - ym1)
-        peak_per_set = y0 + b * frac + a * frac * frac
+            # per-set parabola through the fixed three lags, read at the fixed vertex
+            a = 0.5 * (ym1 + yp1) - y0
+            b = 0.5 * (yp1 - ym1)
+            peak_per_set = y0 + b * frac + a * frac * frac
 
-        eps_ab = peak_per_set / (dc_p * dc_c)
-        eps_aa, eps_bb = self._split_cross @ weights
-        eps_aa /= dc_p1 * dc_p2
-        eps_bb /= dc_c1 * dc_c2
+            eps_ab = peak_per_set / (dc_p * dc_c)
+            eps_aa, eps_bb = self._split_cross @ weights
+            eps_aa /= dc_p1 * dc_p2
+            eps_bb /= dc_c1 * dc_c2
 
-        valid = eps_ab > 0.0
-        num_degenerate = int(np.count_nonzero(~valid))
-        if np.count_nonzero(valid) < 2:
-            raise DegenerateSet(
-                f"only {np.count_nonzero(valid)} sets carry a positive "
-                f"cross-correlation ({num_degenerate} degenerate)"
+            valid = eps_ab > 0.0
+            num_degenerate = int(np.count_nonzero(~valid))
+            if np.count_nonzero(valid) < 2:
+                raise DegenerateSet(
+                    f"only {np.count_nonzero(valid)} sets carry a positive "
+                    f"cross-correlation ({num_degenerate} degenerate)"
+                )
+            v_per_set = (eps_aa[valid] + eps_bb[valid]) / (2.0 * eps_ab[valid])
+            v_mean = float(v_per_set.mean())
+            v_sigma = float(v_per_set.std(ddof=1))
+            v_sem = v_sigma / math.sqrt(v_per_set.size)
+            v_pooled = float(
+                (eps_aa[valid].mean() + eps_bb[valid].mean()) / (2.0 * eps_ab[valid].mean())
             )
-        v_per_set = (eps_aa[valid] + eps_bb[valid]) / (2.0 * eps_ab[valid])
-        v_mean = float(v_per_set.mean())
-        v_sigma = float(v_per_set.std(ddof=1))
-        v_sem = v_sigma / math.sqrt(v_per_set.size)
-        v_pooled = float(
-            (eps_aa[valid].mean() + eps_bb[valid].mean()) / (2.0 * eps_ab[valid].mean())
-        )
-        return dict(
-            eps_aa=float(eps_aa[valid].mean()),
-            eps_bb=float(eps_bb[valid].mean()),
-            eps_ab_peak=float(eps_ab[valid].mean()),
-            v_per_set=v_per_set,
-            v_mean=v_mean,
-            v_sigma=v_sigma,
-            v_sem=v_sem,
-            sigma_count=abs(1.0 - v_mean) / v_sem if v_sem > 0 else math.inf,
-            violated=v_mean < 1.0,
-            v_pooled=v_pooled,
-            num_degenerate=num_degenerate,
-        )
+            out.append(dict(
+                eps_aa=float(eps_aa[valid].mean()),
+                eps_bb=float(eps_bb[valid].mean()),
+                eps_ab_peak=float(eps_ab[valid].mean()),
+                v_per_set=v_per_set,
+                v_mean=v_mean,
+                v_sigma=v_sigma,
+                v_sem=v_sem,
+                sigma_count=abs(1.0 - v_mean) / v_sem if v_sem > 0 else math.inf,
+                violated=v_mean < 1.0,
+                v_pooled=v_pooled,
+                num_degenerate=num_degenerate,
+            ))
+        return out
 
 
 def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
@@ -370,26 +357,25 @@ def _delay_ramp(n: int, rate: float, delay: float) -> np.ndarray:
 
 
 def g2_curves(ts: TraceSet | Spectra, tau_max: float = 100e-9) -> CorrelationReport:
-    """Normalized intensity correlation curves with per-set V statistics.
+    """Normalized intensity correlation curves and their standard errors.
 
     The cross curve correlates the recombined beams, the autos correlate
     the two halves of one beam (shot noise cancels in both cases).  The
-    conjugate delay is estimated from the ensemble cross-covariance; the
-    cross curve is reported against the raw lag axis, while eps_ab is
-    evaluated at the delay-compensated peak.  Sets whose compensated peak
-    is not positive are excluded and counted; fewer than two raise
-    DegenerateSet.
+    cross curve is reported against the raw lag axis; ``delay`` is the
+    ensemble delay of the Spectra.  The unfiltered V statistics of the
+    same ensemble are ``filtered_violation(ts, None)``.  Fewer than two
+    sets raise DegenerateSet, since a standard error needs a spread.
     """
     sp = _spectra(ts)
-    # raises DegenerateSet before a one-set ensemble reaches the ddof=1 SEM
-    stats = sp.violation_stats()
+    sets, bins = sp.probe.shape
+    if sets < 2:
+        raise DegenerateSet(f"g2 standard errors need at least 2 sets, got {sets}")
     dc_p1, dc_p2, dc_c1, dc_c2 = sp.dc
     n = sp.n
 
     max_lag = max(4, int(round(tau_max * sp.rate)))
     lags = np.arange(-max_lag, max_lag + 1)
     norms = ((dc_p1 + dc_p2) * (dc_c1 + dc_c2), dc_p1 * dc_p2, dc_c1 * dc_c2)
-    sets, bins = sp.probe.shape
     rows = min(_CHUNK, sets)
     cross = np.empty((rows, bins), dtype=complex)
     traces = np.empty((rows, n))
@@ -414,7 +400,6 @@ def g2_curves(ts: TraceSet | Spectra, tau_max: float = 100e-9) -> CorrelationRep
         g2_aa_sem=g_sem[1],
         g2_bb_sem=g_sem[2],
         delay=sp.delay,
-        **stats,
     )
 
 
@@ -550,22 +535,27 @@ def cutoff_sweep(
         for f_hi in f_hi_list
     ]
     # every cutoff in one pass of the lag kernel
-    stats = [sp._stats(g, *covs) for g, covs in zip(gains, sp._lag_covariances(gains))]
     return np.array([(float(f_hi), st["v_mean"], st["v_sigma"])
-                     for f_hi, st in zip(f_hi_list, stats)])
+                     for f_hi, st in zip(f_hi_list, sp._violation_stats(gains))])
 
 
-def filtered_violation(ts: TraceSet | Spectra, spec: FilterSpec) -> dict:
+def filtered_violation(ts: TraceSet | Spectra, spec: FilterSpec | None) -> dict:
     """Full per-set V statistics after bandpassing all four channels.
 
-    Same filtering as one cutoff_sweep step, but returns the complete
-    stats dict (v_per_set, v_mean, v_sigma, v_sem, sigma_count, violated,
+    Same filtering as one cutoff_sweep step; ``spec=None`` leaves the
+    channels unfiltered.  Returns the eps means (eps_aa, eps_bb,
+    eps_ab_peak, the last at the delay-compensated peak) and the per-set
+    statistics (v_per_set, v_mean, v_sigma, v_sem, sigma_count, violated,
     v_pooled, num_degenerate) for verdict reporting, plus the delay and
     ``delay_fallback``, true when the cross-covariance had no significant
-    peak and the delay was taken as 0.
+    peak and the delay was taken as 0.  v_sigma is the set-to-set
+    standard deviation, v_sem = v_sigma / sqrt(sets kept) and sets whose
+    compensated peak is not positive are left out and counted; fewer
+    than two kept raise DegenerateSet.
     """
     sp = _spectra(ts)
-    stats = sp.violation_stats(_bandpass_gain(spec, sp.n, sp.rate))
+    gain = None if spec is None else _bandpass_gain(spec, sp.n, sp.rate)
+    stats = sp._violation_stats([gain])[0]
     stats["delay"] = sp.delay
     stats["delay_fallback"] = sp.delay_fallback
     return stats

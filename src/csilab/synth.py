@@ -21,7 +21,7 @@ import numpy.fft  # noqa: F401  (numpy loads these lazily; load them at import)
 import numpy.random  # noqa: F401
 
 from .errors import ClipWarning, ConfigError
-from .theory import CsdModel, mean_photon_numbers
+from .theory import CsdModel
 
 CHANNEL_NAMES = ("p1", "p2", "c1", "c2")
 
@@ -258,22 +258,12 @@ def _csd_sqrt(m: CsdModel, freqs: np.ndarray, zero_nyquist: bool):
 def synthesize(model: CsdModel, acq: AcquisitionConfig) -> TraceSet:
     """Generate a quantized four-channel TraceSet realizing the model.
 
-    The model's DC ratio must match the photon-number ratio of its squeeze
-    parameters, as :class:`~csilab.theory.CsdModel` derives it by default.
     Each set is synthesized on a 25% longer grid and trimmed symmetrically
     so the circular wrap of the delay phase never touches the kept window.
     Per-set RNG streams come from SeedSequence(rng_seed).spawn, making the
     result independent of chunk size and thread schedule.  Each worker
     allocates one scratch set and reuses it for every set it synthesizes.
     """
-    n_p, n_c = mean_photon_numbers(model.params)
-    want = n_c / n_p
-    have = model.conj_dc / model.probe_dc
-    if abs(have - want) > 1e-9 * want:
-        raise ConfigError(
-            f"conj_dc/probe_dc = {have!r} must equal n_conj/n_probe = {want!r} "
-            "(leave conj_dc unset in CsdModel)"
-        )
     if acq.sample_rate <= 10.0 * model.bandwidth:
         raise ConfigError(
             f"sample_rate {acq.sample_rate} too low to resolve the correlation "
@@ -369,7 +359,7 @@ def coherent_traces(
     if charge_scale is None:
         charge_scale = probe_dc / (100.0 * acq.sample_rate)
     dcs = (probe_dc, conj_dc)
-    sig = [math.sqrt(2.0 * charge_scale * dc * acq.sample_rate / 2.0) for dc in dcs]
+    sig = [_shot_sigma(dc, acq, charge_scale) for dc in dcs]
     if acq.full_scale is None:
         # each half: (parent + w)/2 with both at the parent SQL
         acq = replace(acq, full_scale=8.0 * max(sig) / math.sqrt(2.0))
@@ -418,8 +408,7 @@ def apply_loss(
     mix = math.sqrt(extra_eta * (1.0 - extra_eta))
     for k, name in enumerate(CHANNEL_NAMES):
         x = ts.ac(name)
-        sql = 2.0 * q * float(ts.dc_means[k])
-        w = rng.standard_normal(x.shape) * math.sqrt(sql * acq.sample_rate / 2.0)
+        w = rng.standard_normal(x.shape) * _shot_sigma(float(ts.dc_means[k]), acq, q)
         out[k] = quantize(extra_eta * x + mix * w, acq.adc_bits, acq.full_scale)
     return TraceSet(
         codes=out,

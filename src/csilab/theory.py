@@ -311,17 +311,14 @@ class CsdModel:
     excess, technical : noise specifications, quiet by default.
     probe_dc : float
         Detected probe DC in arbitrary current units.
-    conj_dc : float, optional
-        Detected conjugate DC; left unset, it follows the photon-number
-        ratio n_conj / n_probe.  A derived value is stored, so a
-        ``replace`` of ``params`` or ``probe_dc`` should pass
-        ``conj_dc=None`` to derive it again.
 
     Notes
     -----
-    ``charge_scale``, the current per unit photon flux, is derived from
-    the mode-rate identification in the module docstring.  At line center
-    the compensated difference spectrum reproduces
+    ``conj_dc``, the detected conjugate DC, follows the photon-number
+    ratio n_conj / n_probe, and ``charge_scale``, the current per unit
+    photon flux, the mode-rate identification in the module docstring;
+    both are derived properties, so a ``replace`` re-derives them.  At
+    line center the compensated difference spectrum reproduces
     ``squeezing_ideal(G, eta)`` to O(1/|alpha|²) when no excess or
     technical noise is configured (the photon-number DC ratio differs
     from the carrier ratio G : G-1 by the single fluorescence photon).
@@ -334,7 +331,6 @@ class CsdModel:
     excess: ExcessNoiseSpec = ExcessNoiseSpec()
     technical: TechnicalNoiseSpec = TechnicalNoiseSpec()
     probe_dc: float = 1.0
-    conj_dc: float | None = None
     carrier_detuning: float = 0.0
     # relative group-delay dispersion: the conjugate-vs-probe delay swings
     # from ``delay`` at line center by ``delay_dispersion`` past the onset
@@ -368,15 +364,17 @@ class CsdModel:
                 "spectral model needs both beams populated; "
                 f"got n_probe={n_p}, n_conj={n_c}"
             )
-        if self.conj_dc is None:
-            object.__setattr__(self, "conj_dc", self.probe_dc * n_c / n_p)
-        elif self.conj_dc <= 0.0:
-            raise DomainError("conjugate DC must be > 0")
 
     def digest(self) -> str:
         """Short sha1 of every field, nested specs included."""
         payload = repr(astuple(self)).encode()
         return hashlib.sha1(payload).hexdigest()[:12]
+
+    @property
+    def conj_dc(self) -> float:
+        """Detected conjugate DC, at the photon-number ratio n_conj / n_probe."""
+        n_p, n_c = mean_photon_numbers(self.params)
+        return self.probe_dc * n_c / n_p
 
     @property
     def charge_scale(self) -> float:

@@ -11,7 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
-from csilab import estimators
+from csilab import cli, errors, estimators
 from csilab._atomic import atomic_write
 from csilab.cli import _write_csv, _write_text, main
 from csilab.synth import AcquisitionConfig, coherent_traces
@@ -212,6 +212,27 @@ def test_theory_oracle_passes_where_truncation_ended_early(capsys):
 
 def test_theory_bad_gain(capsys):
     assert run("theory", "--gain", "0.5") == 2
+
+
+def _error_types(cls=errors.CsilabError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_types(sub)
+
+
+@pytest.mark.parametrize("exc", sorted(set(_error_types()), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_package_errors_map_to_exit_codes(monkeypatch, capsys, exc):
+    """A trace-container fault exits 4, every other package error 2, never
+    the 3 of an OSError."""
+
+    def fail(args):
+        raise exc("boom")
+
+    assert not issubclass(exc, OSError)
+    monkeypatch.setattr(cli, "cmd_theory", fail)
+    assert run("theory") == (4 if issubclass(exc, errors.TraceFileError) else 2)
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_report_pipeline(tmp_path, capsys):

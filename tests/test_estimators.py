@@ -96,25 +96,45 @@ class TestG2Curves:
         a = g2_curves(ts_g10, tau_max=50e-9)
         b = g2_curves(ts_g10, tau_max=50e-9)
         np.testing.assert_array_equal(a.g2_ab, b.g2_ab)
-        assert a.v_mean == b.v_mean
+        assert filtered_violation(ts_g10, None)["v_mean"] == (
+            filtered_violation(ts_g10, None)["v_mean"])
 
     def test_report_internal_consistency(self, ts_g10):
-        rep = g2_curves(ts_g10, tau_max=50e-9)
-        assert rep.num_degenerate == 0
-        assert rep.v_pooled == pytest.approx(
-            (rep.eps_aa + rep.eps_bb) / (2.0 * rep.eps_ab_peak), rel=1e-12
+        rep = filtered_violation(ts_g10, None)
+        assert rep["num_degenerate"] == 0
+        assert rep["v_pooled"] == pytest.approx(
+            (rep["eps_aa"] + rep["eps_bb"]) / (2.0 * rep["eps_ab_peak"]), rel=1e-12
         )
-        assert rep.v_sem == pytest.approx(
-            rep.v_sigma / np.sqrt(rep.v_per_set.size), rel=1e-12
+        assert rep["v_sem"] == pytest.approx(
+            rep["v_sigma"] / np.sqrt(rep["v_per_set"].size), rel=1e-12
         )
-        assert rep.sigma_count == pytest.approx(
-            abs(1.0 - rep.v_mean) / rep.v_sem, rel=1e-12
+        assert rep["sigma_count"] == pytest.approx(
+            abs(1.0 - rep["v_mean"]) / rep["v_sem"], rel=1e-12
         )
-        assert rep.violated == (rep.v_mean < 1.0)
+        assert rep["violated"] == (rep["v_mean"] < 1.0)
 
     def test_pooled_agrees_with_per_set_mean(self, ts_g10):
-        rep = g2_curves(ts_g10, tau_max=50e-9)
-        assert abs(rep.v_pooled - rep.v_mean) <= rep.v_sigma
+        rep = filtered_violation(ts_g10, None)
+        assert abs(rep["v_pooled"] - rep["v_mean"]) <= rep["v_sigma"]
+
+    def test_curves_need_no_lag_kernel(self, ts_g10, monkeypatch):
+        """Three inverse transforms per chunk, one per curve, and no V."""
+        sp = Spectra(subset(ts_g10, 40))
+        calls = []
+        irfft = np.fft.irfft
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return irfft(*args, **kwargs)
+
+        def refuse(*args):
+            raise AssertionError("g2 curves need no lag covariances")
+
+        monkeypatch.setattr(np.fft, "irfft", counted)
+        monkeypatch.setattr(Spectra, "_lag_covariances", refuse)
+        g2_curves(sp, tau_max=50e-9)
+        chunks = -(-40 // estimators._CHUNK)
+        assert len(calls) == 3 * chunks
 
 
 class TestCoherentBaseline:
@@ -185,20 +205,23 @@ class TestThermalBeam:
 
 
 class TestViolationFactor:
-    def test_matches_report_fields(self, ts_g10):
-        rep = g2_curves(ts_g10, tau_max=50e-9)
-        stats = Spectra(ts_g10).violation_stats()
-        assert stats["v_mean"] == pytest.approx(rep.v_mean, rel=1e-12)
-        assert stats["v_sigma"] == pytest.approx(rep.v_sigma, rel=1e-12)
-        assert stats["v_per_set"].size == rep.v_per_set.size
+    def test_one_pass_matches_gain_by_gain(self, ts_g10):
+        sp = Spectra(ts_g10)
+        spec = FilterSpec(f_hi=12e6, f_lo=5e5, order=10)
+        shared = sp._violation_stats([None, _bandpass_gain(spec, sp.n, sp.rate)])
+        for stats, alone in zip(shared, (filtered_violation(sp, None),
+                                         filtered_violation(sp, spec))):
+            assert stats["v_mean"] == pytest.approx(alone["v_mean"], rel=1e-12)
+            assert stats["v_sigma"] == pytest.approx(alone["v_sigma"], rel=1e-12)
+            assert stats["v_per_set"].size == alone["v_per_set"].size
 
     def test_sem_shrinks_with_set_count(self, ts_g10):
         sems = {}
         sigmas = {}
         for n in (50, 200, 500):
-            rep = g2_curves(subset(ts_g10, n), tau_max=50e-9)
-            sems[n] = rep.v_sem
-            sigmas[n] = rep.v_sigma
+            rep = filtered_violation(subset(ts_g10, n), None)
+            sems[n] = rep["v_sem"]
+            sigmas[n] = rep["v_sigma"]
         # per-set spread is a property of one set, not of the ensemble size
         assert sigmas[50] == pytest.approx(sigmas[500], rel=0.35)
         assert sigmas[200] == pytest.approx(sigmas[500], rel=0.25)
@@ -207,9 +230,9 @@ class TestViolationFactor:
         assert sems[200] / sems[500] == pytest.approx(np.sqrt(2.5), rel=0.3)
 
     def test_subset_means_consistent(self, ts_g10):
-        rep_all = g2_curves(ts_g10, tau_max=50e-9)
-        rep_50 = g2_curves(subset(ts_g10, 50), tau_max=50e-9)
-        assert abs(rep_50.v_mean - rep_all.v_mean) < 5.0 * rep_50.v_sem
+        rep_all = filtered_violation(ts_g10, None)
+        rep_50 = filtered_violation(subset(ts_g10, 50), None)
+        assert abs(rep_50["v_mean"] - rep_all["v_mean"]) < 5.0 * rep_50["v_sem"]
 
     def test_anticorrelated_beams_are_degenerate(self, ts_g10):
         ts = subset(ts_g10, 16)
@@ -218,7 +241,10 @@ class TestViolationFactor:
         codes[3] = -codes[1]
         flipped = dataclasses.replace(ts, codes=codes)
         with pytest.raises(DegenerateSet):
-            g2_curves(flipped)
+            filtered_violation(flipped, None)
+        # the curves need no positive peak: the cross curve dips below one
+        rep = g2_curves(flipped)
+        assert rep.g2_ab[np.argmin(np.abs(rep.tau_grid))] < 1.0
 
     def test_g2_curves_single_set_is_degenerate(self, ts_g10):
         with warnings.catch_warnings():
@@ -270,9 +296,10 @@ class TestLossInvariance:
 
     def test_v_mean_survives_extra_loss(self, ts_g10):
         lossy = apply_loss(ts_g10, 0.5, rng_seed=909)
-        a = g2_curves(ts_g10, tau_max=50e-9)
-        b = g2_curves(lossy, tau_max=50e-9)
-        assert abs(a.v_mean - b.v_mean) < 3.0 * np.hypot(a.v_sem, b.v_sem) + 0.01
+        a = filtered_violation(ts_g10, None)
+        b = filtered_violation(lossy, None)
+        assert abs(a["v_mean"] - b["v_mean"]) < (
+            3.0 * np.hypot(a["v_sem"], b["v_sem"]) + 0.01)
 
 
 class TestSpectra:
@@ -443,9 +470,9 @@ def _every_estimate(ts):
     """Results of each chunked estimator on a Spectra of ts; a raised
     DegenerateSet stands in for its result."""
     sp = Spectra(ts)
-    gain = _bandpass_gain(FilterSpec(f_hi=12e6, f_lo=2e6, order=10), sp.n, sp.rate)
     calls = [
-        lambda: tuple(sp.violation_stats(g) for g in (None, gain)),
+        lambda: tuple(filtered_violation(sp, spec)
+                      for spec in (None, FilterSpec(f_hi=12e6, f_lo=2e6, order=10))),
         lambda: cutoff_sweep(sp, [4e6, 12e6, 30e6]),
         lambda: g2_curves(sp, tau_max=40e-9),
         lambda: normalized_spectra(sp),

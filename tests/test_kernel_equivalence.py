@@ -66,8 +66,18 @@ def test_g2_curves_match_reference(scenario_ts):
     fast = g2_curves(ts, tau_max=60e-9)
     slow = ref.g2_curves(ts, tau_max=60e-9)
     for key in ("tau_grid", "g2_ab", "g2_aa", "g2_bb", "g2_ab_sem", "g2_aa_sem",
-                "g2_bb_sem", "delay") + STAT_KEYS:
+                "g2_bb_sem", "delay"):
         close(getattr(fast, key), slow[key])
+
+
+def test_unfiltered_violation_matches_reference(scenario_ts):
+    _, ts = scenario_ts
+    fast = filtered_violation(ts, None)
+    slow = ref.g2_curves(ts, tau_max=60e-9)
+    for key in STAT_KEYS + ("delay",):
+        close(fast[key], slow[key])
+    assert fast["num_degenerate"] == slow["num_degenerate"]
+    assert fast["violated"] == slow["violated"]
 
 
 @pytest.mark.parametrize("compensate", [True, False])

@@ -347,12 +347,6 @@ class TestLossHook:
 
 
 class TestValidation:
-    def test_dc_ratio_enforced(self):
-        sq = SqueezeParams.from_gain(10.0, alpha=100.0)
-        off_ratio = CsdModel(sq, 20e6, probe_dc=1.0, conj_dc=1.0)  # should be ~0.9
-        with pytest.raises(ConfigError, match="conj_dc/probe_dc"):
-            synthesize(off_ratio, small_acq(num_sets=2))
-
     def test_from_params_hits_ratio_exactly(self):
         m = model_g10()
         ts_ratio = m.conj_dc / m.probe_dc
