@@ -3,8 +3,10 @@
 Synthesizes the lossless flat-band preset, estimates the normalized
 second-order correlations g2_ab, g2_aa, g2_bb against lag, and writes
 them as plot-ready CSV.  The cross peak rising above the mean of the
-two autos is the nonclassical signature; the per-set violation factor
-of the unfiltered ensemble quantifies it.
+two autos is the nonclassical signature; the violation factor in the
+preset's analysis band quantifies it.  The unfiltered V is printed too,
+labelled as such: over the whole grid the cross term keeps a slow tail
+out to Nyquist, so it reads well below the band's V.
 
 The ideal preset is used because raw (unfiltered) correlation curves
 also pick up the low-frequency technical noise that rides both beams of
@@ -28,7 +30,9 @@ def main(outdir="demo_out"):
     print(f"synthesizing {sc.acquisition.num_sets} sets of {sc.name} ...")
     sp = Spectra(synthesize(sc.model, sc.acquisition))
     rep = g2_curves(sp, sc.analysis.tau_max)
-    stats = filtered_violation(sp, None)
+    band = sc.analysis.bandpass
+    stats = filtered_violation(sp, band)
+    raw = filtered_violation(sp, None)
 
     path = os.path.join(outdir, "g2_curves_ideal.csv")
     np.savetxt(
@@ -46,9 +50,11 @@ def main(outdir="demo_out"):
         f"{rep.g2_aa[mid]:.6f} / {rep.g2_bb[mid]:.6f}"
     )
     print(
-        f"V = {stats['v_mean']:.4f} +/- {stats['v_sigma']:.4f} "
+        f"V in the {band.f_lo / 1e6:g}-{band.f_hi / 1e6:g} MHz analysis band = "
+        f"{stats['v_mean']:.4f} +/- {stats['v_sigma']:.4f} "
         f"({'violated' if stats['violated'] else 'not violated'})"
     )
+    print(f"V unfiltered, over the whole grid = {raw['v_mean']:.4f} +/- {raw['v_sigma']:.4f}")
 
     try:
         import matplotlib

@@ -22,10 +22,15 @@ import numpy.ma  # noqa: F401  (np.median imports it on its first call)
 
 from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_sum
 from .errors import BandError, ConfigError, DcMissing, DegenerateSet, NoPeak
-from .synth import CHANNEL_NAMES, TraceSet, _run_strided
+from .synth import CHANNEL_NAMES, TraceSet
 
-EDGE_GUARD = 32  # samples dropped at each end after delay compensation
 _CHUNK = 16  # sets transformed and correlated at a time
+_LAG_SPAN = 10  # the delay search spans lags within n // _LAG_SPAN of zero
+_PEAK_HALF_WIDTH = 25  # lags this close to the peak are not background
+_MIN_BACKGROUND = 8  # background lags needed to judge the peak
+# a peak at one end of the 2m + 1 searched lags leaves 2m - _PEAK_HALF_WIDTH
+# background lags, more than any other position; shorter sets leave too few
+MIN_SAMPLES = _LAG_SPAN * -(-(_MIN_BACKGROUND + _PEAK_HALF_WIDTH) // 2)
 
 
 @dataclass(frozen=True)
@@ -74,17 +79,17 @@ class Spectra:
     held whole.
 
     Every estimator below is built from these rows: a bandpass is a real
-    |H| factor, delay compensation a phase ramp, zero-lag covariances
-    Parseval sums over bins, and lagged covariances come from a few
-    inverse transforms.  ``delay`` is the conjugate's ensemble delay at
-    the cross-covariance peak; without a significant peak it is 0,
-    ``delay_fallback`` is true and the conjugate stays uncompensated.
-    Build one per analysis and pass it to each estimator in place of the
-    TraceSet.
+    |H| factor, delay compensation a phase ramp, and every eps of V a
+    Parseval sum over bins, the cross term included, so no V needs an
+    inverse transform.  The g2 curves and the delay take a few.
+    ``delay`` is the conjugate's ensemble delay at the cross-covariance
+    peak; without a significant peak it is 0, ``delay_fallback`` is true
+    and the conjugate stays uncompensated.  Build one per analysis and
+    pass it to each estimator in place of the TraceSet.
 
     Raises DcMissing unless every DC mean is finite and positive, and
-    ConfigError when fewer than 3 samples of a set survive the
-    EDGE_GUARD trim.
+    ConfigError for sets shorter than MIN_SAMPLES, which leave the delay
+    search too few lags to judge a peak wherever it sits.
     """
 
     def __init__(self, ts: TraceSet):
@@ -92,13 +97,12 @@ class Spectra:
         if not np.all(np.isfinite(dc) & (dc > 0.0)):
             raise DcMissing("trace set carries no usable DC means")
         self.n = n = ts.codes.shape[2]
-        kept = n - 2 * EDGE_GUARD
-        if kept < 3:
+        if n < MIN_SAMPLES:
             raise ConfigError(
-                f"{n} samples per set leave a window of {max(kept, 0)} after "
-                f"trimming {EDGE_GUARD} at each end; the lag -1, 0 and +1 "
-                f"covariances need 3, so samples_per_set must be at least "
-                f"{2 * EDGE_GUARD + 3}"
+                f"{n} samples per set are too few for the delay search: it "
+                f"spans lags within n // {_LAG_SPAN} of zero and needs "
+                f"{_MIN_BACKGROUND} of them more than {_PEAK_HALF_WIDTH} from the "
+                f"peak, so samples_per_set must be at least {MIN_SAMPLES}"
             )
         self.rate = float(ts.acquisition.sample_rate)
         self.dc = tuple(float(v) for v in dc)
@@ -147,117 +151,71 @@ class Spectra:
 
     def _ensemble_delay(self, cross_mean: np.ndarray) -> tuple[float, bool]:
         cov = np.fft.irfft(cross_mean, n=self.n)
-        m = self.n // 10  # search lags within a tenth of the set length
+        m = self.n // _LAG_SPAN
         lags = np.arange(-m, m + 1)
         try:
             return _delay_from_covariance(lags, cov[lags % self.n] / self.n, self.rate), False
         except NoPeak:
             return 0.0, True
 
-    def _lag_covariances(self, gains) -> np.ndarray:
-        """Per-set circular covariances at lags -1, 0, +1, shape (gains, 3, sets).
-
-        For each gain (a bandpass |H| on the rfft grid, None for no
-        filter) the probe is filtered, the conjugate filtered and advanced
-        by the delay, both are inverse transformed, trimmed by EDGE_GUARD
-        and demeaned.  The chunk loop is outside the gain loop, so a
-        chunk's spectra are read while still in cache, and each worker of
-        CSILAB_THREADS reuses one scratch set for all its chunks.
-        """
-        n, g = self.n, EDGE_GUARD
-        sets, bins = self.probe.shape
-        ramp = _delay_ramp(n, self.rate, self.delay) if self.delay else None
-        out = np.empty((len(gains), 3, sets))
-        rows = min(_CHUNK, sets)
-
-        def run(starts: range) -> None:
-            spec = np.empty((rows, bins), dtype=complex)
-            shift = np.empty(bins, dtype=complex)
-            # einsum sums a lone row in another order than a stack of rows,
-            # so a one-set chunk is correlated together with a spare row
-            traces = np.zeros((2, max(rows, 2), n))
-            for lo in starts:
-                hi = min(lo + _CHUNK, sets)
-                k = hi - lo
-                win = traces[:, : max(k, 2), g:-g]
-                for j, gain in enumerate(gains):
-                    probe, conj = self.probe[lo:hi], self.conj[lo:hi]
-                    if gain is not None:
-                        probe = np.multiply(probe, gain, out=spec[:k])
-                    np.fft.irfft(probe, n=n, axis=1, out=traces[0, :k])
-                    if gain is not None and ramp is not None:
-                        factor = np.multiply(ramp, gain, out=shift)
-                    else:
-                        factor = ramp if gain is None else gain
-                    if factor is not None:
-                        conj = np.multiply(conj, factor, out=spec[:k])
-                    np.fft.irfft(conj, n=n, axis=1, out=traces[1, :k])
-                    for x in win[:, :k]:
-                        x -= x.mean(axis=1, keepdims=True)
-                    for dst, cov in zip(out[j, :, lo:hi], _circular_covariances(*win)):
-                        dst[:] = cov[:k]
-
-        _run_strided(run, range(0, sets, _CHUNK))
-        return out
+    def _probe_conj(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """conj(P) C of sets lo:hi, written into ``out`` without a temporary."""
+        np.conj(self.probe[lo:hi], out=out)
+        return np.multiply(out, self.conj[lo:hi], out=out)
 
     def _violation_stats(self, gains) -> list[dict]:
-        """Per-set eps and V statistics under each gain, from one lag-kernel pass.
+        """Per-set eps and V statistics under each gain, from one pass over the sets.
 
-        A gain is a bandpass |H| on the rfft grid, None for no filter;
-        eps_ab is read at the compensated ensemble peak.  Raises
+        A gain is a bandpass |H| on the rfft grid, None for no filter.
+        Every eps is a Parseval sum over bins weighted by |H|²: eps_aa and
+        eps_bb of the split-pair rows, eps_ab of Re(conj(P) C ramp), the
+        lag-0 covariance of the filtered beams once the conjugate is
+        advanced by the delay.  The rows are filled once and each eps is
+        one matrix product with a (bins, gains) weight matrix.  Raises
         DegenerateSet when fewer than 2 sets carry a positive
         cross-correlation under some gain.
         """
+        sets, bins = self.probe.shape
+        w = np.array([self.weights if g is None else self.weights * g * g
+                      for g in gains]).T  # (bins, gains)
+        ramp = _delay_ramp(self.n, self.rate, self.delay) if self.delay else None
+        rows = np.empty((sets, bins))
+        buf = np.empty((min(_CHUNK, sets), bins), dtype=complex)
+        for lo in range(0, sets, _CHUNK):
+            hi = min(lo + _CHUNK, sets)
+            x = self._probe_conj(lo, hi, buf[: hi - lo])
+            if ramp is not None:
+                x *= ramp
+            rows[lo:hi] = x.real
         dc_p1, dc_p2, dc_c1, dc_c2 = self.dc
-        dc_p = dc_p1 + dc_p2
-        dc_c = dc_c1 + dc_c2
+        eps_ab = (rows @ w).T / ((dc_p1 + dc_p2) * (dc_c1 + dc_c2))
+        eps_aa = (self._split_cross[0] @ w).T / (dc_p1 * dc_p2)
+        eps_bb = (self._split_cross[1] @ w).T / (dc_c1 * dc_c2)
         out = []
-        for gain, (ym1, y0, yp1) in zip(gains, self._lag_covariances(gains)):
-            weights = self.weights if gain is None else self.weights * gain * gain
-
-            # After compensation the peak sits at lag zero by construction, so
-            # the center lag is fixed a priori (an argmax over the window would
-            # select upward noise when the covariance is flat across neighboring
-            # lags and bias eps_ab high).  A parabola through the ensemble curve
-            # only refines the sub-sample position.
-            frac = _parabolic_vertex(ym1.mean(), y0.mean(), yp1.mean())
-            frac = float(np.clip(frac, -1.0, 1.0))
-
-            # per-set parabola through the fixed three lags, read at the fixed vertex
-            a = 0.5 * (ym1 + yp1) - y0
-            b = 0.5 * (yp1 - ym1)
-            peak_per_set = y0 + b * frac + a * frac * frac
-
-            eps_ab = peak_per_set / (dc_p * dc_c)
-            eps_aa, eps_bb = self._split_cross @ weights
-            eps_aa /= dc_p1 * dc_p2
-            eps_bb /= dc_c1 * dc_c2
-
-            valid = eps_ab > 0.0
+        for aa, bb, ab in zip(eps_aa, eps_bb, eps_ab):
+            valid = ab > 0.0
             num_degenerate = int(np.count_nonzero(~valid))
             if np.count_nonzero(valid) < 2:
                 raise DegenerateSet(
                     f"only {np.count_nonzero(valid)} sets carry a positive "
                     f"cross-correlation ({num_degenerate} degenerate)"
                 )
-            v_per_set = (eps_aa[valid] + eps_bb[valid]) / (2.0 * eps_ab[valid])
+            aa, bb, ab = aa[valid], bb[valid], ab[valid]
+            v_per_set = (aa + bb) / (2.0 * ab)
             v_mean = float(v_per_set.mean())
             v_sigma = float(v_per_set.std(ddof=1))
             v_sem = v_sigma / math.sqrt(v_per_set.size)
-            v_pooled = float(
-                (eps_aa[valid].mean() + eps_bb[valid].mean()) / (2.0 * eps_ab[valid].mean())
-            )
             out.append(dict(
-                eps_aa=float(eps_aa[valid].mean()),
-                eps_bb=float(eps_bb[valid].mean()),
-                eps_ab_peak=float(eps_ab[valid].mean()),
+                eps_aa=float(aa.mean()),
+                eps_bb=float(bb.mean()),
+                eps_ab_peak=float(ab.mean()),
                 v_per_set=v_per_set,
                 v_mean=v_mean,
                 v_sigma=v_sigma,
                 v_sem=v_sem,
                 sigma_count=abs(1.0 - v_mean) / v_sem if v_sem > 0 else math.inf,
                 violated=v_mean < 1.0,
-                v_pooled=v_pooled,
+                v_pooled=float((aa.mean() + bb.mean()) / (2.0 * ab.mean())),
                 num_degenerate=num_degenerate,
             ))
         return out
@@ -291,19 +249,6 @@ def _band_mask(f: np.ndarray, band: tuple[float, float]) -> np.ndarray:
     return sel
 
 
-def _circular_covariances(x: np.ndarray, y: np.ndarray):
-    """Per-row circular covariances mean(x[t] y[t + k]) at lags k = -1, 0, +1."""
-    m = x.shape[1]
-
-    def dot(a, b):
-        return np.einsum("ij,ij->i", a, b)
-
-    lag_m1 = dot(x[:, 1:], y[:, :-1]) + x[:, 0] * y[:, -1]
-    lag_0 = dot(x, y)
-    lag_p1 = dot(x[:, :-1], y[:, 1:]) + x[:, -1] * y[:, 0]
-    return lag_m1 / m, lag_0 / m, lag_p1 / m
-
-
 def _parabolic_vertex(ym1: float, y0: float, yp1: float) -> float:
     """Sub-sample offset of the extremum of a 3-point parabola."""
     denom = ym1 - 2.0 * y0 + yp1
@@ -316,15 +261,15 @@ def _delay_from_covariance(lags: np.ndarray, cov: np.ndarray, rate: float) -> fl
     """Parabola-refined argmax of an ensemble cross-covariance, in seconds.
 
     A positive result means the conjugate lags the probe.  Raises NoPeak
-    when the peak does not stand out from the N lags more than 25 samples
-    away by sqrt(2 ln N) + 1.5 times their rms: the largest of N Gaussian
+    when the peak does not stand out from the N lags more than
+    _PEAK_HALF_WIDTH samples away by sqrt(2 ln N) + 1.5 times their rms: the largest of N Gaussian
     noise lags reaches about sqrt(2 ln N) rms, so a fixed bar would call
     it a peak.
     """
     i = int(np.argmax(cov))
     peak = cov[i]
-    bg = cov[np.abs(lags - lags[i]) > 25]
-    if bg.size < 8:
+    bg = cov[np.abs(lags - lags[i]) > _PEAK_HALF_WIDTH]
+    if bg.size < _MIN_BACKGROUND:
         raise NoPeak("not enough off-peak lags to judge significance")
     prominence = peak - float(np.median(bg))
     noise = float(np.std(bg))
@@ -385,8 +330,8 @@ def g2_curves(ts: TraceSet | Spectra, tau_max: float = 100e-9) -> CorrelationRep
     for lo in range(0, sets, _CHUNK):
         hi = min(lo + _CHUNK, sets)
         k = hi - lo
-        np.multiply(np.conj(sp.probe[lo:hi]), sp.conj[lo:hi], out=cross[:k])
-        for window, xy, norm in zip(windows, (cross[:k], *sp._cross[:, lo:hi]), norms):
+        for window, xy, norm in zip(windows, (sp._probe_conj(lo, hi, cross[:k]),
+                                              *sp._cross[:, lo:hi]), norms):
             np.fft.irfft(xy, n=n, axis=-1, out=traces[:k])
             window[lo:hi] = 1.0 + traces[:k, lags % n] / n / norm
     g_mean = [g.mean(axis=0) for g in windows]
@@ -530,11 +475,11 @@ def cutoff_sweep(
     if not f_hi_list:
         raise BandError("cutoff list is empty")
     sp = _spectra(ts)
-    gains = [
+    gains = (
         _bandpass_gain(FilterSpec(f_hi=float(f_hi), f_lo=f_lo, order=order), sp.n, sp.rate)
         for f_hi in f_hi_list
-    ]
-    # every cutoff in one pass of the lag kernel
+    )
+    # every cutoff in one pass over the sets
     return np.array([(float(f_hi), st["v_mean"], st["v_sigma"])
                      for f_hi, st in zip(f_hi_list, sp._violation_stats(gains))])
 
@@ -543,15 +488,16 @@ def filtered_violation(ts: TraceSet | Spectra, spec: FilterSpec | None) -> dict:
     """Full per-set V statistics after bandpassing all four channels.
 
     Same filtering as one cutoff_sweep step; ``spec=None`` leaves the
-    channels unfiltered.  Returns the eps means (eps_aa, eps_bb,
-    eps_ab_peak, the last at the delay-compensated peak) and the per-set
+    channels unfiltered.  Returns the eps means (eps_aa, eps_bb and
+    eps_ab_peak, the lag-0 covariance of the beams once the conjugate is
+    advanced by the delay) and the per-set
     statistics (v_per_set, v_mean, v_sigma, v_sem, sigma_count, violated,
     v_pooled, num_degenerate) for verdict reporting, plus the delay and
     ``delay_fallback``, true when the cross-covariance had no significant
     peak and the delay was taken as 0.  v_sigma is the set-to-set
     standard deviation, v_sem = v_sigma / sqrt(sets kept) and sets whose
-    compensated peak is not positive are left out and counted; fewer
-    than two kept raise DegenerateSet.
+    eps_ab is not positive are left out and counted; fewer than two kept
+    raise DegenerateSet.
     """
     sp = _spectra(ts)
     gain = None if spec is None else _bandpass_gain(spec, sp.n, sp.rate)

@@ -112,12 +112,13 @@ def mean_photon_numbers(p: SqueezeParams) -> tuple[float, float]:
 
     n_probe = G |alpha|² + (G - 1) and n_conj = (G - 1)(|alpha|² + 1);
     their difference equals |alpha|² for every gain (pair emission adds
-    photons to both modes in lockstep).
+    photons to both modes in lockstep).  G - 1 is taken as sinh²(s), which
+    keeps its digits where cosh²(s) - 1 cancels for small s.
     """
-    g = p.gain
+    m = math.sinh(p.s) ** 2
     nbar = p.seed_photons
-    n_probe = g * nbar + (g - 1.0)
-    n_conj = (g - 1.0) * (nbar + 1.0)
+    n_probe = p.gain * nbar + m
+    n_conj = m * (nbar + 1.0)
     return n_probe, n_conj
 
 
@@ -167,7 +168,7 @@ def g2_ideal(p: SqueezeParams) -> G2Ideal:
         raise DegenerateState(
             f"g2 undefined for mean photon numbers n_probe={n_p}, n_conj={n_c}"
         )
-    m = g - 1.0
+    m = math.sinh(p.s) ** 2  # G - 1, without the cancellation of cosh²(s) - 1
     mom_aa = g * g * nb * nb + 4.0 * g * m * nb + 2.0 * m * m
     mom_bb = m * m * (nb * nb + 4.0 * nb + 2.0)
     mom_ab = g * m * nb * nb + m * (4.0 * g - 1.0) * nb + m * (2.0 * g - 1.0)
@@ -342,6 +343,11 @@ class CsdModel:
     dispersion_cutoff_hz: float | None = None
 
     def __post_init__(self):
+        for name, kind in (("params", SqueezeParams), ("excess", ExcessNoiseSpec),
+                           ("technical", TechnicalNoiseSpec)):
+            if not isinstance(getattr(self, name), kind):
+                raise DomainError(f"{name} must be a {kind.__name__}, "
+                                  f"got {getattr(self, name)!r}")
         _check_finite(self)
         if self.bandwidth <= 0.0:
             raise DomainError(f"gain bandwidth must be > 0, got {self.bandwidth}")

@@ -1,11 +1,11 @@
 """Slow reference implementations the one-pass estimators must reproduce.
 
-These are the time-domain estimators and the float-staged synthesis the
+These are time-domain estimators and the float-staged synthesis the
 package used before its analysis was rebuilt on one rfft per channel:
 every channel is dequantized, bandpassed and delay-compensated in the
-time domain, trimmed by EDGE_GUARD and correlated with a full FFT
-cross-covariance, and synthesis stages the whole payload as float64
-before quantizing it in one call.  The bandpass, the delay estimate and
+time domain and correlated sample by sample over the whole set (lag 0
+for V, a full FFT cross-covariance for the g2 curves), and synthesis
+stages the whole payload as float64 before quantizing it in one call.  The bandpass, the delay estimate and
 the delay compensation are this module's own copies of the time-domain
 functions the package once exported, so a bug in the kernel's private
 helpers cannot hide by appearing on both sides of a comparison.  Tests
@@ -20,7 +20,6 @@ import numpy as np
 
 from csilab.dsp import FilterSpec, psd_estimate
 from csilab.errors import DcMissing, DegenerateSet, NoPeak, SpecError
-from csilab.estimators import EDGE_GUARD
 from csilab.synth import _csd_sqrt, quantize, suggest_full_scale
 
 
@@ -104,37 +103,21 @@ def ensemble_delay(probe, conj, rate):
         return 0.0
 
 
+def lag0_covariance(x, y):
+    """Per-set covariance of x and y at lag 0, over every sample of the set."""
+    x = x - x.mean(axis=1, keepdims=True)
+    y = y - y.mean(axis=1, keepdims=True)
+    return np.mean(x * y, axis=1)
+
+
 def violation_stats(probe, conj, p1, p2, c1, c2, dc_means, rate, delay):
+    """V statistics of beams already filtered; eps_ab is the lag-0 covariance
+    of the probe and the conjugate advanced by the delay."""
     dc_p1, dc_p2, dc_c1, dc_c2 = (float(v) for v in dc_means)
-    dc_p = dc_p1 + dc_p2
-    dc_c = dc_c1 + dc_c2
-    g = EDGE_GUARD
-
     conj_aligned = compensate_delay(conj, delay, rate) if delay else conj
-    pr = probe[:, g:-g] - probe[:, g:-g].mean(axis=1, keepdims=True)
-    co = conj_aligned[:, g:-g] - conj_aligned[:, g:-g].mean(axis=1, keepdims=True)
-
-    _, cov = per_set_curves(pr, co, 4)
-    curve = cov.mean(axis=0)
-    i0 = cov.shape[1] // 2
-    denom = curve[i0 - 1] - 2.0 * curve[i0] + curve[i0 + 1]
-    frac = 0.5 * (curve[i0 - 1] - curve[i0 + 1]) / denom if denom else 0.0
-    frac = float(np.clip(frac, -1.0, 1.0))
-
-    ym1, y0, yp1 = cov[:, i0 - 1], cov[:, i0], cov[:, i0 + 1]
-    a = 0.5 * (ym1 + yp1) - y0
-    b = 0.5 * (yp1 - ym1)
-    peak_per_set = y0 + b * frac + a * frac * frac
-
-    eps_ab = peak_per_set / (dc_p * dc_c)
-    eps_aa = np.mean(
-        (p1 - p1.mean(axis=1, keepdims=True)) * (p2 - p2.mean(axis=1, keepdims=True)),
-        axis=1,
-    ) / (dc_p1 * dc_p2)
-    eps_bb = np.mean(
-        (c1 - c1.mean(axis=1, keepdims=True)) * (c2 - c2.mean(axis=1, keepdims=True)),
-        axis=1,
-    ) / (dc_c1 * dc_c2)
+    eps_ab = lag0_covariance(probe, conj_aligned) / ((dc_p1 + dc_p2) * (dc_c1 + dc_c2))
+    eps_aa = lag0_covariance(p1, p2) / (dc_p1 * dc_p2)
+    eps_bb = lag0_covariance(c1, c2) / (dc_c1 * dc_c2)
 
     valid = eps_ab > 0.0
     num_degenerate = int(np.count_nonzero(~valid))

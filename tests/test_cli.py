@@ -125,7 +125,7 @@ def test_analyze_truncated_file(tmp_path, g10_file, capsys):
 
 @pytest.mark.parametrize("samples", [16, 64, 65, 66])
 def test_analyze_short_sets_is_config_error(tmp_path, capsys, samples):
-    """Sets that keep fewer than 3 samples after the EDGE_GUARD trim are refused."""
+    """Sets too short for the delay search to judge a peak are refused."""
     cfg = tmp_path / "short.ini"
     cfg.write_text("[scenario]\npreset = G10_IDEAL\n"
                    f"[acquisition]\nsamples_per_set = {samples}\n")
@@ -136,7 +136,7 @@ def test_analyze_short_sets_is_config_error(tmp_path, capsys, samples):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{samples} samples per set" in err
-    assert f"window of {max(samples - 64, 0)} " in err and "samples_per_set" in err
+    assert "samples_per_set must be at least 170" in err
 
 
 def _rewrite_header(path, offset, fmt, value):

@@ -23,6 +23,7 @@ from csilab.estimators import (
     g2_curves,
     normalized_spectra,
 )
+from csilab.scenarios import preset, preset_names
 from csilab.synth import (
     AcquisitionConfig,
     TraceSet,
@@ -128,10 +129,10 @@ class TestG2Curves:
             return irfft(*args, **kwargs)
 
         def refuse(*args):
-            raise AssertionError("g2 curves need no lag covariances")
+            raise AssertionError("g2 curves need no V statistics")
 
         monkeypatch.setattr(np.fft, "irfft", counted)
-        monkeypatch.setattr(Spectra, "_lag_covariances", refuse)
+        monkeypatch.setattr(Spectra, "_violation_stats", refuse)
         g2_curves(sp, tau_max=50e-9)
         chunks = -(-40 // estimators._CHUNK)
         assert len(calls) == 3 * chunks
@@ -215,6 +216,18 @@ class TestViolationFactor:
             assert stats["v_sigma"] == pytest.approx(alone["v_sigma"], rel=1e-12)
             assert stats["v_per_set"].size == alone["v_per_set"].size
 
+    def test_violation_needs_no_inverse_transform(self, ts_g10, monkeypatch):
+        """Every eps of V is a Parseval sum over the Spectra rows."""
+        sp = Spectra(subset(ts_g10, 40))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("V statistics need no inverse transform")
+
+        monkeypatch.setattr(np.fft, "irfft", refuse)
+        filtered_violation(sp, None)
+        filtered_violation(sp, FilterSpec(f_hi=12e6, f_lo=5e5, order=10))
+        cutoff_sweep(sp, [f * 1e6 for f in range(1, 16)])
+
     def test_sem_shrinks_with_set_count(self, ts_g10):
         sems = {}
         sigmas = {}
@@ -263,20 +276,64 @@ class TestViolationFactor:
         with pytest.raises(DcMissing):
             Spectra(broken)
 
-    @pytest.mark.parametrize("samples", [16, 64, 65, 66])
-    def test_sets_within_the_edge_guard_raise(self, samples):
-        # lags -1, 0 and +1 need three distinct samples in the trimmed window
+    @pytest.mark.parametrize("samples", [16, 64, 65, 66, estimators.MIN_SAMPLES - 1])
+    def test_sets_too_short_for_the_delay_search_raise(self, samples):
+        # a peak at the end of the n // 10 searched lags leaves 2 (n // 10) - 25
+        # lags more than 25 samples from it, and the search needs 8
+        assert estimators.MIN_SAMPLES == 170
         ts = coherent_traces(AcquisitionConfig(num_sets=4, samples_per_set=samples))
         with pytest.raises(ConfigError, match=f"{samples} samples per set") as err:
             Spectra(ts)
-        assert f"window of {max(samples - 2 * estimators.EDGE_GUARD, 0)} " in str(err.value)
-        assert "samples_per_set" in str(err.value)
+        assert "samples_per_set must be at least 170" in str(err.value)
 
-    def test_three_trimmed_samples_are_enough(self):
-        samples = 2 * estimators.EDGE_GUARD + 3
-        ts = coherent_traces(AcquisitionConfig(num_sets=4, samples_per_set=samples))
-        covs = Spectra(ts)._lag_covariances([None])
-        assert covs.shape == (1, 3, 4) and np.all(np.isfinite(covs))
+    def test_shortest_accepted_set_gives_finite_v(self):
+        acq = AcquisitionConfig(num_sets=8, samples_per_set=estimators.MIN_SAMPLES,
+                                rng_seed=3)
+        stats = filtered_violation(synthesize(g10_model(), acq), None)
+        assert np.isfinite(stats["v_mean"]) and np.isfinite(stats["v_sem"])
+
+
+class TestModelAgreement:
+    def test_compensation_wrap_shifts_v_by_the_lag_weighted_loss(self):
+        """The conjugate is advanced by d samples around the circle of one
+        set, so d of its samples meet unrelated probe samples.  The filtered
+        lag-0 sum is a sum of lag-s products weighted by g(s) R(s), the
+        filter's autocorrelation times the beams' cross-covariance, and at
+        lag s the circle loses |s + d| pairs where delay 0 loses |s|.  So
+        V rises from delay 0 to delay d by that weighted loss over n, well
+        short of the d / n an n / (n - d) correction would take off."""
+        spec = FilterSpec(f_hi=15e6, f_lo=5e5, order=10)
+        n, d = 4000, 8
+        acq = AcquisitionConfig(num_sets=1000, samples_per_set=n, rng_seed=11)
+        v = [filtered_violation(synthesize(g10_model(delay=delay), acq), spec)["v_per_set"]
+             for delay in (0.0, d / acq.sample_rate)]
+        shift = v[1] - v[0]
+        se = shift.std(ddof=1) / np.sqrt(shift.size)
+
+        f = np.fft.rfftfreq(n, d=1.0 / acq.sample_rate)
+        _, _, cross = g10_model()._phased_parts(f, compensated=True)
+        cross[0] = 0.0  # the DC bin of every set is removed
+        weight = np.fft.irfft(spec.magnitude(f) ** 2, n=n) * np.fft.irfft(cross, n=n)
+        lags = np.fft.fftfreq(n, d=1.0 / n)
+        loss = np.sum(weight * (np.abs(lags + d) - np.abs(lags))) / np.sum(weight) / n
+        predicted = v[0].mean() * loss
+
+        assert shift.mean() > 3.0 * se
+        assert abs(shift.mean() - predicted) < 3.0 * se
+        assert v[0].mean() * d / n - shift.mean() > 3.0 * se
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_preset_v_matches_model_on_the_estimator_grid(self, name):
+        """The model integrates the |H|²-weighted densities over the rfft grid
+        the estimator sums over; the measured V sits within 4 standard
+        errors of it on every preset."""
+        sc = preset(name)
+        spec = sc.analysis.bandpass
+        stats = filtered_violation(synthesize(sc.model, sc.acquisition), spec)
+        f = np.fft.rfftfreq(sc.acquisition.samples_per_set, d=1.0 / sc.acquisition.sample_rate)
+        predicted = sc.model.predicted_violation(
+            f[0], f[-1], npts=f.size, weight=lambda x: spec.magnitude(x) ** 2)
+        assert abs(stats["v_mean"] - predicted) / stats["v_sem"] < 4.0
 
 
 class TestLossInvariance:

@@ -1,8 +1,8 @@
 """The one-pass spectral estimators against the slow time-domain reference.
 
 ``slow_reference`` keeps the estimators that bandpass, delay-compensate
-and correlate every channel in the time domain.  The spectral kernel
-must reproduce them, EDGE_GUARD trim included, to 1e-12 relative.
+and correlate every channel in the time domain.  The spectral estimators
+must reproduce them to 1e-12 relative.
 """
 
 import dataclasses

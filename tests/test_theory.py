@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from csilab.errors import DegenerateState, DomainError
+from csilab.fock import fock_oracle_moments
 from csilab.theory import (
     CsdModel,
     ExcessNoiseSpec,
@@ -67,6 +68,24 @@ def test_tmsv_thermal_marginals():
     assert np.isclose(g2.g2_aa, 2.0, rtol=1e-12)
     assert np.isclose(g2.g2_bb, 2.0, rtol=1e-12)
     assert np.isclose(g2.g2_ab0, 2.0 + 1.0 / math.sinh(0.5) ** 2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("s", [1e-5, 1e-3])
+def test_small_squeezing_photon_numbers_match_oracle(s):
+    """G - 1 = sinh²(s) keeps every digit where cosh²(s) - 1 cancels."""
+    p = SqueezeParams(s=s, alpha=1.0)
+    oracle = fock_oracle_moments(p)
+    n_probe, n_conj = mean_photon_numbers(p)
+    assert n_probe == pytest.approx(oracle.n_probe, rel=1e-12, abs=0.0)
+    assert n_conj == pytest.approx(oracle.n_conj, rel=1e-12, abs=0.0)
+
+
+def test_tiny_squeezing_is_not_degenerate():
+    p = SqueezeParams(s=1e-8)
+    assert mean_photon_numbers(p) == (math.sinh(1e-8) ** 2,) * 2
+    g2 = g2_ideal(p)
+    assert g2.g2_aa == pytest.approx(2.0, rel=1e-12)
+    assert g2.g2_ab0 == pytest.approx(2.0 + 1.0 / math.sinh(1e-8) ** 2, rel=1e-12)
 
 
 def test_degenerate_state_raises():
@@ -246,6 +265,17 @@ class TestSpectralModel:
             CsdModel(p, bandwidth=20e6, probe_dc=0.0)
         with pytest.raises(DegenerateState):
             CsdModel(SqueezeParams(s=0.0, alpha=1.0), bandwidth=20e6)
+
+    @pytest.mark.parametrize("field, value", [
+        ("params", None), ("params", 10.0), ("excess", None),
+        ("excess", TechnicalNoiseSpec()), ("technical", None),
+        ("technical", ExcessNoiseSpec()),
+    ])
+    def test_nested_spec_of_wrong_type_raises(self, field, value):
+        kwargs = dict(params=SqueezeParams.from_gain(10.0, alpha=100.0), bandwidth=12e6)
+        kwargs[field] = value
+        with pytest.raises(DomainError, match=f"^{field} must be"):
+            CsdModel(**kwargs)
 
     def test_channel_variances_positive_and_ordered(self):
         m = self.model(probe_dc=2.0)
