@@ -36,6 +36,8 @@ from .theory import SqueezeParams, db, g2_ideal, squeezing_ideal, violation_fact
 from .tracefile import read_tracefile, write_tracefile
 
 ORACLE_TOL = 1e-8
+# a verdict needs V this many standard errors from the classical bound 1
+VERDICT_MIN_SIGMA = 3.0
 
 
 def _resolve_scenario(config: str | None) -> Scenario:
@@ -89,6 +91,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _verdict(stats: dict, num_sets: int) -> str:
+    """The side of 1 that V falls on; INCONCLUSIVE unless V is positive,
+    VERDICT_MIN_SIGMA standard errors from 1 and from most sets."""
+    if (stats["v_mean"] <= 0.0 or stats["sigma_count"] < VERDICT_MIN_SIGMA
+            or 2 * stats["num_degenerate"] > num_sets):
+        return "INCONCLUSIVE"
+    return "CSI VIOLATED" if stats["violated"] else "CSI NOT VIOLATED"
+
+
 def _analyze(outdir, sc: Scenario, ts, compensate: bool):
     """(summary, Spectra): every estimator on one Spectra, written to outdir."""
     a = sc.analysis
@@ -100,7 +111,7 @@ def _analyze(outdir, sc: Scenario, ts, compensate: bool):
     lhs, rhs, classical = csi_frequency_test(rep, sp, band)
     curves = g2_curves(sp, a.tau_max)
 
-    verdict = "CSI VIOLATED" if stats["violated"] else "CSI NOT VIOLATED"
+    verdict = _verdict(stats, ts.num_sets)
     fallback = " (no significant peak; uncompensated)" if stats["delay_fallback"] else ""
     lines = [
         f"scenario: {sc.name}",

@@ -67,21 +67,20 @@ class SpectraReport:
 
 
 class Spectra:
-    """The ensemble spectra every estimator reads, and one delay.
+    """The cross rows every estimator reads, their ensemble sums and one delay.
 
     Each channel is transformed once, with the DC bin zeroed, which
-    removes each set's mean.  A Spectra keeps four spectra per set: the
-    recombined beams ``probe`` = P1 + P2 and ``conj`` = C1 + C2, and the
-    split-pair cross-spectra conj(P1) P2 and conj(C1) C2.  Building it
-    also sums over sets what only enters as an ensemble mean: |P1 - P2|²
-    and |C1 - C2|² for the shot-noise references and conj(P) C for the
-    delay.  Sets are transformed _CHUNK at a time, so no channel is
-    held whole.
+    removes each set's mean.  ``cross`` holds three complex rows per set:
+    conj(P) C of the recombined beams P = P1 + P2 and C = C1 + C2, and the
+    split-pair rows conj(P1) P2 and conj(C1) C2.  Building it also sums
+    over sets |P|², |C|², |P1 - P2|², |C1 - C2|² and conj(P) C, which
+    only enter as ensemble means.  Sets are transformed _CHUNK at a time,
+    so no channel and no beam spectrum is held whole.
 
-    Every estimator below is built from these rows: a bandpass is a real
-    |H| factor, delay compensation a phase ramp, and every eps of V a
-    Parseval sum over bins, the cross term included, so no V needs an
-    inverse transform.  The g2 curves and the delay take a few.
+    Every estimator below is built from these rows and sums: a bandpass
+    is a real |H| factor, delay compensation a phase ramp, and every eps
+    of V a Parseval sum over bins, the cross term included, so no V needs
+    an inverse transform.  The g2 curves and the delay take a few.
     ``delay`` is the conjugate's ensemble delay at the cross-covariance
     peak; without a significant peak it is 0, ``delay_fallback`` is true
     and the conjugate stays uncompensated.  Build one per analysis and
@@ -106,15 +105,9 @@ class Spectra:
             )
         self.rate = float(ts.acquisition.sample_rate)
         self.dc = tuple(float(v) for v in dc)
-        sets, bins = ts.num_sets, n // 2 + 1
-        self.probe = np.empty((sets, bins), dtype=complex)
-        self.conj = np.empty((sets, bins), dtype=complex)
-        # conj(P1) P2 and conj(C1) C2 for the split-pair g2 curves; their
-        # real parts, contiguous, for the Parseval sums eps_aa and eps_bb
-        self._cross = np.empty((2, sets, bins), dtype=complex)
-        self._split_cross = np.empty((2, sets, bins))
-        self._sql_sums = np.zeros((2, bins))  # sums of |P1 - P2|², |C1 - C2|²
-        cross_sum = np.zeros(bins, dtype=complex)  # sum of conj(P) C
+        self.sets = sets = ts.num_sets
+        self.cross = np.empty((3, sets, n // 2 + 1), dtype=complex)
+        self._power_sums = np.zeros((4, n // 2 + 1))  # |P|², |C|², |P1 - P2|², |C1 - C2|²
         step = ts.step
         for lo in range(0, sets, _CHUNK):
             hi = min(lo + _CHUNK, sets)
@@ -122,16 +115,16 @@ class Spectra:
                               for ch in range(len(CHANNEL_NAMES)))
             for x in (p1, p2, c1, c2):
                 x[:, 0] = 0.0
-            for k, (a, b) in enumerate(((p1, p2), (c1, c2))):
-                np.multiply(np.conj(a), b, out=self._cross[k, lo:hi])
-                self._split_cross[k, lo:hi] = self._cross[k, lo:hi].real
-                _add_rows(self._sql_sums[k], np.abs(a - b) ** 2)
-            probe = np.add(p1, p2, out=self.probe[lo:hi])
-            conj = np.add(c1, c2, out=self.conj[lo:hi])
-            _add_rows(cross_sum, np.conj(probe) * conj)
+            probe, conj = p1 + p2, c1 + c2
+            for row, (a, b) in zip(self.cross[:, lo:hi],
+                                   ((probe, conj), (p1, p2), (c1, c2))):
+                np.multiply(np.conj(a), b, out=row)
+            for total, x in zip(self._power_sums, (probe, conj, p1 - p2, c1 - c2)):
+                _add_rows(total, np.abs(x) ** 2)
+        self._cross_sum = self.cross[0].sum(axis=0)  # conj(P) C
         # one-sided Parseval weights: mean(x * y) == Re(conj(X) Y) @ weights
         self.weights = _one_sided(n) * (2.0 / (n * n))
-        self.delay, self.delay_fallback = self._ensemble_delay(cross_sum / sets)
+        self.delay, self.delay_fallback = self._ensemble_delay(self._cross_sum / sets)
 
     def sql(self) -> tuple[Psd, Psd, Psd]:
         """(sql_p, sql_c, sql_diff): shot-noise references from the half sums.
@@ -140,8 +133,8 @@ class Spectra:
         whatever classical noise rides the beam, and the SQL of the
         intensity-difference measurement is the sum of the two.
         """
-        sets = self.probe.shape[0]
-        sql_p, sql_c = (_psd_from_sum(s, sets, self.n, self.rate) for s in self._sql_sums)
+        sql_p, sql_c = (_psd_from_sum(s, self.sets, self.n, self.rate)
+                        for s in self._power_sums[2:])
         sql_diff = Psd(
             frequencies=sql_p.frequencies,
             power=sql_p.power + sql_c.power,
@@ -158,11 +151,6 @@ class Spectra:
         except NoPeak:
             return 0.0, True
 
-    def _probe_conj(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """conj(P) C of sets lo:hi, written into ``out`` without a temporary."""
-        np.conj(self.probe[lo:hi], out=out)
-        return np.multiply(out, self.conj[lo:hi], out=out)
-
     def _violation_stats(self, gains) -> list[dict]:
         """Per-set eps and V statistics under each gain, from one pass over the sets.
 
@@ -170,27 +158,25 @@ class Spectra:
         Every eps is a Parseval sum over bins weighted by |H|²: eps_aa and
         eps_bb of the split-pair rows, eps_ab of Re(conj(P) C ramp), the
         lag-0 covariance of the filtered beams once the conjugate is
-        advanced by the delay.  The rows are filled once and each eps is
-        one matrix product with a (bins, gains) weight matrix.  Raises
+        advanced by the delay.  Each eps is one matrix product of a real
+        (sets, bins) copy of a stored cross row, ramped for eps_ab, with a
+        (bins, gains) weight matrix; one copy is live at a time.  Raises
         DegenerateSet when fewer than 2 sets carry a positive
         cross-correlation under some gain.
         """
-        sets, bins = self.probe.shape
+        sets, bins = self.cross.shape[1:]
         w = np.array([self.weights if g is None else self.weights * g * g
                       for g in gains]).T  # (bins, gains)
-        ramp = _delay_ramp(self.n, self.rate, self.delay) if self.delay else None
-        rows = np.empty((sets, bins))
-        buf = np.empty((min(_CHUNK, sets), bins), dtype=complex)
-        for lo in range(0, sets, _CHUNK):
-            hi = min(lo + _CHUNK, sets)
-            x = self._probe_conj(lo, hi, buf[: hi - lo])
-            if ramp is not None:
-                x *= ramp
-            rows[lo:hi] = x.real
         dc_p1, dc_p2, dc_c1, dc_c2 = self.dc
+        # the matrix products read contiguous real rows; each copy is freed
+        # before the next, so at most one real (sets, bins) array is live
+        eps_aa = (np.ascontiguousarray(self.cross[1].real) @ w).T / (dc_p1 * dc_p2)
+        eps_bb = (np.ascontiguousarray(self.cross[2].real) @ w).T / (dc_c1 * dc_c2)
+        ramp = _delay_ramp(self.n, self.rate, self.delay) if self.delay else 1.0
+        rows = np.empty((sets, bins))
+        for lo in range(0, sets, _CHUNK):
+            rows[lo : lo + _CHUNK] = (self.cross[0, lo : lo + _CHUNK] * ramp).real
         eps_ab = (rows @ w).T / ((dc_p1 + dc_p2) * (dc_c1 + dc_c2))
-        eps_aa = (self._split_cross[0] @ w).T / (dc_p1 * dc_p2)
-        eps_bb = (self._split_cross[1] @ w).T / (dc_c1 * dc_c2)
         out = []
         for aa, bb, ab in zip(eps_aa, eps_bb, eps_ab):
             valid = ab > 0.0
@@ -305,14 +291,16 @@ def g2_curves(ts: TraceSet | Spectra, tau_max: float = 100e-9) -> CorrelationRep
     """Normalized intensity correlation curves and their standard errors.
 
     The cross curve correlates the recombined beams, the autos correlate
-    the two halves of one beam (shot noise cancels in both cases).  The
-    cross curve is reported against the raw lag axis; ``delay`` is the
-    ensemble delay of the Spectra.  The unfiltered V statistics of the
-    same ensemble are ``filtered_violation(ts, None)``.  Fewer than two
-    sets raise DegenerateSet, since a standard error needs a spread.
+    the two halves of one beam (shot noise cancels in both cases): each
+    is the lag window of the per-set inverse transforms of one cross row
+    of the Spectra.  The cross curve is reported against the raw lag
+    axis; ``delay`` is the ensemble delay of the Spectra.  The
+    unfiltered V statistics of the same ensemble are
+    ``filtered_violation(ts, None)``.  Fewer than two sets raise
+    DegenerateSet, since a standard error needs a spread.
     """
     sp = _spectra(ts)
-    sets, bins = sp.probe.shape
+    sets = sp.sets
     if sets < 2:
         raise DegenerateSet(f"g2 standard errors need at least 2 sets, got {sets}")
     dc_p1, dc_p2, dc_c1, dc_c2 = sp.dc
@@ -321,17 +309,14 @@ def g2_curves(ts: TraceSet | Spectra, tau_max: float = 100e-9) -> CorrelationRep
     max_lag = max(4, int(round(tau_max * sp.rate)))
     lags = np.arange(-max_lag, max_lag + 1)
     norms = ((dc_p1 + dc_p2) * (dc_c1 + dc_c2), dc_p1 * dc_p2, dc_c1 * dc_c2)
-    rows = min(_CHUNK, sets)
-    cross = np.empty((rows, bins), dtype=complex)
-    traces = np.empty((rows, n))
+    traces = np.empty((min(_CHUNK, sets), n))
     # per-set curves, of which only the lag window of each transform is kept;
     # set-major in memory, so the ensemble mean sums sets pairwise
     windows = np.empty((len(norms), lags.size, sets)).transpose(0, 2, 1)
     for lo in range(0, sets, _CHUNK):
         hi = min(lo + _CHUNK, sets)
         k = hi - lo
-        for window, xy, norm in zip(windows, (sp._probe_conj(lo, hi, cross[:k]),
-                                              *sp._cross[:, lo:hi]), norms):
+        for window, xy, norm in zip(windows, sp.cross[:, lo:hi], norms):
             np.fft.irfft(xy, n=n, axis=-1, out=traces[:k])
             window[lo:hi] = 1.0 + traces[:k, lags % n] / n / norm
     g_mean = [g.mean(axis=0) for g in windows]
@@ -367,24 +352,24 @@ def normalized_spectra(
 
     s_diff is the raw probe-minus-conjugate noise over the combined SQL
     (no DC balancing).  With ``compensate`` the conjugate is advanced by
-    the estimated delay first.  squeezing metrics come from a smoothed
-    copy of s_diff (window ``smooth_hz``) so single-bin estimator noise
-    does not fake a deeper minimum; the reported arrays stay raw.
+    the estimated delay first.  Every spectrum comes from the Spectra's
+    ensemble sums: sum |P - C r|² = sum |P|² + |r|² sum |C|² -
+    2 Re(r sum conj(P) C) for the delay ramp r (0 at a zeroed Nyquist
+    bin), or r = 1 uncompensated.  squeezing metrics come
+    from a smoothed copy of s_diff (window ``smooth_hz``) so single-bin
+    estimator noise does not fake a deeper minimum; the reported arrays
+    stay raw.
     """
     sp = _spectra(ts)
     rate = sp.rate
     sql_p, sql_c, sql_diff = sp.sql()
 
     delay = sp.delay if compensate else 0.0
-    ramp = _delay_ramp(sp.n, rate, delay) if delay else None
-    sets, bins = sp.probe.shape
-    sums = np.zeros((3, bins))  # |P|², |C|² and |P - C|² summed over sets
-    for lo in range(0, sets, _CHUNK):
-        probe, conj = sp.probe[lo : lo + _CHUNK], sp.conj[lo : lo + _CHUNK]
-        conj_used = conj * ramp if delay else conj
-        for total, spec in zip(sums, (probe, conj, probe - conj_used)):
-            _add_rows(total, np.abs(spec) ** 2)
-    tot_p, tot_c, diff = (_psd_from_sum(total, sets, sp.n, rate) for total in sums)
+    ramp = _delay_ramp(sp.n, rate, delay) if delay else 1.0
+    sum_p, sum_c = sp._power_sums[:2]
+    sum_diff = sum_p + np.abs(ramp) ** 2 * sum_c - 2.0 * (ramp * sp._cross_sum).real
+    tot_p, tot_c, diff = (_psd_from_sum(total, sp.sets, sp.n, rate)
+                          for total in (sum_p, sum_c, sum_diff))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         s_p = np.where(sql_p.power > 0, tot_p.power / sql_p.power, np.nan)

@@ -147,13 +147,16 @@ def quantize(trace, adc_bits: int, full_scale: float) -> np.ndarray:
 
     code = clip(round(x / step), -2^(bits-1), 2^(bits-1) - 1) with
     step = full_scale / 2^(bits-1); dequantization is code * step.
-    Emits ClipWarning when more than 0.1% of samples rail.
+    Emits ClipWarning when more than 0.1% of samples rail; a non-finite
+    sample or full scale raises ConfigError.
     """
     if not (2 <= adc_bits <= 16):
         raise ConfigError(f"adc_bits must be between 2 and 16, got {adc_bits}")
-    if full_scale <= 0.0:
-        raise ConfigError(f"full_scale must be > 0, got {full_scale}")
+    if not (math.isfinite(full_scale) and full_scale > 0.0):
+        raise ConfigError(f"full_scale must be finite and > 0, got {full_scale}")
     x = np.asarray(trace, dtype=float)
+    if not np.isfinite(x).all():
+        raise ConfigError("cannot quantize non-finite samples")
     codes = np.empty(x.shape, dtype=np.int16)
     clipped = _quantize_into(codes, x, np.empty(x.shape), adc_bits, full_scale)
     _warn_clipping(clipped, x.size, stacklevel=3)

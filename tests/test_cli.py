@@ -289,6 +289,42 @@ def test_analyze_reports_delay_fallback(tmp_path, capsys):
     assert "delay estimate: 0.000 ns (no significant peak; uncompensated)\n" in txt
 
 
+def test_analyze_of_independent_beams_is_inconclusive(tmp_path, capsys):
+    # V = -0.067 +/- 3.1 at sigma_count 1.0 with 15 of 24 sets degenerate is
+    # no evidence either way; the lines around the verdict keep their format
+    trace = tmp_path / "coherent.cstf"
+    write_tracefile(coherent_traces(AcquisitionConfig(num_sets=24, rng_seed=6)), trace)
+    assert run("analyze", str(trace), "--out", str(tmp_path / "rep")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "sets: 24 (15 degenerate)",
+        "band: 0.50-15.00 MHz",
+        "delay estimate: 0.000 ns (no significant peak; uncompensated)",
+        "V = -0.067421 +/- 3.145356 (set-to-set std)",
+        "standard error 1.048452, sigma_count = 1.0",
+        "verdict: INCONCLUSIVE",
+        "spectral test: lhs = 293665, rhs = 0, classical (agrees: NO)",
+        "squeezing: max 0.59 dB below SQL, bandwidth 18.27 MHz",
+    ]
+
+
+@pytest.mark.parametrize("v_mean, sigma_count, degenerate, verdict", [
+    (0.98, 35.9, 0, "CSI VIOLATED"),
+    (1.02, 10.0, 0, "CSI NOT VIOLATED"),
+    (0.98, 3.0, 10, "CSI VIOLATED"),
+    (-0.36, 4.0, 0, "INCONCLUSIVE"),
+    (0.0, 4.0, 0, "INCONCLUSIVE"),
+    (0.98, 2.9, 0, "INCONCLUSIVE"),
+    (1.02, 2.9, 0, "INCONCLUSIVE"),
+    (0.98, 35.9, 11, "INCONCLUSIVE"),
+])
+def test_verdict_needs_positive_v_significance_and_most_sets(v_mean, sigma_count,
+                                                             degenerate, verdict):
+    stats = dict(v_mean=v_mean, sigma_count=sigma_count, num_degenerate=degenerate,
+                 violated=v_mean < 1.0)
+    assert cli._verdict(stats, 20) == verdict
+
+
 def test_analyze_measured_delay_has_no_fallback_note(tmp_path, g10_file, capsys):
     assert run("analyze", str(g10_file), "--out", str(tmp_path / "rep")) == 0
     line = next(l for l in capsys.readouterr().out.splitlines()

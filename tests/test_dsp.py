@@ -223,8 +223,8 @@ class TestDelay:
     def test_compensation_aligns_lagged_pair(self):
         p, c = self.make_pair(8e-9)
         sp = Spectra(pack(p, c))
-        aligned = sp.conj * _delay_ramp(sp.n, sp.rate, sp.delay)
-        # after alignment the ensemble covariance peak sits at lag zero
-        cov = np.fft.irfft((np.conj(sp.probe) * aligned).mean(axis=0), n=sp.n)
+        # after alignment the ensemble covariance peak of conj(P) C sits at lag zero
+        aligned = sp.cross[0] * _delay_ramp(sp.n, sp.rate, sp.delay)
+        cov = np.fft.irfft(aligned.mean(axis=0), n=sp.n)
         lags = np.arange(-50, 51)
         assert lags[int(np.argmax(cov[lags % sp.n]))] == 0

@@ -351,6 +351,27 @@ class TestLossInvariance:
             assert np.max(resid) < 5.0
             assert np.mean(resid < 3.0) > 0.97
 
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        extra_eta=st.floats(min_value=0.05, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_g2_curves_invariant_over_loss_and_seeds(self, extra_eta, seed):
+        """Extra loss scales each AC by the transmission and each DC alike, so
+        no g2 curve may move by more than 6 combined SEMs at any lag.
+
+        The bound is fixed from the false-alarm rate: 183 lag values per
+        example, 20 examples and Student-t tails with 47 degrees of freedom
+        (48 sets) give a union bound near 1e-3, even if the lossy curves
+        were independent of the lossless ones."""
+        acq = AcquisitionConfig(num_sets=48, samples_per_set=4096, rng_seed=seed)
+        ts = synthesize(g10_model(), acq)
+        a = g2_curves(ts, tau_max=30e-9)
+        b = g2_curves(apply_loss(ts, extra_eta, rng_seed=seed + 1), tau_max=30e-9)
+        for name in ("g2_ab", "g2_aa", "g2_bb"):
+            sem = np.hypot(getattr(a, name + "_sem"), getattr(b, name + "_sem"))
+            assert np.max(np.abs(getattr(a, name) - getattr(b, name)) / sem) < 6.0
+
     def test_v_mean_survives_extra_loss(self, ts_g10):
         lossy = apply_loss(ts_g10, 0.5, rng_seed=909)
         a = filtered_violation(ts_g10, None)
@@ -575,9 +596,20 @@ class TestChunkedAnalysis:
                 sys.setswitchinterval(interval)
         assert_identical(tuple(chunked), tuple(whole))
 
+    def test_spectra_store_at_most_48_bytes_per_bin_per_set(self, ts_g10):
+        """Per set a Spectra keeps the three complex cross rows and nothing
+        else: what it stores grows by at most 48 B per bin per set."""
+        def stored(num_sets):
+            sp = Spectra(subset(ts_g10, num_sets))
+            return sum(v.nbytes for v in vars(sp).values() if isinstance(v, np.ndarray))
+
+        bins = ts_g10.codes.shape[2] // 2 + 1
+        assert (stored(32) - stored(16)) / (16 * bins) <= 48
+
     def test_sweep_allocates_less_than_one_ensemble_spectrum(self, ts_g10, monkeypatch):
-        """A 15-cutoff sweep works in per-chunk scratch: it never holds a
-        (sets, bins) array, let alone one per cutoff."""
+        """A 15-cutoff sweep holds one real (sets, bins) array at a time, the
+        V rows or a real copy of a split-pair row, and no array per cutoff:
+        its peak stays below one complex (sets, bins) array."""
         monkeypatch.delenv("CSILAB_THREADS", raising=False)
         sp = Spectra(subset(ts_g10, 64))
         cutoffs = [f * 1e6 for f in range(1, 16)]
@@ -589,4 +621,4 @@ class TestChunkedAnalysis:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < sp.probe.nbytes
+        assert peak < 64 * (sp.n // 2 + 1) * np.dtype(complex).itemsize  # 5.12 MB

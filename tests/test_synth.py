@@ -237,6 +237,20 @@ class TestQuantizer:
         with pytest.raises(ConfigError):
             quantize(np.zeros(4), 9, 0.0)
 
+    @pytest.mark.parametrize("full_scale", [np.nan, np.inf, -np.inf])
+    def test_non_finite_full_scale_raises(self, full_scale):
+        """A NaN full scale passes a ``<= 0`` check and an infinite one
+        maps every sample to code 0; both must be refused."""
+        with pytest.raises(ConfigError, match="full_scale"):
+            quantize([0.1, 0.2], 9, full_scale)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_raises(self, bad):
+        """A NaN sample would become code 0 and an infinite one a rail code,
+        each a silent wrong number."""
+        with pytest.raises(ConfigError, match="non-finite"):
+            quantize(np.array([0.1, bad, 0.2]), 9, 1.0)
+
 
 class TestSplit:
     Q = 1e-9
