@@ -31,9 +31,9 @@ from .estimators import (
 )
 from .fock import fock_oracle_moments
 from .scenarios import Scenario, load_scenario, preset, preset_names
-from .synth import synthesize
+from .synth import synthesize_stream
 from .theory import SqueezeParams, db, g2_ideal, squeezing_ideal, violation_factor_ideal
-from .tracefile import read_tracefile, write_tracefile
+from .tracefile import open_stream, write_stream
 
 ORACLE_TOL = 1e-8
 # a verdict needs V this many standard errors from the classical bound 1
@@ -63,10 +63,13 @@ def _write_text(path, text: str) -> None:
 
 
 def _write_csv(path, columns: dict) -> None:
+    """A header line, then one %.9e row per sample: np.savetxt's bytes,
+    formatted in one operation."""
     arr = np.column_stack(list(columns.values()))
+    row = ",".join(["%.9e"] * arr.shape[1]) + "\n"
     with atomic_write(path) as fh:
-        np.savetxt(fh, arr, delimiter=",", fmt="%.9e", comments="",
-                   header=",".join(columns))
+        fh.write(",".join(columns) + "\n")
+        fh.write((row * arr.shape[0]) % tuple(arr.ravel().tolist()))
 
 
 def _parse_cutoffs(text: str):
@@ -74,18 +77,22 @@ def _parse_cutoffs(text: str):
 
 
 def _simulate(args):
-    """(scenario, traces) synthesized from the command's settings."""
+    """(scenario, stream) of the traces the command's settings describe.
+
+    Synthesis makes every check here, before any block exists, so a
+    refused configuration leaves no file and no directory behind.
+    """
     sc = _apply_overrides(_resolve_scenario(args.config), args.seed, args.sets)
-    return sc, synthesize(sc.model, sc.acquisition)
+    return sc, synthesize_stream(sc.model, sc.acquisition)
 
 
 def cmd_simulate(args) -> int:
-    sc, ts = _simulate(args)
-    write_tracefile(ts, args.out)
-    acq = ts.acquisition
+    sc, stream = _simulate(args)
+    write_stream(stream, args.out)
+    acq = stream.acquisition
     print(f"scenario {sc.name}: {acq.num_sets} sets x {acq.samples_per_set} "
           f"samples x 4 channels at {acq.sample_rate / 1e9:g} GS/s")
-    print("dc means: " + "  ".join(f"{x:.6g}" for x in ts.dc_means))
+    print("dc means: " + "  ".join(f"{x:.6g}" for x in stream.dc_means))
     print(f"seed 0x{acq.rng_seed:X} -> {args.out} "
           f"({os.path.getsize(args.out)} bytes)")
     return 0
@@ -100,10 +107,9 @@ def _verdict(stats: dict, num_sets: int) -> str:
     return "CSI VIOLATED" if stats["violated"] else "CSI NOT VIOLATED"
 
 
-def _analyze(outdir, sc: Scenario, ts, compensate: bool):
-    """(summary, Spectra): every estimator on one Spectra, written to outdir."""
+def _analyze(outdir, sc: Scenario, sp: Spectra, compensate: bool) -> str:
+    """The summary of every estimator on sp; all of it is written to outdir."""
     a = sc.analysis
-    sp = Spectra(ts)
     stats = filtered_violation(sp, a.bandpass)
     rep = normalized_spectra(sp, compensate=compensate, band=a.spectra_band,
                              smooth_hz=a.smooth_hz)
@@ -111,11 +117,11 @@ def _analyze(outdir, sc: Scenario, ts, compensate: bool):
     lhs, rhs, classical = csi_frequency_test(rep, sp, band)
     curves = g2_curves(sp, a.tau_max)
 
-    verdict = _verdict(stats, ts.num_sets)
+    verdict = _verdict(stats, sp.sets)
     fallback = " (no significant peak; uncompensated)" if stats["delay_fallback"] else ""
     lines = [
         f"scenario: {sc.name}",
-        f"sets: {ts.num_sets} ({stats['num_degenerate']} degenerate)",
+        f"sets: {sp.sets} ({stats['num_degenerate']} degenerate)",
         f"band: {band[0] / 1e6:.2f}-{band[1] / 1e6:.2f} MHz",
         f"delay estimate: {stats['delay'] * 1e9:.3f} ns{fallback}",
         f"V = {stats['v_mean']:.6f} +/- {stats['v_sigma']:.6f} (set-to-set std)",
@@ -143,21 +149,27 @@ def _analyze(outdir, sc: Scenario, ts, compensate: bool):
         "s_diff_norm": rep.s_diff_norm[keep],
     })
     _write_text(os.path.join(outdir, "summary.txt"), summary)
-    return summary, sp
+    return summary
+
+
+def _read(args):
+    """(scenario, Spectra) of the container args.trace, built block by block."""
+    with open_stream(args.trace) as stream:
+        sc = _resolve_scenario(args.config)
+        return sc, Spectra(stream)
 
 
 def cmd_analyze(args) -> int:
-    ts = read_tracefile(args.trace)
-    sc = _resolve_scenario(args.config)
-    summary, _ = _analyze(args.out, sc, ts, args.compensate)
+    sc, sp = _read(args)
+    summary = _analyze(args.out, sc, sp, args.compensate)
     print(summary, end="")
     return 0
 
 
-def _write_sweep(outdir, sc: Scenario, ts, cutoffs):
+def _write_sweep(outdir, sc: Scenario, sp: Spectra, cutoffs):
     """cutoff_sweep over the scenario's filter, written to outdir/vsweep.csv."""
     a = sc.analysis
-    rows = cutoff_sweep(ts, cutoffs, f_lo=a.bandpass.f_lo, order=a.bandpass.order)
+    rows = cutoff_sweep(sp, cutoffs, f_lo=a.bandpass.f_lo, order=a.bandpass.order)
     os.makedirs(outdir, exist_ok=True)
     _write_csv(os.path.join(outdir, "vsweep.csv"), {
         "f_hi_hz": rows[:, 0], "v_mean": rows[:, 1], "v_sigma": rows[:, 2],
@@ -166,9 +178,8 @@ def _write_sweep(outdir, sc: Scenario, ts, cutoffs):
 
 
 def cmd_sweep(args) -> int:
-    ts = read_tracefile(args.trace)
-    sc = _resolve_scenario(args.config)
-    rows = _write_sweep(args.out, sc, ts, _parse_cutoffs(args.cutoffs))
+    sc, sp = _read(args)
+    rows = _write_sweep(args.out, sc, sp, _parse_cutoffs(args.cutoffs))
     for f_hi, v, sig in rows:
         print(f"f_hi {f_hi / 1e6:6.2f} MHz  V = {v:.4f} +/- {sig:.4f}")
     return 0
@@ -213,12 +224,16 @@ def cmd_theory(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """simulate, then analyze and sweep the container it wrote."""
     # the directory is made only once the scenario has been accepted, so a
     # refused configuration leaves nothing behind
-    sc, ts = _simulate(args)
+    sc, stream = _simulate(args)
     os.makedirs(args.out, exist_ok=True)
-    write_tracefile(ts, os.path.join(args.out, "traces.cstf"))
-    summary, sp = _analyze(args.out, sc, ts, args.compensate)
+    traces = os.path.join(args.out, "traces.cstf")
+    write_stream(stream, traces)
+    with open_stream(traces) as back:
+        sp = Spectra(back)
+    summary = _analyze(args.out, sc, sp, args.compensate)
     if args.cutoffs:
         cutoffs = _parse_cutoffs(args.cutoffs)
     else:

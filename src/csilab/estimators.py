@@ -22,9 +22,9 @@ import numpy.ma  # noqa: F401  (np.median imports it on its first call)
 
 from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_sum
 from .errors import BandError, ConfigError, DcMissing, DegenerateSet, NoPeak
-from .synth import CHANNEL_NAMES, TraceSet
+from .synth import BLOCK_SETS, TraceSet, TraceStream
 
-_CHUNK = 16  # sets transformed and correlated at a time
+_CHUNK = BLOCK_SETS  # sets correlated at a time, and a TraceSet's sets per block
 _LAG_SPAN = 10  # the delay search spans lags within n // _LAG_SPAN of zero
 _PEAK_HALF_WIDTH = 25  # lags this close to the peak are not background
 _MIN_BACKGROUND = 8  # background lags needed to judge the peak
@@ -74,8 +74,9 @@ class Spectra:
     conj(P) C of the recombined beams P = P1 + P2 and C = C1 + C2, and the
     split-pair rows conj(P1) P2 and conj(C1) C2.  Building it also sums
     over sets |P|², |C|², |P1 - P2|², |C1 - C2|² and conj(P) C, which
-    only enter as ensemble means.  Sets are transformed _CHUNK at a time,
-    so no channel and no beam spectrum is held whole.
+    only enter as ensemble means.  Sets are transformed a block at a time,
+    straight from a TraceStream (a TraceSet is cut into blocks of _CHUNK
+    sets), so no channel, no beam spectrum and no stream is held whole.
 
     Every estimator below is built from these rows and sums: a bandpass
     is a real |H| factor, delay compensation a phase ramp, and every eps
@@ -91,11 +92,13 @@ class Spectra:
     search too few lags to judge a peak wherever it sits.
     """
 
-    def __init__(self, ts: TraceSet):
-        dc = np.asarray(ts.dc_means, dtype=float)
+    def __init__(self, ts: TraceSet | TraceStream):
+        stream = ts.stream(_CHUNK) if isinstance(ts, TraceSet) else ts
+        acq = stream.acquisition
+        dc = np.asarray(stream.dc_means, dtype=float)
         if not np.all(np.isfinite(dc) & (dc > 0.0)):
             raise DcMissing("trace set carries no usable DC means")
-        self.n = n = ts.codes.shape[2]
+        self.n = n = acq.samples_per_set
         if n < MIN_SAMPLES:
             raise ConfigError(
                 f"{n} samples per set are too few for the delay search: it "
@@ -103,16 +106,16 @@ class Spectra:
                 f"{_MIN_BACKGROUND} of them more than {_PEAK_HALF_WIDTH} from the "
                 f"peak, so samples_per_set must be at least {MIN_SAMPLES}"
             )
-        self.rate = float(ts.acquisition.sample_rate)
+        self.rate = float(acq.sample_rate)
         self.dc = tuple(float(v) for v in dc)
-        self.sets = sets = ts.num_sets
+        self.sets = sets = acq.num_sets
         self.cross = np.empty((3, sets, n // 2 + 1), dtype=complex)
         self._power_sums = np.zeros((4, n // 2 + 1))  # |P|², |C|², |P1 - P2|², |C1 - C2|²
-        step = ts.step
-        for lo in range(0, sets, _CHUNK):
-            hi = min(lo + _CHUNK, sets)
-            p1, p2, c1, c2 = (np.fft.rfft(ts.codes[ch, lo:hi] * step, axis=1)
-                              for ch in range(len(CHANNEL_NAMES)))
+        step = acq.step
+        lo = 0
+        for block in stream:
+            hi = lo + len(block)
+            p1, p2, c1, c2 = (np.fft.rfft(block[:, ch] * step, axis=1) for ch in range(4))
             for x in (p1, p2, c1, c2):
                 x[:, 0] = 0.0
             probe, conj = p1 + p2, c1 + c2
@@ -121,6 +124,7 @@ class Spectra:
                 np.multiply(np.conj(a), b, out=row)
             for total, x in zip(self._power_sums, (probe, conj, p1 - p2, c1 - c2)):
                 _add_rows(total, np.abs(x) ** 2)
+            lo = hi
         self._cross_sum = self.cross[0].sum(axis=0)  # conj(P) C
         # one-sided Parseval weights: mean(x * y) == Re(conj(X) Y) @ weights
         self.weights = _one_sided(n) * (2.0 / (n * n))

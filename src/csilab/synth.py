@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +26,8 @@ from .errors import ClipWarning, ConfigError
 from .theory import CsdModel
 
 CHANNEL_NAMES = ("p1", "p2", "c1", "c2")
+# sets per block: the unit synthesis, the container and the analysis pass on
+BLOCK_SETS = 16
 
 
 def _thread_count() -> int:
@@ -35,21 +39,6 @@ def _thread_count() -> int:
     except ValueError:
         raise ConfigError(f"CSILAB_THREADS must be an integer, got {raw!r}")
     return max(1, n)
-
-
-def _run_strided(run, items) -> None:
-    """Call run on every item, split over CSILAB_THREADS worker threads.
-
-    Worker t gets items t, t + threads, ...; with one thread run gets
-    them all.  Callers keep results bit-identical by having each item
-    write only its own outputs, with per-worker scratch.
-    """
-    threads = min(_thread_count(), len(items))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, [items[t::threads] for t in range(threads)]))
-    else:
-        run(items)
 
 
 @dataclass(frozen=True)
@@ -86,6 +75,13 @@ class AcquisitionConfig:
             raise ConfigError("rng_seed must fit an unsigned 64-bit integer")
 
     @property
+    def step(self) -> float:
+        """Quantizer step: one code is this much signal."""
+        if self.full_scale is None:
+            raise ConfigError("full_scale unresolved; cannot dequantize")
+        return self.full_scale / 2 ** (self.adc_bits - 1)
+
+    @property
     def set_duration(self) -> float:
         return self.samples_per_set / self.sample_rate
 
@@ -99,7 +95,8 @@ class TraceSet:
     """Quantized AC traces of the four detector channels plus DC readings.
 
     ``codes`` is int16 with shape (4, num_sets, samples_per_set), channel
-    order p1, p2, c1, c2.  ``dc_means`` are the bias-T DC photocurrents in
+    order p1, p2, c1, c2; it may be a transposed view of set-major storage.
+    ``dc_means`` are the bias-T DC photocurrents in
     the same units as full_scale.  ``charge_scale`` (current per photon
     flux) is kept for in-memory use by the loss hook; it does not survive
     file round-trips.
@@ -125,10 +122,7 @@ class TraceSet:
 
     @property
     def step(self) -> float:
-        acq = self.acquisition
-        if acq.full_scale is None:
-            raise ConfigError("full_scale unresolved; cannot dequantize")
-        return acq.full_scale / 2 ** (acq.adc_bits - 1)
+        return self.acquisition.step
 
     def ac(self, name: str) -> np.ndarray:
         """Dequantized AC traces (num_sets, samples) of one channel."""
@@ -140,6 +134,65 @@ class TraceSet:
 
     def dc(self, name: str) -> float:
         return float(self.dc_means[CHANNEL_NAMES.index(name)])
+
+    def stream(self, block_sets: int = BLOCK_SETS) -> TraceStream:
+        """The codes as a TraceStream of views of block_sets sets each."""
+        acq = self.acquisition
+        sets, samples = self.codes.shape[1:]
+        if (acq.num_sets, acq.samples_per_set) != (sets, samples):
+            acq = replace(acq, num_sets=sets, samples_per_set=samples)
+        by_set = self.codes.transpose(1, 0, 2)
+        blocks = (by_set[lo : lo + block_sets] for lo in range(0, sets, block_sets))
+        return TraceStream(acq, self.dc_means, blocks, self.provenance, self.charge_scale)
+
+
+@dataclass
+class TraceStream:
+    """Trace sets as set-major blocks, with the header a TraceSet carries.
+
+    ``blocks`` yields int16 arrays of shape (k, 4, samples_per_set): k
+    consecutive sets, channel order p1, p2, c1, c2, which is the layout of
+    the container payload.  A producer may reuse one buffer, so a block
+    is valid only until the next one is drawn, and a stream is read once.
+    Iterating the stream checks that the blocks hold num_sets sets.
+    """
+
+    acquisition: AcquisitionConfig
+    dc_means: np.ndarray
+    blocks: Iterable[np.ndarray]
+    provenance: str = "external"
+    charge_scale: float | None = None
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        acq = self.acquisition
+        done = 0
+        for block in self.blocks:
+            done += len(block)
+            if (block.dtype != np.int16 or block.shape[1:] != (4, acq.samples_per_set)
+                    or done > acq.num_sets):
+                raise ConfigError(
+                    f"block of {block.dtype} {block.shape} does not fit {acq.num_sets} "
+                    f"sets of (4, {acq.samples_per_set}) int16 codes"
+                )
+            yield block
+        if done != acq.num_sets:
+            raise ConfigError(f"stream ended after {done} of {acq.num_sets} sets")
+
+    def collect(self) -> TraceSet:
+        """Every block gathered into one TraceSet."""
+        acq = self.acquisition
+        by_set = np.empty((acq.num_sets, 4, acq.samples_per_set), dtype=np.int16)
+        lo = 0
+        for block in self:
+            by_set[lo : lo + len(block)] = block
+            lo += len(block)
+        return TraceSet(
+            codes=by_set.transpose(1, 0, 2),
+            dc_means=self.dc_means,
+            acquisition=acq,
+            provenance=self.provenance,
+            charge_scale=self.charge_scale,
+        )
 
 
 def quantize(trace, adc_bits: int, full_scale: float) -> np.ndarray:
@@ -158,23 +211,24 @@ def quantize(trace, adc_bits: int, full_scale: float) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ConfigError("cannot quantize non-finite samples")
     codes = np.empty(x.shape, dtype=np.int16)
-    clipped = _quantize_into(codes, x, np.empty(x.shape), adc_bits, full_scale)
+    half = 2 ** (adc_bits - 1)
+    clipped = _rail_codes(codes, np.divide(x, full_scale / half), half)
     _warn_clipping(clipped, x.size, stacklevel=3)
     return codes
 
 
-def _quantize_into(
-    out: np.ndarray, x: np.ndarray, raw: np.ndarray, adc_bits: int, full_scale: float
-) -> int:
-    """Write quantize's codes of x into the int16 array out; return rail hits.
+def _rail_codes(out: np.ndarray, raw: np.ndarray, half: int) -> int:
+    """Round raw, in steps, to the codes -half .. half - 1 in the int16 out.
 
-    ``raw`` is float64 scratch of x's shape; it is overwritten.
+    Returns the number of samples clipped at the rails; ``raw`` is
+    overwritten.  Rails are only counted and clipped when the extremes
+    reach them.
     """
-    half = 2 ** (adc_bits - 1)
-    np.divide(x, full_scale / half, out=raw)
     np.rint(raw, out=raw)
-    clipped = int(np.count_nonzero((raw < -half) | (raw > half - 1)))
-    np.clip(raw, -half, half - 1, out=raw)
+    clipped = 0
+    if raw.size and (raw.min() < -half or raw.max() > half - 1):
+        clipped = int(np.count_nonzero((raw < -half) | (raw > half - 1)))
+        np.clip(raw, -half, half - 1, out=raw)
     out[...] = raw
     return clipped
 
@@ -201,9 +255,8 @@ def split_and_detect(trace, dc: float, acq: AcquisitionConfig, charge_scale: flo
         raise ConfigError(f"dc must be > 0, got {dc}")
     rng = np.random.default_rng() if rng is None else rng
     x = np.asarray(trace, dtype=float)
-    halves = np.empty((2,) + x.shape)
-    _split_into(halves, x, np.empty(x.shape), rng, _shot_sigma(dc, acq, charge_scale))
-    return halves[0], halves[1]
+    w = rng.standard_normal(x.shape) * _shot_sigma(dc, acq, charge_scale)
+    return (x + w) / 2.0, (x - w) / 2.0
 
 
 def _shot_sigma(dc: float, acq: AcquisitionConfig, charge_scale: float) -> float:
@@ -212,17 +265,25 @@ def _shot_sigma(dc: float, acq: AcquisitionConfig, charge_scale: float) -> float
     return math.sqrt(sql * acq.sample_rate / 2.0)
 
 
-def _split_into(halves: np.ndarray, x: np.ndarray, w: np.ndarray, rng, sigma: float) -> None:
-    """Write split_and_detect's halves of x into halves[0] and halves[1].
+def _detect_into(out: np.ndarray, x: np.ndarray, w: np.ndarray, raw: np.ndarray, rng,
+                 sigma: float, adc_bits: int, full_scale: float) -> int:
+    """Codes of both split_and_detect halves of x, written into out[0] and out[1].
 
-    ``w`` is float64 scratch of x's shape; it receives the shot noise.
+    One pass per half computes rint((x +- w) / (2 step)): halving is
+    exact, so the codes equal quantize((x +- w) / 2) for every x whose
+    half stays out of the subnormal range.  ``w`` and ``raw`` are float64
+    scratch of x's shape; returns the samples clipped at the rails.
     """
+    half = 2 ** (adc_bits - 1)
+    two_steps = 2.0 * (full_scale / half)
     rng.standard_normal(out=w)
     w *= sigma
-    np.add(x, w, out=halves[0])
-    halves[0] /= 2.0
-    np.subtract(x, w, out=halves[1])
-    halves[1] /= 2.0
+    clipped = 0
+    for row, combine in zip(out, (np.add, np.subtract)):
+        combine(x, w, out=raw)
+        raw /= two_steps
+        clipped += _rail_codes(row, raw, half)
+    return clipped
 
 
 def suggest_full_scale(model: CsdModel, acq: AcquisitionConfig) -> float:
@@ -261,11 +322,23 @@ def _csd_sqrt(m: CsdModel, freqs: np.ndarray, zero_nyquist: bool):
 def synthesize(model: CsdModel, acq: AcquisitionConfig) -> TraceSet:
     """Generate a quantized four-channel TraceSet realizing the model.
 
+    The blocks of synthesize_stream, gathered into one TraceSet.
+    """
+    return synthesize_stream(model, acq).collect()
+
+
+def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
+    """Synthesize the model's trace sets as a TraceStream, BLOCK_SETS at a time.
+
     Each set is synthesized on a 25% longer grid and trimmed symmetrically
     so the circular wrap of the delay phase never touches the kept window.
     Per-set RNG streams come from SeedSequence(rng_seed).spawn, making the
-    result independent of chunk size and thread schedule.  Each worker
-    allocates one scratch set and reuses it for every set it synthesizes.
+    codes independent of the block size and the thread schedule.  Every
+    check runs here, before the first block; the blocks are made as they
+    are drawn.  CSILAB_THREADS worker threads split each block's sets by
+    stride; the run keeps one thread pool, one block buffer and one
+    scratch set per worker.  One ClipWarning, for the whole run, follows
+    the last block when more than 0.1% of its samples railed.
     """
     if acq.sample_rate <= 10.0 * model.bandwidth:
         raise ConfigError(
@@ -277,9 +350,11 @@ def synthesize(model: CsdModel, acq: AcquisitionConfig) -> TraceSet:
             f"delay {model.delay} must stay below 10% of the set duration "
             f"{acq.set_duration}"
         )
+    threads = min(_thread_count(), BLOCK_SETS, acq.num_sets)
     if acq.full_scale is None:
         acq = replace(acq, full_scale=suggest_full_scale(model, acq))
 
+    sets = acq.num_sets
     n_keep = acq.samples_per_set
     pad = int(math.ceil(0.125 * n_keep))
     n_gen = n_keep + 2 * pad
@@ -289,24 +364,24 @@ def synthesize(model: CsdModel, acq: AcquisitionConfig) -> TraceSet:
 
     b01_conj = np.conj(b01)
     sigmas = [_shot_sigma(dc, acq, model.charge_scale) for dc in (model.probe_dc, model.conj_dc)]
+    root_seed = np.random.SeedSequence(acq.rng_seed)
 
-    seeds = np.random.SeedSequence(acq.rng_seed).spawn(acq.num_sets)
-    codes = np.empty((4, acq.num_sets, n_keep), dtype=np.int16)
-    clipped = np.zeros(acq.num_sets, dtype=np.int64)
-
-    def run_sets(sets: range) -> None:
+    def scratch():
         # one scratch set per worker: each set's temporaries would otherwise
         # be freed to the kernel and faulted in again for the next set
         z = np.empty((2, freqs.size, 2))
-        z01 = z.view(complex)[..., 0]  # z0 and z1, real and imaginary parts from z
-        spec = np.empty((2, freqs.size), dtype=complex)  # spec_p, spec_c
-        term = np.empty(freqs.size, dtype=complex)
-        parents = np.empty((2, n_gen))
-        halves = np.empty((2, n_keep))
-        w = np.empty(n_keep)
-        raw = np.empty(n_keep)
-        for i in sets:
-            gen = np.random.default_rng(seeds[i])
+        return (z, z.view(complex)[..., 0],  # z0 and z1, real and imaginary parts from z
+                np.empty((2, freqs.size), dtype=complex),  # spec_p, spec_c
+                np.empty(freqs.size, dtype=complex),  # term
+                np.empty((2, n_gen)),  # parents
+                np.empty(n_keep), np.empty(n_keep))  # w, raw
+
+    def make_sets(seeds, out, work) -> int:
+        """Synthesize one set per seed into the rows of out; return rail hits."""
+        z, z01, spec, term, parents, w, raw = work
+        clipped = 0
+        for seed, codes in zip(seeds, out):
+            gen = np.random.default_rng(seed)
             gen.standard_normal(out=z)
             z01 /= math.sqrt(2.0)
             np.multiply(b00, z01[0], out=spec[0])
@@ -315,17 +390,29 @@ def synthesize(model: CsdModel, acq: AcquisitionConfig) -> TraceSet:
             spec[1] += np.multiply(b11, z01[1], out=term)
             spec *= scale
             np.fft.irfft(spec, n=n_gen, axis=-1, out=parents)
-            n_clipped = 0
             for beam in range(2):
-                _split_into(halves, parents[beam, pad : pad + n_keep], w, gen, sigmas[beam])
-                for k in range(2):
-                    n_clipped += _quantize_into(codes[2 * beam + k, i], halves[k], raw,
-                                                acq.adc_bits, acq.full_scale)
-            clipped[i] = n_clipped
+                clipped += _detect_into(codes[2 * beam : 2 * beam + 2],
+                                        parents[beam, pad : pad + n_keep], w, raw, gen,
+                                        sigmas[beam], acq.adc_bits, acq.full_scale)
+        return clipped
 
-    _run_strided(run_sets, range(acq.num_sets))  # each set has its own seed
+    def blocks() -> Iterator[np.ndarray]:
+        buf = np.empty((min(BLOCK_SETS, sets), 4, n_keep), dtype=np.int16)
+        works = [scratch() for _ in range(threads)]
+        clipped = 0
+        with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+            for lo in range(0, sets, BLOCK_SETS):
+                block = buf[: min(BLOCK_SETS, sets - lo)]
+                seeds = root_seed.spawn(len(block))  # children lo, lo + 1, ...
+                if pool is None:
+                    clipped += make_sets(seeds, block, works[0])
+                else:  # worker t makes sets t, t + threads, ... of the block
+                    clipped += sum(f.result() for f in [
+                        pool.submit(make_sets, seeds[t::threads], block[t::threads], work)
+                        for t, work in enumerate(works)])
+                yield block
+        _warn_clipping(clipped, 4 * sets * n_keep, stacklevel=2)
 
-    _warn_clipping(int(clipped.sum()), codes.size, stacklevel=2)
     dc_means = np.array(
         [
             model.probe_dc / 2.0,
@@ -334,10 +421,10 @@ def synthesize(model: CsdModel, acq: AcquisitionConfig) -> TraceSet:
             model.conj_dc / 2.0,
         ]
     )
-    return TraceSet(
-        codes=codes,
-        dc_means=dc_means,
+    return TraceStream(
         acquisition=acq,
+        dc_means=dc_means,
+        blocks=blocks(),
         provenance=f"fwm:{model.digest()}",
         charge_scale=model.charge_scale,
     )

@@ -16,14 +16,17 @@ Layout (little endian throughout):
     78      4     CRC32 of bytes 0..78
     82      ...   int16 codes, C order (set, channel, sample)
 
-Files are written to a temporary sibling and moved into place so a
-crashed writer never leaves a half-written file under the final name.
-Readers validate the checksum, the header fields and the byte count
-before they allocate the payload; anything off raises TraceFileError
-rather than returning partial data.  DC means are not checked: a dead
-channel is representable, and analysis raises DcMissing on it.
+The payload is a run of set-major blocks, so a TraceStream's blocks go
+to disk as they are and come back with one ``readinto`` each.  Files
+are written to a temporary sibling and moved into place so a crashed
+writer never leaves a half-written file under the final name.  Readers
+validate the checksum, the header fields and the byte count before they
+allocate the payload; anything off raises TraceFileError rather than
+returning partial data.  DC means are not checked: a dead channel is
+representable, and analysis raises DcMissing on it.
 """
 
+import contextlib
 import os
 import struct
 import zlib
@@ -32,7 +35,7 @@ import numpy as np
 
 from ._atomic import atomic_write
 from .errors import ConfigError, TraceFileError
-from .synth import AcquisitionConfig, TraceSet
+from .synth import BLOCK_SETS, AcquisitionConfig, TraceSet, TraceStream
 
 MAGIC = b"CSTF"
 VERSION = 1
@@ -43,92 +46,128 @@ HEADER_SIZE = _HEADER.size + _CRC.size
 
 def write_tracefile(ts: TraceSet, path) -> None:
     """Serialize a TraceSet; atomic against concurrent readers of path."""
-    acq = ts.acquisition
+    write_stream(ts.stream(), path)
+
+
+def write_stream(stream: TraceStream, path) -> None:
+    """Write a TraceStream's blocks to path as they arrive, atomically.
+
+    An exception from the stream, or a stream that does not hold the sets
+    its header promises, leaves path as it was and no temporary behind.
+    """
+    acq = stream.acquisition
     if acq.full_scale is None:
         raise TraceFileError("cannot serialize with unresolved full_scale")
-    codes = ts.codes.astype("<i2", copy=False)
     header = _HEADER.pack(
         MAGIC,
         VERSION,
-        codes.shape[0],
-        codes.shape[1],
-        codes.shape[2],
+        4,
+        acq.num_sets,
+        acq.samples_per_set,
         float(acq.sample_rate),
         acq.adc_bits,
         float(acq.full_scale),
-        *(float(x) for x in ts.dc_means),
+        *(float(x) for x in stream.dc_means),
         acq.rng_seed,
     )
     with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(_CRC.pack(zlib.crc32(header)))
-        # payload runs per set, per channel, per sample; one set at a time
-        # keeps a transposed copy of the whole payload out of memory
-        for i in range(codes.shape[1]):
-            fh.write(np.ascontiguousarray(codes[:, i]))
+        for block in stream:
+            fh.write(np.ascontiguousarray(block, dtype="<i2"))
         fh.flush()
         os.fsync(fh.fileno())
+
+
+def _read_header(fh, path):
+    """(AcquisitionConfig, dc_means) of an open container, whose size is checked."""
+    blob = fh.read(HEADER_SIZE)
+    if len(blob) < HEADER_SIZE:
+        raise TraceFileError(f"{path}: file shorter than a valid header")
+    header = blob[: _HEADER.size]
+    (stored_crc,) = _CRC.unpack_from(blob, _HEADER.size)
+    if zlib.crc32(header) != stored_crc:
+        # check the magic first so the error points at the actual problem
+        if header[:4] != MAGIC:
+            raise TraceFileError(f"{path}: bad magic {header[:4]!r}")
+        raise TraceFileError(f"{path}: header checksum mismatch")
+    (
+        magic,
+        version,
+        channels,
+        num_sets,
+        samples,
+        rate,
+        adc_bits,
+        full_scale,
+        dc1,
+        dc2,
+        dc3,
+        dc4,
+        seed,
+    ) = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise TraceFileError(f"{path}: bad magic {magic!r}")
+    if version != VERSION:
+        raise TraceFileError(f"{path}: unsupported format version {version}")
+    if channels != 4:
+        raise TraceFileError(f"{path}: expected 4 channels, found {channels}")
+    try:
+        acq = AcquisitionConfig(
+            sample_rate=rate,
+            samples_per_set=samples,
+            num_sets=num_sets,
+            adc_bits=adc_bits,
+            full_scale=full_scale,
+            rng_seed=seed,
+        )
+    except ConfigError as exc:
+        raise TraceFileError(f"{path}: invalid header: {exc}") from exc
+    expected = channels * num_sets * samples * 2
+    body = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+    if body != expected:
+        raise TraceFileError(f"{path}: payload is {body} bytes, header promises {expected}")
+    return acq, np.array([dc1, dc2, dc3, dc4])
+
+
+def _read_blocks(fh, path, buf: np.ndarray, sets: int):
+    """Yield the payload BLOCK_SETS sets at a time, each read into buf.
+
+    ``buf`` holds either BLOCK_SETS sets, reused for every block, or all
+    of them, and then ends up holding the whole payload.
+    """
+    for lo in range(0, sets, BLOCK_SETS):
+        hi = min(lo + BLOCK_SETS, sets)
+        block = buf[lo:hi] if len(buf) == sets else buf[: hi - lo]
+        if fh.readinto(block) != block.nbytes:
+            raise TraceFileError(f"{path}: payload ended early")
+        yield block.astype(np.int16, copy=False)  # a copy only on big-endian hosts
+
+
+@contextlib.contextmanager
+def open_stream(path):
+    """Open a container as a TraceStream of its blocks; closes it on exit.
+
+    The header and the byte count are checked on entry, before any
+    block; the blocks share one reused buffer.
+    """
+    with open(path, "rb") as fh:
+        acq, dc_means = _read_header(fh, path)
+        buf = np.empty((min(BLOCK_SETS, acq.num_sets), 4, acq.samples_per_set), dtype="<i2")
+        yield TraceStream(acq, dc_means, _read_blocks(fh, path, buf, acq.num_sets))
 
 
 def read_tracefile(path) -> TraceSet:
     """Read and validate a trace container written by write_tracefile."""
     with open(path, "rb") as fh:
-        blob = fh.read(HEADER_SIZE)
-        if len(blob) < HEADER_SIZE:
-            raise TraceFileError(f"{path}: file shorter than a valid header")
-        header = blob[: _HEADER.size]
-        (stored_crc,) = _CRC.unpack_from(blob, _HEADER.size)
-        if zlib.crc32(header) != stored_crc:
-            # check the magic first so the error points at the actual problem
-            if header[:4] != MAGIC:
-                raise TraceFileError(f"{path}: bad magic {header[:4]!r}")
-            raise TraceFileError(f"{path}: header checksum mismatch")
-        (
-            magic,
-            version,
-            channels,
-            num_sets,
-            samples,
-            rate,
-            adc_bits,
-            full_scale,
-            dc1,
-            dc2,
-            dc3,
-            dc4,
-            seed,
-        ) = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise TraceFileError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise TraceFileError(f"{path}: unsupported format version {version}")
-        if channels != 4:
-            raise TraceFileError(f"{path}: expected 4 channels, found {channels}")
-        try:
-            acq = AcquisitionConfig(
-                sample_rate=rate,
-                samples_per_set=samples,
-                num_sets=num_sets,
-                adc_bits=adc_bits,
-                full_scale=full_scale,
-                rng_seed=seed,
-            )
-        except ConfigError as exc:
-            raise TraceFileError(f"{path}: invalid header: {exc}") from exc
-        expected = channels * num_sets * samples * 2
-        body = os.fstat(fh.fileno()).st_size - HEADER_SIZE
-        if body != expected:
-            raise TraceFileError(f"{path}: payload is {body} bytes, header promises {expected}")
-        # one set at a time, straight into the channel-major codes: one copy
-        codes = np.empty((channels, num_sets, samples), dtype="<i2")
-        for i in range(num_sets):
-            for row in codes[:, i]:
-                if fh.readinto(row) != row.nbytes:
-                    raise TraceFileError(f"{path}: payload ended early")
-    codes = codes.astype(np.int16, copy=False)  # a copy only on big-endian hosts
+        acq, dc_means = _read_header(fh, path)
+        # the blocks land in place: one copy of the payload, set-major
+        by_set = np.empty((acq.num_sets, 4, acq.samples_per_set), dtype="<i2")
+        for _ in _read_blocks(fh, path, by_set, acq.num_sets):
+            pass
     return TraceSet(
-        codes=codes,
-        dc_means=np.array([dc1, dc2, dc3, dc4]),
+        codes=by_set.astype(np.int16, copy=False).transpose(1, 0, 2),
+        dc_means=dc_means,
         acquisition=acq,
         provenance="external",
     )

@@ -1,11 +1,13 @@
 """End-to-end CLI pipelines and exit-code mapping."""
 
+import dataclasses
 import json
 import os
 import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -113,6 +115,69 @@ def test_analyze_outputs(tmp_path, g10_file, capsys):
         assert fh.readline().strip() == "f_hz,s_p_norm,s_c_norm,s_diff_norm"
     spectra = np.loadtxt(outdir / "spectra.csv", delimiter=",", skiprows=1)
     assert np.all(np.isfinite(spectra))
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_producer_failing_after_its_first_block_writes_no_container(tmp_path, monkeypatch,
+                                                                   command):
+    """The container is streamed to a temporary sibling; a synthesis block
+    that fails after the first leaves no file and no temporary at --out."""
+    make = cli.synthesize_stream
+
+    def failing(model, acq):
+        stream = make(model, acq)
+
+        def blocks(made):
+            yield next(made)
+            raise RuntimeError("producer died")
+
+        return dataclasses.replace(stream, blocks=blocks(iter(stream.blocks)))
+
+    monkeypatch.setattr(cli, "synthesize_stream", failing)
+    out = tmp_path / ("t.cstf" if command == "simulate" else "rep")
+    with pytest.raises(RuntimeError, match="producer died"):
+        run(command, "--config", "G10", "--sets", "40", "--out", str(out))
+    left = os.listdir(tmp_path) if command == "simulate" else os.listdir(out)
+    assert left == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+@pytest.mark.parametrize("ini, threads, why", [
+    ("[model]\ngain_bandwidth_mhz = 200\n", None, "too low to resolve"),
+    ("[model]\ndelay_ns = 2000\n", None, "set duration"),
+    ("", "many", "CSILAB_THREADS"),
+])
+def test_config_synthesis_refuses_writes_nothing(tmp_path, monkeypatch, capsys, command,
+                                                 ini, threads, why):
+    """Every check synthesis makes runs before a directory or a temporary
+    file exists."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(ini)
+    if threads is not None:
+        monkeypatch.setenv("CSILAB_THREADS", threads)
+    out = tmp_path / "out"
+    target = out / "t.cstf" if command == "simulate" else out
+    if command == "simulate":
+        out.mkdir()
+    assert run(command, "--config", str(cfg), "--sets", "2", "--out", str(target)) == 2
+    assert why in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == (["bad.ini", "out"] if command == "simulate"
+                                            else ["bad.ini"])
+    assert not target.exists()
+    if command == "simulate":
+        assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize("cut", [2, 3 * 80_000 + 1])  # into the last set, or across sets
+def test_payload_ending_early_exits_4_and_writes_nothing(tmp_path, g10_file, capsys,
+                                                         command, cut):
+    bad = tmp_path / "short.cstf"
+    bad.write_bytes(g10_file.read_bytes()[:-cut])
+    extra = ["--cutoffs", "5e6"] if command == "sweep" else []
+    assert run(command, str(bad), *extra, "--out", str(tmp_path / "out")) == 4
+    assert "payload is" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["short.cstf"]
 
 
 def test_analyze_truncated_file(tmp_path, g10_file, capsys):
@@ -353,6 +418,21 @@ def race(write, payloads, rounds=10):
     return errors
 
 
+@pytest.mark.parametrize("rows, cols", [(300, 4), (1, 1), (0, 2)])
+def test_csv_bytes_match_savetxt(tmp_path, rows, cols):
+    """_write_csv formats the whole table in one operation; the bytes are
+    np.savetxt's, signed zeros, exponents, nan and inf included."""
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-30, 31, (rows, cols))
+    table.ravel()[:4] = [0.0, -0.0, np.nan, -np.inf][: table.size]
+    names = [f"c{k}" for k in range(cols)]
+    _write_csv(tmp_path / "fast.csv", dict(zip(names, table.T)))
+    with open(tmp_path / "savetxt.csv", "w") as fh:
+        np.savetxt(fh, table.reshape(rows, cols), delimiter=",", fmt="%.9e", comments="",
+                   header=",".join(names))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
 def test_concurrent_text_writers_leave_one_complete_file(tmp_path):
     path = tmp_path / "summary.txt"
     texts = ["a" * 400_000, "b" * 300_000]
@@ -454,3 +534,57 @@ def test_benchmark_tracer_runs_a_report(tmp_path):
     assert {"estimators.filtered_violation", "estimators.cutoff_sweep"} <= names
     assert not [span for span in record["spans"] if span[5] is not None]
     assert record["counters"]["fft.rfft.calls"] == 4
+
+
+SAMPLES = 2048  # per set in the memory tests; 256 sets of codes are 4.2 MB
+
+
+def _peak(*argv) -> int:
+    """tracemalloc peak of one command, in bytes."""
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture()
+def short_sets(tmp_path, monkeypatch):
+    """A G10 scenario of SAMPLES-sample sets, run single-threaded and warmed up."""
+    monkeypatch.delenv("CSILAB_THREADS", raising=False)
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(f"[scenario]\npreset = G10\n[acquisition]\nsamples_per_set = {SAMPLES}\n")
+    run("report", "--config", str(cfg), "--sets", "4", "--out", str(tmp_path / "warm"))
+    return cfg
+
+
+def test_simulate_memory_does_not_grow_with_the_set_count(tmp_path, short_sets, capsys):
+    """simulate streams 16-set blocks into the container.  Bounds, fixed
+    beforehand: 256 sets peak less than 5 % of their codes array above 32
+    sets, and both peaks stay below that array (4.2 MB), which the
+    whole-array path held."""
+    peaks = {sets: _peak("simulate", "--config", str(short_sets), "--sets", str(sets),
+                         "--out", str(tmp_path / f"{sets}.cstf"))
+             for sets in (32, 256)}
+    codes = 256 * 4 * SAMPLES * 2
+    assert peaks[256] - peaks[32] < 0.05 * codes, peaks
+    assert max(peaks.values()) < codes, peaks
+
+
+def test_analyze_memory_grows_only_by_the_stored_rows(tmp_path, short_sets, capsys):
+    """analyze builds its Spectra from the container's blocks.  Per set, its
+    peak may grow by the 48 B per bin of cross rows the Spectra stores
+    plus the 8 B per bin of the real row the V statistics copy, and by no
+    more than a quarter of the 256-set codes array in all (bounds fixed
+    beforehand); holding the codes whole adds 16 B per bin per set."""
+    traces = {}
+    for sets in (32, 256):
+        traces[sets] = tmp_path / f"{sets}.cstf"
+        assert run("simulate", "--config", str(short_sets), "--sets", str(sets),
+                   "--out", str(traces[sets])) == 0
+    peaks = {sets: _peak("analyze", str(path), "--out", str(tmp_path / f"a{sets}"))
+             for sets, path in traces.items()}
+    bins = SAMPLES // 2 + 1
+    codes = 256 * 4 * SAMPLES * 2
+    assert peaks[256] - peaks[32] < (256 - 32) * bins * (48 + 8) + codes / 4, peaks

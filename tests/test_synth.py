@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csilab.dsp import psd_estimate
@@ -18,6 +18,8 @@ from csilab.estimators import Spectra
 from csilab.synth import (
     AcquisitionConfig,
     TraceSet,
+    _detect_into,
+    _shot_sigma,
     apply_loss,
     coherent_traces,
     quantize,
@@ -289,6 +291,45 @@ class TestSplit:
         h1, h2 = split_and_detect(excess + shot, dc, acq, self.Q, rng)
         got = np.mean(h1 * h2)
         assert np.isclose(got, np.var(excess) / 4.0, rtol=0.05)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        adc_bits=st.integers(2, 16),
+        full_scale=st.floats(1e-4, 1e4),
+        rms=st.floats(1e-6, 1e6),
+        dc=st.floats(1e-12, 1e12),  # shot sigma sqrt(dc) at Q = 1e-9 and 1 GS/s
+        seed=st.integers(0, 2**64 - 1),
+        edge=st.sampled_from([None, "top", "bottom"]),
+    )
+    @example(adc_bits=2, full_scale=1e-4, rms=1e3, dc=1e6, seed=0, edge=None)  # all rail
+    @example(adc_bits=16, full_scale=1.0, rms=0.3, dc=0.01, seed=1, edge=None)  # none does
+    def test_fused_detect_equals_split_then_quantize(self, adc_bits, full_scale, rms, dc,
+                                                      seed, edge):
+        """Synthesis splits and quantizes a beam in one pass per half; its
+        codes and rail count must equal split_and_detect, then quantize.
+        ``edge`` sets the full scale so that the largest (smallest) half
+        sample lands one step past the top (bottom) rail, and nothing
+        beyond it."""
+        half = 2 ** (adc_bits - 1)
+        acq = small_acq(adc_bits=adc_bits, full_scale=1.0)
+        x = np.random.default_rng([seed, 0]).standard_normal(999) * rms
+        halves = split_and_detect(x, dc, acq, self.Q, np.random.default_rng([seed, 1]))
+        if edge == "top":
+            full_scale = float(max(h.max() for h in halves))
+        elif edge == "bottom":
+            full_scale = -float(min(h.min() for h in halves)) * half / (half + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClipWarning)
+            want = np.stack([quantize(h, adc_bits, full_scale) for h in halves])
+        steps = [np.rint(h / (full_scale / half)) for h in halves]
+        want_clipped = sum(int(np.count_nonzero((s < -half) | (s > half - 1))) for s in steps)
+
+        got = np.empty((2, x.size), dtype=np.int16)
+        clipped = _detect_into(got, x, np.empty(x.size), np.empty(x.size),
+                               np.random.default_rng([seed, 1]),
+                               _shot_sigma(dc, acq, self.Q), adc_bits, full_scale)
+        assert np.array_equal(got, want)
+        assert clipped == want_clipped
 
     def test_rejects_dark_beam(self):
         with pytest.raises(ConfigError):

@@ -1,20 +1,29 @@
 """Binary trace container round trips and corruption handling."""
 
+import dataclasses
 import os
 import struct
 import threading
 import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csilab.errors import TraceFileError
+from csilab.errors import ConfigError, TraceFileError
+from csilab.estimators import MIN_SAMPLES, Spectra
 from csilab.scenarios import preset
-from csilab.synth import AcquisitionConfig, TraceSet, synthesize
-from csilab.tracefile import HEADER_SIZE, read_tracefile, write_tracefile
+from csilab.synth import BLOCK_SETS, AcquisitionConfig, TraceSet, synthesize, synthesize_stream
+from csilab.tracefile import (
+    HEADER_SIZE,
+    open_stream,
+    read_tracefile,
+    write_stream,
+    write_tracefile,
+)
 
 
 @pytest.fixture(scope="module")
@@ -249,3 +258,71 @@ def test_any_header_gives_trace_file_error_or_trace_set(
         return
     assert isinstance(ts, TraceSet)
     assert ts.codes.shape == (4, num_sets, samples)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    num_sets=st.one_of(st.just(1), st.integers(2, 40).filter(lambda k: k % BLOCK_SETS)),
+    samples=st.integers(MIN_SAMPLES, 1500),
+    seed=st.integers(0, 2**64 - 1),
+    threads=st.sampled_from([None, "1", "2", "3"]),
+)
+def test_streaming_changes_no_byte_and_no_bit(tmp_path_factory, num_sets, samples, seed,
+                                              threads):
+    """Synthesis blocks streamed into a container give the bytes of the
+    whole TraceSet written at once, and a Spectra built from the
+    container's blocks equals one built from the TraceSet read whole."""
+    model = preset("G10").model
+    acq = AcquisitionConfig(num_sets=num_sets, samples_per_set=samples, rng_seed=seed)
+    folder = tmp_path_factory.mktemp("stream")
+    streamed, whole = folder / "streamed.cstf", folder / "whole.cstf"
+    with mock.patch.dict(os.environ):
+        os.environ.pop("CSILAB_THREADS", None)
+        write_tracefile(synthesize(model, acq), whole)
+        if threads is not None:
+            os.environ["CSILAB_THREADS"] = threads
+        write_stream(synthesize_stream(model, acq), streamed)
+    assert streamed.read_bytes() == whole.read_bytes()
+
+    with open_stream(streamed) as stream:
+        from_blocks = Spectra(stream)
+    from_set = Spectra(read_tracefile(whole))
+    for name in ("cross", "_power_sums", "_cross_sum"):
+        assert np.array_equal(getattr(from_blocks, name), getattr(from_set, name)), name
+    assert from_blocks.delay == from_set.delay
+    assert from_blocks.delay_fallback == from_set.delay_fallback
+
+
+def test_failing_producer_leaves_target_as_it_was(tmp_path, small_ts):
+    path = tmp_path / "t.cstf"
+    path.write_bytes(b"old")
+    stream = small_ts.stream(block_sets=1)
+
+    def blocks(sets):
+        yield from sets
+        raise RuntimeError("producer died")  # after every set was written
+
+    stream.blocks = blocks(stream.blocks)
+    with pytest.raises(RuntimeError, match="producer died"):
+        write_stream(stream, path)
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["t.cstf"]
+
+
+@pytest.mark.parametrize("sets", [2, 4])
+def test_stream_of_another_set_count_than_its_header_is_refused(tmp_path, small_ts, sets):
+    stream = small_ts.stream()  # 3 sets
+    stream.acquisition = dataclasses.replace(stream.acquisition, num_sets=sets)
+    with pytest.raises(ConfigError, match="sets"):
+        write_stream(stream, tmp_path / "t.cstf")
+    assert os.listdir(tmp_path) == []
+
+
+def test_payload_shrinking_after_open_raises(tmp_path):
+    acq = AcquisitionConfig(num_sets=2 * BLOCK_SETS + 1, samples_per_set=MIN_SAMPLES, rng_seed=5)
+    path = tmp_path / "t.cstf"
+    write_tracefile(synthesize(preset("G10").model, acq), path)
+    with open_stream(path) as stream:
+        os.truncate(path, os.path.getsize(path) - 2)  # checked size, then lost a sample
+        with pytest.raises(TraceFileError, match="payload ended early"):
+            Spectra(stream)
