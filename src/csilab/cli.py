@@ -14,13 +14,14 @@ preset applies.
 import argparse
 import dataclasses
 import locale  # noqa: F401  (argparse's gettext imports it on first use)
+import math
 import os
 import sys
 
 import numpy as np
 
 from ._atomic import atomic_write
-from .errors import CsilabError, DomainError, TraceFileError
+from .errors import ConfigError, CsilabError, DomainError, TraceFileError
 from .estimators import (
     Spectra,
     csi_frequency_test,
@@ -72,8 +73,19 @@ def _write_csv(path, columns: dict) -> None:
         fh.write((row * arr.shape[0]) % tuple(arr.ravel().tolist()))
 
 
-def _parse_cutoffs(text: str):
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _parse_cutoffs(text: str) -> list:
+    """The comma or space separated cutoffs of --cutoffs, in Hz.
+
+    Commands parse the list before they read or write anything, so a bad
+    one leaves no file behind.
+    """
+    try:
+        cutoffs = [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        cutoffs = []
+    if not cutoffs or not all(map(math.isfinite, cutoffs)):
+        raise ConfigError(f"--cutoffs must list one or more finite numbers in Hz, got {text!r}")
+    return cutoffs
 
 
 def _simulate(args):
@@ -178,8 +190,9 @@ def _write_sweep(outdir, sc: Scenario, sp: Spectra, cutoffs):
 
 
 def cmd_sweep(args) -> int:
+    cutoffs = _parse_cutoffs(args.cutoffs)
     sc, sp = _read(args)
-    rows = _write_sweep(args.out, sc, sp, _parse_cutoffs(args.cutoffs))
+    rows = _write_sweep(args.out, sc, sp, cutoffs)
     for f_hi, v, sig in rows:
         print(f"f_hi {f_hi / 1e6:6.2f} MHz  V = {v:.4f} +/- {sig:.4f}")
     return 0
@@ -225,8 +238,9 @@ def cmd_theory(args) -> int:
 
 def cmd_report(args) -> int:
     """simulate, then analyze and sweep the container it wrote."""
-    # the directory is made only once the scenario has been accepted, so a
-    # refused configuration leaves nothing behind
+    # the directory is made only once the cutoffs and the scenario have
+    # been accepted, so a refused configuration leaves nothing behind
+    cutoffs = None if args.cutoffs is None else _parse_cutoffs(args.cutoffs)
     sc, stream = _simulate(args)
     os.makedirs(args.out, exist_ok=True)
     traces = os.path.join(args.out, "traces.cstf")
@@ -234,9 +248,7 @@ def cmd_report(args) -> int:
     with open_stream(traces) as back:
         sp = Spectra(back)
     summary = _analyze(args.out, sc, sp, args.compensate)
-    if args.cutoffs:
-        cutoffs = _parse_cutoffs(args.cutoffs)
-    else:
+    if cutoffs is None:
         top = int(sc.analysis.bandpass.f_hi / 1e6)
         cutoffs = [f * 1e6 for f in range(1, max(top, 1) + 1)]
     _write_sweep(args.out, sc, sp, cutoffs)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import subprocess
@@ -253,6 +254,24 @@ def test_sweep_rows(tmp_path, g10_file, capsys):
 def test_sweep_empty_cutoffs(tmp_path, g10_file):
     rc = run("sweep", str(g10_file), "--cutoffs", " ", "--out", str(tmp_path / "s"))
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["sweep", "report"])
+@pytest.mark.parametrize("cutoffs", ["abc", "nan", "", "2e6,inf"])
+def test_bad_cutoffs_exit_2_and_write_nothing(tmp_path, g10_file, monkeypatch, capsys,
+                                              command, cutoffs):
+    """The cutoff list is checked before a container is read or made."""
+    def refused(*args):
+        raise AssertionError("the container was touched before --cutoffs was checked")
+
+    monkeypatch.setattr(cli, "open_stream", refused)
+    monkeypatch.setattr(cli, "synthesize_stream", refused)
+    out = tmp_path / "out"
+    trace = [str(g10_file)] if command == "sweep" else ["--sets", "2"]
+    assert run(command, *trace, "--cutoffs", cutoffs, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "--cutoffs" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_theory_table(capsys):
@@ -552,7 +571,7 @@ def _peak(*argv) -> int:
 @pytest.fixture()
 def short_sets(tmp_path, monkeypatch):
     """A G10 scenario of SAMPLES-sample sets, run single-threaded and warmed up."""
-    monkeypatch.delenv("CSILAB_THREADS", raising=False)
+    monkeypatch.setenv("CSILAB_THREADS", "1")
     cfg = tmp_path / "short.ini"
     cfg.write_text(f"[scenario]\npreset = G10\n[acquisition]\nsamples_per_set = {SAMPLES}\n")
     run("report", "--config", str(cfg), "--sets", "4", "--out", str(tmp_path / "warm"))
@@ -570,6 +589,26 @@ def test_simulate_memory_does_not_grow_with_the_set_count(tmp_path, short_sets, 
     codes = 256 * 4 * SAMPLES * 2
     assert peaks[256] - peaks[32] < 0.05 * codes, peaks
     assert max(peaks.values()) < codes, peaks
+
+
+def test_second_thread_adds_one_scratch_set(tmp_path, monkeypatch, capsys):
+    """Each synthesis thread keeps one scratch set: the two complex normal
+    draws per bin of the 25 % longer grid, one complex spectrum, the
+    parent row as 2 * bins floats and two n-sample noise rows.  A second
+    thread may raise the peak of simulate by that set, fixed from n before
+    measuring, plus 32 KiB: the pool's thread, queue and futures, and the
+    about 12 KB by which the peak of one run differs from the next."""
+    n = 10000  # G10's samples per set
+    bins = (n + 2 * math.ceil(n / 8)) // 2 + 1
+    scratch = 2 * bins * 16 + bins * 16 + 2 * bins * 8 + 2 * n * 8  # 560 064 B
+    peaks = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CSILAB_THREADS", threads)
+        argv = ("simulate", "--config", "G10", "--sets", "32",
+                "--out", str(tmp_path / f"{threads}.cstf"))
+        run(*argv)  # leave first-call set-up out
+        peaks[threads] = min(_peak(*argv) for _ in range(3))
+    assert peaks["2"] - peaks["1"] <= scratch + 32 * 1024, (peaks, scratch)
 
 
 def test_analyze_memory_grows_only_by_the_stored_rows(tmp_path, short_sets, capsys):

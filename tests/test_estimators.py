@@ -576,9 +576,9 @@ class TestChunkedAnalysis:
     )
     def test_results_independent_of_chunk_and_threads(self, num_sets, samples, seed,
                                                      chunk, threads):
-        """Sets are transformed, summed and correlated a chunk at a time, the
-        lag kernel's chunks spread over threads; neither the chunk size nor
-        the thread count may change a single bit of any estimate."""
+        """Sets are transformed, summed and correlated a chunk at a time;
+        neither the chunk size nor CSILAB_THREADS, which analysis does not
+        read, may change a single bit of any estimate."""
         acq = AcquisitionConfig(num_sets=num_sets, samples_per_set=samples, rng_seed=seed)
         ts = synthesize(g10_model(), acq)
         interval = sys.getswitchinterval()

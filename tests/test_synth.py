@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csilab import synth
 from csilab.dsp import psd_estimate
 from csilab.errors import ClipWarning, ConfigError
 from csilab.estimators import Spectra
@@ -153,7 +155,7 @@ class TestDeterminism:
         assert np.array_equal(a.codes, b.codes[:, :3, :])
 
     def test_thread_schedule_irrelevant(self, monkeypatch):
-        monkeypatch.delenv("CSILAB_THREADS", raising=False)
+        monkeypatch.setenv("CSILAB_THREADS", "1")
         a = synthesize(model_g10(), small_acq(num_sets=6))
         monkeypatch.setenv("CSILAB_THREADS", "3")
         b = synthesize(model_g10(), small_acq(num_sets=6))
@@ -169,16 +171,19 @@ class TestDeterminism:
     )
     def test_codes_independent_of_threads_and_set_count(self, threads, num_sets, samples,
                                                         seed, data):
-        """Threads split the sets by stride, each with its own scratch; no
-        thread count and no set count may change a set's codes."""
+        """Threads take the sets of a block as they come free, each with its
+        own scratch; no thread count and no set count may change a set's
+        codes."""
         model = model_g10()
         acq = small_acq(num_sets=num_sets, samples_per_set=samples, rng_seed=seed)
         k = data.draw(st.integers(min_value=1, max_value=num_sets), label="k")
         interval = sys.getswitchinterval()
         with mock.patch.dict(os.environ):
-            os.environ.pop("CSILAB_THREADS", None)
+            os.environ["CSILAB_THREADS"] = "1"
             serial = synthesize(model, acq).codes
-            if threads is not None:
+            if threads is None:  # the default: one thread per usable CPU
+                del os.environ["CSILAB_THREADS"]
+            else:
                 os.environ["CSILAB_THREADS"] = threads
             sys.setswitchinterval(1e-6)  # switch threads as often as possible
             try:
@@ -193,6 +198,70 @@ class TestDeterminism:
         monkeypatch.setenv("CSILAB_THREADS", "many")
         with pytest.raises(ConfigError):
             synthesize(model_g10(), small_acq(num_sets=2))
+
+
+class TestDefaultThreads:
+    """Unset CSILAB_THREADS means one thread per CPU the process may run on."""
+
+    @staticmethod
+    def threads_used(monkeypatch, acq):
+        """(codes, threads) of one synthesis: the calling thread plus the
+        workers of the pool it starts, if any."""
+        pools = []
+
+        class CountingPool(synth.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(synth, "ThreadPoolExecutor", CountingPool)
+        codes = synthesize(model_g10(), acq).codes
+        assert len(pools) <= 1  # one pool for the whole run
+        return codes, 1 + sum(pools)
+
+    @pytest.mark.parametrize("cpus, num_sets, expected", [
+        (1, 16, 1), (2, 16, 2), (64, 16, 16),  # at most one thread per set of a block
+        (1, 3, 1), (2, 3, 2), (64, 3, 3),  # and no more threads than sets
+    ])
+    def test_thread_count_follows_cpu_affinity(self, monkeypatch, cpus, num_sets, expected):
+        monkeypatch.delenv("CSILAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        acq = small_acq(num_sets=num_sets, samples_per_set=256)
+        codes, threads = self.threads_used(monkeypatch, acq)
+        assert threads == expected
+        monkeypatch.setenv("CSILAB_THREADS", "1")
+        assert np.array_equal(codes, synthesize(model_g10(), acq).codes)
+
+    @pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, count, expected):
+        monkeypatch.delenv("CSILAB_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        _, threads = self.threads_used(monkeypatch, small_acq(num_sets=4, samples_per_set=256))
+        assert threads == expected
+
+    def test_calling_thread_makes_a_share(self, monkeypatch):
+        """With two threads the caller and one pool worker both make sets:
+        the caller takes the first set before it releases the interpreter
+        lock, and 16 sets leave the worker time to take others."""
+        monkeypatch.setenv("CSILAB_THREADS", "2")
+        workers, detect = set(), synth._detect_into
+
+        def recorded(*args):
+            workers.add(threading.get_ident())
+            return detect(*args)
+
+        monkeypatch.setattr(synth, "_detect_into", recorded)
+        _, threads = self.threads_used(monkeypatch, small_acq(num_sets=16, samples_per_set=2048))
+        assert threads == 2
+        assert len(workers) == 2 and threading.get_ident() in workers
+
+    def test_one_forces_serial(self, monkeypatch):
+        monkeypatch.setenv("CSILAB_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        _, threads = self.threads_used(monkeypatch, small_acq(num_sets=4, samples_per_set=256))
+        assert threads == 1
 
 
 class TestQuantizer:

@@ -277,9 +277,11 @@ def test_streaming_changes_no_byte_and_no_bit(tmp_path_factory, num_sets, sample
     folder = tmp_path_factory.mktemp("stream")
     streamed, whole = folder / "streamed.cstf", folder / "whole.cstf"
     with mock.patch.dict(os.environ):
-        os.environ.pop("CSILAB_THREADS", None)
+        os.environ["CSILAB_THREADS"] = "1"
         write_tracefile(synthesize(model, acq), whole)
-        if threads is not None:
+        if threads is None:  # the default: one thread per usable CPU
+            del os.environ["CSILAB_THREADS"]
+        else:
             os.environ["CSILAB_THREADS"] = threads
         write_stream(synthesize_stream(model, acq), streamed)
     assert streamed.read_bytes() == whole.read_bytes()
