@@ -21,14 +21,15 @@ import sys
 
 import numpy as np
 
-from csilab import Spectra, filtered_violation, g2_curves, preset, synthesize
+from csilab import Spectra, filtered_violation, g2_curves, preset
+from csilab.synth import synthesize_stream
 
 
 def main(outdir="demo_out"):
     os.makedirs(outdir, exist_ok=True)
     sc = preset("G10_IDEAL")
     print(f"synthesizing {sc.acquisition.num_sets} sets of {sc.name} ...")
-    sp = Spectra(synthesize(sc.model, sc.acquisition))
+    sp = Spectra(synthesize_stream(sc.model, sc.acquisition))
     rep = g2_curves(sp, sc.analysis.tau_max)
     band = sc.analysis.bandpass
     stats = filtered_violation(sp, band)

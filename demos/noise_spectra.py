@@ -14,14 +14,15 @@ import sys
 
 import numpy as np
 
-from csilab import normalized_spectra, preset, synthesize
+from csilab import Spectra, normalized_spectra, preset
+from csilab.synth import synthesize_stream
 
 
 def run(name, outdir):
     sc = preset(name)
-    ts = synthesize(sc.model, sc.acquisition)
+    sp = Spectra(synthesize_stream(sc.model, sc.acquisition))
     rep = normalized_spectra(
-        ts, band=sc.analysis.spectra_band, smooth_hz=sc.analysis.smooth_hz
+        sp, band=sc.analysis.spectra_band, smooth_hz=sc.analysis.smooth_hz
     )
     keep = ~np.isnan(rep.s_diff_norm) & (rep.frequencies <= sc.analysis.spectra_band[1])
     path = os.path.join(outdir, f"spectra_{name.lower()}.csv")

@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from csilab import cutoff_sweep, preset, synthesize, violation_factor_ideal
+from csilab import Spectra, cutoff_sweep, preset, violation_factor_ideal
+from csilab.synth import synthesize_stream
 
 CUTOFFS_MHZ = list(range(1, 16))
 PRESETS = ("G2", "G5", "G8", "G10")
@@ -25,9 +26,9 @@ def main(outdir="demo_out"):
     table = {}
     for name in PRESETS:
         sc = preset(name)
-        ts = synthesize(sc.model, sc.acquisition)
+        sp = Spectra(synthesize_stream(sc.model, sc.acquisition))
         rows = cutoff_sweep(
-            ts,
+            sp,
             [f * 1e6 for f in CUTOFFS_MHZ],
             f_lo=sc.analysis.bandpass.f_lo,
             order=sc.analysis.bandpass.order,

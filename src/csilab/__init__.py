@@ -48,7 +48,7 @@ from .theory import (
     squeezing_ideal,
     violation_factor_ideal,
 )
-from .tracefile import read_tracefile, write_tracefile
+from .tracefile import read_tracefile, write_stream
 
 __version__ = "0.1.0"
 
@@ -98,5 +98,5 @@ __all__ = [
     "squeezing_ideal",
     "synthesize",
     "violation_factor_ideal",
-    "write_tracefile",
+    "write_stream",
 ]

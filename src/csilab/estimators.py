@@ -1,6 +1,7 @@
 """Estimators for the measured twin-beam quantities.
 
-Input is a TraceSet of four quantized AC channels (p1, p2, c1, c2) plus
+Input is a Spectra: one transform of a trace source, a TraceSet or a
+TraceStream of four quantized AC channels (p1, p2, c1, c2) plus
 recorded DC means.  The split-detection layout makes the shot-noise
 self-term drop out of every correlation: products are always taken
 between different detectors, never of a channel with itself.
@@ -24,7 +25,7 @@ from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_sum
 from .errors import BandError, ConfigError, DcMissing, DegenerateSet, NoPeak
 from .synth import BLOCK_SETS, TraceSet, TraceStream
 
-_CHUNK = BLOCK_SETS  # sets correlated at a time, and a TraceSet's sets per block
+_CHUNK = BLOCK_SETS  # sets correlated at a time
 _LAG_SPAN = 10  # the delay search spans lags within n // _LAG_SPAN of zero
 _PEAK_HALF_WIDTH = 25  # lags this close to the peak are not background
 _MIN_BACKGROUND = 8  # background lags needed to judge the peak
@@ -74,9 +75,9 @@ class Spectra:
     conj(P) C of the recombined beams P = P1 + P2 and C = C1 + C2, and the
     split-pair rows conj(P1) P2 and conj(C1) C2.  Building it also sums
     over sets |P|², |C|², |P1 - P2|², |C1 - C2|² and conj(P) C, which
-    only enter as ensemble means.  Sets are transformed a block at a time,
-    straight from a TraceStream (a TraceSet is cut into blocks of _CHUNK
-    sets), so no channel, no beam spectrum and no stream is held whole.
+    only enter as ensemble means.  Sets are transformed a block at a time
+    as the trace source, a TraceSet or a TraceStream, yields them, so no
+    channel, no beam spectrum and no stream is held whole.
 
     Every estimator below is built from these rows and sums: a bandpass
     is a real |H| factor, delay compensation a phase ramp, and every eps
@@ -85,17 +86,16 @@ class Spectra:
     ``delay`` is the conjugate's ensemble delay at the cross-covariance
     peak; without a significant peak it is 0, ``delay_fallback`` is true
     and the conjugate stays uncompensated.  Build one per analysis and
-    pass it to each estimator in place of the TraceSet.
+    pass it to every estimator; none of them reads the traces.
 
     Raises DcMissing unless every DC mean is finite and positive, and
     ConfigError for sets shorter than MIN_SAMPLES, which leave the delay
     search too few lags to judge a peak wherever it sits.
     """
 
-    def __init__(self, ts: TraceSet | TraceStream):
-        stream = ts.stream(_CHUNK) if isinstance(ts, TraceSet) else ts
-        acq = stream.acquisition
-        dc = np.asarray(stream.dc_means, dtype=float)
+    def __init__(self, traces: TraceSet | TraceStream):
+        acq = traces.acquisition
+        dc = np.asarray(traces.dc_means, dtype=float)
         if not np.all(np.isfinite(dc) & (dc > 0.0)):
             raise DcMissing("trace set carries no usable DC means")
         self.n = n = acq.samples_per_set
@@ -113,7 +113,7 @@ class Spectra:
         self._power_sums = np.zeros((4, n // 2 + 1))  # |P|², |C|², |P1 - P2|², |C1 - C2|²
         step = acq.step
         lo = 0
-        for block in stream:
+        for block in traces:
             hi = lo + len(block)
             p1, p2, c1, c2 = (np.fft.rfft(block[:, ch] * step, axis=1) for ch in range(4))
             for x in (p1, p2, c1, c2):
@@ -223,10 +223,6 @@ def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
         acc += row
 
 
-def _spectra(x: TraceSet | Spectra) -> Spectra:
-    return x if isinstance(x, Spectra) else Spectra(x)
-
-
 def _band_mask(f: np.ndarray, band: tuple[float, float]) -> np.ndarray:
     """Bins of the grid f inside band; BandError when band leaves the grid
     or holds no bin of it."""
@@ -291,7 +287,7 @@ def _delay_ramp(n: int, rate: float, delay: float) -> np.ndarray:
     return ramp
 
 
-def g2_curves(ts: TraceSet | Spectra, tau_max: float = 100e-9) -> CorrelationReport:
+def g2_curves(sp: Spectra, tau_max: float = 100e-9) -> CorrelationReport:
     """Normalized intensity correlation curves and their standard errors.
 
     The cross curve correlates the recombined beams, the autos correlate
@@ -300,10 +296,12 @@ def g2_curves(ts: TraceSet | Spectra, tau_max: float = 100e-9) -> CorrelationRep
     of the Spectra.  The cross curve is reported against the raw lag
     axis; ``delay`` is the ensemble delay of the Spectra.  The
     unfiltered V statistics of the same ensemble are
-    ``filtered_violation(ts, None)``.  Fewer than two sets raise
-    DegenerateSet, since a standard error needs a spread.
+    ``filtered_violation(sp, None)``.  Fewer than two sets raise
+    DegenerateSet, since a standard error needs a spread.  The window
+    spans max(4, round(tau_max * rate)) lags each side of zero; past
+    (n - 1) // 2 a lag wraps round the set onto a negative one, so a
+    longer window raises ConfigError before anything is allocated.
     """
-    sp = _spectra(ts)
     sets = sp.sets
     if sets < 2:
         raise DegenerateSet(f"g2 standard errors need at least 2 sets, got {sets}")
@@ -311,6 +309,11 @@ def g2_curves(ts: TraceSet | Spectra, tau_max: float = 100e-9) -> CorrelationRep
     n = sp.n
 
     max_lag = max(4, int(round(tau_max * sp.rate)))
+    if max_lag > (n - 1) // 2:
+        raise ConfigError(
+            f"tau_max {tau_max:g} s spans {max_lag} lags at {sp.rate:g} Hz; sets of "
+            f"{n} samples hold distinct lags only up to {(n - 1) // 2}"
+        )
     lags = np.arange(-max_lag, max_lag + 1)
     norms = ((dc_p1 + dc_p2) * (dc_c1 + dc_c2), dc_p1 * dc_p2, dc_c1 * dc_c2)
     traces = np.empty((min(_CHUNK, sets), n))
@@ -347,7 +350,7 @@ def _smooth(power: np.ndarray, width: int) -> np.ndarray:
 
 
 def normalized_spectra(
-    ts: TraceSet | Spectra,
+    sp: Spectra,
     compensate: bool = True,
     band: tuple[float, float] | None = None,
     smooth_hz: float = 1.5e6,
@@ -364,7 +367,6 @@ def normalized_spectra(
     estimator noise does not fake a deeper minimum; the reported arrays
     stay raw.
     """
-    sp = _spectra(ts)
     rate = sp.rate
     sql_p, sql_c, sql_diff = sp.sql()
 
@@ -424,21 +426,19 @@ def normalized_spectra(
     )
 
 
-def csi_frequency_test(
-    report: SpectraReport, ts: TraceSet | Spectra, band: tuple[float, float]
-):
+def csi_frequency_test(report: SpectraReport, sp: Spectra, band: tuple[float, float]):
     """Spectral form of the CSI verdict over an analysis band.
 
     lhs integrates the SQL-normalized intensity-difference excess; rhs is
     the beam-asymmetry weight (difference over sum of the DC currents)
     times the integrated difference of the two beams' normalized excess.
     Classical states satisfy lhs >= rhs; lhs < rhs certifies a violation.
-    Returns (lhs, rhs, satisfied_classically).  ``ts`` supplies only the
-    DC means, so a TraceSet is read as it is, without a Spectra.
+    Returns (lhs, rhs, satisfied_classically).  ``sp``, the Spectra the
+    report was read from, supplies the DC means.
     """
-    dc = ts.dc if isinstance(ts, Spectra) else ts.dc_means
-    dc_p = float(dc[0]) + float(dc[1])
-    dc_c = float(dc[2]) + float(dc[3])
+    dc_p1, dc_p2, dc_c1, dc_c2 = sp.dc
+    dc_p = dc_p1 + dc_p2
+    dc_c = dc_c1 + dc_c2
     f = report.frequencies
     sel = _band_mask(f, band)
     fsel = f[sel]
@@ -449,7 +449,7 @@ def csi_frequency_test(
 
 
 def cutoff_sweep(
-    ts: TraceSet | Spectra,
+    sp: Spectra,
     f_hi_list,
     f_lo: float = 500e3,
     order: int = 10,
@@ -463,7 +463,6 @@ def cutoff_sweep(
     f_hi_list = list(f_hi_list)
     if not f_hi_list:
         raise BandError("cutoff list is empty")
-    sp = _spectra(ts)
     gains = (
         _bandpass_gain(FilterSpec(f_hi=float(f_hi), f_lo=f_lo, order=order), sp.n, sp.rate)
         for f_hi in f_hi_list
@@ -473,7 +472,7 @@ def cutoff_sweep(
                      for f_hi, st in zip(f_hi_list, sp._violation_stats(gains))])
 
 
-def filtered_violation(ts: TraceSet | Spectra, spec: FilterSpec | None) -> dict:
+def filtered_violation(sp: Spectra, spec: FilterSpec | None) -> dict:
     """Full per-set V statistics after bandpassing all four channels.
 
     Same filtering as one cutoff_sweep step; ``spec=None`` leaves the
@@ -488,7 +487,6 @@ def filtered_violation(ts: TraceSet | Spectra, spec: FilterSpec | None) -> dict:
     eps_ab is not positive are left out and counted; fewer than two kept
     raise DegenerateSet.
     """
-    sp = _spectra(ts)
     gain = None if spec is None else _bandpass_gain(spec, sp.n, sp.rate)
     stats = sp._violation_stats([gain])[0]
     stats["delay"] = sp.delay

@@ -103,7 +103,9 @@ class TraceSet:
     ``dc_means`` are the bias-T DC photocurrents in
     the same units as full_scale.  ``charge_scale`` (current per photon
     flux) is kept for in-memory use by the loss hook; it does not survive
-    file round-trips.
+    file round-trips.  Iterating a TraceSet yields the set-major blocks a
+    TraceStream yields, views of BLOCK_SETS sets each, so either one can
+    be written to a container or transformed into a Spectra.
     """
 
     codes: np.ndarray
@@ -117,6 +119,12 @@ class TraceSet:
             raise ConfigError(f"codes must be (4, sets, samples), got {self.codes.shape}")
         if self.codes.dtype != np.int16:
             raise ConfigError(f"codes must be int16, got {self.codes.dtype}")
+        acq = self.acquisition
+        if self.codes.shape[1:] != (acq.num_sets, acq.samples_per_set):
+            raise ConfigError(
+                f"codes hold {self.codes.shape[1]} sets of {self.codes.shape[2]} samples, "
+                f"the acquisition {acq.num_sets} of {acq.samples_per_set}"
+            )
         if np.shape(self.dc_means) != (4,):
             raise ConfigError(
                 f"dc_means must hold one value per channel, got shape {np.shape(self.dc_means)}"
@@ -132,22 +140,13 @@ class TraceSet:
         """Dequantized AC traces (num_sets, samples) of one channel."""
         return self.codes[CHANNEL_NAMES.index(name)] * self.step
 
-    @property
-    def num_sets(self) -> int:
-        return self.codes.shape[1]
-
     def dc(self, name: str) -> float:
         return float(self.dc_means[CHANNEL_NAMES.index(name)])
 
-    def stream(self, block_sets: int = BLOCK_SETS) -> TraceStream:
-        """The codes as a TraceStream of views of block_sets sets each."""
-        acq = self.acquisition
-        sets, samples = self.codes.shape[1:]
-        if (acq.num_sets, acq.samples_per_set) != (sets, samples):
-            acq = replace(acq, num_sets=sets, samples_per_set=samples)
+    def __iter__(self) -> Iterator[np.ndarray]:
         by_set = self.codes.transpose(1, 0, 2)
-        blocks = (by_set[lo : lo + block_sets] for lo in range(0, sets, block_sets))
-        return TraceStream(acq, self.dc_means, blocks, self.provenance, self.charge_scale)
+        for lo in range(0, len(by_set), BLOCK_SETS):
+            yield by_set[lo : lo + BLOCK_SETS]
 
 
 @dataclass

@@ -16,14 +16,15 @@ Layout (little endian throughout):
     78      4     CRC32 of bytes 0..78
     82      ...   int16 codes, C order (set, channel, sample)
 
-The payload is a run of set-major blocks, so a TraceStream's blocks go
-to disk as they are and come back with one ``readinto`` each.  Files
-are written to a temporary sibling and moved into place so a crashed
-writer never leaves a half-written file under the final name.  Readers
-validate the checksum, the header fields and the byte count before they
-allocate the payload; anything off raises TraceFileError rather than
-returning partial data.  DC means are not checked: a dead channel is
-representable, and analysis raises DcMissing on it.
+The payload is a run of set-major blocks, so the blocks of a TraceSet
+or a TraceStream go to disk as they are and come back with one
+``readinto`` each.  Files are written to a temporary sibling and moved
+into place so a crashed writer never leaves a half-written file under
+the final name.  Readers validate the checksum, the header fields and
+the byte count before they allocate the payload; anything off raises
+TraceFileError rather than returning partial data.  DC means are not
+checked: a dead channel is representable, and analysis raises DcMissing
+on it.
 """
 
 import contextlib
@@ -44,18 +45,14 @@ _CRC = struct.Struct("<I")
 HEADER_SIZE = _HEADER.size + _CRC.size
 
 
-def write_tracefile(ts: TraceSet, path) -> None:
-    """Serialize a TraceSet; atomic against concurrent readers of path."""
-    write_stream(ts.stream(), path)
-
-
-def write_stream(stream: TraceStream, path) -> None:
-    """Write a TraceStream's blocks to path as they arrive, atomically.
+def write_stream(traces: TraceSet | TraceStream, path) -> None:
+    """Write the blocks of a TraceSet or a TraceStream to path as they
+    arrive, atomically against concurrent readers of path.
 
     An exception from the stream, or a stream that does not hold the sets
     its header promises, leaves path as it was and no temporary behind.
     """
-    acq = stream.acquisition
+    acq = traces.acquisition
     if acq.full_scale is None:
         raise TraceFileError("cannot serialize with unresolved full_scale")
     header = _HEADER.pack(
@@ -67,13 +64,13 @@ def write_stream(stream: TraceStream, path) -> None:
         float(acq.sample_rate),
         acq.adc_bits,
         float(acq.full_scale),
-        *(float(x) for x in stream.dc_means),
+        *(float(x) for x in traces.dc_means),
         acq.rng_seed,
     )
     with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(_CRC.pack(zlib.crc32(header)))
-        for block in stream:
+        for block in traces:
             fh.write(np.ascontiguousarray(block, dtype="<i2"))
         fh.flush()
         os.fsync(fh.fileno())
@@ -158,7 +155,7 @@ def open_stream(path):
 
 
 def read_tracefile(path) -> TraceSet:
-    """Read and validate a trace container written by write_tracefile."""
+    """Read and validate a trace container written by write_stream."""
     with open(path, "rb") as fh:
         acq, dc_means = _read_header(fh, path)
         # the blocks land in place: one copy of the payload, set-major

@@ -5,8 +5,9 @@ stream, so pytest's capture cannot swallow it) and then asserts.  The
 tolerances are pinned here and nowhere else; if a number drifts out of
 its window this file is the one that should fail.
 
-Trace sets are synthesized once per preset and shared module-wide; the
-full gate runs in about a minute on one core.
+Trace sets are synthesized and transformed into a Spectra once per
+preset and shared module-wide; the full gate runs in about a minute on
+one core.
 """
 
 import math
@@ -14,9 +15,11 @@ import time
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
 from csilab.dsp import FilterSpec, psd_estimate
 from csilab.estimators import (
+    Spectra,
     csi_frequency_test,
     cutoff_sweep,
     filtered_violation,
@@ -27,7 +30,7 @@ from csilab.fock import fock_oracle_moments
 from csilab.scenarios import preset
 from csilab.synth import apply_loss, synthesize
 from csilab.theory import SqueezeParams, db, g2_ideal, squeezing_ideal, violation_factor_ideal
-from csilab.tracefile import read_tracefile, write_tracefile
+from csilab.tracefile import read_tracefile, write_stream
 
 _TS = {}
 _TIMINGS = {}
@@ -43,16 +46,28 @@ def trace_set(name):
 
 
 @lru_cache(maxsize=None)
+def analysis(name):
+    """The one Spectra of a preset's trace set that every estimator reads."""
+    return Spectra(trace_set(name))
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _free_spectra():
+    yield
+    analysis.cache_clear()  # about 120 MB per preset
+
+
+@lru_cache(maxsize=None)
 def banded_stats(name):
     sc = preset(name)
-    return filtered_violation(trace_set(name), sc.analysis.bandpass)
+    return filtered_violation(analysis(name), sc.analysis.bandpass)
 
 
 @lru_cache(maxsize=None)
 def spectra(name):
     sc = preset(name)
     return normalized_spectra(
-        trace_set(name), band=sc.analysis.spectra_band, smooth_hz=sc.analysis.smooth_hz
+        analysis(name), band=sc.analysis.spectra_band, smooth_hz=sc.analysis.smooth_hz
     )
 
 
@@ -60,7 +75,7 @@ def spectra(name):
 def sweep_rows(name, cutoffs):
     sc = preset(name)
     return cutoff_sweep(
-        trace_set(name),
+        analysis(name),
         [f * 1e6 for f in cutoffs],
         f_lo=sc.analysis.bandpass.f_lo,
         order=sc.analysis.bandpass.order,
@@ -238,7 +253,7 @@ def test_08_verdict_equivalence(capsys):
         sc = preset(name)
         stats = banded_stats(name)
         band = (sc.analysis.bandpass.f_lo, sc.analysis.bandpass.f_hi)
-        _, _, classical = csi_frequency_test(spectra(name), trace_set(name), band)
+        _, _, classical = csi_frequency_test(spectra(name), analysis(name), band)
         agree[name] = stats["violated"] == (not classical)
     _verdict(
         capsys,
@@ -253,8 +268,8 @@ def test_09_loss_invariance(capsys):
     sc = preset("G10")
     ts = trace_set("G10")
     lossy = apply_loss(ts, 0.5, rng_seed=11)
-    a = g2_curves(ts, sc.analysis.tau_max)
-    b = g2_curves(lossy, sc.analysis.tau_max)
+    a = g2_curves(analysis("G10"), sc.analysis.tau_max)
+    b = g2_curves(Spectra(lossy), sc.analysis.tau_max)
     worst = 0.0
     for name in ("g2_ab", "g2_aa", "g2_bb"):
         diff = np.abs(getattr(a, name) - getattr(b, name))
@@ -292,9 +307,9 @@ def test_10_dsp_units(tmp_path, capsys):
     acq = small.acquisition.__class__(num_sets=6, samples_per_set=512, rng_seed=3)
     ts = synthesize(small.model, acq)
     p1, p2 = tmp_path / "a.cstf", tmp_path / "b.cstf"
-    write_tracefile(ts, p1)
+    write_stream(ts, p1)
     back = read_tracefile(p1)
-    write_tracefile(back, p2)
+    write_stream(back, p2)
     rt_ok = np.array_equal(back.codes, ts.codes) and p1.read_bytes() == p2.read_bytes()
 
     ok = edges_ok and delay_ok and flat_ok and rt_ok

@@ -18,7 +18,7 @@ from csilab import cli, errors, estimators
 from csilab._atomic import atomic_write
 from csilab.cli import _write_csv, _write_text, main
 from csilab.synth import AcquisitionConfig, coherent_traces
-from csilab.tracefile import HEADER_SIZE, write_tracefile
+from csilab.tracefile import HEADER_SIZE, write_stream
 
 
 def run(*argv):
@@ -181,6 +181,15 @@ def test_payload_ending_early_exits_4_and_writes_nothing(tmp_path, g10_file, cap
     assert os.listdir(tmp_path) == ["short.cstf"]
 
 
+def test_lag_window_past_half_a_set_exits_2_and_writes_nothing(tmp_path, g10_file, capsys):
+    cfg = tmp_path / "long.ini"
+    cfg.write_text("[scenario]\npreset = G10\n[analysis]\ntau_max_ns = 1e6\n")
+    outdir = tmp_path / "rep"
+    assert run("analyze", str(g10_file), "--config", str(cfg), "--out", str(outdir)) == 2
+    assert "tau_max" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_analyze_truncated_file(tmp_path, g10_file, capsys):
     bad = tmp_path / "broken.cstf"
     bad.write_bytes(g10_file.read_bytes()[:5000])
@@ -222,7 +231,7 @@ def _rewrite_header(path, offset, fmt, value):
 ])
 def test_analyze_malformed_header_field_is_trace_error(tmp_path, capsys, offset, fmt, value):
     trace = tmp_path / "t.cstf"
-    write_tracefile(coherent_traces(AcquisitionConfig(num_sets=2, samples_per_set=256)), trace)
+    write_stream(coherent_traces(AcquisitionConfig(num_sets=2, samples_per_set=256)), trace)
     _rewrite_header(trace, offset, fmt, value)
     assert run("analyze", str(trace), "--out", str(tmp_path / "r")) == 4
     assert "invalid header" in capsys.readouterr().err
@@ -230,7 +239,7 @@ def test_analyze_malformed_header_field_is_trace_error(tmp_path, capsys, offset,
 
 def test_analyze_nan_dc_mean_is_dc_missing(tmp_path, capsys):
     trace = tmp_path / "t.cstf"
-    write_tracefile(coherent_traces(AcquisitionConfig(num_sets=4, samples_per_set=256)), trace)
+    write_stream(coherent_traces(AcquisitionConfig(num_sets=4, samples_per_set=256)), trace)
     _rewrite_header(trace, 38, "<d", float("nan"))  # DC mean of p1
     assert run("analyze", str(trace), "--out", str(tmp_path / "r")) == 2
     assert "DC means" in capsys.readouterr().err
@@ -367,7 +376,7 @@ def test_analyze_reports_delay_fallback(tmp_path, capsys):
     # independent beams: no cross-covariance peak, so the delay falls back
     # to 0 and the summary says so
     trace = tmp_path / "coherent.cstf"
-    write_tracefile(coherent_traces(AcquisitionConfig(num_sets=24, rng_seed=6)), trace)
+    write_stream(coherent_traces(AcquisitionConfig(num_sets=24, rng_seed=6)), trace)
     assert run("analyze", str(trace), "--out", str(tmp_path / "rep")) == 0
     txt = capsys.readouterr().out
     assert "delay estimate: 0.000 ns (no significant peak; uncompensated)\n" in txt
@@ -377,7 +386,7 @@ def test_analyze_of_independent_beams_is_inconclusive(tmp_path, capsys):
     # V = -0.067 +/- 3.1 at sigma_count 1.0 with 15 of 24 sets degenerate is
     # no evidence either way; the lines around the verdict keep their format
     trace = tmp_path / "coherent.cstf"
-    write_tracefile(coherent_traces(AcquisitionConfig(num_sets=24, rng_seed=6)), trace)
+    write_stream(coherent_traces(AcquisitionConfig(num_sets=24, rng_seed=6)), trace)
     assert run("analyze", str(trace), "--out", str(tmp_path / "rep")) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1:] == [

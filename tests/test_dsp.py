@@ -123,9 +123,9 @@ class TestButterworth:
             FilterSpec(f_hi=15e6, order=3)
         with pytest.raises(SpecError):
             FilterSpec(f_hi=15e6, order=0)
-        ts = coherent_traces(AcquisitionConfig(num_sets=2, samples_per_set=256))
+        sp = Spectra(coherent_traces(AcquisitionConfig(num_sets=2, samples_per_set=256)))
         with pytest.raises(SpecError):
-            filtered_violation(ts, FilterSpec(f_hi=600e6))
+            filtered_violation(sp, FilterSpec(f_hi=600e6))
 
 
 class TestDelay:

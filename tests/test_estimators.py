@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csilab import estimators
+from csilab import estimators, synth
 from csilab.dsp import FilterSpec, _bandpass_gain
 from csilab.errors import BandError, ConfigError, DcMissing, DegenerateSet
 from csilab.estimators import (
@@ -32,6 +32,7 @@ from csilab.synth import (
     quantize,
     split_and_detect,
     synthesize,
+    synthesize_stream,
 )
 from csilab.theory import CsdModel, ExcessNoiseSpec, SqueezeParams
 
@@ -56,8 +57,13 @@ def ts_g10(acq500):
 
 
 @pytest.fixture(scope="module")
-def ts_coherent(acq500):
-    return coherent_traces(acq500)
+def sp_g10(ts_g10):
+    return Spectra(ts_g10)
+
+
+@pytest.fixture(scope="module")
+def sp_coherent(acq500):
+    return Spectra(coherent_traces(acq500))
 
 
 def subset(ts, num_sets):
@@ -69,21 +75,21 @@ def subset(ts, num_sets):
 
 
 class TestG2Curves:
-    def test_cross_peak_sits_at_injected_delay(self, ts_g10):
-        rep = g2_curves(ts_g10, tau_max=100e-9)
+    def test_cross_peak_sits_at_injected_delay(self, sp_g10):
+        rep = g2_curves(sp_g10, tau_max=100e-9)
         tau_peak = rep.tau_grid[np.argmax(rep.g2_ab)]
         assert tau_peak == pytest.approx(8e-9, abs=2e-9)
         assert rep.delay == pytest.approx(8e-9, abs=1e-9)
 
-    def test_autocorrelations_peak_at_zero(self, ts_g10):
-        rep = g2_curves(ts_g10, tau_max=100e-9)
+    def test_autocorrelations_peak_at_zero(self, sp_g10):
+        rep = g2_curves(sp_g10, tau_max=100e-9)
         for curve in (rep.g2_aa, rep.g2_bb):
             tau_peak = rep.tau_grid[np.argmax(curve)]
             assert abs(tau_peak) <= 2e-9
             assert curve[np.argmin(np.abs(rep.tau_grid))] > 1.0
 
-    def test_curves_revert_to_one_at_long_lag(self, ts_g10):
-        rep = g2_curves(ts_g10, tau_max=400e-9)
+    def test_curves_revert_to_one_at_long_lag(self, sp_g10):
+        rep = g2_curves(sp_g10, tau_max=400e-9)
         far = np.abs(rep.tau_grid) > 300e-9
         for curve, sem in (
             (rep.g2_ab, rep.g2_ab_sem),
@@ -94,14 +100,13 @@ class TestG2Curves:
             assert np.mean(resid < 4.0) > 0.95
 
     def test_deterministic(self, ts_g10):
-        a = g2_curves(ts_g10, tau_max=50e-9)
-        b = g2_curves(ts_g10, tau_max=50e-9)
-        np.testing.assert_array_equal(a.g2_ab, b.g2_ab)
-        assert filtered_violation(ts_g10, None)["v_mean"] == (
-            filtered_violation(ts_g10, None)["v_mean"])
+        a, b = (Spectra(subset(ts_g10, 40)) for _ in range(2))
+        np.testing.assert_array_equal(g2_curves(a, tau_max=50e-9).g2_ab,
+                                      g2_curves(b, tau_max=50e-9).g2_ab)
+        assert filtered_violation(a, None)["v_mean"] == filtered_violation(b, None)["v_mean"]
 
-    def test_report_internal_consistency(self, ts_g10):
-        rep = filtered_violation(ts_g10, None)
+    def test_report_internal_consistency(self, sp_g10):
+        rep = filtered_violation(sp_g10, None)
         assert rep["num_degenerate"] == 0
         assert rep["v_pooled"] == pytest.approx(
             (rep["eps_aa"] + rep["eps_bb"]) / (2.0 * rep["eps_ab_peak"]), rel=1e-12
@@ -114,8 +119,8 @@ class TestG2Curves:
         )
         assert rep["violated"] == (rep["v_mean"] < 1.0)
 
-    def test_pooled_agrees_with_per_set_mean(self, ts_g10):
-        rep = filtered_violation(ts_g10, None)
+    def test_pooled_agrees_with_per_set_mean(self, sp_g10):
+        rep = filtered_violation(sp_g10, None)
         assert abs(rep["v_pooled"] - rep["v_mean"]) <= rep["v_sigma"]
 
     def test_curves_need_no_lag_kernel(self, ts_g10, monkeypatch):
@@ -138,9 +143,23 @@ class TestG2Curves:
         assert len(calls) == 3 * chunks
 
 
+    @pytest.mark.parametrize("tau_max, wraps", [(127e-9, False), (128e-9, True), (1e-6, True)])
+    def test_lag_window_stops_before_lags_wrap(self, tau_max, wraps):
+        """On n samples a lag past (n - 1) // 2 wraps onto a negative one:
+        on 256-sample sets the curve at +256 ns would repeat the one at 0."""
+        sp = Spectra(coherent_traces(AcquisitionConfig(num_sets=4, samples_per_set=256)))
+        if wraps:
+            with pytest.raises(ConfigError, match="tau_max"):
+                g2_curves(sp, tau_max=tau_max)
+        else:
+            rep = g2_curves(sp, tau_max=tau_max)
+            assert rep.tau_grid.size == 255
+            assert rep.tau_grid[-1] == pytest.approx(127e-9)
+
+
 class TestCoherentBaseline:
-    def test_all_curves_flat_at_one(self, ts_coherent):
-        rep = g2_curves(ts_coherent, tau_max=100e-9)
+    def test_all_curves_flat_at_one(self, sp_coherent):
+        rep = g2_curves(sp_coherent, tau_max=100e-9)
         for curve, sem in (
             (rep.g2_ab, rep.g2_ab_sem),
             (rep.g2_aa, rep.g2_aa_sem),
@@ -150,12 +169,12 @@ class TestCoherentBaseline:
             assert np.max(resid) < 5.0
             assert np.mean(resid < 3.0) > 0.95
 
-    def test_no_delay_peak_reports_zero(self, ts_coherent):
-        rep = g2_curves(ts_coherent, tau_max=50e-9)
+    def test_no_delay_peak_reports_zero(self, sp_coherent):
+        rep = g2_curves(sp_coherent, tau_max=50e-9)
         assert rep.delay == 0.0
 
-    def test_total_noise_at_sql(self, ts_coherent):
-        rep = normalized_spectra(ts_coherent, compensate=False)
+    def test_total_noise_at_sql(self, sp_coherent):
+        rep = normalized_spectra(sp_coherent, compensate=False)
         band = (rep.frequencies > 1e6) & (rep.frequencies < 300e6)
         assert np.mean(rep.s_diff_norm[band]) == pytest.approx(1.0, abs=0.01)
         assert rep.squeezing_db_max < 0.3
@@ -197,7 +216,7 @@ class TestThermalBeam:
             provenance="thermal-test",
             charge_scale=q,
         )
-        rep = g2_curves(ts, tau_max=50e-9)
+        rep = g2_curves(Spectra(ts), tau_max=50e-9)
         i0 = np.argmin(np.abs(rep.tau_grid))
         assert rep.g2_aa[i0] == pytest.approx(2.0, abs=0.05)
         assert rep.g2_bb[i0] == pytest.approx(2.0, abs=0.05)
@@ -206,12 +225,11 @@ class TestThermalBeam:
 
 
 class TestViolationFactor:
-    def test_one_pass_matches_gain_by_gain(self, ts_g10):
-        sp = Spectra(ts_g10)
+    def test_one_pass_matches_gain_by_gain(self, sp_g10):
         spec = FilterSpec(f_hi=12e6, f_lo=5e5, order=10)
-        shared = sp._violation_stats([None, _bandpass_gain(spec, sp.n, sp.rate)])
-        for stats, alone in zip(shared, (filtered_violation(sp, None),
-                                         filtered_violation(sp, spec))):
+        shared = sp_g10._violation_stats([None, _bandpass_gain(spec, sp_g10.n, sp_g10.rate)])
+        for stats, alone in zip(shared, (filtered_violation(sp_g10, None),
+                                         filtered_violation(sp_g10, spec))):
             assert stats["v_mean"] == pytest.approx(alone["v_mean"], rel=1e-12)
             assert stats["v_sigma"] == pytest.approx(alone["v_sigma"], rel=1e-12)
             assert stats["v_per_set"].size == alone["v_per_set"].size
@@ -228,11 +246,12 @@ class TestViolationFactor:
         filtered_violation(sp, FilterSpec(f_hi=12e6, f_lo=5e5, order=10))
         cutoff_sweep(sp, [f * 1e6 for f in range(1, 16)])
 
-    def test_sem_shrinks_with_set_count(self, ts_g10):
+    def test_sem_shrinks_with_set_count(self, ts_g10, sp_g10):
         sems = {}
         sigmas = {}
         for n in (50, 200, 500):
-            rep = filtered_violation(subset(ts_g10, n), None)
+            sp = sp_g10 if n == 500 else Spectra(subset(ts_g10, n))
+            rep = filtered_violation(sp, None)
             sems[n] = rep["v_sem"]
             sigmas[n] = rep["v_sigma"]
         # per-set spread is a property of one set, not of the ensemble size
@@ -242,9 +261,9 @@ class TestViolationFactor:
         assert sems[50] / sems[500] == pytest.approx(np.sqrt(10.0), rel=0.4)
         assert sems[200] / sems[500] == pytest.approx(np.sqrt(2.5), rel=0.3)
 
-    def test_subset_means_consistent(self, ts_g10):
-        rep_all = filtered_violation(ts_g10, None)
-        rep_50 = filtered_violation(subset(ts_g10, 50), None)
+    def test_subset_means_consistent(self, ts_g10, sp_g10):
+        rep_all = filtered_violation(sp_g10, None)
+        rep_50 = filtered_violation(Spectra(subset(ts_g10, 50)), None)
         assert abs(rep_50["v_mean"] - rep_all["v_mean"]) < 5.0 * rep_50["v_sem"]
 
     def test_anticorrelated_beams_are_degenerate(self, ts_g10):
@@ -252,7 +271,7 @@ class TestViolationFactor:
         codes = ts.codes.copy()
         codes[2] = -codes[0]  # conjugate halves mirror the probe with flipped sign
         codes[3] = -codes[1]
-        flipped = dataclasses.replace(ts, codes=codes)
+        flipped = Spectra(dataclasses.replace(ts, codes=codes))
         with pytest.raises(DegenerateSet):
             filtered_violation(flipped, None)
         # the curves need no positive peak: the cross curve dips below one
@@ -263,12 +282,12 @@ class TestViolationFactor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateSet):
-                g2_curves(subset(ts_g10, 1), tau_max=50e-9)
+                g2_curves(Spectra(subset(ts_g10, 1)), tau_max=50e-9)
 
     def test_missing_dc_raises(self, ts_g10):
         broken = dataclasses.replace(ts_g10, dc_means=np.zeros(4))
         with pytest.raises(DcMissing):
-            g2_curves(broken)
+            Spectra(broken)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_dc_raises(self, ts_g10, bad):
@@ -289,7 +308,7 @@ class TestViolationFactor:
     def test_shortest_accepted_set_gives_finite_v(self):
         acq = AcquisitionConfig(num_sets=8, samples_per_set=estimators.MIN_SAMPLES,
                                 rng_seed=3)
-        stats = filtered_violation(synthesize(g10_model(), acq), None)
+        stats = filtered_violation(Spectra(synthesize_stream(g10_model(), acq)), None)
         assert np.isfinite(stats["v_mean"]) and np.isfinite(stats["v_sem"])
 
 
@@ -305,7 +324,8 @@ class TestModelAgreement:
         spec = FilterSpec(f_hi=15e6, f_lo=5e5, order=10)
         n, d = 4000, 8
         acq = AcquisitionConfig(num_sets=1000, samples_per_set=n, rng_seed=11)
-        v = [filtered_violation(synthesize(g10_model(delay=delay), acq), spec)["v_per_set"]
+        v = [filtered_violation(Spectra(synthesize_stream(g10_model(delay=delay), acq)),
+                                spec)["v_per_set"]
              for delay in (0.0, d / acq.sample_rate)]
         shift = v[1] - v[0]
         se = shift.std(ddof=1) / np.sqrt(shift.size)
@@ -329,7 +349,7 @@ class TestModelAgreement:
         errors of it on every preset."""
         sc = preset(name)
         spec = sc.analysis.bandpass
-        stats = filtered_violation(synthesize(sc.model, sc.acquisition), spec)
+        stats = filtered_violation(Spectra(synthesize_stream(sc.model, sc.acquisition)), spec)
         f = np.fft.rfftfreq(sc.acquisition.samples_per_set, d=1.0 / sc.acquisition.sample_rate)
         predicted = sc.model.predicted_violation(
             f[0], f[-1], npts=f.size, weight=lambda x: spec.magnitude(x) ** 2)
@@ -337,10 +357,13 @@ class TestModelAgreement:
 
 
 class TestLossInvariance:
-    def test_g2_curves_survive_extra_loss(self, ts_g10):
-        lossy = apply_loss(ts_g10, 0.5, rng_seed=909)
-        a = g2_curves(ts_g10, tau_max=100e-9)
-        b = g2_curves(lossy, tau_max=100e-9)
+    @pytest.fixture(scope="class")
+    def sp_lossy(self, ts_g10):
+        return Spectra(apply_loss(ts_g10, 0.5, rng_seed=909))
+
+    def test_g2_curves_survive_extra_loss(self, sp_g10, sp_lossy):
+        a = g2_curves(sp_g10, tau_max=100e-9)
+        b = g2_curves(sp_lossy, tau_max=100e-9)
         for ca, sa, cb, sb in (
             (a.g2_ab, a.g2_ab_sem, b.g2_ab, b.g2_ab_sem),
             (a.g2_aa, a.g2_aa_sem, b.g2_aa, b.g2_aa_sem),
@@ -366,29 +389,28 @@ class TestLossInvariance:
         were independent of the lossless ones."""
         acq = AcquisitionConfig(num_sets=48, samples_per_set=4096, rng_seed=seed)
         ts = synthesize(g10_model(), acq)
-        a = g2_curves(ts, tau_max=30e-9)
-        b = g2_curves(apply_loss(ts, extra_eta, rng_seed=seed + 1), tau_max=30e-9)
+        a = g2_curves(Spectra(ts), tau_max=30e-9)
+        b = g2_curves(Spectra(apply_loss(ts, extra_eta, rng_seed=seed + 1)), tau_max=30e-9)
         for name in ("g2_ab", "g2_aa", "g2_bb"):
             sem = np.hypot(getattr(a, name + "_sem"), getattr(b, name + "_sem"))
             assert np.max(np.abs(getattr(a, name) - getattr(b, name)) / sem) < 6.0
 
-    def test_v_mean_survives_extra_loss(self, ts_g10):
-        lossy = apply_loss(ts_g10, 0.5, rng_seed=909)
-        a = filtered_violation(ts_g10, None)
-        b = filtered_violation(lossy, None)
+    def test_v_mean_survives_extra_loss(self, sp_g10, sp_lossy):
+        a = filtered_violation(sp_g10, None)
+        b = filtered_violation(sp_lossy, None)
         assert abs(a["v_mean"] - b["v_mean"]) < (
             3.0 * np.hypot(a["v_sem"], b["v_sem"]) + 0.01)
 
 
 class TestSpectra:
-    def test_sql_diff_is_pointwise_sum(self, ts_g10):
-        rep = normalized_spectra(ts_g10)
+    def test_sql_diff_is_pointwise_sum(self, sp_g10):
+        rep = normalized_spectra(sp_g10)
         sql_p, sql_c, sql_diff = rep.sql_p, rep.sql_c, rep.sql_diff
         np.testing.assert_allclose(sql_diff.power, sql_p.power + sql_c.power)
         assert sql_diff.num_averages == sql_p.num_averages
 
-    def test_report_carries_delay_and_metrics(self, ts_g10):
-        rep = normalized_spectra(ts_g10)
+    def test_report_carries_delay_and_metrics(self, sp_g10):
+        rep = normalized_spectra(sp_g10)
         assert rep.compensated
         assert rep.delay == pytest.approx(8e-9, abs=1e-9)
         assert rep.squeezing_db_max > 3.0
@@ -396,55 +418,54 @@ class TestSpectra:
         band = (rep.frequencies > 1e6) & (rep.frequencies < 3e6)
         assert np.mean(rep.s_diff_norm[band]) < 0.5
 
-    def test_compensation_deepens_high_frequency_squeezing(self, ts_g10):
-        comp = normalized_spectra(ts_g10, compensate=True)
-        raw = normalized_spectra(ts_g10, compensate=False)
+    def test_compensation_deepens_high_frequency_squeezing(self, sp_g10):
+        comp = normalized_spectra(sp_g10, compensate=True)
+        raw = normalized_spectra(sp_g10, compensate=False)
         sel = (comp.frequencies > 10e6) & (comp.frequencies < 15e6)
         assert np.mean(raw.s_diff_norm[sel]) > np.mean(comp.s_diff_norm[sel])
         assert raw.delay == 0.0
 
-    def test_beam_spectra_sit_far_above_sql(self, ts_g10):
-        rep = normalized_spectra(ts_g10)
+    def test_beam_spectra_sit_far_above_sql(self, sp_g10):
+        rep = normalized_spectra(sp_g10)
         band = (rep.frequencies > 1e6) & (rep.frequencies < 10e6)
         assert np.mean(rep.s_p_norm[band]) > 5.0
         assert np.mean(rep.s_c_norm[band]) > 5.0
 
-    def test_band_outside_grid_raises(self, ts_g10):
+    def test_band_outside_grid_raises(self, sp_g10):
         with pytest.raises(BandError):
-            normalized_spectra(ts_g10, band=(500e3, 2e9))
+            normalized_spectra(sp_g10, band=(500e3, 2e9))
 
     @pytest.mark.parametrize("band", [(15e6, 5e5), (1.00001e6, 1.00002e6)],
                              ids=["inverted", "between_bins"])
     def test_band_without_bins_raises(self, ts_g10, band):
         with pytest.raises(BandError, match="no frequency bin"):
-            normalized_spectra(subset(ts_g10, 8), band=band)
+            normalized_spectra(Spectra(subset(ts_g10, 8)), band=band)
 
 
 class TestCsiFrequencyTest:
-    def test_quiet_band_flags_violation(self, ts_g10):
-        rep = normalized_spectra(ts_g10)
-        lhs, rhs, classical = csi_frequency_test(rep, ts_g10, (5e5, 5e6))
+    def test_quiet_band_flags_violation(self, sp_g10):
+        rep = normalized_spectra(sp_g10)
+        lhs, rhs, classical = csi_frequency_test(rep, sp_g10, (5e5, 5e6))
         assert lhs < rhs
         assert not classical
 
-    def test_wide_band_swamped_by_excess(self, ts_g10):
-        rep = normalized_spectra(ts_g10)
-        lhs, rhs, classical = csi_frequency_test(rep, ts_g10, (5e5, 100e6))
+    def test_wide_band_swamped_by_excess(self, sp_g10):
+        rep = normalized_spectra(sp_g10)
+        lhs, rhs, classical = csi_frequency_test(rep, sp_g10, (5e5, 100e6))
         assert classical
 
-    def test_verdict_matches_time_domain(self, ts_g10):
-        sp = Spectra(ts_g10)
-        rep = normalized_spectra(sp)
+    def test_verdict_matches_time_domain(self, sp_g10):
+        rep = normalized_spectra(sp_g10)
         for band_hi in (5e6, 100e6):
             spec = FilterSpec(f_hi=band_hi, f_lo=5e5, order=10)
-            v_mean = filtered_violation(sp, spec)["v_mean"]
-            _, _, classical = csi_frequency_test(rep, ts_g10, (5e5, band_hi))
+            v_mean = filtered_violation(sp_g10, spec)["v_mean"]
+            _, _, classical = csi_frequency_test(rep, sp_g10, (5e5, band_hi))
             assert (v_mean < 1.0) == (not classical)
 
-    def test_band_outside_grid_raises(self, ts_g10):
-        rep = normalized_spectra(ts_g10)
+    def test_band_outside_grid_raises(self, sp_g10):
+        rep = normalized_spectra(sp_g10)
         with pytest.raises(BandError):
-            csi_frequency_test(rep, ts_g10, (5e5, 2e9))
+            csi_frequency_test(rep, sp_g10, (5e5, 2e9))
 
     def test_inverted_band_raises(self, ts_g10):
         sp = Spectra(subset(ts_g10, 8))
@@ -453,17 +474,17 @@ class TestCsiFrequencyTest:
 
 
 class TestCutoffSweep:
-    def test_violation_restored_below_excess_onset(self, ts_g10):
-        rows = cutoff_sweep(ts_g10, [2e6, 10e6, 30e6])
+    def test_violation_restored_below_excess_onset(self, sp_g10):
+        rows = cutoff_sweep(sp_g10, [2e6, 10e6, 30e6])
         assert rows.shape == (3, 3)
         v = rows[:, 1]
         assert v[0] < 1.0
         assert v[2] > 1.0
         assert v[0] < v[1] < v[2]
 
-    def test_empty_cutoff_list_raises(self, ts_g10):
+    def test_empty_cutoff_list_raises(self, sp_g10):
         with pytest.raises(BandError):
-            cutoff_sweep(ts_g10, [])
+            cutoff_sweep(sp_g10, [])
 
 
 def assert_identical(a, b):
@@ -487,38 +508,6 @@ class TestSharedSpectra:
     def ts40(self, ts_g10):
         return subset(ts_g10, 40)
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda x: filtered_violation(x, FilterSpec(f_hi=12e6, f_lo=5e5, order=10)),
-            lambda x: normalized_spectra(x),
-            lambda x: normalized_spectra(x, compensate=False, band=(1e6, 30e6)),
-            lambda x: g2_curves(x, tau_max=50e-9),
-            lambda x: cutoff_sweep(x, [2e6, 10e6, 30e6]),
-        ],
-        ids=["filtered_violation", "normalized_spectra", "uncompensated",
-             "g2_curves", "cutoff_sweep"],
-    )
-    def test_spectra_and_traces_give_identical_results(self, ts40, call):
-        assert_identical(call(Spectra(ts40)), call(ts40))
-
-    def test_frequency_test_identical_on_shared_report(self, ts40):
-        band = (5e5, 5e6)
-        shared = csi_frequency_test(normalized_spectra(Spectra(ts40)), ts40, band)
-        assert shared == csi_frequency_test(normalized_spectra(ts40), ts40, band)
-
-    def test_frequency_test_takes_spectra_or_traces(self, ts40, monkeypatch):
-        band = (5e5, 5e6)
-        sp = Spectra(ts40)
-        rep = normalized_spectra(sp)
-        from_spectra = csi_frequency_test(rep, sp, band)
-
-        def refuse(*args):
-            raise AssertionError("a TraceSet's DC means need no Spectra")
-
-        monkeypatch.setattr(estimators.Spectra, "__init__", refuse)
-        assert from_spectra == csi_frequency_test(rep, ts40, band)
-
     def test_delay_estimated_once_per_spectra(self, ts40, monkeypatch):
         calls = []
         fit = estimators._delay_from_covariance
@@ -537,10 +526,9 @@ class TestSharedSpectra:
         assert sp.delay == pytest.approx(8e-9, abs=1e-9)
         assert not sp.delay_fallback
 
-    def test_fallback_carried_by_spectra(self, ts_coherent):
-        sp = Spectra(ts_coherent)
-        assert (sp.delay, sp.delay_fallback) == (0.0, True)
-        stats = filtered_violation(sp, FilterSpec(f_hi=12e6, f_lo=5e5, order=10))
+    def test_fallback_carried_by_spectra(self, sp_coherent):
+        assert (sp_coherent.delay, sp_coherent.delay_fallback) == (0.0, True)
+        stats = filtered_violation(sp_coherent, FilterSpec(f_hi=12e6, f_lo=5e5, order=10))
         assert stats["delay_fallback"]
 
 
@@ -584,13 +572,15 @@ class TestChunkedAnalysis:
         interval = sys.getswitchinterval()
         with mock.patch.dict(os.environ):
             os.environ.pop("CSILAB_THREADS", None)
-            with mock.patch.object(estimators, "_CHUNK", num_sets + 1):
+            with (mock.patch.object(estimators, "_CHUNK", num_sets + 1),
+                  mock.patch.object(synth, "BLOCK_SETS", num_sets + 1)):
                 whole = _every_estimate(ts)  # one chunk: the ensemble at once
             if threads is not None:
                 os.environ["CSILAB_THREADS"] = threads
             sys.setswitchinterval(1e-6)  # switch threads as often as possible
             try:
-                with mock.patch.object(estimators, "_CHUNK", chunk or num_sets + 1):
+                with (mock.patch.object(estimators, "_CHUNK", chunk or num_sets + 1),
+                      mock.patch.object(synth, "BLOCK_SETS", chunk or num_sets + 1)):
                     chunked = _every_estimate(ts)
             finally:
                 sys.setswitchinterval(interval)

@@ -93,23 +93,34 @@ def test_log_factorials_match_lgamma():
     np.testing.assert_allclose(lf, ref, rtol=1e-13, atol=0.0)
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=60, deadline=None, database=None)
 @given(
-    gain=st.floats(min_value=1.0, max_value=math.cosh(0.6) ** 2, exclude_min=True),
+    state=st.one_of(
+        st.tuples(st.just("gain"), st.floats(min_value=1.0, max_value=math.cosh(0.6) ** 2,
+                                            exclude_min=True)),
+        st.tuples(st.just("s"), st.floats(min_value=math.log(1e-12), max_value=math.log(0.6))
+                  .map(math.exp)),
+    ),
     amag=st.floats(min_value=0.0, max_value=2.0),
     phase=st.floats(min_value=-math.pi, max_value=math.pi),
 )
-def test_closed_forms_match_oracle_in_trusted_domain(gain, amag, phase):
+def test_closed_forms_match_oracle_in_trusted_domain(state, amag, phase):
     """g2_ideal agrees with the oracle where `theory --oracle` trusts it.
 
     Like the CLI check, the state is built from its gain and kept when
     0 < s <= 0.6.  A gain of 1.27 at |alpha| = 1 failed the 1e-8 tolerance
-    while the truncation accepted a norm deficit of up to 1e-10.
+    while the truncation accepted a norm deficit of up to 1e-10.  A gain
+    rounds to 1 below s of about 1e-8, so s is also drawn directly,
+    log-uniform from 1e-12, where G - 1 = sinh(s)**2 has to keep its
+    digits.
     """
-    p = SqueezeParams.from_gain(gain, alpha=amag * complex(math.cos(phase), math.sin(phase)))
+    kind, value = state
+    alpha = amag * complex(math.cos(phase), math.sin(phase))
+    p = SqueezeParams.from_gain(value, alpha=alpha) if kind == "gain" else (
+        SqueezeParams(s=value, alpha=alpha))
     assume(0.0 < p.s <= 0.6)
     ideal = g2_ideal(p)
     oracle = fock_oracle_moments(p)
     for name in ("g2_aa", "g2_bb", "g2_ab0"):
         a, b = getattr(ideal, name), getattr(oracle, name)
-        assert abs(a - b) <= ORACLE_TOL * abs(b), (name, a, b)
+        assert abs(a - b) <= ORACLE_TOL * abs(b), (name, p, a, b)

@@ -14,6 +14,7 @@ import slow_reference as ref
 from csilab.dsp import FilterSpec
 from csilab.errors import DegenerateSet, SpecError
 from csilab.estimators import (
+    Spectra,
     cutoff_sweep,
     filtered_violation,
     g2_curves,
@@ -34,25 +35,28 @@ def close(actual, desired):
 
 @pytest.fixture(scope="module", params=["G10", "G2"])
 def scenario_ts(request):
+    """(scenario, traces, their Spectra), shared by the module's tests."""
     sc = preset(request.param)
     acq = dataclasses.replace(sc.acquisition, num_sets=24, rng_seed=0x5EED)
-    return sc, synthesize(sc.model, acq)
+    ts = synthesize(sc.model, acq)
+    return sc, ts, Spectra(ts)
 
 
 @pytest.fixture(scope="module")
 def ts_coherent():
     # independent beams: no cross-covariance peak, so the delay falls back to 0
-    return coherent_traces(AcquisitionConfig(num_sets=24, samples_per_set=4096, rng_seed=0))
+    ts = coherent_traces(AcquisitionConfig(num_sets=24, samples_per_set=4096, rng_seed=0))
+    return ts, Spectra(ts)
 
 
 def test_cutoff_sweep_matches_reference(scenario_ts):
-    _, ts = scenario_ts
-    close(cutoff_sweep(ts, CUTOFFS), ref.cutoff_sweep(ts, CUTOFFS))
+    _, ts, sp = scenario_ts
+    close(cutoff_sweep(sp, CUTOFFS), ref.cutoff_sweep(ts, CUTOFFS))
 
 
 def test_filtered_violation_matches_reference(scenario_ts):
-    sc, ts = scenario_ts
-    fast = filtered_violation(ts, sc.analysis.bandpass)
+    sc, ts, sp = scenario_ts
+    fast = filtered_violation(sp, sc.analysis.bandpass)
     slow = ref.filtered_violation(ts, sc.analysis.bandpass)
     for key in STAT_KEYS + ("delay",):
         close(fast[key], slow[key])
@@ -62,8 +66,8 @@ def test_filtered_violation_matches_reference(scenario_ts):
 
 
 def test_g2_curves_match_reference(scenario_ts):
-    _, ts = scenario_ts
-    fast = g2_curves(ts, tau_max=60e-9)
+    _, ts, sp = scenario_ts
+    fast = g2_curves(sp, tau_max=60e-9)
     slow = ref.g2_curves(ts, tau_max=60e-9)
     for key in ("tau_grid", "g2_ab", "g2_aa", "g2_bb", "g2_ab_sem", "g2_aa_sem",
                 "g2_bb_sem", "delay"):
@@ -71,8 +75,8 @@ def test_g2_curves_match_reference(scenario_ts):
 
 
 def test_unfiltered_violation_matches_reference(scenario_ts):
-    _, ts = scenario_ts
-    fast = filtered_violation(ts, None)
+    _, ts, sp = scenario_ts
+    fast = filtered_violation(sp, None)
     slow = ref.g2_curves(ts, tau_max=60e-9)
     for key in STAT_KEYS + ("delay",):
         close(fast[key], slow[key])
@@ -82,8 +86,8 @@ def test_unfiltered_violation_matches_reference(scenario_ts):
 
 @pytest.mark.parametrize("compensate", [True, False])
 def test_normalized_spectra_match_reference(scenario_ts, compensate):
-    _, ts = scenario_ts
-    fast = normalized_spectra(ts, compensate=compensate)
+    _, ts, sp = scenario_ts
+    fast = normalized_spectra(sp, compensate=compensate)
     slow = ref.normalized_spectra(ts, compensate=compensate)
     close(fast.frequencies, slow["frequencies"])
     close(fast.delay, slow["delay"])
@@ -96,18 +100,19 @@ def test_normalized_spectra_match_reference(scenario_ts, compensate):
 
 
 def test_no_peak_falls_back_to_zero_delay(ts_coherent):
+    ts, sp = ts_coherent
     spec = FilterSpec(f_hi=15e6)
-    fast = filtered_violation(ts_coherent, spec)
-    slow = ref.filtered_violation(ts_coherent, spec)
+    fast = filtered_violation(sp, spec)
+    slow = ref.filtered_violation(ts, spec)
     assert fast["delay_fallback"]
     assert fast["delay"] == slow["delay"] == 0.0
     for key in STAT_KEYS:
         close(fast[key], slow[key])
-    close(cutoff_sweep(ts_coherent, [5e6, 15e6]), ref.cutoff_sweep(ts_coherent, [5e6, 15e6]))
+    close(cutoff_sweep(sp, [5e6, 15e6]), ref.cutoff_sweep(ts, [5e6, 15e6]))
 
 
 def test_degenerate_sets_raise_like_reference(scenario_ts):
-    _, ts = scenario_ts
+    _, ts, _ = scenario_ts
     codes = ts.codes[:, :8].copy()
     codes[2] = -codes[0]  # conjugate halves mirror the probe with flipped sign
     codes[3] = -codes[1]
@@ -118,18 +123,19 @@ def test_degenerate_sets_raise_like_reference(scenario_ts):
     spec = FilterSpec(f_hi=15e6)
     with pytest.raises(DegenerateSet):
         ref.filtered_violation(flipped, spec)
+    sp = Spectra(flipped)
     with pytest.raises(DegenerateSet):
-        filtered_violation(flipped, spec)
+        filtered_violation(sp, spec)
     with pytest.raises(DegenerateSet):
-        cutoff_sweep(flipped, [15e6])
+        cutoff_sweep(sp, [15e6])
 
 
 @pytest.mark.parametrize("f_hi", [500e6, 600e6])
 def test_cutoff_at_or_above_nyquist_raises(scenario_ts, f_hi):
-    _, ts = scenario_ts
+    _, ts, sp = scenario_ts
     with pytest.raises(SpecError):
         ref.cutoff_sweep(ts, [15e6, f_hi])
     with pytest.raises(SpecError):
-        cutoff_sweep(ts, [15e6, f_hi])
+        cutoff_sweep(sp, [15e6, f_hi])
     with pytest.raises(SpecError):
-        filtered_violation(ts, FilterSpec(f_hi=f_hi))
+        filtered_violation(sp, FilterSpec(f_hi=f_hi))

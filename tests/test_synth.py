@@ -242,14 +242,18 @@ class TestDefaultThreads:
         assert threads == expected
 
     def test_calling_thread_makes_a_share(self, monkeypatch):
-        """With two threads the caller and one pool worker both make sets:
-        the caller takes the first set before it releases the interpreter
-        lock, and 16 sets leave the worker time to take others."""
+        """With two threads the caller and one pool worker both make sets.
+        Each thread's first set waits for the other thread's first set, so
+        the caller cannot finish the block before the worker starts, and a
+        thread that makes no set breaks the barrier and fails the run."""
         monkeypatch.setenv("CSILAB_THREADS", "2")
         workers, detect = set(), synth._detect_into
+        first_sets = threading.Barrier(2, timeout=10)
 
         def recorded(*args):
-            workers.add(threading.get_ident())
+            if threading.get_ident() not in workers:
+                workers.add(threading.get_ident())
+                first_sets.wait()
             return detect(*args)
 
         monkeypatch.setattr(synth, "_detect_into", recorded)
@@ -470,6 +474,18 @@ class TestLossHook:
             apply_loss(stripped, 0.5)
 
 
+def test_traceset_iterates_as_set_major_block_views(monkeypatch):
+    """A TraceSet yields what a TraceStream yields: (k, 4, samples) blocks of
+    at most BLOCK_SETS sets, read when iteration starts, here as views of
+    the codes."""
+    ts = coherent_traces(small_acq(num_sets=5, samples_per_set=256))
+    monkeypatch.setattr(synth, "BLOCK_SETS", 2)
+    blocks = list(ts)
+    assert [b.shape for b in blocks] == [(2, 4, 256), (2, 4, 256), (1, 4, 256)]
+    assert all(np.shares_memory(b, ts.codes) for b in blocks)
+    np.testing.assert_array_equal(np.concatenate(blocks), ts.codes.transpose(1, 0, 2))
+
+
 class TestValidation:
     def test_from_params_hits_ratio_exactly(self):
         m = model_g10()
@@ -484,6 +500,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="int16"):
             TraceSet(
                 codes=np.zeros((4, 1, 16), dtype=dtype),
+                dc_means=np.ones(4),
+                acquisition=small_acq(samples_per_set=16, num_sets=1),
+            )
+
+    @pytest.mark.parametrize("shape", [(4, 2, 16), (4, 1, 32)])
+    def test_traceset_rejects_codes_the_acquisition_does_not_describe(self, shape):
+        with pytest.raises(ConfigError, match="acquisition"):
+            TraceSet(
+                codes=np.zeros(shape, dtype=np.int16),
                 dc_means=np.ones(4),
                 acquisition=small_acq(samples_per_set=16, num_sets=1),
             )

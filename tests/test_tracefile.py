@@ -16,14 +16,15 @@ from hypothesis import strategies as st
 from csilab.errors import ConfigError, TraceFileError
 from csilab.estimators import MIN_SAMPLES, Spectra
 from csilab.scenarios import preset
-from csilab.synth import BLOCK_SETS, AcquisitionConfig, TraceSet, synthesize, synthesize_stream
-from csilab.tracefile import (
-    HEADER_SIZE,
-    open_stream,
-    read_tracefile,
-    write_stream,
-    write_tracefile,
+from csilab.synth import (
+    BLOCK_SETS,
+    AcquisitionConfig,
+    TraceSet,
+    TraceStream,
+    synthesize,
+    synthesize_stream,
 )
+from csilab.tracefile import HEADER_SIZE, open_stream, read_tracefile, write_stream
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +36,7 @@ def small_ts():
 
 def test_round_trip_bit_identical(tmp_path, small_ts):
     path = tmp_path / "traces.cstf"
-    write_tracefile(small_ts, path)
+    write_stream(small_ts, path)
     back = read_tracefile(path)
     assert back.codes.dtype == np.int16
     assert np.array_equal(back.codes, small_ts.codes)
@@ -56,8 +57,8 @@ def test_round_trip_bit_identical(tmp_path, small_ts):
 
 def test_rewrite_same_bytes(tmp_path, small_ts):
     p1, p2 = tmp_path / "a.cstf", tmp_path / "b.cstf"
-    write_tracefile(small_ts, p1)
-    write_tracefile(small_ts, p2)
+    write_stream(small_ts, p1)
+    write_stream(small_ts, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -69,12 +70,12 @@ def test_unresolved_full_scale_refused(tmp_path):
         acquisition=AcquisitionConfig(samples_per_set=16, num_sets=1),
     )
     with pytest.raises(TraceFileError, match="full_scale"):
-        write_tracefile(ts, tmp_path / "x.cstf")
+        write_stream(ts, tmp_path / "x.cstf")
 
 
 def _written(tmp_path, small_ts):
     path = tmp_path / "t.cstf"
-    write_tracefile(small_ts, path)
+    write_stream(small_ts, path)
     return path, bytearray(path.read_bytes())
 
 
@@ -133,7 +134,7 @@ def test_read_holds_one_copy_of_the_payload(tmp_path):
     acq = AcquisitionConfig(num_sets=50, samples_per_set=4096, full_scale=1.0)
     codes = np.random.default_rng(3).integers(-256, 256, size=(4, 50, 4096), dtype=np.int16)
     path = tmp_path / "t.cstf"
-    write_tracefile(TraceSet(codes=codes, dc_means=np.ones(4), acquisition=acq), path)
+    write_stream(TraceSet(codes=codes, dc_means=np.ones(4), acquisition=acq), path)
     tracemalloc.start()
     try:
         back = read_tracefile(path)
@@ -153,7 +154,7 @@ def test_truncated_header(tmp_path, small_ts):
 
 def test_no_temp_left_behind(tmp_path, small_ts):
     path = tmp_path / "t.cstf"
-    write_tracefile(small_ts, path)
+    write_stream(small_ts, path)
     assert [p.name for p in tmp_path.iterdir()] == ["t.cstf"]
 
 
@@ -169,7 +170,7 @@ def test_concurrent_writers_leave_one_readable_file(tmp_path):
     def writer(ts, barrier):
         barrier.wait()
         try:
-            write_tracefile(ts, path)
+            write_stream(ts, path)
         except Exception as exc:  # collected: a thread cannot fail the test
             errors.append(exc)
 
@@ -205,7 +206,7 @@ def test_round_trip_exact_for_random_containers(
     )
     ts = TraceSet(codes=codes, dc_means=np.array(dc_means), acquisition=acq)
     path = tmp_path_factory.mktemp("round_trip") / "t.cstf"
-    write_tracefile(ts, path)
+    write_stream(ts, path)
     back = read_tracefile(path)
     assert back.codes.dtype == np.int16
     assert np.array_equal(back.codes, codes)
@@ -278,7 +279,7 @@ def test_streaming_changes_no_byte_and_no_bit(tmp_path_factory, num_sets, sample
     streamed, whole = folder / "streamed.cstf", folder / "whole.cstf"
     with mock.patch.dict(os.environ):
         os.environ["CSILAB_THREADS"] = "1"
-        write_tracefile(synthesize(model, acq), whole)
+        write_stream(synthesize(model, acq), whole)
         if threads is None:  # the default: one thread per usable CPU
             del os.environ["CSILAB_THREADS"]
         else:
@@ -298,13 +299,14 @@ def test_streaming_changes_no_byte_and_no_bit(tmp_path_factory, num_sets, sample
 def test_failing_producer_leaves_target_as_it_was(tmp_path, small_ts):
     path = tmp_path / "t.cstf"
     path.write_bytes(b"old")
-    stream = small_ts.stream(block_sets=1)
+    by_set = small_ts.codes.transpose(1, 0, 2)
 
-    def blocks(sets):
-        yield from sets
+    def blocks():
+        for i in range(len(by_set)):  # one set per block
+            yield by_set[i : i + 1]
         raise RuntimeError("producer died")  # after every set was written
 
-    stream.blocks = blocks(stream.blocks)
+    stream = TraceStream(small_ts.acquisition, small_ts.dc_means, blocks())
     with pytest.raises(RuntimeError, match="producer died"):
         write_stream(stream, path)
     assert path.read_bytes() == b"old"
@@ -313,8 +315,8 @@ def test_failing_producer_leaves_target_as_it_was(tmp_path, small_ts):
 
 @pytest.mark.parametrize("sets", [2, 4])
 def test_stream_of_another_set_count_than_its_header_is_refused(tmp_path, small_ts, sets):
-    stream = small_ts.stream()  # 3 sets
-    stream.acquisition = dataclasses.replace(stream.acquisition, num_sets=sets)
+    acq = dataclasses.replace(small_ts.acquisition, num_sets=sets)
+    stream = TraceStream(acq, small_ts.dc_means, iter(small_ts))  # 3 sets
     with pytest.raises(ConfigError, match="sets"):
         write_stream(stream, tmp_path / "t.cstf")
     assert os.listdir(tmp_path) == []
@@ -323,7 +325,7 @@ def test_stream_of_another_set_count_than_its_header_is_refused(tmp_path, small_
 def test_payload_shrinking_after_open_raises(tmp_path):
     acq = AcquisitionConfig(num_sets=2 * BLOCK_SETS + 1, samples_per_set=MIN_SAMPLES, rng_seed=5)
     path = tmp_path / "t.cstf"
-    write_tracefile(synthesize(preset("G10").model, acq), path)
+    write_stream(synthesize(preset("G10").model, acq), path)
     with open_stream(path) as stream:
         os.truncate(path, os.path.getsize(path) - 2)  # checked size, then lost a sample
         with pytest.raises(TraceFileError, match="payload ended early"):
