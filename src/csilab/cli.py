@@ -21,9 +21,12 @@ import sys
 import numpy as np
 
 from ._atomic import atomic_write
+from .dsp import _bandpass_gain
 from .errors import ConfigError, CsilabError, DomainError, TraceFileError
 from .estimators import (
     Spectra,
+    _band_mask,
+    _g2_max_lag,
     csi_frequency_test,
     cutoff_sweep,
     filtered_violation,
@@ -198,23 +201,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _oracle_check(gains, alpha=1.0) -> float:
-    worst = 0.0
-    for gain in gains:
-        p = SqueezeParams.from_gain(gain, alpha=alpha)
-        if not 0.0 < p.s <= 0.6:
-            continue  # Fock-space truncation is only honest for small nonzero s
-        ideal = g2_ideal(p)
-        oracle = fock_oracle_moments(p)
-        for a, b in [
-            (ideal.g2_aa, oracle.g2_aa),
-            (ideal.g2_bb, oracle.g2_bb),
-            (ideal.g2_ab0, oracle.g2_ab0),
-        ]:
-            worst = max(worst, abs(a - b) / abs(b))
-    return worst
-
-
 def cmd_theory(args) -> int:
     gains = args.gain or [10.0]
     for g in gains:
@@ -225,10 +211,20 @@ def cmd_theory(args) -> int:
         sq = db(squeezing_ideal(g, args.eta))
         print(f"{g:4.6g}  {violation_factor_ideal(g):.4f}  {sq:+.2f}")
     if args.oracle:
+        # Fock-space truncation is only honest for small nonzero s
         checkable = [
             g for g in gains if 0.0 < SqueezeParams.from_gain(g, alpha=1.0).s <= 0.6
         ]
-        worst = _oracle_check(checkable or [1.05, 1.1, 1.2])
+        worst = 0.0
+        for gain in checkable or [1.05, 1.1, 1.2]:
+            p = SqueezeParams.from_gain(gain, alpha=1.0)
+            ideal, oracle = g2_ideal(p), fock_oracle_moments(p)
+            for a, b in [
+                (ideal.g2_aa, oracle.g2_aa),
+                (ideal.g2_bb, oracle.g2_bb),
+                (ideal.g2_ab0, oracle.g2_ab0),
+            ]:
+                worst = max(worst, abs(a - b) / abs(b))
         print(f"fock oracle max relative deviation: {worst:.3e}")
         if worst > ORACLE_TOL:
             print("ORACLE MISMATCH", file=sys.stderr)
@@ -238,19 +234,24 @@ def cmd_theory(args) -> int:
 
 def cmd_report(args) -> int:
     """simulate, then analyze and sweep the container it wrote."""
-    # the directory is made only once the cutoffs and the scenario have
-    # been accepted, so a refused configuration leaves nothing behind
     cutoffs = None if args.cutoffs is None else _parse_cutoffs(args.cutoffs)
     sc, stream = _simulate(args)
+    a, n, rate = sc.analysis, sc.acquisition.samples_per_set, sc.acquisition.sample_rate
+    if cutoffs is None:
+        top = int(a.bandpass.f_hi / 1e6)
+        cutoffs = [f * 1e6 for f in range(1, max(top, 1) + 1)]
+    # the estimators' checks of the g2 window, both bands and each cutoff run
+    # before the directory is made, so a refusal leaves nothing behind
+    _g2_max_lag(a.tau_max, rate, n)
+    _band_mask(np.fft.rfftfreq(n, d=1.0 / rate), a.spectra_band)
+    for f_hi in [a.bandpass.f_hi, *cutoffs]:
+        _bandpass_gain(dataclasses.replace(a.bandpass, f_hi=f_hi), n, rate)
     os.makedirs(args.out, exist_ok=True)
     traces = os.path.join(args.out, "traces.cstf")
     write_stream(stream, traces)
     with open_stream(traces) as back:
         sp = Spectra(back)
     summary = _analyze(args.out, sc, sp, args.compensate)
-    if cutoffs is None:
-        top = int(sc.analysis.bandpass.f_hi / 1e6)
-        cutoffs = [f * 1e6 for f in range(1, max(top, 1) + 1)]
     _write_sweep(args.out, sc, sp, cutoffs)
     print(summary, end="")
     return 0

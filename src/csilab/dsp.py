@@ -1,7 +1,7 @@
 """PSD estimation and the bandpass filter specification.
 
-``psd_estimate`` works on real-valued trace arrays shaped (num_sets,
-num_samples) or plain 1-D; transforms act along the last axis.  Spectra
+``psd_estimate`` takes real trace arrays, (num_sets, num_samples) or 1-D,
+and their sample rate in Hz; transforms act along the last axis.  Spectra
 follow the one-sided convention: integrating `power` over the frequency
 grid returns the time-domain variance (per-set mean removed).  Filtering
 and delay handling of a trace set live in ``estimators.Spectra``.
@@ -59,21 +59,8 @@ class Psd:
     def df(self) -> float:
         return float(self.frequencies[1] - self.frequencies[0])
 
-    def band(self, f_lo: float, f_hi: float) -> np.ndarray:
-        """Boolean mask selecting f_lo <= f <= f_hi."""
-        return (self.frequencies >= f_lo) & (self.frequencies <= f_hi)
 
-
-def _as_sets(traces) -> np.ndarray:
-    x = np.asarray(traces, dtype=float)
-    if x.ndim == 1:
-        x = x[np.newaxis, :]
-    if x.ndim != 2:
-        raise ValueError(f"expected 1-D or 2-D trace array, got shape {x.shape}")
-    return x
-
-
-def psd_estimate(traces, rate) -> Psd:
+def psd_estimate(traces, rate: float) -> Psd:
     """Average of one rectangular-window periodogram per set.
 
     No overlap, no segmenting: one FFT per set, matching an analyzer that
@@ -83,8 +70,11 @@ def psd_estimate(traces, rate) -> Psd:
     Parseval holds exactly: sum(power) * df equals the mean per-set
     variance of the input.
     """
-    rate = float(getattr(rate, "sample_rate", rate))
-    x = _as_sets(traces)
+    x = np.asarray(traces, dtype=float)
+    if x.ndim == 1:
+        x = x[np.newaxis, :]
+    if x.ndim != 2:
+        raise ValueError(f"expected 1-D or 2-D trace array, got shape {x.shape}")
     x = x - x.mean(axis=1, keepdims=True)
     power = np.add.reduce(np.abs(np.fft.rfft(x, axis=1)) ** 2, axis=0)
     return _psd_from_sum(power, x.shape[0], x.shape[1], rate)

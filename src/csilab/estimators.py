@@ -130,22 +130,6 @@ class Spectra:
         self.weights = _one_sided(n) * (2.0 / (n * n))
         self.delay, self.delay_fallback = self._ensemble_delay(self._cross_sum / sets)
 
-    def sql(self) -> tuple[Psd, Psd, Psd]:
-        """(sql_p, sql_c, sql_diff): shot-noise references from the half sums.
-
-        The difference of a split pair has exactly the parent's shot density
-        whatever classical noise rides the beam, and the SQL of the
-        intensity-difference measurement is the sum of the two.
-        """
-        sql_p, sql_c = (_psd_from_sum(s, self.sets, self.n, self.rate)
-                        for s in self._power_sums[2:])
-        sql_diff = Psd(
-            frequencies=sql_p.frequencies,
-            power=sql_p.power + sql_c.power,
-            num_averages=sql_p.num_averages,
-        )
-        return sql_p, sql_c, sql_diff
-
     def _ensemble_delay(self, cross_mean: np.ndarray) -> tuple[float, bool]:
         cov = np.fft.irfft(cross_mean, n=self.n)
         m = self.n // _LAG_SPAN
@@ -235,14 +219,6 @@ def _band_mask(f: np.ndarray, band: tuple[float, float]) -> np.ndarray:
     return sel
 
 
-def _parabolic_vertex(ym1: float, y0: float, yp1: float) -> float:
-    """Sub-sample offset of the extremum of a 3-point parabola."""
-    denom = ym1 - 2.0 * y0 + yp1
-    if denom == 0.0:
-        return 0.0
-    return 0.5 * (ym1 - yp1) / denom
-
-
 def _delay_from_covariance(lags: np.ndarray, cov: np.ndarray, rate: float) -> float:
     """Parabola-refined argmax of an ensemble cross-covariance, in seconds.
 
@@ -265,10 +241,12 @@ def _delay_from_covariance(lags: np.ndarray, cov: np.ndarray, rate: float) -> fl
             f"cross-covariance peak prominence {prominence:.3g} is below "
             f"{bar:.2f} x background rms {noise:.3g}"
         )
+    offset = 0.0
     if 0 < i < cov.size - 1:
-        offset = _parabolic_vertex(cov[i - 1], peak, cov[i + 1])
-    else:
-        offset = 0.0
+        ym1, yp1 = cov[i - 1], cov[i + 1]
+        denom = ym1 - 2.0 * peak + yp1
+        if denom != 0.0:
+            offset = 0.5 * (ym1 - yp1) / denom
     return (lags[i] + offset) / rate
 
 
@@ -285,6 +263,17 @@ def _delay_ramp(n: int, rate: float, delay: float) -> np.ndarray:
     if n % 2 == 0 and abs(ramp[-1].imag) > 1e-12:
         ramp[-1] = 0.0
     return ramp
+
+
+def _g2_max_lag(tau_max: float, rate: float, n: int) -> int:
+    """Lags each side of zero of a g2 window tau_max on sets of n samples."""
+    max_lag = max(4, int(round(tau_max * rate)))
+    if max_lag > (n - 1) // 2:
+        raise ConfigError(
+            f"tau_max {tau_max:g} s spans {max_lag} lags at {rate:g} Hz; sets of "
+            f"{n} samples hold distinct lags only up to {(n - 1) // 2}"
+        )
+    return max_lag
 
 
 def g2_curves(sp: Spectra, tau_max: float = 100e-9) -> CorrelationReport:
@@ -308,12 +297,7 @@ def g2_curves(sp: Spectra, tau_max: float = 100e-9) -> CorrelationReport:
     dc_p1, dc_p2, dc_c1, dc_c2 = sp.dc
     n = sp.n
 
-    max_lag = max(4, int(round(tau_max * sp.rate)))
-    if max_lag > (n - 1) // 2:
-        raise ConfigError(
-            f"tau_max {tau_max:g} s spans {max_lag} lags at {sp.rate:g} Hz; sets of "
-            f"{n} samples hold distinct lags only up to {(n - 1) // 2}"
-        )
+    max_lag = _g2_max_lag(tau_max, sp.rate, n)
     lags = np.arange(-max_lag, max_lag + 1)
     norms = ((dc_p1 + dc_p2) * (dc_c1 + dc_c2), dc_p1 * dc_p2, dc_c1 * dc_c2)
     traces = np.empty((min(_CHUNK, sets), n))
@@ -368,7 +352,11 @@ def normalized_spectra(
     stay raw.
     """
     rate = sp.rate
-    sql_p, sql_c, sql_diff = sp.sql()
+    # a split pair's difference carries its beam's shot noise; the SQL of
+    # the intensity difference is the sum of the two
+    sql_p, sql_c = (_psd_from_sum(total, sp.sets, sp.n, rate)
+                    for total in sp._power_sums[2:])
+    sql_diff = Psd(sql_p.frequencies, sql_p.power + sql_c.power, sql_p.num_averages)
 
     delay = sp.delay if compensate else 0.0
     ramp = _delay_ramp(sp.n, rate, delay) if delay else 1.0

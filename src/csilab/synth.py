@@ -132,16 +132,9 @@ class TraceSet:
         # non-positive DC readings are representable (dead channel in an
         # external file); analysis raises DcMissing when it needs them
 
-    @property
-    def step(self) -> float:
-        return self.acquisition.step
-
     def ac(self, name: str) -> np.ndarray:
         """Dequantized AC traces (num_sets, samples) of one channel."""
-        return self.codes[CHANNEL_NAMES.index(name)] * self.step
-
-    def dc(self, name: str) -> float:
-        return float(self.dc_means[CHANNEL_NAMES.index(name)])
+        return self.codes[CHANNEL_NAMES.index(name)] * self.acquisition.step
 
     def __iter__(self) -> Iterator[np.ndarray]:
         by_set = self.codes.transpose(1, 0, 2)
@@ -247,21 +240,6 @@ def _warn_clipping(clipped: int, size: int, stacklevel: int) -> None:
         )
 
 
-def split_and_detect(trace, dc: float, acq: AcquisitionConfig, charge_scale: float, rng=None):
-    """50/50 split of a beam's fluctuation trace into two detector halves.
-
-    Each half carries half the classical fluctuation plus independent
-    shot noise such that half1 - half2 has exactly the parent SQL density
-    (2 * charge_scale * dc) and half1 + half2 restores the parent trace.
-    """
-    if dc <= 0.0:
-        raise ConfigError(f"dc must be > 0, got {dc}")
-    rng = np.random.default_rng() if rng is None else rng
-    x = np.asarray(trace, dtype=float)
-    w = rng.standard_normal(x.shape) * _shot_sigma(dc, acq, charge_scale)
-    return (x + w) / 2.0, (x - w) / 2.0
-
-
 def _shot_sigma(dc: float, acq: AcquisitionConfig, charge_scale: float) -> float:
     """Per-sample rms of the shot noise of a beam of DC current dc."""
     sql = 2.0 * charge_scale * dc
@@ -270,12 +248,15 @@ def _shot_sigma(dc: float, acq: AcquisitionConfig, charge_scale: float) -> float
 
 def _detect_into(out: np.ndarray, x: np.ndarray, w: np.ndarray, raw: np.ndarray, rng,
                  sigma: float, adc_bits: int, full_scale: float) -> int:
-    """Codes of both split_and_detect halves of x, written into out[0] and out[1].
+    """Split the beam trace x 50/50 and digitize the halves into out[0], out[1].
 
-    One pass per half computes rint((x +- w) / (2 step)): halving is
-    exact, so the codes equal quantize((x +- w) / 2) for every x whose
-    half stays out of the subnormal range.  ``w`` and ``raw`` are float64
-    scratch of x's shape; returns the samples clipped at the rails.
+    The halves (x +- w) / 2 sum to x, and their difference, shot noise w
+    of rms sigma (``_shot_sigma`` of the beam's DC), has exactly the
+    parent SQL density 2 * charge_scale * dc.  One pass per half computes
+    rint((x +- w) / (2 step)): halving is exact, so the codes equal
+    quantize((x +- w) / 2) for every x whose half stays out of the
+    subnormal range.  ``w`` and ``raw`` are float64 scratch of x's shape;
+    returns the samples clipped at the rails.
     """
     half = 2 ** (adc_bits - 1)
     two_steps = 2.0 * (full_scale / half)
@@ -446,49 +427,6 @@ def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
         blocks=blocks(),
         provenance=f"fwm:{model.digest()}",
         charge_scale=model.charge_scale,
-    )
-
-
-def coherent_traces(
-    acq: AcquisitionConfig,
-    probe_dc: float = 1.0,
-    conj_dc: float = 1.0,
-    charge_scale: float | None = None,
-) -> TraceSet:
-    """Two uncorrelated shot-noise-limited beams, split and digitized.
-
-    The null fixture: every g2 curve must come out flat at one and both
-    normalized spectra at their SQL.  A squeeze parameter cannot express
-    this (s = 0 leaves the conjugate dark), so the four channels are
-    drawn directly.  The default charge scale puts the integrated
-    relative intensity noise at 1% of DC.
-    """
-    if probe_dc <= 0.0 or conj_dc <= 0.0:
-        raise ConfigError("probe_dc and conj_dc must be > 0")
-    if charge_scale is None:
-        charge_scale = probe_dc / (100.0 * acq.sample_rate)
-    dcs = (probe_dc, conj_dc)
-    sig = [_shot_sigma(dc, acq, charge_scale) for dc in dcs]
-    if acq.full_scale is None:
-        # each half: (parent + w)/2 with both at the parent SQL
-        acq = replace(acq, full_scale=8.0 * max(sig) / math.sqrt(2.0))
-    seeds = np.random.SeedSequence(acq.rng_seed).spawn(acq.num_sets)
-    n = acq.samples_per_set
-    codes = np.empty((4, acq.num_sets, n), dtype=np.int16)
-    for i in range(acq.num_sets):
-        gen = np.random.default_rng(seeds[i])
-        for beam in range(2):
-            parent = gen.standard_normal(n) * sig[beam]
-            halves = split_and_detect(parent, dcs[beam], acq, charge_scale, gen)
-            for k, half in enumerate(halves):
-                codes[2 * beam + k, i] = quantize(half, acq.adc_bits, acq.full_scale)
-    dc_means = np.array([probe_dc / 2.0, probe_dc / 2.0, conj_dc / 2.0, conj_dc / 2.0])
-    return TraceSet(
-        codes=codes,
-        dc_means=dc_means,
-        acquisition=acq,
-        provenance="coherent",
-        charge_scale=charge_scale,
     )
 
 

@@ -400,20 +400,6 @@ class CsdModel:
         g0 = self.params.gain
         return 1.0 + (g0 - 1.0) / (1.0 + (np.asarray(x, dtype=float) / self.bandwidth) ** 2)
 
-    def gain_profile(self, f) -> np.ndarray:
-        """Lorentzian gain line, G(f) = 1 + (G0 - 1)/(1 + (f/f_B)²).
-
-        A nonzero carrier detuning samples the line symmetrically at
-        f ± detuning and averages; that is what each beam's own
-        fluctuation sidebands see (not validated against measured line
-        shapes).
-        """
-        f = np.asarray(f, dtype=float)
-        d = self.carrier_detuning
-        if d == 0.0:
-            return self._line(f)
-        return 0.5 * (self._line(f + d) + self._line(f - d))
-
     def _normalized_parts(self, f):
         """SQL-relative detected spectra before any delay phase.
 

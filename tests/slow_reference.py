@@ -1,4 +1,5 @@
-"""Slow reference implementations the one-pass estimators must reproduce.
+"""Slow reference implementations the one-pass code must reproduce, and
+the null-beam fixture.
 
 These are time-domain estimators and the float-staged synthesis the
 package used before its analysis was rebuilt on one rfft per channel:
@@ -8,9 +9,12 @@ for V, a full FFT cross-covariance for the g2 curves), and synthesis
 stages the whole payload as float64 before quantizing it in one call.  The bandpass, the delay estimate and
 the delay compensation are this module's own copies of the time-domain
 functions the package once exported, so a bug in the kernel's private
-helpers cannot hide by appearing on both sides of a comparison.  Tests
-compare the fast code against them; nothing in the package imports this
-module.
+helpers cannot hide by appearing on both sides of a comparison.
+``split_and_detect`` is the 50/50 beam split that synthesis fuses with
+quantization, and ``coherent_traces`` the null fixture built on it: two
+uncorrelated shot-noise-limited beams, split and digitized one half at
+a time.  Tests compare the fast code against them and analyze the
+fixture; nothing in the package imports this module.
 """
 
 import math
@@ -19,8 +23,15 @@ from dataclasses import replace
 import numpy as np
 
 from csilab.dsp import FilterSpec, psd_estimate
-from csilab.errors import DcMissing, DegenerateSet, NoPeak, SpecError
-from csilab.synth import _csd_sqrt, quantize, suggest_full_scale
+from csilab.errors import ConfigError, DcMissing, DegenerateSet, NoPeak, SpecError
+from csilab.synth import (
+    AcquisitionConfig,
+    TraceSet,
+    _csd_sqrt,
+    _shot_sigma,
+    quantize,
+    suggest_full_scale,
+)
 
 
 def channels(ts):
@@ -246,3 +257,61 @@ def staged_codes(model, acq):
         ac[2, i] = (parent_c + w_c) / 2.0
         ac[3, i] = (parent_c - w_c) / 2.0
     return quantize(ac, acq.adc_bits, acq.full_scale)
+
+
+def split_and_detect(trace, dc: float, acq: AcquisitionConfig, charge_scale: float, rng=None):
+    """50/50 split of a beam's fluctuation trace into two detector halves.
+
+    Each half carries half the classical fluctuation plus independent
+    shot noise such that half1 - half2 has exactly the parent SQL density
+    (2 * charge_scale * dc) and half1 + half2 restores the parent trace.
+    """
+    if dc <= 0.0:
+        raise ConfigError(f"dc must be > 0, got {dc}")
+    rng = np.random.default_rng() if rng is None else rng
+    x = np.asarray(trace, dtype=float)
+    w = rng.standard_normal(x.shape) * _shot_sigma(dc, acq, charge_scale)
+    return (x + w) / 2.0, (x - w) / 2.0
+
+
+def coherent_traces(
+    acq: AcquisitionConfig,
+    probe_dc: float = 1.0,
+    conj_dc: float = 1.0,
+    charge_scale: float | None = None,
+) -> TraceSet:
+    """Two uncorrelated shot-noise-limited beams, split and digitized.
+
+    The null fixture: every g2 curve must come out flat at one and both
+    normalized spectra at their SQL.  A squeeze parameter cannot express
+    this (s = 0 leaves the conjugate dark), so the four channels are
+    drawn directly.  The default charge scale puts the integrated
+    relative intensity noise at 1% of DC.
+    """
+    if probe_dc <= 0.0 or conj_dc <= 0.0:
+        raise ConfigError("probe_dc and conj_dc must be > 0")
+    if charge_scale is None:
+        charge_scale = probe_dc / (100.0 * acq.sample_rate)
+    dcs = (probe_dc, conj_dc)
+    sig = [_shot_sigma(dc, acq, charge_scale) for dc in dcs]
+    if acq.full_scale is None:
+        # each half: (parent + w)/2 with both at the parent SQL
+        acq = replace(acq, full_scale=8.0 * max(sig) / math.sqrt(2.0))
+    seeds = np.random.SeedSequence(acq.rng_seed).spawn(acq.num_sets)
+    n = acq.samples_per_set
+    codes = np.empty((4, acq.num_sets, n), dtype=np.int16)
+    for i in range(acq.num_sets):
+        gen = np.random.default_rng(seeds[i])
+        for beam in range(2):
+            parent = gen.standard_normal(n) * sig[beam]
+            halves = split_and_detect(parent, dcs[beam], acq, charge_scale, gen)
+            for k, half in enumerate(halves):
+                codes[2 * beam + k, i] = quantize(half, acq.adc_bits, acq.full_scale)
+    dc_means = np.array([probe_dc / 2.0, probe_dc / 2.0, conj_dc / 2.0, conj_dc / 2.0])
+    return TraceSet(
+        codes=codes,
+        dc_means=dc_means,
+        acquisition=acq,
+        provenance="coherent",
+        charge_scale=charge_scale,
+    )

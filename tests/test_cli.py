@@ -17,8 +17,9 @@ import pytest
 from csilab import cli, errors, estimators
 from csilab._atomic import atomic_write
 from csilab.cli import _write_csv, _write_text, main
-from csilab.synth import AcquisitionConfig, coherent_traces
+from csilab.synth import AcquisitionConfig
 from csilab.tracefile import HEADER_SIZE, write_stream
+from slow_reference import coherent_traces
 
 
 def run(*argv):
@@ -188,6 +189,28 @@ def test_lag_window_past_half_a_set_exits_2_and_writes_nothing(tmp_path, g10_fil
     assert run("analyze", str(g10_file), "--config", str(cfg), "--out", str(outdir)) == 2
     assert "tau_max" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("ini, cutoffs, why", [
+    ("[analysis]\ntau_max_ns = 1e6\n", None, "tau_max"),
+    ("", "1e5", "f_lo"),  # below the scenario's f_lo
+    ("", "6e8", "Nyquist"),
+    ("[analysis]\nf_hi_mhz = 600\n", "5e6", "Nyquist"),  # the scenario's own bandpass
+    ("[analysis]\nspectra_hi_mhz = 600\n", None, "exceeds the data grid"),
+], ids=["tau_max", "cutoff_below_f_lo", "cutoff_at_nyquist", "bandpass_at_nyquist",
+        "spectra_band_past_nyquist"])
+def test_report_refuses_analysis_settings_before_writing(tmp_path, capsys, ini, cutoffs,
+                                                         why):
+    """The g2 window, the spectra band, the scenario's bandpass and each
+    sweep cutoff are checked against the acquisition before the directory
+    exists."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(ini)
+    extra = [] if cutoffs is None else ["--cutoffs", cutoffs]
+    out = tmp_path / "out"
+    assert run("report", "--config", str(cfg), "--sets", "2", *extra, "--out", str(out)) == 2
+    assert why in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.ini"]
 
 
 def test_analyze_truncated_file(tmp_path, g10_file, capsys):

@@ -28,13 +28,12 @@ from csilab.synth import (
     AcquisitionConfig,
     TraceSet,
     apply_loss,
-    coherent_traces,
     quantize,
-    split_and_detect,
     synthesize,
     synthesize_stream,
 )
 from csilab.theory import CsdModel, ExcessNoiseSpec, SqueezeParams
+from slow_reference import coherent_traces, split_and_detect
 
 
 def g10_model(**kwargs):

@@ -21,7 +21,7 @@ from csilab.estimators import (
     normalized_spectra,
 )
 from csilab.scenarios import preset
-from csilab.synth import AcquisitionConfig, coherent_traces, synthesize
+from csilab.synth import AcquisitionConfig, synthesize
 
 RTOL = 1e-12
 CUTOFFS = [1e6, 3e6, 6e6, 9e6, 15e6, 100e6]
@@ -45,7 +45,7 @@ def scenario_ts(request):
 @pytest.fixture(scope="module")
 def ts_coherent():
     # independent beams: no cross-covariance peak, so the delay falls back to 0
-    ts = coherent_traces(AcquisitionConfig(num_sets=24, samples_per_set=4096, rng_seed=0))
+    ts = ref.coherent_traces(AcquisitionConfig(num_sets=24, samples_per_set=4096, rng_seed=0))
     return ts, Spectra(ts)
 
 
