@@ -4,7 +4,7 @@ Every failure path maps to an exit code instead of a traceback: 2 for
 configuration or parameter problems, 3 for ordinary I/O failures, 4 for
 malformed trace containers.  Output files are written to a temporary
 sibling and renamed into place, so an error never leaves partial CSVs
-behind.
+behind; each command computes all of its outputs before it writes one.
 
 The --config flag accepts either a preset name (G2, G5, G8, G10,
 G10_IDEAL) or the path of an INI scenario file; with neither, the G10
@@ -12,6 +12,7 @@ preset applies.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import locale  # noqa: F401  (argparse's gettext imports it on first use)
 import math
@@ -21,12 +22,9 @@ import sys
 import numpy as np
 
 from ._atomic import atomic_write
-from .dsp import _bandpass_gain
-from .errors import ConfigError, CsilabError, DomainError, TraceFileError
+from .errors import ConfigError, CsilabError, TraceFileError
 from .estimators import (
     Spectra,
-    _band_mask,
-    _g2_max_lag,
     csi_frequency_test,
     cutoff_sweep,
     filtered_violation,
@@ -37,7 +35,7 @@ from .fock import fock_oracle_moments
 from .scenarios import Scenario, load_scenario, preset, preset_names
 from .synth import synthesize_stream
 from .theory import SqueezeParams, db, g2_ideal, squeezing_ideal, violation_factor_ideal
-from .tracefile import open_stream, write_stream
+from .tracefile import _stream, _write, open_stream, write_stream
 
 ORACLE_TOL = 1e-8
 # a verdict needs V this many standard errors from the classical bound 1
@@ -122,8 +120,9 @@ def _verdict(stats: dict, num_sets: int) -> str:
     return "CSI VIOLATED" if stats["violated"] else "CSI NOT VIOLATED"
 
 
-def _analyze(outdir, sc: Scenario, sp: Spectra, compensate: bool) -> str:
-    """The summary of every estimator on sp; all of it is written to outdir."""
+def _analyze(sc: Scenario, sp: Spectra, compensate: bool) -> dict:
+    """The outputs of every estimator on sp, each file name mapped to its
+    contents, summary.txt's text among them."""
     a = sc.analysis
     stats = filtered_violation(sp, a.bandpass)
     rep = normalized_spectra(sp, compensate=compensate, band=a.spectra_band,
@@ -149,22 +148,21 @@ def _analyze(outdir, sc: Scenario, sp: Spectra, compensate: bool) -> str:
         f"bandwidth {rep.squeezing_bandwidth / 1e6:.2f} MHz",
     ]
     summary = "\n".join(lines) + "\n"
-    os.makedirs(outdir, exist_ok=True)
-    _write_csv(os.path.join(outdir, "g2_curves.csv"), {
-        "tau_s": curves.tau_grid,
-        "g2_ab": curves.g2_ab,
-        "g2_aa": curves.g2_aa,
-        "g2_bb": curves.g2_bb,
-    })
     keep = ~np.isnan(rep.s_p_norm)
-    _write_csv(os.path.join(outdir, "spectra.csv"), {
-        "f_hz": rep.frequencies[keep],
-        "s_p_norm": rep.s_p_norm[keep],
-        "s_c_norm": rep.s_c_norm[keep],
-        "s_diff_norm": rep.s_diff_norm[keep],
-    })
-    _write_text(os.path.join(outdir, "summary.txt"), summary)
-    return summary
+    return {
+        "g2_curves.csv": {"tau_s": curves.tau_grid, "g2_ab": curves.g2_ab,
+                          "g2_aa": curves.g2_aa, "g2_bb": curves.g2_bb},
+        "spectra.csv": {"f_hz": rep.frequencies[keep], "s_p_norm": rep.s_p_norm[keep],
+                        "s_c_norm": rep.s_c_norm[keep], "s_diff_norm": rep.s_diff_norm[keep]},
+        "summary.txt": summary,
+    }
+
+
+def _write_outputs(outdir, outputs: dict) -> None:
+    """Each output, a text or a dict of CSV columns, written to outdir under its name."""
+    os.makedirs(outdir, exist_ok=True)
+    for name, body in outputs.items():
+        (_write_text if isinstance(body, str) else _write_csv)(os.path.join(outdir, name), body)
 
 
 def _read(args):
@@ -176,40 +174,36 @@ def _read(args):
 
 def cmd_analyze(args) -> int:
     sc, sp = _read(args)
-    summary = _analyze(args.out, sc, sp, args.compensate)
-    print(summary, end="")
+    outputs = _analyze(sc, sp, args.compensate)
+    _write_outputs(args.out, outputs)
+    print(outputs["summary.txt"], end="")
     return 0
 
 
-def _write_sweep(outdir, sc: Scenario, sp: Spectra, cutoffs):
-    """cutoff_sweep over the scenario's filter, written to outdir/vsweep.csv."""
+def _sweep(sc: Scenario, sp: Spectra, cutoffs) -> dict:
+    """The columns of vsweep.csv: cutoff_sweep over the scenario's filter."""
     a = sc.analysis
     rows = cutoff_sweep(sp, cutoffs, f_lo=a.bandpass.f_lo, order=a.bandpass.order)
-    os.makedirs(outdir, exist_ok=True)
-    _write_csv(os.path.join(outdir, "vsweep.csv"), {
-        "f_hi_hz": rows[:, 0], "v_mean": rows[:, 1], "v_sigma": rows[:, 2],
-    })
-    return rows
+    return {"f_hi_hz": rows[:, 0], "v_mean": rows[:, 1], "v_sigma": rows[:, 2]}
 
 
 def cmd_sweep(args) -> int:
     cutoffs = _parse_cutoffs(args.cutoffs)
     sc, sp = _read(args)
-    rows = _write_sweep(args.out, sc, sp, cutoffs)
-    for f_hi, v, sig in rows:
+    columns = _sweep(sc, sp, cutoffs)
+    _write_outputs(args.out, {"vsweep.csv": columns})
+    for f_hi, v, sig in zip(*columns.values()):
         print(f"f_hi {f_hi / 1e6:6.2f} MHz  V = {v:.4f} +/- {sig:.4f}")
     return 0
 
 
 def cmd_theory(args) -> int:
     gains = args.gain or [10.0]
-    for g in gains:
-        if g < 1.0:
-            raise DomainError(f"gain must be >= 1, got {g}")
+    # every row before the first line, so a refused value prints nothing
+    rows = [(g, violation_factor_ideal(g), db(squeezing_ideal(g, args.eta))) for g in gains]
     print("gain  V_ideal  squeezing_db(eta={:.2f})".format(args.eta))
-    for g in gains:
-        sq = db(squeezing_ideal(g, args.eta))
-        print(f"{g:4.6g}  {violation_factor_ideal(g):.4f}  {sq:+.2f}")
+    for g, v, sq in rows:
+        print(f"{g:4.6g}  {v:.4f}  {sq:+.2f}")
     if args.oracle:
         # Fock-space truncation is only honest for small nonzero s
         checkable = [
@@ -233,27 +227,37 @@ def cmd_theory(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """simulate, then analyze and sweep the container it wrote."""
+    """simulate, then analyze and sweep the container it wrote.
+
+    The container is read back from its open temporary, every output is
+    computed before any is written, and the container's rename comes last.
+    An error removes the directory levels the run made, so a refused run
+    leaves nothing behind.
+    """
     cutoffs = None if args.cutoffs is None else _parse_cutoffs(args.cutoffs)
     sc, stream = _simulate(args)
-    a, n, rate = sc.analysis, sc.acquisition.samples_per_set, sc.acquisition.sample_rate
     if cutoffs is None:
-        top = int(a.bandpass.f_hi / 1e6)
+        top = int(sc.analysis.bandpass.f_hi / 1e6)
         cutoffs = [f * 1e6 for f in range(1, max(top, 1) + 1)]
-    # the estimators' checks of the g2 window, both bands and each cutoff run
-    # before the directory is made, so a refusal leaves nothing behind
-    _g2_max_lag(a.tau_max, rate, n)
-    _band_mask(np.fft.rfftfreq(n, d=1.0 / rate), a.spectra_band)
-    for f_hi in [a.bandpass.f_hi, *cutoffs]:
-        _bandpass_gain(dataclasses.replace(a.bandpass, f_hi=f_hi), n, rate)
-    os.makedirs(args.out, exist_ok=True)
-    traces = os.path.join(args.out, "traces.cstf")
-    write_stream(stream, traces)
-    with open_stream(traces) as back:
-        sp = Spectra(back)
-    summary = _analyze(args.out, sc, sp, args.compensate)
-    _write_sweep(args.out, sc, sp, cutoffs)
-    print(summary, end="")
+    made, level = [], os.path.abspath(args.out)
+    while not os.path.lexists(level):  # the levels this run makes, deepest first
+        made.append(level)
+        level = os.path.dirname(level)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        traces = os.path.join(args.out, "traces.cstf")
+        with atomic_write(traces, "w+b") as fh:
+            _write(stream, fh)
+            sp = Spectra(_stream(fh, traces))
+            outputs = _analyze(sc, sp, args.compensate)
+            outputs["vsweep.csv"] = _sweep(sc, sp, cutoffs)
+            _write_outputs(args.out, outputs)
+    except BaseException:
+        for level in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(level)
+        raise
+    print(outputs["summary.txt"], end="")
     return 0
 
 

@@ -171,7 +171,7 @@ class Spectra:
             num_degenerate = int(np.count_nonzero(~valid))
             if np.count_nonzero(valid) < 2:
                 raise DegenerateSet(
-                    f"only {np.count_nonzero(valid)} sets carry a positive "
+                    f"only {np.count_nonzero(valid)} of {sets} sets carry a positive "
                     f"cross-correlation ({num_degenerate} degenerate)"
                 )
             aa, bb, ab = aa[valid], bb[valid], ab[valid]
@@ -265,17 +265,6 @@ def _delay_ramp(n: int, rate: float, delay: float) -> np.ndarray:
     return ramp
 
 
-def _g2_max_lag(tau_max: float, rate: float, n: int) -> int:
-    """Lags each side of zero of a g2 window tau_max on sets of n samples."""
-    max_lag = max(4, int(round(tau_max * rate)))
-    if max_lag > (n - 1) // 2:
-        raise ConfigError(
-            f"tau_max {tau_max:g} s spans {max_lag} lags at {rate:g} Hz; sets of "
-            f"{n} samples hold distinct lags only up to {(n - 1) // 2}"
-        )
-    return max_lag
-
-
 def g2_curves(sp: Spectra, tau_max: float = 100e-9) -> CorrelationReport:
     """Normalized intensity correlation curves and their standard errors.
 
@@ -297,7 +286,12 @@ def g2_curves(sp: Spectra, tau_max: float = 100e-9) -> CorrelationReport:
     dc_p1, dc_p2, dc_c1, dc_c2 = sp.dc
     n = sp.n
 
-    max_lag = _g2_max_lag(tau_max, sp.rate, n)
+    max_lag = max(4, int(round(tau_max * sp.rate)))
+    if max_lag > (n - 1) // 2:
+        raise ConfigError(
+            f"tau_max {tau_max:g} s spans {max_lag} lags at {sp.rate:g} Hz; sets of "
+            f"{n} samples hold distinct lags only up to {(n - 1) // 2}"
+        )
     lags = np.arange(-max_lag, max_lag + 1)
     norms = ((dc_p1 + dc_p2) * (dc_c1 + dc_c2), dc_p1 * dc_p2, dc_c1 * dc_c2)
     traces = np.empty((min(_CHUNK, sets), n))

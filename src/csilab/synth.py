@@ -174,22 +174,6 @@ class TraceStream:
         if done != acq.num_sets:
             raise ConfigError(f"stream ended after {done} of {acq.num_sets} sets")
 
-    def collect(self) -> TraceSet:
-        """Every block gathered into one TraceSet."""
-        acq = self.acquisition
-        by_set = np.empty((acq.num_sets, 4, acq.samples_per_set), dtype=np.int16)
-        lo = 0
-        for block in self:
-            by_set[lo : lo + len(block)] = block
-            lo += len(block)
-        return TraceSet(
-            codes=by_set.transpose(1, 0, 2),
-            dc_means=self.dc_means,
-            acquisition=acq,
-            provenance=self.provenance,
-            charge_scale=self.charge_scale,
-        )
-
 
 def quantize(trace, adc_bits: int, full_scale: float) -> np.ndarray:
     """Mid-tread uniform quantizer to int16 codes.
@@ -308,7 +292,15 @@ def synthesize(model: CsdModel, acq: AcquisitionConfig) -> TraceSet:
 
     The blocks of synthesize_stream, gathered into one TraceSet.
     """
-    return synthesize_stream(model, acq).collect()
+    stream = synthesize_stream(model, acq)
+    by_set = np.empty((acq.num_sets, 4, acq.samples_per_set), dtype=np.int16)
+    lo = 0
+    for block in stream:
+        by_set[lo : lo + len(block)] = block
+        lo += len(block)
+    return TraceSet(codes=by_set.transpose(1, 0, 2), dc_means=stream.dc_means,
+                    acquisition=stream.acquisition, provenance=stream.provenance,
+                    charge_scale=stream.charge_scale)
 
 
 def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:

@@ -18,13 +18,13 @@ Layout (little endian throughout):
 
 The payload is a run of set-major blocks, so the blocks of a TraceSet
 or a TraceStream go to disk as they are and come back with one
-``readinto`` each.  Files are written to a temporary sibling and moved
-into place so a crashed writer never leaves a half-written file under
-the final name.  Readers validate the checksum, the header fields and
-the byte count before they allocate the payload; anything off raises
-TraceFileError rather than returning partial data.  DC means are not
-checked: a dead channel is representable, and analysis raises DcMissing
-on it.
+``readinto`` each; read_tracefile reads the whole payload with one.
+Files are written to a temporary sibling and moved into place so a
+crashed writer never leaves a half-written file under the final name.
+Readers validate the checksum, the header fields and the byte count
+before they allocate the payload; anything off raises TraceFileError
+rather than returning partial data.  DC means are not checked: a dead
+channel is representable, and analysis raises DcMissing on it.
 """
 
 import contextlib
@@ -52,6 +52,13 @@ def write_stream(traces: TraceSet | TraceStream, path) -> None:
     An exception from the stream, or a stream that does not hold the sets
     its header promises, leaves path as it was and no temporary behind.
     """
+    with atomic_write(path, "wb") as fh:
+        _write(traces, fh)
+
+
+def _write(traces: TraceSet | TraceStream, fh) -> None:
+    """Write the container of traces to the open binary file fh, block by
+    block, and flush it to disk."""
     acq = traces.acquisition
     if acq.full_scale is None:
         raise TraceFileError("cannot serialize with unresolved full_scale")
@@ -67,13 +74,12 @@ def write_stream(traces: TraceSet | TraceStream, path) -> None:
         *(float(x) for x in traces.dc_means),
         acq.rng_seed,
     )
-    with atomic_write(path, "wb") as fh:
-        fh.write(header)
-        fh.write(_CRC.pack(zlib.crc32(header)))
-        for block in traces:
-            fh.write(np.ascontiguousarray(block, dtype="<i2"))
-        fh.flush()
-        os.fsync(fh.fileno())
+    fh.write(header)
+    fh.write(_CRC.pack(zlib.crc32(header)))
+    for block in traces:
+        fh.write(np.ascontiguousarray(block, dtype="<i2"))
+    fh.flush()
+    os.fsync(fh.fileno())
 
 
 def _read_header(fh, path):
@@ -128,40 +134,40 @@ def _read_header(fh, path):
 
 
 def _read_blocks(fh, path, buf: np.ndarray, sets: int):
-    """Yield the payload BLOCK_SETS sets at a time, each read into buf.
-
-    ``buf`` holds either BLOCK_SETS sets, reused for every block, or all
-    of them, and then ends up holding the whole payload.
-    """
+    """Yield the payload BLOCK_SETS sets at a time, each read into buf,
+    one buffer of BLOCK_SETS sets reused for every block."""
     for lo in range(0, sets, BLOCK_SETS):
-        hi = min(lo + BLOCK_SETS, sets)
-        block = buf[lo:hi] if len(buf) == sets else buf[: hi - lo]
+        block = buf[: min(BLOCK_SETS, sets - lo)]
         if fh.readinto(block) != block.nbytes:
             raise TraceFileError(f"{path}: payload ended early")
         yield block.astype(np.int16, copy=False)  # a copy only on big-endian hosts
 
 
+def _stream(fh, path) -> TraceStream:
+    """The container in the open binary file fh as a TraceStream of its
+    blocks, which share one buffer; the header and the byte count are
+    checked first, before any block."""
+    fh.seek(0)
+    acq, dc_means = _read_header(fh, path)
+    buf = np.empty((min(BLOCK_SETS, acq.num_sets), 4, acq.samples_per_set), dtype="<i2")
+    return TraceStream(acq, dc_means, _read_blocks(fh, path, buf, acq.num_sets))
+
+
 @contextlib.contextmanager
 def open_stream(path):
-    """Open a container as a TraceStream of its blocks; closes it on exit.
-
-    The header and the byte count are checked on entry, before any
-    block; the blocks share one reused buffer.
-    """
+    """Open a container as a TraceStream of its blocks; closes it on exit."""
     with open(path, "rb") as fh:
-        acq, dc_means = _read_header(fh, path)
-        buf = np.empty((min(BLOCK_SETS, acq.num_sets), 4, acq.samples_per_set), dtype="<i2")
-        yield TraceStream(acq, dc_means, _read_blocks(fh, path, buf, acq.num_sets))
+        yield _stream(fh, path)
 
 
 def read_tracefile(path) -> TraceSet:
     """Read and validate a trace container written by write_stream."""
     with open(path, "rb") as fh:
         acq, dc_means = _read_header(fh, path)
-        # the blocks land in place: one copy of the payload, set-major
+        # one read, straight into place: one copy of the payload, set-major
         by_set = np.empty((acq.num_sets, 4, acq.samples_per_set), dtype="<i2")
-        for _ in _read_blocks(fh, path, by_set, acq.num_sets):
-            pass
+        if fh.readinto(by_set) != by_set.nbytes:
+            raise TraceFileError(f"{path}: payload ended early")
     return TraceSet(
         codes=by_set.astype(np.int16, copy=False).transpose(1, 0, 2),
         dc_means=dc_means,

@@ -1,6 +1,8 @@
 """End-to-end CLI pipelines and exit-code mapping."""
 
+import ast
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -123,7 +125,8 @@ def test_analyze_outputs(tmp_path, g10_file, capsys):
 def test_producer_failing_after_its_first_block_writes_no_container(tmp_path, monkeypatch,
                                                                    command):
     """The container is streamed to a temporary sibling; a synthesis block
-    that fails after the first leaves no file and no temporary at --out."""
+    that fails after the first leaves no file, no temporary and no
+    directory at --out."""
     make = cli.synthesize_stream
 
     def failing(model, acq):
@@ -139,8 +142,7 @@ def test_producer_failing_after_its_first_block_writes_no_container(tmp_path, mo
     out = tmp_path / ("t.cstf" if command == "simulate" else "rep")
     with pytest.raises(RuntimeError, match="producer died"):
         run(command, "--config", "G10", "--sets", "40", "--out", str(out))
-    left = os.listdir(tmp_path) if command == "simulate" else os.listdir(out)
-    assert left == []
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "report"])
@@ -197,13 +199,14 @@ def test_lag_window_past_half_a_set_exits_2_and_writes_nothing(tmp_path, g10_fil
     ("", "6e8", "Nyquist"),
     ("[analysis]\nf_hi_mhz = 600\n", "5e6", "Nyquist"),  # the scenario's own bandpass
     ("[analysis]\nspectra_hi_mhz = 600\n", None, "exceeds the data grid"),
+    ("[acquisition]\nsamples_per_set = 150\n[analysis]\ntau_max_ns = 10\n", None,
+     "samples_per_set must be at least 170"),  # a g2 window that fits, sets too short
 ], ids=["tau_max", "cutoff_below_f_lo", "cutoff_at_nyquist", "bandpass_at_nyquist",
-        "spectra_band_past_nyquist"])
+        "spectra_band_past_nyquist", "sets_shorter_than_the_delay_search"])
 def test_report_refuses_analysis_settings_before_writing(tmp_path, capsys, ini, cutoffs,
                                                          why):
-    """The g2 window, the spectra band, the scenario's bandpass and each
-    sweep cutoff are checked against the acquisition before the directory
-    exists."""
+    """A setting the estimators refuse, a g2 window, band, bandpass, sweep
+    cutoff or set length, leaves neither the directory nor the container."""
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(ini)
     extra = [] if cutoffs is None else ["--cutoffs", cutoffs]
@@ -211,6 +214,37 @@ def test_report_refuses_analysis_settings_before_writing(tmp_path, capsys, ini, 
     assert run("report", "--config", str(cfg), "--sets", "2", *extra, "--out", str(out)) == 2
     assert why in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["cfg.ini"]
+
+
+def test_refused_report_keeps_an_earlier_run(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert run("report", "--config", "G10", "--sets", "8", "--out", str(out)) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert run("report", "--config", "G10", "--sets", "1", "--seed", "9",
+               "--out", str(out)) == 2
+    assert "only 1 of 1 sets" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
+def test_one_set_report_removes_only_the_levels_it_made(tmp_path, capsys):
+    """--out under a kept directory, three levels of it missing."""
+    (tmp_path / "kept").mkdir()
+    out = tmp_path / "kept" / "new" / "deeper" / "rep"
+    assert run("report", "--config", "G10", "--sets", "1", "--out", str(out)) == 2
+    assert "only 1 of 1 sets" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["kept"]
+    assert os.listdir(tmp_path / "kept") == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_one_set_container_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    trace = tmp_path / "one.cstf"
+    assert run("simulate", "--config", "G10", "--sets", "1", "--out", str(trace)) == 0
+    capsys.readouterr()
+    extra = ["--cutoffs", "5e6"] if command == "sweep" else []
+    assert run(command, str(trace), *extra, "--out", str(tmp_path / "out")) == 2
+    assert "only 1 of 1 sets carry a positive cross-correlation" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["one.cstf"]
 
 
 def test_analyze_truncated_file(tmp_path, g10_file, capsys):
@@ -328,6 +362,29 @@ def test_theory_oracle_passes_where_truncation_ended_early(capsys):
 
 def test_theory_bad_gain(capsys):
     assert run("theory", "--gain", "0.5") == 2
+
+
+@pytest.mark.parametrize("argv", [["--gain", "nan"], ["--gain", "inf"], ["--eta", "0"],
+                                  ["--gain", "2", "--gain", "nan"]])
+def test_theory_refusal_prints_no_table(capsys, argv):
+    assert run("theory", *argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be" in err
+
+
+def test_cli_imports_no_private_analysis_name():
+    """The CLI calls the estimators' and dsp's public functions only, so
+    every analysis refusal is decided there and nowhere else."""
+    tree = ast.parse(inspect.getsource(cli))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if (node.module or "").split(".")[-1] in ("estimators", "dsp")
+        and alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def _error_types(cls=errors.CsilabError):
