@@ -32,6 +32,7 @@ from .estimators import (
     filtered_violation,
     g2_curves,
     normalized_spectra,
+    sweep_filters,
 )
 from .fock import FockMoments, fock_oracle_moments
 from .scenarios import AnalysisSettings, Scenario, load_scenario, preset, preset_names
@@ -96,6 +97,7 @@ __all__ = [
     "psd_estimate",
     "read_tracefile",
     "squeezing_ideal",
+    "sweep_filters",
     "synthesize",
     "violation_factor_ideal",
     "write_stream",

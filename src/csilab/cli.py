@@ -30,6 +30,7 @@ from .estimators import (
     filtered_violation,
     g2_curves,
     normalized_spectra,
+    sweep_filters,
 )
 from .fock import fock_oracle_moments
 from .scenarios import Scenario, load_scenario, preset, preset_names
@@ -87,6 +88,14 @@ def _parse_cutoffs(text: str) -> list:
     if not cutoffs or not all(map(math.isfinite, cutoffs)):
         raise ConfigError(f"--cutoffs must list one or more finite numbers in Hz, got {text!r}")
     return cutoffs
+
+
+def _default_cutoffs(bandpass) -> list:
+    """report's sweep when --cutoffs is not given: the whole MHz values in
+    (f_lo, f_hi] of the scenario's bandpass, in Hz, or f_hi alone when
+    there are none."""
+    mhz = range(math.floor(bandpass.f_lo / 1e6) + 1, math.floor(bandpass.f_hi / 1e6) + 1)
+    return [f * 1e6 for f in mhz] or [bandpass.f_hi]
 
 
 def _simulate(args):
@@ -165,19 +174,25 @@ def _write_outputs(outdir, outputs: dict) -> None:
         (_write_text if isinstance(body, str) else _write_csv)(os.path.join(outdir, name), body)
 
 
-def _read(args):
-    """(scenario, Spectra) of the container args.trace, built block by block."""
+def _read(args, filters):
+    """(scenario, Spectra) of the container args.trace, built block by block
+    for the FilterSpecs ``filters(scenario)``."""
     with open_stream(args.trace) as stream:
         sc = _resolve_scenario(args.config)
-        return sc, Spectra(stream)
+        return sc, Spectra(stream, filters(sc))
 
 
 def cmd_analyze(args) -> int:
-    sc, sp = _read(args)
+    sc, sp = _read(args, lambda sc: [sc.analysis.bandpass])
     outputs = _analyze(sc, sp, args.compensate)
     _write_outputs(args.out, outputs)
     print(outputs["summary.txt"], end="")
     return 0
+
+
+def _sweep_filters(sc: Scenario, cutoffs) -> list:
+    """The bandpass of each cutoff, with the scenario's f_lo and order."""
+    return sweep_filters(cutoffs, sc.analysis.bandpass.f_lo, sc.analysis.bandpass.order)
 
 
 def _sweep(sc: Scenario, sp: Spectra, cutoffs) -> dict:
@@ -189,7 +204,7 @@ def _sweep(sc: Scenario, sp: Spectra, cutoffs) -> dict:
 
 def cmd_sweep(args) -> int:
     cutoffs = _parse_cutoffs(args.cutoffs)
-    sc, sp = _read(args)
+    sc, sp = _read(args, lambda sc: _sweep_filters(sc, cutoffs))
     columns = _sweep(sc, sp, cutoffs)
     _write_outputs(args.out, {"vsweep.csv": columns})
     for f_hi, v, sig in zip(*columns.values()):
@@ -237,8 +252,8 @@ def cmd_report(args) -> int:
     cutoffs = None if args.cutoffs is None else _parse_cutoffs(args.cutoffs)
     sc, stream = _simulate(args)
     if cutoffs is None:
-        top = int(sc.analysis.bandpass.f_hi / 1e6)
-        cutoffs = [f * 1e6 for f in range(1, max(top, 1) + 1)]
+        cutoffs = _default_cutoffs(sc.analysis.bandpass)
+    filters = [sc.analysis.bandpass, *_sweep_filters(sc, cutoffs)]
     made, level = [], os.path.abspath(args.out)
     while not os.path.lexists(level):  # the levels this run makes, deepest first
         made.append(level)
@@ -248,7 +263,7 @@ def cmd_report(args) -> int:
         traces = os.path.join(args.out, "traces.cstf")
         with atomic_write(traces, "w+b") as fh:
             _write(stream, fh)
-            sp = Spectra(_stream(fh, traces))
+            sp = Spectra(_stream(fh, traces), filters)
             outputs = _analyze(sc, sp, args.compensate)
             outputs["vsweep.csv"] = _sweep(sc, sp, cutoffs)
             _write_outputs(args.out, outputs)

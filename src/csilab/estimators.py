@@ -23,9 +23,12 @@ import numpy.ma  # noqa: F401  (np.median imports it on its first call)
 
 from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_sum
 from .errors import BandError, ConfigError, DcMissing, DegenerateSet, NoPeak
-from .synth import BLOCK_SETS, TraceSet, TraceStream
+from .synth import TraceSet, TraceStream
 
-_CHUNK = BLOCK_SETS  # sets correlated at a time
+_CHUNK = 4  # sets transformed and correlated at a time
+# a bin where every gain has |H|² at or below this changes no eps, so the
+# per-set rows stop after the last bin where some filter rises above it
+_GAIN_FLOOR = 1e-20
 _LAG_SPAN = 10  # the delay search spans lags within n // _LAG_SPAN of zero
 _PEAK_HALF_WIDTH = 25  # lags this close to the peak are not background
 _MIN_BACKGROUND = 8  # background lags needed to judge the peak
@@ -71,29 +74,40 @@ class Spectra:
     """The cross rows every estimator reads, their ensemble sums and one delay.
 
     Each channel is transformed once, with the DC bin zeroed, which
-    removes each set's mean.  ``cross`` holds three complex rows per set:
-    conj(P) C of the recombined beams P = P1 + P2 and C = C1 + C2, and the
-    split-pair rows conj(P1) P2 and conj(C1) C2.  Building it also sums
-    over sets |P|², |C|², |P1 - P2|², |C1 - C2|² and conj(P) C, which
-    only enter as ensemble means.  Sets are transformed a block at a time
-    as the trace source, a TraceSet or a TraceStream, yields them, so no
-    channel, no beam spectrum and no stream is held whole.
+    removes each set's mean.  Per set it keeps the complex row conj(P) C
+    of the recombined beams P = P1 + P2 and C = C1 + C2 as ``cross``, and
+    the real parts of the split-pair rows conj(P1) P2 and conj(C1) C2,
+    the only part V reads.  ``filters`` lists the FilterSpecs whose V
+    statistics will be asked for: the rows stop after the last bin where
+    one of them has |H|² above _GAIN_FLOOR.  Without ``filters`` they
+    cover every bin, as the unfiltered V needs.
+
+    Building it also sums over sets, on the full grid, |P|², |C|²,
+    |P1 - P2|², |C1 - C2|² and conj(P) C, which only enter as ensemble
+    means, and for each of the three rows the per-lag sums of d and d²,
+    where d is the fluctuation of the set's g2 curve (its inverse
+    transform over n and the DC product).  Sets are transformed _CHUNK at
+    a time into buffers allocated once, as the trace source, a TraceSet or
+    a TraceStream, yields them, so no channel, no beam spectrum and no
+    stream is held whole.
 
     Every estimator below is built from these rows and sums: a bandpass
-    is a real |H| factor, delay compensation a phase ramp, and every eps
-    of V a Parseval sum over bins, the cross term included, so no V needs
-    an inverse transform.  The g2 curves and the delay take a few.
-    ``delay`` is the conjugate's ensemble delay at the cross-covariance
-    peak; without a significant peak it is 0, ``delay_fallback`` is true
-    and the conjugate stays uncompensated.  Build one per analysis and
-    pass it to every estimator; none of them reads the traces.
+    is a real |H| factor, delay compensation a phase ramp, every eps of V
+    a Parseval sum over bins, the cross term included, and each g2 curve
+    a window of the lag sums, so no estimator needs an inverse transform
+    but the delay.  ``delay`` is the conjugate's ensemble delay at the
+    cross-covariance peak; without a significant peak it is 0,
+    ``delay_fallback`` is true and the conjugate stays uncompensated.
+    Build one per analysis and pass it to every estimator; none of them
+    reads the traces.
 
-    Raises DcMissing unless every DC mean is finite and positive, and
+    Raises DcMissing unless every DC mean is finite and positive,
     ConfigError for sets shorter than MIN_SAMPLES, which leave the delay
-    search too few lags to judge a peak wherever it sits.
+    search too few lags to judge a peak wherever it sits, and SpecError
+    for a filter not below the Nyquist frequency.
     """
 
-    def __init__(self, traces: TraceSet | TraceStream):
+    def __init__(self, traces: TraceSet | TraceStream, filters: list[FilterSpec] | None = None):
         acq = traces.acquisition
         dc = np.asarray(traces.dc_means, dtype=float)
         if not np.all(np.isfinite(dc) & (dc > 0.0)):
@@ -106,26 +120,62 @@ class Spectra:
                 f"{_MIN_BACKGROUND} of them more than {_PEAK_HALF_WIDTH} from the "
                 f"peak, so samples_per_set must be at least {MIN_SAMPLES}"
             )
-        self.rate = float(acq.sample_rate)
-        self.dc = tuple(float(v) for v in dc)
+        self.rate = rate = float(acq.sample_rate)
+        self.dc = dc_p1, dc_p2, dc_c1, dc_c2 = tuple(float(v) for v in dc)
         self.sets = sets = acq.num_sets
-        self.cross = np.empty((3, sets, n // 2 + 1), dtype=complex)
-        self._power_sums = np.zeros((4, n // 2 + 1))  # |P|², |C|², |P1 - P2|², |C1 - C2|²
+        bins = n // 2 + 1
+        kept = bins if filters is None else _reach(
+            [_bandpass_gain(spec, n, rate) for spec in filters])
+        self.cross = np.empty((sets, kept), dtype=complex)  # conj(P) C
+        self._split = np.empty((2, sets, kept))  # Re conj(P1) P2, Re conj(C1) C2
+        self._power_sums = np.zeros((4, bins))  # |P|², |C|², |P1 - P2|², |C1 - C2|²
+        self._cross_sum = np.zeros(bins, dtype=complex)  # conj(P) C
+        self._lag_sums = np.zeros((2, 3, n))  # d and d² per row and lag
+        norms = ((dc_p1 + dc_p2) * (dc_c1 + dc_c2), dc_p1 * dc_p2, dc_c1 * dc_c2)
+        chunk = min(_CHUNK, sets)
+        scaled = np.empty((chunk, n))
+        channels = np.empty((4, chunk, bins), dtype=complex)
+        beams = np.empty((2, chunk, bins), dtype=complex)
+        rows = np.empty((3, chunk, bins), dtype=complex)
+        power = np.empty((chunk, bins))
+        curve = np.empty((chunk, n))
         step = acq.step
         lo = 0
         for block in traces:
-            hi = lo + len(block)
-            p1, p2, c1, c2 = (np.fft.rfft(block[:, ch] * step, axis=1) for ch in range(4))
-            for x in (p1, p2, c1, c2):
-                x[:, 0] = 0.0
-            probe, conj = p1 + p2, c1 + c2
-            for row, (a, b) in zip(self.cross[:, lo:hi],
-                                   ((probe, conj), (p1, p2), (c1, c2))):
-                np.multiply(np.conj(a), b, out=row)
-            for total, x in zip(self._power_sums, (probe, conj, p1 - p2, c1 - c2)):
-                _add_rows(total, np.abs(x) ** 2)
-            lo = hi
-        self._cross_sum = self.cross[0].sum(axis=0)  # conj(P) C
+            for first in range(0, len(block), chunk):
+                part = block[first : first + chunk]
+                k, hi = len(part), lo + len(part)
+                x = channels[:, :k]
+                for ch in range(4):
+                    np.multiply(part[:, ch], step, out=scaled[:k])
+                    np.fft.rfft(scaled[:k], axis=1, out=x[ch])
+                x[:, :, 0] = 0.0
+                p1, p2, c1, c2 = x
+                probe, conj = beams[:, :k]
+                np.add(p1, p2, out=probe)
+                np.add(c1, c2, out=conj)
+                for row, (a, b) in zip(rows[:, :k], ((probe, conj), (p1, p2), (c1, c2))):
+                    np.multiply(np.conjugate(a, out=row), b, out=row)
+                np.subtract(p1, p2, out=p1)
+                np.subtract(c1, c2, out=c1)
+                for total, z in zip(self._power_sums, (probe, conj, p1, c1)):
+                    np.abs(z, out=power[:k])
+                    _add_rows(total, np.square(power[:k], out=power[:k]))
+                _add_rows(self._cross_sum, rows[0, :k])
+                self.cross[lo:hi] = rows[0, :k, :kept]
+                self._split[:, lo:hi] = rows[1:, :k, :kept].real
+                for s1, s2, row, norm in zip(*self._lag_sums, rows[:, :k], norms):
+                    t = np.fft.irfft(row, n=n, axis=-1, out=curve[:k])
+                    t /= n
+                    t /= norm
+                    # d = (1 + t) - 1, exactly: the set's curve less 1 with the
+                    # curve's own rounding, so the sums over sets of d and d² give
+                    # its mean and spread to the last bits; raw t would not
+                    t += 1.0
+                    t -= 1.0
+                    _add_rows(s1, t)
+                    _add_rows(s2, np.square(t, out=t))
+                lo = hi
         # one-sided Parseval weights: mean(x * y) == Re(conj(X) Y) @ weights
         self.weights = _one_sided(n) * (2.0 / (n * n))
         self.delay, self.delay_fallback = self._ensemble_delay(self._cross_sum / sets)
@@ -143,27 +193,41 @@ class Spectra:
         """Per-set eps and V statistics under each gain, from one pass over the sets.
 
         A gain is a bandpass |H| on the rfft grid, None for no filter.
-        Every eps is a Parseval sum over bins weighted by |H|²: eps_aa and
-        eps_bb of the split-pair rows, eps_ab of Re(conj(P) C ramp), the
-        lag-0 covariance of the filtered beams once the conjugate is
-        advanced by the delay.  Each eps is one matrix product of a real
-        (sets, bins) copy of a stored cross row, ramped for eps_ab, with a
-        (bins, gains) weight matrix; one copy is live at a time.  Raises
-        DegenerateSet when fewer than 2 sets carry a positive
-        cross-correlation under some gain.
+        Every eps is a Parseval sum weighted by |H|² over the bins the
+        gains reach, up to the last one where some |H|² exceeds
+        _GAIN_FLOOR (every bin for None): eps_aa and eps_bb of the
+        split-pair rows, eps_ab of Re(conj(P) C ramp), the lag-0 covariance
+        of the filtered beams once the conjugate is advanced by the delay.
+        So a V does not depend on which filters the Spectra was built for.
+        Each eps is one matrix product of a real (sets, bins) row, ramped
+        for eps_ab, with a (bins, gains) weight matrix; the ramped row is
+        the one real copy made.  Raises ConfigError when the gains reach
+        past the kept rows, and DegenerateSet when fewer than 2 sets carry
+        a positive cross-correlation under some gain.
         """
-        sets, bins = self.cross.shape[1:]
-        w = np.array([self.weights if g is None else self.weights * g * g
+        sets, kept = self.cross.shape
+        bins = self.weights.size
+        unfiltered = any(g is None for g in gains)
+        reach = bins if unfiltered else _reach(gains)
+        if unfiltered and kept < bins:
+            raise ConfigError(f"the unfiltered V needs all {bins} bins; this Spectra "
+                              f"keeps {kept}, the reach of its filters")
+        if reach > kept:
+            df = self.rate / self.n
+            raise ConfigError(
+                f"a filter passes |H|² > {_GAIN_FLOOR:g} up to {(reach - 1) * df / 1e6:g} "
+                f"MHz, past the {kept} bins (below {kept * df / 1e6:g} MHz) this Spectra "
+                "keeps; build it with that filter among its filters"
+            )
+        w = np.array([self.weights[:reach] if g is None else (self.weights * g * g)[:reach]
                       for g in gains]).T  # (bins, gains)
         dc_p1, dc_p2, dc_c1, dc_c2 = self.dc
-        # the matrix products read contiguous real rows; each copy is freed
-        # before the next, so at most one real (sets, bins) array is live
-        eps_aa = (np.ascontiguousarray(self.cross[1].real) @ w).T / (dc_p1 * dc_p2)
-        eps_bb = (np.ascontiguousarray(self.cross[2].real) @ w).T / (dc_c1 * dc_c2)
-        ramp = _delay_ramp(self.n, self.rate, self.delay) if self.delay else 1.0
-        rows = np.empty((sets, bins))
+        eps_aa = (self._split[0, :, :reach] @ w).T / (dc_p1 * dc_p2)
+        eps_bb = (self._split[1, :, :reach] @ w).T / (dc_c1 * dc_c2)
+        ramp = _delay_ramp(self.n, self.rate, self.delay)[:reach] if self.delay else 1.0
+        rows = np.empty((sets, reach))
         for lo in range(0, sets, _CHUNK):
-            rows[lo : lo + _CHUNK] = (self.cross[0, lo : lo + _CHUNK] * ramp).real
+            rows[lo : lo + _CHUNK] = (self.cross[lo : lo + _CHUNK, :reach] * ramp).real
         eps_ab = (rows @ w).T / ((dc_p1 + dc_p2) * (dc_c1 + dc_c2))
         out = []
         for aa, bb, ab in zip(eps_aa, eps_bb, eps_ab):
@@ -205,6 +269,17 @@ def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
     """
     for row in rows:
         acc += row
+
+
+def _reach(gains) -> int:
+    """Bins of the rfft grid up to the last one where some gain, an |H| on
+    that grid, has |H|² above _GAIN_FLOOR."""
+    reach = 0
+    for gain in gains:
+        above = np.flatnonzero(gain * gain > _GAIN_FLOOR)
+        if above.size:
+            reach = max(reach, int(above[-1]) + 1)
+    return reach
 
 
 def _band_mask(f: np.ndarray, band: tuple[float, float]) -> np.ndarray:
@@ -269,23 +344,23 @@ def g2_curves(sp: Spectra, tau_max: float = 100e-9) -> CorrelationReport:
     """Normalized intensity correlation curves and their standard errors.
 
     The cross curve correlates the recombined beams, the autos correlate
-    the two halves of one beam (shot noise cancels in both cases): each
-    is the lag window of the per-set inverse transforms of one cross row
-    of the Spectra.  The cross curve is reported against the raw lag
-    axis; ``delay`` is the ensemble delay of the Spectra.  The
+    the two halves of one beam (shot noise cancels in both cases).  Each
+    is read off the Spectra's lag sums: with S1 and S2 the sums over sets
+    of the fluctuation d of one set's curve and of d², the mean curve is
+    1 + S1 / sets and its standard error sqrt((S2 - S1² / sets) /
+    (sets - 1) / sets).  The cross curve is reported against the
+    raw lag axis; ``delay`` is the ensemble delay of the Spectra.  The
     unfiltered V statistics of the same ensemble are
     ``filtered_violation(sp, None)``.  Fewer than two sets raise
     DegenerateSet, since a standard error needs a spread.  The window
     spans max(4, round(tau_max * rate)) lags each side of zero; past
     (n - 1) // 2 a lag wraps round the set onto a negative one, so a
-    longer window raises ConfigError before anything is allocated.
+    longer window raises ConfigError.
     """
     sets = sp.sets
     if sets < 2:
         raise DegenerateSet(f"g2 standard errors need at least 2 sets, got {sets}")
-    dc_p1, dc_p2, dc_c1, dc_c2 = sp.dc
     n = sp.n
-
     max_lag = max(4, int(round(tau_max * sp.rate)))
     if max_lag > (n - 1) // 2:
         raise ConfigError(
@@ -293,19 +368,10 @@ def g2_curves(sp: Spectra, tau_max: float = 100e-9) -> CorrelationReport:
             f"{n} samples hold distinct lags only up to {(n - 1) // 2}"
         )
     lags = np.arange(-max_lag, max_lag + 1)
-    norms = ((dc_p1 + dc_p2) * (dc_c1 + dc_c2), dc_p1 * dc_p2, dc_c1 * dc_c2)
-    traces = np.empty((min(_CHUNK, sets), n))
-    # per-set curves, of which only the lag window of each transform is kept;
-    # set-major in memory, so the ensemble mean sums sets pairwise
-    windows = np.empty((len(norms), lags.size, sets)).transpose(0, 2, 1)
-    for lo in range(0, sets, _CHUNK):
-        hi = min(lo + _CHUNK, sets)
-        k = hi - lo
-        for window, xy, norm in zip(windows, sp.cross[:, lo:hi], norms):
-            np.fft.irfft(xy, n=n, axis=-1, out=traces[:k])
-            window[lo:hi] = 1.0 + traces[:k, lags % n] / n / norm
-    g_mean = [g.mean(axis=0) for g in windows]
-    g_sem = [g.std(axis=0, ddof=1) / math.sqrt(sets) for g in windows]
+    s1, s2 = sp._lag_sums[:, :, lags % n]
+    g_mean = 1.0 + s1 / sets
+    spread = np.maximum(s2 - s1 * s1 / sets, 0.0) / (sets - 1)
+    g_sem = np.sqrt(spread) / math.sqrt(sets)
     return CorrelationReport(
         tau_grid=lags / sp.rate,
         g2_ab=g_mean[0],
@@ -430,6 +496,14 @@ def csi_frequency_test(report: SpectraReport, sp: Spectra, band: tuple[float, fl
     return float(lhs), float(rhs), bool(lhs >= rhs)
 
 
+def sweep_filters(f_hi_list, f_lo: float = 500e3, order: int = 10) -> list[FilterSpec]:
+    """The bandpass of each cutoff of a sweep; BandError when there is none."""
+    f_hi_list = list(f_hi_list)
+    if not f_hi_list:
+        raise BandError("cutoff list is empty")
+    return [FilterSpec(f_hi=float(f_hi), f_lo=f_lo, order=order) for f_hi in f_hi_list]
+
+
 def cutoff_sweep(
     sp: Spectra,
     f_hi_list,
@@ -440,18 +514,13 @@ def cutoff_sweep(
 
     Returns an array of rows (f_hi, v_mean, v_sigma).  The delay is
     estimated once from the unfiltered ensemble so every cutoff sees the
-    same alignment.
+    same alignment.  The filters are those of sweep_filters.
     """
-    f_hi_list = list(f_hi_list)
-    if not f_hi_list:
-        raise BandError("cutoff list is empty")
-    gains = (
-        _bandpass_gain(FilterSpec(f_hi=float(f_hi), f_lo=f_lo, order=order), sp.n, sp.rate)
-        for f_hi in f_hi_list
-    )
+    specs = sweep_filters(f_hi_list, f_lo, order)
+    gains = [_bandpass_gain(spec, sp.n, sp.rate) for spec in specs]
     # every cutoff in one pass over the sets
-    return np.array([(float(f_hi), st["v_mean"], st["v_sigma"])
-                     for f_hi, st in zip(f_hi_list, sp._violation_stats(gains))])
+    return np.array([(spec.f_hi, st["v_mean"], st["v_sigma"])
+                     for spec, st in zip(specs, sp._violation_stats(gains))])
 
 
 def filtered_violation(sp: Spectra, spec: FilterSpec | None) -> dict:
@@ -467,7 +536,9 @@ def filtered_violation(sp: Spectra, spec: FilterSpec | None) -> dict:
     peak and the delay was taken as 0.  v_sigma is the set-to-set
     standard deviation, v_sem = v_sigma / sqrt(sets kept) and sets whose
     eps_ab is not positive are left out and counted; fewer than two kept
-    raise DegenerateSet.
+    raise DegenerateSet.  A Spectra built for other filters raises
+    ConfigError when ``spec`` passes signal past its rows; ``spec=None``
+    needs one built without filters.
     """
     gain = None if spec is None else _bandpass_gain(spec, sp.n, sp.rate)
     stats = sp._violation_stats([gain])[0]

@@ -19,6 +19,8 @@ import pytest
 from csilab import cli, errors, estimators
 from csilab._atomic import atomic_write
 from csilab.cli import _write_csv, _write_text, main
+from csilab.dsp import _bandpass_gain
+from csilab.scenarios import preset, preset_names
 from csilab.synth import AcquisitionConfig
 from csilab.tracefile import HEADER_SIZE, write_stream
 from slow_reference import coherent_traces
@@ -422,13 +424,49 @@ def test_report_pipeline(tmp_path, capsys):
     assert rows[0, 1] < 1.0 < rows[-1, 1]  # violation at 1 MHz, lost by 15 MHz
 
 
+@pytest.mark.parametrize("f_lo_mhz, want_mhz", [
+    (2.0, list(range(3, 16))),  # whole MHz above f_lo only
+    (1.9, list(range(2, 16))),
+    (14.5, [15]),
+    (14.8, [15]),
+])
+def test_report_default_cutoffs_start_above_f_lo(tmp_path, capsys, f_lo_mhz, want_mhz):
+    """The default sweep runs over the whole MHz values in (f_lo, f_hi]."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[scenario]\npreset = G10\n[analysis]\nf_lo_mhz = {f_lo_mhz}\n")
+    out = tmp_path / "rep"
+    assert run("report", "--config", str(cfg), "--sets", "4", "--out", str(out)) == 0
+    rows = np.loadtxt(out / "vsweep.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows[:, 0].tolist() == [m * 1e6 for m in want_mhz]
+
+
+def test_report_default_cutoffs_without_a_whole_mhz_are_f_hi(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[scenario]\npreset = G10\n[analysis]\nf_lo_mhz = 15.2\nf_hi_mhz = 15.9\n")
+    out = tmp_path / "rep"
+    assert run("report", "--config", str(cfg), "--sets", "4", "--out", str(out)) == 0
+    rows = np.loadtxt(out / "vsweep.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows[:, 0].tolist() == [15.9e6]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_every_preset_keeps_its_default_cutoffs(name):
+    """1 MHz up to f_hi in whole MHz, the list every preset had before the
+    default honoured f_lo."""
+    bandpass = preset(name).analysis.bandpass
+    assert bandpass.f_lo < 1e6
+    top = int(bandpass.f_hi / 1e6)
+    assert cli._default_cutoffs(bandpass) == [f * 1e6 for f in range(1, top + 1)]
+
+
 def test_report_transforms_each_channel_once(tmp_path, monkeypatch):
-    calls = {"rfft": 0, "delay": 0}
+    calls = {"rfft": 0, "points": 0, "delay": 0}
     rfft, fit = np.fft.rfft, estimators._delay_from_covariance
 
-    def counted_rfft(*args, **kwargs):
+    def counted_rfft(a, *args, **kwargs):
         calls["rfft"] += 1
-        return rfft(*args, **kwargs)
+        calls["points"] += np.size(a)
+        return rfft(a, *args, **kwargs)
 
     def counted_fit(*args):
         calls["delay"] += 1
@@ -438,8 +476,10 @@ def test_report_transforms_each_channel_once(tmp_path, monkeypatch):
     monkeypatch.setattr(estimators, "_delay_from_covariance", counted_fit)
     rc = run("report", "--config", "G10", "--out", str(tmp_path / "rep"), "--sets", "12")
     assert rc == 0
-    # analysis and sweep share one Spectra: one rfft per channel, one delay
-    assert calls == {"rfft": 4, "delay": 1}
+    # analysis and sweep share one Spectra: each channel of each set is
+    # transformed once, _CHUNK sets at a time, and the delay found once
+    chunks = -(-12 // estimators._CHUNK)
+    assert calls == {"rfft": 4 * chunks, "points": 4 * 12 * 10000, "delay": 1}
 
 
 def test_module_entry_point():
@@ -702,10 +742,12 @@ def test_second_thread_adds_one_scratch_set(tmp_path, monkeypatch, capsys):
 
 def test_analyze_memory_grows_only_by_the_stored_rows(tmp_path, short_sets, capsys):
     """analyze builds its Spectra from the container's blocks.  Per set, its
-    peak may grow by the 48 B per bin of cross rows the Spectra stores
-    plus the 8 B per bin of the real row the V statistics copy, and by no
-    more than a quarter of the 256-set codes array in all (bounds fixed
-    beforehand); holding the codes whole adds 16 B per bin per set."""
+    peak may grow by 48 B per bin of stored rows plus the 8 B per bin of
+    the real row the V statistics copy, and by no more than a quarter of
+    the 256-set codes array in all (bounds fixed beforehand); holding the
+    codes whole adds 16 B per bin per set.  The rows now take 32 B per bin
+    on the bins the bandpass reaches, so this bound is loose;
+    test_report_memory_grows_only_by_the_kept_rows holds the tight one."""
     traces = {}
     for sets in (32, 256):
         traces[sets] = tmp_path / f"{sets}.cstf"
@@ -716,3 +758,25 @@ def test_analyze_memory_grows_only_by_the_stored_rows(tmp_path, short_sets, caps
     bins = SAMPLES // 2 + 1
     codes = 256 * 4 * SAMPLES * 2
     assert peaks[256] - peaks[32] < (256 - 32) * bins * (48 + 8) + codes / 4, peaks
+
+
+def test_report_memory_grows_only_by_the_kept_rows(tmp_path, short_sets, capsys):
+    """report builds its Spectra for the scenario's bandpass and its sweep,
+    so per set it stores 32 B for each bin those filters reach: the complex
+    row conj(P) C and the real parts of the two split-pair rows.  Between
+    32 and 256 sets its peak must grow by less than that, plus 64 KiB
+    fixed beforehand for the spread of one peak against the next.  The V
+    statistics' real copy of the ramped row (8 B per kept bin per set) is
+    live only after synthesis has ended, and at 32 sets synthesis sets the
+    peak.  Full-grid rows, 48 B per bin of all of them, grow by about
+    165 B per kept bin per set here."""
+    sc = cli._resolve_scenario(str(short_sets))
+    a = sc.analysis.bandpass
+    filters = [a, *estimators.sweep_filters(cli._default_cutoffs(a), a.f_lo, a.order)]
+    rate = sc.acquisition.sample_rate
+    kept = estimators._reach([_bandpass_gain(spec, SAMPLES, rate) for spec in filters])
+    assert kept < (SAMPLES // 2 + 1) / 3
+    peaks = {sets: _peak("report", "--config", str(short_sets), "--sets", str(sets),
+                         "--out", str(tmp_path / f"r{sets}"))
+             for sets in (32, 256)}
+    assert peaks[256] - peaks[32] < (256 - 32) * kept * 32 + 64 * 1024, (peaks, kept)

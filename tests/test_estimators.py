@@ -22,6 +22,7 @@ from csilab.estimators import (
     filtered_violation,
     g2_curves,
     normalized_spectra,
+    sweep_filters,
 )
 from csilab.scenarios import preset, preset_names
 from csilab.synth import (
@@ -123,23 +124,17 @@ class TestG2Curves:
         assert abs(rep["v_pooled"] - rep["v_mean"]) <= rep["v_sigma"]
 
     def test_curves_need_no_lag_kernel(self, ts_g10, monkeypatch):
-        """Three inverse transforms per chunk, one per curve, and no V."""
+        """The curves are read off the lag sums the build took: no
+        transform of any kind, and no V."""
         sp = Spectra(subset(ts_g10, 40))
-        calls = []
-        irfft = np.fft.irfft
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return irfft(*args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("g2 curves need no transform and no V statistics")
 
-        def refuse(*args):
-            raise AssertionError("g2 curves need no V statistics")
-
-        monkeypatch.setattr(np.fft, "irfft", counted)
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, refuse)
         monkeypatch.setattr(Spectra, "_violation_stats", refuse)
         g2_curves(sp, tau_max=50e-9)
-        chunks = -(-40 // estimators._CHUNK)
-        assert len(calls) == 3 * chunks
 
 
     @pytest.mark.parametrize("tau_max, wraps", [(127e-9, False), (128e-9, True), (1e-6, True)])
@@ -585,15 +580,16 @@ class TestChunkedAnalysis:
                 sys.setswitchinterval(interval)
         assert_identical(tuple(chunked), tuple(whole))
 
-    def test_spectra_store_at_most_48_bytes_per_bin_per_set(self, ts_g10):
-        """Per set a Spectra keeps the three complex cross rows and nothing
-        else: what it stores grows by at most 48 B per bin per set."""
+    def test_spectra_store_at_most_32_bytes_per_bin_per_set(self, ts_g10):
+        """Per set a Spectra keeps the complex row conj(P) C and the real
+        parts of the two split-pair rows, and nothing else: what it stores
+        grows by at most 32 B per bin per set."""
         def stored(num_sets):
             sp = Spectra(subset(ts_g10, num_sets))
             return sum(v.nbytes for v in vars(sp).values() if isinstance(v, np.ndarray))
 
         bins = ts_g10.codes.shape[2] // 2 + 1
-        assert (stored(32) - stored(16)) / (16 * bins) <= 48
+        assert (stored(32) - stored(16)) / (16 * bins) <= 32
 
     def test_sweep_allocates_less_than_one_ensemble_spectrum(self, ts_g10, monkeypatch):
         """A 15-cutoff sweep holds one real (sets, bins) array at a time, the
@@ -611,3 +607,57 @@ class TestChunkedAnalysis:
         finally:
             tracemalloc.stop()
         assert peak < 64 * (sp.n // 2 + 1) * np.dtype(complex).itemsize  # 5.12 MB
+
+
+SWEEP_MHZ = [f * 1e6 for f in range(1, 16)]
+
+
+class TestCutRows:
+    """A Spectra built for its filters keeps rows only up to their reach."""
+
+    @pytest.fixture(scope="class", params=preset_names())
+    def both(self, request):
+        """(scenario, full Spectra, Spectra cut to the bandpass and a
+        1-15 MHz sweep) of one preset's traces."""
+        sc = preset(request.param)
+        ts = synthesize(sc.model, dataclasses.replace(sc.acquisition, num_sets=24,
+                                                      rng_seed=0xC07))
+        a = sc.analysis.bandpass
+        filters = [a, *sweep_filters(SWEEP_MHZ, a.f_lo, a.order)]
+        return sc, Spectra(ts), Spectra(ts, filters)
+
+    def test_rows_stop_where_the_filters_do(self, both):
+        _, full, cut = both
+        assert full.cross.shape[1] == full.n // 2 + 1
+        assert cut.cross.shape[1] < full.cross.shape[1] // 2
+        assert cut._split.shape == (2, cut.sets, cut.cross.shape[1])
+
+    def test_cut_rows_change_no_bit(self, both):
+        sc, full, cut = both
+        a = sc.analysis.bandpass
+        results = [(filtered_violation(sp, a), cutoff_sweep(sp, SWEEP_MHZ, a.f_lo, a.order),
+                    g2_curves(sp, sc.analysis.tau_max),
+                    normalized_spectra(sp, band=sc.analysis.spectra_band))
+                   for sp in (full, cut)]
+        assert_identical(*results)
+
+    def test_unfiltered_v_needs_every_bin(self, both):
+        _, full, cut = both
+        filtered_violation(full, None)
+        with pytest.raises(ConfigError, match="unfiltered V"):
+            filtered_violation(cut, None)
+
+    def test_filter_past_the_rows_is_refused(self, both):
+        sc, full, cut = both
+        far = FilterSpec(f_hi=200e6, f_lo=sc.analysis.bandpass.f_lo)
+        filtered_violation(full, far)
+        with pytest.raises(ConfigError, match="past the .* bins"):
+            filtered_violation(cut, far)
+        with pytest.raises(ConfigError, match="past the .* bins"):
+            cutoff_sweep(cut, [5e6, 200e6])
+
+    def test_no_filter_keeps_no_bin(self, ts_g10):
+        sp = Spectra(subset(ts_g10, 4), [])
+        assert sp.cross.shape == (4, 0)
+        with pytest.raises(ConfigError):
+            filtered_violation(sp, FilterSpec(f_hi=5e6))

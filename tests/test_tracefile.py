@@ -290,7 +290,7 @@ def test_streaming_changes_no_byte_and_no_bit(tmp_path_factory, num_sets, sample
     with open_stream(streamed) as stream:
         from_blocks = Spectra(stream)
     from_set = Spectra(read_tracefile(whole))
-    for name in ("cross", "_power_sums", "_cross_sum"):
+    for name in ("cross", "_split", "_power_sums", "_cross_sum", "_lag_sums"):
         assert np.array_equal(getattr(from_blocks, name), getattr(from_set, name)), name
     assert from_blocks.delay == from_set.delay
     assert from_blocks.delay_fallback == from_set.delay_fallback
