@@ -14,8 +14,14 @@ import sys
 
 import numpy as np
 
-from csilab import Spectra, cutoff_sweep, preset, violation_factor_ideal
-from csilab.synth import synthesize_stream
+from csilab import (
+    Spectra,
+    cutoff_sweep,
+    preset,
+    sweep_filters,
+    synthesize,
+    violation_factor_ideal,
+)
 
 CUTOFFS_MHZ = list(range(1, 16))
 PRESETS = ("G2", "G5", "G8", "G10")
@@ -26,13 +32,10 @@ def main(outdir="demo_out"):
     table = {}
     for name in PRESETS:
         sc = preset(name)
-        sp = Spectra(synthesize_stream(sc.model, sc.acquisition))
-        rows = cutoff_sweep(
-            sp,
-            [f * 1e6 for f in CUTOFFS_MHZ],
-            f_lo=sc.analysis.bandpass.f_lo,
-            order=sc.analysis.bandpass.order,
-        )
+        cutoffs = [f * 1e6 for f in CUTOFFS_MHZ]
+        f_lo, order = sc.analysis.bandpass.f_lo, sc.analysis.bandpass.order
+        sp = Spectra(synthesize(sc.model, sc.acquisition), sweep_filters(cutoffs, f_lo, order))
+        rows = cutoff_sweep(sp, cutoffs, f_lo=f_lo, order=order)
         table[name] = rows
         path = os.path.join(outdir, f"vsweep_{name.lower()}.csv")
         np.savetxt(

@@ -122,9 +122,10 @@ def cmd_simulate(args) -> int:
 
 def _verdict(stats: dict, num_sets: int) -> str:
     """The side of 1 that V falls on; INCONCLUSIVE unless V is positive,
-    VERDICT_MIN_SIGMA standard errors from 1 and from most sets."""
+    VERDICT_MIN_SIGMA standard errors from 1 and from most sets, and the
+    delay was measured: without it the conjugate is left uncompensated."""
     if (stats["v_mean"] <= 0.0 or stats["sigma_count"] < VERDICT_MIN_SIGMA
-            or 2 * stats["num_degenerate"] > num_sets):
+            or 2 * stats["num_degenerate"] > num_sets or stats["delay_fallback"]):
         return "INCONCLUSIVE"
     return "CSI VIOLATED" if stats["violated"] else "CSI NOT VIOLATED"
 

@@ -1,8 +1,8 @@
 """Estimators for the measured twin-beam quantities.
 
-Input is a Spectra: one transform of a trace source, a TraceSet or a
-TraceStream of four quantized AC channels (p1, p2, c1, c2) plus
-recorded DC means.  The split-detection layout makes the shot-noise
+Input is a Spectra: the sums of one or two passes over a trace source,
+a TraceSet or a TraceStream of four quantized AC channels (p1, p2, c1,
+c2) plus recorded DC means.  The split-detection layout makes the shot-noise
 self-term drop out of every correlation: products are always taken
 between different detectors, never of a channel with itself.
 
@@ -15,6 +15,7 @@ spectra over an analysis band; both verdicts must agree on the same band.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .synth import TraceSet, TraceStream
 
 _CHUNK = 4  # sets transformed and correlated at a time
 # a bin where every gain has |H|² at or below this changes no eps, so the
-# per-set rows stop after the last bin where some filter rises above it
+# eps sums stop after the last bin where some filter rises above it
 _GAIN_FLOOR = 1e-20
 _LAG_SPAN = 10  # the delay search spans lags within n // _LAG_SPAN of zero
 _PEAK_HALF_WIDTH = 25  # lags this close to the peak are not background
@@ -71,35 +72,41 @@ class SpectraReport:
 
 
 class Spectra:
-    """The cross rows every estimator reads, their ensemble sums and one delay.
+    """The sums every estimator reads, each set's eps under declared filters, and one delay.
 
     Each channel is transformed once, with the DC bin zeroed, which
-    removes each set's mean.  Per set it keeps the complex row conj(P) C
-    of the recombined beams P = P1 + P2 and C = C1 + C2 as ``cross``, and
-    the real parts of the split-pair rows conj(P1) P2 and conj(C1) C2,
-    the only part V reads.  ``filters`` lists the FilterSpecs whose V
-    statistics will be asked for: the rows stop after the last bin where
-    one of them has |H|² above _GAIN_FLOOR.  Without ``filters`` they
-    cover every bin, as the unfiltered V needs.
+    removes each set's mean.  Building it sums over sets, on the full
+    grid, |P|², |C|², |P1 - P2|², |C1 - C2|² and conj(P) C of the
+    recombined beams P = P1 + P2 and C = C1 + C2, which only enter as
+    ensemble means, and for each of the rows conj(P) C, conj(P1) P2 and
+    conj(C1) C2 the per-lag sums of d and d², where d is the fluctuation
+    of the set's g2 curve (its inverse transform over n and the DC
+    product).  Sets are transformed _CHUNK at a time into buffers
+    allocated once, as the trace source yields them, so no channel, no
+    beam spectrum and no stream is held whole.
 
-    Building it also sums over sets, on the full grid, |P|², |C|²,
-    |P1 - P2|², |C1 - C2|² and conj(P) C, which only enter as ensemble
-    means, and for each of the three rows the per-lag sums of d and d²,
-    where d is the fluctuation of the set's g2 curve (its inverse
-    transform over n and the DC product).  Sets are transformed _CHUNK at
-    a time into buffers allocated once, as the trace source, a TraceSet or
-    a TraceStream, yields them, so no channel, no beam spectrum and no
-    stream is held whole.
+    ``filters`` lists the FilterSpecs, and None for the unfiltered V,
+    whose V statistics will be asked for.  For each one and each set the
+    build keeps eps_aa, eps_bb and eps_ab, three floats, and no row of
+    any set: eps_aa and eps_bb come with the first pass, eps_ab, which
+    needs the delay, from a second pass over the source that transforms
+    only P and C, each summed from its halves in the time domain.  So
+    the source must be readable twice: a TraceSet or a container's
+    stream is; a TraceStream of one-shot blocks, such as
+    synthesize_stream's, raises ConfigError before any block is read.
+    V for a filter not declared raises ConfigError naming it.  Without
+    ``filters`` the build is one pass, and V for any filter takes a pass
+    of its own over the source, which must then still be readable: V of
+    a one-shot stream raises ConfigError.
 
-    Every estimator below is built from these rows and sums: a bandpass
-    is a real |H| factor, delay compensation a phase ramp, every eps of V
-    a Parseval sum over bins, the cross term included, and each g2 curve
-    a window of the lag sums, so no estimator needs an inverse transform
+    Every estimator below is built from these sums: a bandpass is a real
+    |H| factor, delay compensation a phase ramp, every eps of V a
+    Parseval sum over bins, the cross term included, and each g2 curve a
+    window of the lag sums, so no estimator needs an inverse transform
     but the delay.  ``delay`` is the conjugate's ensemble delay at the
     cross-covariance peak; without a significant peak it is 0,
     ``delay_fallback`` is true and the conjugate stays uncompensated.
-    Build one per analysis and pass it to every estimator; none of them
-    reads the traces.
+    Build one per analysis and pass it to every estimator.
 
     Raises DcMissing unless every DC mean is finite and positive,
     ConfigError for sets shorter than MIN_SAMPLES, which leave the delay
@@ -107,7 +114,8 @@ class Spectra:
     for a filter not below the Nyquist frequency.
     """
 
-    def __init__(self, traces: TraceSet | TraceStream, filters: list[FilterSpec] | None = None):
+    def __init__(self, traces: TraceSet | TraceStream,
+                 filters: list[FilterSpec | None] | None = None):
         acq = traces.acquisition
         dc = np.asarray(traces.dc_means, dtype=float)
         if not np.all(np.isfinite(dc) & (dc > 0.0)):
@@ -120,65 +128,124 @@ class Spectra:
                 f"{_MIN_BACKGROUND} of them more than {_PEAK_HALF_WIDTH} from the "
                 f"peak, so samples_per_set must be at least {MIN_SAMPLES}"
             )
-        self.rate = rate = float(acq.sample_rate)
-        self.dc = dc_p1, dc_p2, dc_c1, dc_c2 = tuple(float(v) for v in dc)
+        self.rate = float(acq.sample_rate)
+        self.dc = tuple(float(v) for v in dc)
         self.sets = sets = acq.num_sets
         bins = n // 2 + 1
-        kept = bins if filters is None else _reach(
-            [_bandpass_gain(spec, n, rate) for spec in filters])
-        self.cross = np.empty((sets, kept), dtype=complex)  # conj(P) C
-        self._split = np.empty((2, sets, kept))  # Re conj(P1) P2, Re conj(C1) C2
+        # one-sided Parseval weights: mean(x * y) == Re(conj(X) Y) @ weights
+        self.weights = _one_sided(n) * (2.0 / (n * n))
+        self.filters = None if filters is None else list(dict.fromkeys(filters))
+        w = self._weights(self.filters or [])
+        one_shot = isinstance(traces, TraceStream) and isinstance(traces.blocks, Iterator)
+        if self.filters and one_shot:
+            raise ConfigError(
+                "V under declared filters needs a second pass over the sets once "
+                "the delay is known, and this stream's blocks can be read only once; "
+                "pass a TraceSet or a container's stream"
+            )
         self._power_sums = np.zeros((4, bins))  # |P|², |C|², |P1 - P2|², |C1 - C2|²
         self._cross_sum = np.zeros(bins, dtype=complex)  # conj(P) C
         self._lag_sums = np.zeros((2, 3, n))  # d and d² per row and lag
-        norms = ((dc_p1 + dc_p2) * (dc_c1 + dc_c2), dc_p1 * dc_p2, dc_c1 * dc_c2)
-        chunk = min(_CHUNK, sets)
+        self._eps = np.empty((3, len(w), sets))  # aa, bb, ab per filter and set
+        self._split_pass(traces, w, self._eps[:2], sums=True)
+        self.delay, self.delay_fallback = self._ensemble_delay(self._cross_sum / sets)
+        if self.filters:
+            self._cross_pass(traces, w, self._eps[2])
+        self._source = traces if self.filters is None and not one_shot else None
+
+    def _weights(self, specs) -> list[np.ndarray]:
+        """The weights of each spec's eps sums: the Parseval weights times
+        its |H|² (1 for None), up to the last bin where |H|² exceeds
+        _GAIN_FLOOR (every bin for None).  SpecError for a filter not below
+        the Nyquist frequency."""
+        out = []
+        for spec in specs:
+            if spec is None:
+                out.append(self.weights)
+            else:
+                g = _bandpass_gain(spec, self.n, self.rate)
+                out.append((self.weights * g * g)[: _reach(g)].copy())
+        return out
+
+    def _split_pass(self, traces, w: list, eps: np.ndarray, sums: bool) -> None:
+        """Transform the four channels of every set and fill eps (2,
+        filters, sets) with each set's split-pair sums Re(conj(P1) P2) and
+        Re(conj(C1) C2) under the weights w; with ``sums``, take the
+        ensemble and lag sums too."""
+        n = self.n
+        bins = n // 2 + 1
+        norms = ((self.dc[0] + self.dc[1]) * (self.dc[2] + self.dc[3]),
+                 self.dc[0] * self.dc[1], self.dc[2] * self.dc[3])
+        chunk = min(_CHUNK, self.sets)
         scaled = np.empty((chunk, n))
         channels = np.empty((4, chunk, bins), dtype=complex)
         beams = np.empty((2, chunk, bins), dtype=complex)
         rows = np.empty((3, chunk, bins), dtype=complex)
         power = np.empty((chunk, bins))
         curve = np.empty((chunk, n))
-        step = acq.step
-        lo = 0
-        for block in traces:
-            for first in range(0, len(block), chunk):
-                part = block[first : first + chunk]
-                k, hi = len(part), lo + len(part)
-                x = channels[:, :k]
-                for ch in range(4):
-                    np.multiply(part[:, ch], step, out=scaled[:k])
-                    np.fft.rfft(scaled[:k], axis=1, out=x[ch])
-                x[:, :, 0] = 0.0
-                p1, p2, c1, c2 = x
-                probe, conj = beams[:, :k]
-                np.add(p1, p2, out=probe)
-                np.add(c1, c2, out=conj)
-                for row, (a, b) in zip(rows[:, :k], ((probe, conj), (p1, p2), (c1, c2))):
-                    np.multiply(np.conjugate(a, out=row), b, out=row)
-                np.subtract(p1, p2, out=p1)
-                np.subtract(c1, c2, out=c1)
-                for total, z in zip(self._power_sums, (probe, conj, p1, c1)):
-                    np.abs(z, out=power[:k])
-                    _add_rows(total, np.square(power[:k], out=power[:k]))
-                _add_rows(self._cross_sum, rows[0, :k])
-                self.cross[lo:hi] = rows[0, :k, :kept]
-                self._split[:, lo:hi] = rows[1:, :k, :kept].real
-                for s1, s2, row, norm in zip(*self._lag_sums, rows[:, :k], norms):
-                    t = np.fft.irfft(row, n=n, axis=-1, out=curve[:k])
-                    t /= n
-                    t /= norm
-                    # d = (1 + t) - 1, exactly: the set's curve less 1 with the
-                    # curve's own rounding, so the sums over sets of d and d² give
-                    # its mean and spread to the last bits; raw t would not
-                    t += 1.0
-                    t -= 1.0
-                    _add_rows(s1, t)
-                    _add_rows(s2, np.square(t, out=t))
-                lo = hi
-        # one-sided Parseval weights: mean(x * y) == Re(conj(X) Y) @ weights
-        self.weights = _one_sided(n) * (2.0 / (n * n))
-        self.delay, self.delay_fallback = self._ensemble_delay(self._cross_sum / sets)
+        real = np.empty((chunk, max((x.size for x in w), default=0)))
+        step = traces.acquisition.step
+        for lo, part in _chunks(traces, chunk):
+            k = len(part)
+            x = channels[:, :k]
+            for ch in range(4):
+                np.multiply(part[:, ch], step, out=scaled[:k])
+                np.fft.rfft(scaled[:k], axis=1, out=x[ch])
+            x[:, :, 0] = 0.0
+            p1, p2, c1, c2 = x
+            for row, (a, b), out in zip(rows[1:, :k], ((p1, p2), (c1, c2)), eps):
+                np.multiply(np.conjugate(a, out=row), b, out=row)
+                _eps_rows(row, w, real, out[:, lo : lo + k])
+            if not sums:
+                continue
+            probe, conj = beams[:, :k]
+            np.add(p1, p2, out=probe)
+            np.add(c1, c2, out=conj)
+            np.multiply(np.conjugate(probe, out=rows[0, :k]), conj, out=rows[0, :k])
+            np.subtract(p1, p2, out=p1)
+            np.subtract(c1, c2, out=c1)
+            for total, z in zip(self._power_sums, (probe, conj, p1, c1)):
+                np.abs(z, out=power[:k])
+                _add_rows(total, np.square(power[:k], out=power[:k]))
+            _add_rows(self._cross_sum, rows[0, :k])
+            for s1, s2, row, norm in zip(*self._lag_sums, rows[:, :k], norms):
+                t = np.fft.irfft(row, n=n, axis=-1, out=curve[:k])
+                t /= n
+                t /= norm
+                # d = (1 + t) - 1, exactly: the set's curve less 1 with the
+                # curve's own rounding, so the sums over sets of d and d² give
+                # its mean and spread to the last bits; raw t would not
+                t += 1.0
+                t -= 1.0
+                _add_rows(s1, t)
+                _add_rows(s2, np.square(t, out=t))
+
+    def _cross_pass(self, traces, w: list, eps: np.ndarray) -> None:
+        """Fill eps (filters, sets) with each set's sum of Re(conj(P) C
+        ramp) under the weights w, the ramp advancing the conjugate by the
+        delay.  Each beam's halves are summed in the time domain, so a set
+        takes two transforms, P and C."""
+        n, reach = self.n, max(x.size for x in w)
+        ramp = _delay_ramp(n, self.rate, self.delay)[:reach] if self.delay else None
+        chunk = min(_CHUNK, self.sets)
+        scaled = np.empty((chunk, n))
+        beams = np.empty((2, chunk, n // 2 + 1), dtype=complex)
+        rows = np.empty((chunk, reach), dtype=complex)
+        real = np.empty((chunk, reach))
+        step = traces.acquisition.step
+        for lo, part in _chunks(traces, chunk):
+            k = len(part)
+            for beam, ch in zip(beams[:, :k], (0, 2)):
+                np.add(part[:, ch], part[:, ch + 1], out=scaled[:k], dtype=float)
+                np.multiply(scaled[:k], step, out=scaled[:k])
+                np.fft.rfft(scaled[:k], axis=1, out=beam)
+            probe, conj = beams[:, :k, :reach]
+            row = rows[:k]
+            np.multiply(np.conjugate(probe, out=row), conj, out=row)
+            row[:, :1] = 0.0  # each set's mean, as in the first pass
+            if ramp is not None:
+                row *= ramp
+            _eps_rows(row, w, real, eps[:, lo : lo + k])
 
     def _ensemble_delay(self, cross_mean: np.ndarray) -> tuple[float, bool]:
         cov = np.fft.irfft(cross_mean, n=self.n)
@@ -189,53 +256,55 @@ class Spectra:
         except NoPeak:
             return 0.0, True
 
-    def _violation_stats(self, gains) -> list[dict]:
-        """Per-set eps and V statistics under each gain, from one pass over the sets.
+    def _eps_of(self, specs) -> list[np.ndarray]:
+        """Each spec's (3, sets) per-set eps_aa, eps_bb and eps_ab sums.
 
-        A gain is a bandpass |H| on the rfft grid, None for no filter.
-        Every eps is a Parseval sum weighted by |H|² over the bins the
-        gains reach, up to the last one where some |H|² exceeds
-        _GAIN_FLOOR (every bin for None): eps_aa and eps_bb of the
-        split-pair rows, eps_ab of Re(conj(P) C ramp), the lag-0 covariance
-        of the filtered beams once the conjugate is advanced by the delay.
-        So a V does not depend on which filters the Spectra was built for.
-        Each eps is one matrix product of a real (sets, bins) row, ramped
-        for eps_ab, with a (bins, gains) weight matrix; the ramped row is
-        the one real copy made.  Raises ConfigError when the gains reach
-        past the kept rows, and DegenerateSet when fewer than 2 sets carry
-        a positive cross-correlation under some gain.
+        A Spectra built for its filters looks them up; one built without
+        filters takes both passes over its source for these specs.
         """
-        sets, kept = self.cross.shape
-        bins = self.weights.size
-        unfiltered = any(g is None for g in gains)
-        reach = bins if unfiltered else _reach(gains)
-        if unfiltered and kept < bins:
-            raise ConfigError(f"the unfiltered V needs all {bins} bins; this Spectra "
-                              f"keeps {kept}, the reach of its filters")
-        if reach > kept:
-            df = self.rate / self.n
-            raise ConfigError(
-                f"a filter passes |H|² > {_GAIN_FLOOR:g} up to {(reach - 1) * df / 1e6:g} "
-                f"MHz, past the {kept} bins (below {kept * df / 1e6:g} MHz) this Spectra "
-                "keeps; build it with that filter among its filters"
-            )
-        w = np.array([self.weights[:reach] if g is None else (self.weights * g * g)[:reach]
-                      for g in gains]).T  # (bins, gains)
+        if self.filters is None:
+            if self._source is None:
+                raise ConfigError(
+                    "this Spectra was built without filters from a stream read only "
+                    "once, so no V can be taken from it; declare the filters when "
+                    "building it from a TraceSet or a container's stream"
+                )
+            w = self._weights(specs)
+            eps = np.empty((3, len(w), self.sets))
+            self._split_pass(self._source, w, eps[:2], sums=False)
+            self._cross_pass(self._source, w, eps[2])
+            return [eps[:, i] for i in range(len(specs))]
+        for spec in specs:
+            if spec not in self.filters:
+                raise ConfigError(
+                    f"{'the unfiltered V' if spec is None else spec} was not declared "
+                    "when this Spectra was built; build it with that filter among "
+                    "its filters"
+                )
+        return [self._eps[:, self.filters.index(spec)] for spec in specs]
+
+    def _violation_stats(self, specs) -> list[dict]:
+        """V statistics under each FilterSpec of ``specs``, None for no filter.
+
+        Every eps is a Parseval sum weighted by |H|² over the bins the
+        filter reaches: eps_aa and eps_bb of the split-pair rows, eps_ab of
+        Re(conj(P) C ramp), the lag-0 covariance of the filtered beams
+        once the conjugate is advanced by the delay.  Raises ConfigError
+        for a filter the Spectra was not built for, and DegenerateSet when
+        fewer than 2 sets carry a positive cross-correlation under some
+        filter.
+        """
         dc_p1, dc_p2, dc_c1, dc_c2 = self.dc
-        eps_aa = (self._split[0, :, :reach] @ w).T / (dc_p1 * dc_p2)
-        eps_bb = (self._split[1, :, :reach] @ w).T / (dc_c1 * dc_c2)
-        ramp = _delay_ramp(self.n, self.rate, self.delay)[:reach] if self.delay else 1.0
-        rows = np.empty((sets, reach))
-        for lo in range(0, sets, _CHUNK):
-            rows[lo : lo + _CHUNK] = (self.cross[lo : lo + _CHUNK, :reach] * ramp).real
-        eps_ab = (rows @ w).T / ((dc_p1 + dc_p2) * (dc_c1 + dc_c2))
         out = []
-        for aa, bb, ab in zip(eps_aa, eps_bb, eps_ab):
+        for eps in self._eps_of(specs):
+            aa = eps[0] / (dc_p1 * dc_p2)
+            bb = eps[1] / (dc_c1 * dc_c2)
+            ab = eps[2] / ((dc_p1 + dc_p2) * (dc_c1 + dc_c2))
             valid = ab > 0.0
             num_degenerate = int(np.count_nonzero(~valid))
             if np.count_nonzero(valid) < 2:
                 raise DegenerateSet(
-                    f"only {np.count_nonzero(valid)} of {sets} sets carry a positive "
+                    f"only {np.count_nonzero(valid)} of {self.sets} sets carry a positive "
                     f"cross-correlation ({num_degenerate} degenerate)"
                 )
             aa, bb, ab = aa[valid], bb[valid], ab[valid]
@@ -259,6 +328,31 @@ class Spectra:
         return out
 
 
+def _chunks(traces, size: int):
+    """(index of the first set, set-major codes) of each run of at most
+    size consecutive sets of traces, in set order."""
+    lo = 0
+    for block in traces:
+        for first in range(0, len(block), size):
+            part = block[first : first + size]
+            yield lo, part
+            lo += len(part)
+
+
+def _eps_rows(rows: np.ndarray, w: list, real: np.ndarray, out: np.ndarray) -> None:
+    """out[i, j] = Re(rows[j]) . w[i] over the bins of w[i], for each set
+    j of a chunk and each filter i.
+
+    ``real`` is a (chunk, bins) buffer for the real parts.  np.vecdot
+    takes one dot product per set and filter, so no eps depends on which
+    sets share its chunk or which filters share its Spectra.
+    """
+    k = len(rows)
+    np.copyto(real[:k], rows[:, : real.shape[1]].real)
+    for weights, eps in zip(w, out):
+        np.vecdot(real[:k, : weights.size], weights, out=eps)
+
+
 def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
     """Add the rows of ``rows`` to ``acc`` one by one, in order.
 
@@ -271,15 +365,11 @@ def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
         acc += row
 
 
-def _reach(gains) -> int:
-    """Bins of the rfft grid up to the last one where some gain, an |H| on
+def _reach(gain: np.ndarray) -> int:
+    """Bins of the rfft grid up to the last one where the gain, an |H| on
     that grid, has |H|² above _GAIN_FLOOR."""
-    reach = 0
-    for gain in gains:
-        above = np.flatnonzero(gain * gain > _GAIN_FLOOR)
-        if above.size:
-            reach = max(reach, int(above[-1]) + 1)
-    return reach
+    above = np.flatnonzero(gain * gain > _GAIN_FLOOR)
+    return int(above[-1]) + 1 if above.size else 0
 
 
 def _band_mask(f: np.ndarray, band: tuple[float, float]) -> np.ndarray:
@@ -514,13 +604,12 @@ def cutoff_sweep(
 
     Returns an array of rows (f_hi, v_mean, v_sigma).  The delay is
     estimated once from the unfiltered ensemble so every cutoff sees the
-    same alignment.  The filters are those of sweep_filters.
+    same alignment.  The filters are those of sweep_filters; a Spectra
+    built for other filters raises ConfigError naming the first missing.
     """
     specs = sweep_filters(f_hi_list, f_lo, order)
-    gains = [_bandpass_gain(spec, sp.n, sp.rate) for spec in specs]
-    # every cutoff in one pass over the sets
     return np.array([(spec.f_hi, st["v_mean"], st["v_sigma"])
-                     for spec, st in zip(specs, sp._violation_stats(gains))])
+                     for spec, st in zip(specs, sp._violation_stats(specs))])
 
 
 def filtered_violation(sp: Spectra, spec: FilterSpec | None) -> dict:
@@ -536,12 +625,10 @@ def filtered_violation(sp: Spectra, spec: FilterSpec | None) -> dict:
     peak and the delay was taken as 0.  v_sigma is the set-to-set
     standard deviation, v_sem = v_sigma / sqrt(sets kept) and sets whose
     eps_ab is not positive are left out and counted; fewer than two kept
-    raise DegenerateSet.  A Spectra built for other filters raises
-    ConfigError when ``spec`` passes signal past its rows; ``spec=None``
-    needs one built without filters.
+    raise DegenerateSet.  A Spectra built for filters that do not include
+    ``spec`` raises ConfigError naming it.
     """
-    gain = None if spec is None else _bandpass_gain(spec, sp.n, sp.rate)
-    stats = sp._violation_stats([gain])[0]
+    stats = sp._violation_stats([spec])[0]
     stats["delay"] = sp.delay
     stats["delay_fallback"] = sp.delay_fallback
     return stats

@@ -143,19 +143,38 @@ def _read_blocks(fh, path, buf: np.ndarray, sets: int):
         yield block.astype(np.int16, copy=False)  # a copy only on big-endian hosts
 
 
+class _Payload:
+    """The blocks of an open container's payload, read again from its
+    first set each time they are iterated; TraceFileError once the file
+    is closed."""
+
+    def __init__(self, fh, path, acq):
+        self._fh, self._path, self._sets = fh, path, acq.num_sets
+        self._buf = np.empty((min(BLOCK_SETS, acq.num_sets), 4, acq.samples_per_set),
+                             dtype="<i2")
+
+    def __iter__(self):
+        if self._fh.closed:
+            raise TraceFileError(f"{self._path}: the container was closed before it was read")
+        self._fh.seek(HEADER_SIZE)
+        return _read_blocks(self._fh, self._path, self._buf, self._sets)
+
+
 def _stream(fh, path) -> TraceStream:
     """The container in the open binary file fh as a TraceStream of its
     blocks, which share one buffer; the header and the byte count are
-    checked first, before any block."""
+    checked first, before any block.  Each iteration of the stream reads
+    the payload from its first set, so a Spectra can take its two passes
+    while fh is open."""
     fh.seek(0)
     acq, dc_means = _read_header(fh, path)
-    buf = np.empty((min(BLOCK_SETS, acq.num_sets), 4, acq.samples_per_set), dtype="<i2")
-    return TraceStream(acq, dc_means, _read_blocks(fh, path, buf, acq.num_sets))
+    return TraceStream(acq, dc_means, _Payload(fh, path, acq))
 
 
 @contextlib.contextmanager
 def open_stream(path):
-    """Open a container as a TraceStream of its blocks; closes it on exit."""
+    """Open a container as a TraceStream of its blocks, which can be read
+    again while it is open; closes it on exit."""
     with open(path, "rb") as fh:
         yield _stream(fh, path)
 

@@ -217,7 +217,7 @@ class TestDelay:
         p, c = self.make_pair(8e-9)
         sp = Spectra(pack(p, c))
         # after alignment the ensemble covariance peak of conj(P) C sits at lag zero
-        aligned = sp.cross * _delay_ramp(sp.n, sp.rate, sp.delay)
-        cov = np.fft.irfft(aligned.mean(axis=0), n=sp.n)
+        aligned = sp._cross_sum * _delay_ramp(sp.n, sp.rate, sp.delay)
+        cov = np.fft.irfft(aligned / sp.sets, n=sp.n)
         lags = np.arange(-50, 51)
         assert lags[int(np.argmax(cov[lags % sp.n]))] == 0

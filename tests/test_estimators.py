@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csilab import estimators, synth
-from csilab.dsp import FilterSpec, _bandpass_gain
+from csilab.dsp import FilterSpec
 from csilab.errors import BandError, ConfigError, DcMissing, DegenerateSet
 from csilab.estimators import (
     Spectra,
@@ -219,17 +219,19 @@ class TestThermalBeam:
 
 
 class TestViolationFactor:
-    def test_one_pass_matches_gain_by_gain(self, sp_g10):
+    def test_one_pass_matches_filter_by_filter(self, sp_g10):
         spec = FilterSpec(f_hi=12e6, f_lo=5e5, order=10)
-        shared = sp_g10._violation_stats([None, _bandpass_gain(spec, sp_g10.n, sp_g10.rate)])
+        shared = sp_g10._violation_stats([None, spec])
         for stats, alone in zip(shared, (filtered_violation(sp_g10, None),
                                          filtered_violation(sp_g10, spec))):
-            assert stats["v_mean"] == pytest.approx(alone["v_mean"], rel=1e-12)
-            assert stats["v_sigma"] == pytest.approx(alone["v_sigma"], rel=1e-12)
-            assert stats["v_per_set"].size == alone["v_per_set"].size
+            assert stats["v_mean"] == alone["v_mean"]
+            assert stats["v_sigma"] == alone["v_sigma"]
+            np.testing.assert_array_equal(stats["v_per_set"], alone["v_per_set"])
 
     def test_violation_needs_no_inverse_transform(self, ts_g10, monkeypatch):
-        """Every eps of V is a Parseval sum over the Spectra rows."""
+        """Every eps of V is a Parseval sum over forward transforms: a
+        Spectra built without filters takes its passes over the sets for
+        each V without one inverse transform."""
         sp = Spectra(subset(ts_g10, 40))
 
         def refuse(*args, **kwargs):
@@ -302,7 +304,7 @@ class TestViolationFactor:
     def test_shortest_accepted_set_gives_finite_v(self):
         acq = AcquisitionConfig(num_sets=8, samples_per_set=estimators.MIN_SAMPLES,
                                 rng_seed=3)
-        stats = filtered_violation(Spectra(synthesize_stream(g10_model(), acq)), None)
+        stats = filtered_violation(Spectra(synthesize(g10_model(), acq), [None]), None)
         assert np.isfinite(stats["v_mean"]) and np.isfinite(stats["v_sem"])
 
 
@@ -318,7 +320,7 @@ class TestModelAgreement:
         spec = FilterSpec(f_hi=15e6, f_lo=5e5, order=10)
         n, d = 4000, 8
         acq = AcquisitionConfig(num_sets=1000, samples_per_set=n, rng_seed=11)
-        v = [filtered_violation(Spectra(synthesize_stream(g10_model(delay=delay), acq)),
+        v = [filtered_violation(Spectra(synthesize(g10_model(delay=delay), acq), [spec]),
                                 spec)["v_per_set"]
              for delay in (0.0, d / acq.sample_rate)]
         shift = v[1] - v[0]
@@ -343,7 +345,7 @@ class TestModelAgreement:
         errors of it on every preset."""
         sc = preset(name)
         spec = sc.analysis.bandpass
-        stats = filtered_violation(Spectra(synthesize_stream(sc.model, sc.acquisition)), spec)
+        stats = filtered_violation(Spectra(synthesize(sc.model, sc.acquisition), [spec]), spec)
         f = np.fft.rfftfreq(sc.acquisition.samples_per_set, d=1.0 / sc.acquisition.sample_rate)
         predicted = sc.model.predicted_violation(
             f[0], f[-1], npts=f.size, weight=lambda x: spec.magnitude(x) ** 2)
@@ -481,6 +483,9 @@ class TestCutoffSweep:
             cutoff_sweep(sp_g10, [])
 
 
+SWEEP_MHZ = [f * 1e6 for f in range(1, 16)]
+
+
 def assert_identical(a, b):
     """Bitwise equality of estimator results: dicts, dataclasses, arrays, tuples."""
     if dataclasses.is_dataclass(a):
@@ -527,13 +532,15 @@ class TestSharedSpectra:
 
 
 def _every_estimate(ts):
-    """Results of each chunked estimator on a Spectra of ts; a raised
-    DegenerateSet stands in for its result."""
-    sp = Spectra(ts)
+    """Results of each chunked estimator on a Spectra of ts built for its
+    filters, and of the sweep on one built without; a raised DegenerateSet
+    stands in for a result."""
+    band = FilterSpec(f_hi=12e6, f_lo=2e6, order=10)
+    sp = Spectra(ts, [None, band, *sweep_filters([4e6, 12e6, 30e6])])
     calls = [
-        lambda: tuple(filtered_violation(sp, spec)
-                      for spec in (None, FilterSpec(f_hi=12e6, f_lo=2e6, order=10))),
+        lambda: tuple(filtered_violation(sp, spec) for spec in (None, band)),
         lambda: cutoff_sweep(sp, [4e6, 12e6, 30e6]),
+        lambda: cutoff_sweep(Spectra(ts), [4e6, 12e6, 30e6]),
         lambda: g2_curves(sp, tau_max=40e-9),
         lambda: normalized_spectra(sp),
         lambda: normalized_spectra(sp, compensate=False),
@@ -580,84 +587,120 @@ class TestChunkedAnalysis:
                 sys.setswitchinterval(interval)
         assert_identical(tuple(chunked), tuple(whole))
 
-    def test_spectra_store_at_most_32_bytes_per_bin_per_set(self, ts_g10):
-        """Per set a Spectra keeps the complex row conj(P) C and the real
-        parts of the two split-pair rows, and nothing else: what it stores
-        grows by at most 32 B per bin per set."""
+    def test_spectra_store_at_most_three_floats_per_filter_per_set(self, ts_g10):
+        """Per set and declared filter a Spectra keeps eps_aa, eps_bb and
+        eps_ab, and no row of any set: what it stores grows by at most
+        3 x filters x 8 B per set."""
+        filters = [FilterSpec(f_hi=15e6), *sweep_filters(SWEEP_MHZ)]
+
         def stored(num_sets):
-            sp = Spectra(subset(ts_g10, num_sets))
+            sp = Spectra(subset(ts_g10, num_sets), filters)
             return sum(v.nbytes for v in vars(sp).values() if isinstance(v, np.ndarray))
 
-        bins = ts_g10.codes.shape[2] // 2 + 1
-        assert (stored(32) - stored(16)) / (16 * bins) <= 32
+        assert (stored(32) - stored(16)) / 16 <= 3 * len(set(filters)) * 8
 
     def test_sweep_allocates_less_than_one_ensemble_spectrum(self, ts_g10, monkeypatch):
-        """A 15-cutoff sweep holds one real (sets, bins) array at a time, the
-        V rows or a real copy of a split-pair row, and no array per cutoff:
-        its peak stays below one complex (sets, bins) array."""
+        """A 15-cutoff sweep on a Spectra built without filters takes its
+        two passes over the sets a chunk at a time and keeps three floats
+        per set and cutoff: its peak stays below one complex (sets, bins)
+        array."""
         monkeypatch.delenv("CSILAB_THREADS", raising=False)
         sp = Spectra(subset(ts_g10, 64))
-        cutoffs = [f * 1e6 for f in range(1, 16)]
-        cutoff_sweep(sp, cutoffs[:1])  # leave numpy's first-call set-up out
+        cutoff_sweep(sp, SWEEP_MHZ[:1])  # leave numpy's first-call set-up out
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            cutoff_sweep(sp, cutoffs)
+            cutoff_sweep(sp, SWEEP_MHZ)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak < 64 * (sp.n // 2 + 1) * np.dtype(complex).itemsize  # 5.12 MB
 
+    def test_sweep_of_declared_cutoffs_reads_the_stored_eps(self, ts_g10, monkeypatch):
+        """A 15-cutoff sweep on a Spectra built for its cutoffs transforms
+        nothing and allocates less than one complex row of the rfft grid:
+        only each cutoff's statistics, a few floats per set."""
+        monkeypatch.delenv("CSILAB_THREADS", raising=False)
+        sp = Spectra(subset(ts_g10, 64), sweep_filters(SWEEP_MHZ))
+        cutoff_sweep(sp, SWEEP_MHZ[:1])  # leave numpy's first-call set-up out
 
-SWEEP_MHZ = [f * 1e6 for f in range(1, 16)]
+        def refuse(*args, **kwargs):
+            raise AssertionError("a declared sweep needs no transform")
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cutoff_sweep(sp, SWEEP_MHZ)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < (sp.n // 2 + 1) * np.dtype(complex).itemsize  # 80 KB
 
 
-class TestCutRows:
-    """A Spectra built for its filters keeps rows only up to their reach."""
+class TestDeclaredFilters:
+    """A Spectra built for its filters gives V for exactly those."""
 
     @pytest.fixture(scope="class", params=preset_names())
-    def both(self, request):
-        """(scenario, full Spectra, Spectra cut to the bandpass and a
-        1-15 MHz sweep) of one preset's traces."""
+    def built(self, request):
+        """(scenario, traces, filters, Spectra built for the bandpass and a
+        1-15 MHz sweep) of one preset."""
         sc = preset(request.param)
         ts = synthesize(sc.model, dataclasses.replace(sc.acquisition, num_sets=24,
                                                       rng_seed=0xC07))
         a = sc.analysis.bandpass
         filters = [a, *sweep_filters(SWEEP_MHZ, a.f_lo, a.order)]
-        return sc, Spectra(ts), Spectra(ts, filters)
+        return sc, ts, filters, Spectra(ts, filters)
 
-    def test_rows_stop_where_the_filters_do(self, both):
-        _, full, cut = both
-        assert full.cross.shape[1] == full.n // 2 + 1
-        assert cut.cross.shape[1] < full.cross.shape[1] // 2
-        assert cut._split.shape == (2, cut.sets, cut.cross.shape[1])
-
-    def test_cut_rows_change_no_bit(self, both):
-        sc, full, cut = both
+    def test_v_is_the_same_built_alone_or_among_others(self, built):
+        """V under a filter, and every other estimate, does not change by
+        one bit with the filters the Spectra was built for, or when a
+        Spectra built without filters takes its own passes."""
+        sc, ts, filters, sp = built
         a = sc.analysis.bandpass
-        results = [(filtered_violation(sp, a), cutoff_sweep(sp, SWEEP_MHZ, a.f_lo, a.order),
-                    g2_curves(sp, sc.analysis.tau_max),
-                    normalized_spectra(sp, band=sc.analysis.spectra_band))
-                   for sp in (full, cut)]
-        assert_identical(*results)
+        wider, bare = Spectra(ts, [None, *reversed(filters)]), Spectra(ts)
+        for spec in (a, filters[1], filters[8]):
+            results = [(filtered_violation(x, spec), g2_curves(x, sc.analysis.tau_max),
+                        normalized_spectra(x, band=sc.analysis.spectra_band))
+                       for x in (sp, Spectra(ts, [spec]), wider, bare)]
+            for other in results[1:]:
+                assert_identical(other, results[0])
+        assert_identical(cutoff_sweep(sp, SWEEP_MHZ, a.f_lo, a.order),
+                         cutoff_sweep(bare, SWEEP_MHZ, a.f_lo, a.order))
 
-    def test_unfiltered_v_needs_every_bin(self, both):
-        _, full, cut = both
-        filtered_violation(full, None)
-        with pytest.raises(ConfigError, match="unfiltered V"):
-            filtered_violation(cut, None)
-
-    def test_filter_past_the_rows_is_refused(self, both):
-        sc, full, cut = both
+    def test_undeclared_filter_is_refused_by_name(self, built):
+        sc, ts, _, sp = built
         far = FilterSpec(f_hi=200e6, f_lo=sc.analysis.bandpass.f_lo)
-        filtered_violation(full, far)
-        with pytest.raises(ConfigError, match="past the .* bins"):
-            filtered_violation(cut, far)
-        with pytest.raises(ConfigError, match="past the .* bins"):
-            cutoff_sweep(cut, [5e6, 200e6])
+        with pytest.raises(ConfigError, match=r"f_hi=200000000\.0.* was not declared"):
+            filtered_violation(sp, far)
+        with pytest.raises(ConfigError, match=r"f_hi=200000000\.0.* was not declared"):
+            cutoff_sweep(sp, [5e6, 200e6], sc.analysis.bandpass.f_lo)
+        with pytest.raises(ConfigError, match="the unfiltered V was not declared"):
+            filtered_violation(sp, None)
+        with pytest.raises(ConfigError, match="f_hi=5000000.0.* was not declared"):
+            filtered_violation(Spectra(subset(ts, 4), []), FilterSpec(f_hi=5e6))
 
-    def test_no_filter_keeps_no_bin(self, ts_g10):
-        sp = Spectra(subset(ts_g10, 4), [])
-        assert sp.cross.shape == (4, 0)
-        with pytest.raises(ConfigError):
-            filtered_violation(sp, FilterSpec(f_hi=5e6))
+    def test_one_shot_stream_with_filters_is_refused_before_any_block(self):
+        """The second pass needs the sets again, and a one-shot stream
+        cannot give them: it is refused before its first block is drawn."""
+        acq = AcquisitionConfig(num_sets=8, samples_per_set=1024, rng_seed=4)
+        drawn = []
+
+        def blocks():
+            drawn.append(True)
+            yield from synthesize_stream(g10_model(), acq)
+
+        stream = synth.TraceStream(acq, synthesize(g10_model(), acq).dc_means, blocks())
+        with pytest.raises(ConfigError, match="read only once"):
+            Spectra(stream, [FilterSpec(f_hi=15e6)])
+        assert not drawn
+
+    def test_one_shot_stream_without_filters_serves_all_but_v(self):
+        acq = AcquisitionConfig(num_sets=8, samples_per_set=1024, rng_seed=4)
+        ts = synthesize(g10_model(), acq)
+        sp = Spectra(synthesize_stream(g10_model(), acq))
+        assert_identical(normalized_spectra(sp), normalized_spectra(Spectra(ts)))
+        assert_identical(g2_curves(sp, 30e-9), g2_curves(Spectra(ts), 30e-9))
+        with pytest.raises(ConfigError, match="read only once"):
+            filtered_violation(sp, FilterSpec(f_hi=15e6))

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csilab.dsp import FilterSpec
 from csilab.errors import ConfigError, TraceFileError
-from csilab.estimators import MIN_SAMPLES, Spectra
+from csilab.estimators import MIN_SAMPLES, Spectra, filtered_violation
 from csilab.scenarios import preset
 from csilab.synth import (
     BLOCK_SETS,
@@ -272,7 +273,8 @@ def test_streaming_changes_no_byte_and_no_bit(tmp_path_factory, num_sets, sample
                                               threads):
     """Synthesis blocks streamed into a container give the bytes of the
     whole TraceSet written at once, and a Spectra built from the
-    container's blocks equals one built from the TraceSet read whole."""
+    container's blocks, which its second pass reads again, equals one
+    built from the TraceSet read whole."""
     model = preset("G10").model
     acq = AcquisitionConfig(num_sets=num_sets, samples_per_set=samples, rng_seed=seed)
     folder = tmp_path_factory.mktemp("stream")
@@ -287,10 +289,11 @@ def test_streaming_changes_no_byte_and_no_bit(tmp_path_factory, num_sets, sample
         write_stream(synthesize_stream(model, acq), streamed)
     assert streamed.read_bytes() == whole.read_bytes()
 
+    filters = [None, FilterSpec(f_hi=15e6)]
     with open_stream(streamed) as stream:
-        from_blocks = Spectra(stream)
-    from_set = Spectra(read_tracefile(whole))
-    for name in ("cross", "_split", "_power_sums", "_cross_sum", "_lag_sums"):
+        from_blocks = Spectra(stream, filters)
+    from_set = Spectra(read_tracefile(whole), filters)
+    for name in ("_eps", "_power_sums", "_cross_sum", "_lag_sums"):
         assert np.array_equal(getattr(from_blocks, name), getattr(from_set, name)), name
     assert from_blocks.delay == from_set.delay
     assert from_blocks.delay_fallback == from_set.delay_fallback
@@ -330,3 +333,21 @@ def test_payload_shrinking_after_open_raises(tmp_path):
         os.truncate(path, os.path.getsize(path) - 2)  # checked size, then lost a sample
         with pytest.raises(TraceFileError, match="payload ended early"):
             Spectra(stream)
+
+
+def test_stream_reads_again_only_while_open(tmp_path):
+    """A container's stream gives its sets again from the first one each
+    time it is iterated, and a closed one raises a typed error: so V of a
+    Spectra built without filters inside open_stream and asked outside
+    it fails with TraceFileError, not with an I/O error of the file."""
+    acq = AcquisitionConfig(num_sets=BLOCK_SETS + 3, samples_per_set=MIN_SAMPLES, rng_seed=8)
+    path = tmp_path / "t.cstf"
+    ts = synthesize(preset("G10").model, acq)
+    write_stream(ts, path)
+    with open_stream(path) as stream:
+        for _ in range(2):
+            assert np.array_equal(np.concatenate([b.copy() for b in stream]),
+                                  ts.codes.transpose(1, 0, 2))
+        sp = Spectra(stream)
+    with pytest.raises(TraceFileError, match="closed"):
+        filtered_violation(sp, FilterSpec(f_hi=15e6))

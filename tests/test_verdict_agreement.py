@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from csilab.dsp import FilterSpec
 from csilab.estimators import Spectra, csi_frequency_test, filtered_violation, normalized_spectra
 from csilab.scenarios import preset
-from csilab.synth import synthesize_stream
+from csilab.synth import synthesize
 
 MARGIN = 3.0  # standard errors of V between 1 and a V whose verdict must agree
 PRESETS = ("G10", "G2", "G5")
@@ -22,11 +22,14 @@ PRESETS = ("G10", "G2", "G5")
 
 @pytest.fixture(scope="module")
 def analyses():
-    """(Spectra, its compensated SpectraReport) of each preset's 500 sets."""
+    """(Spectra, its compensated SpectraReport) of each preset's 500 sets.
+
+    The bands are drawn after the Spectra is built, so it is built without
+    filters and takes a pass over its TraceSet for each V."""
     out = {}
     for name in PRESETS:
         sc = preset(name)
-        sp = Spectra(synthesize_stream(sc.model, sc.acquisition))
+        sp = Spectra(synthesize(sc.model, sc.acquisition))
         out[name] = sp, normalized_spectra(sp)
     return out
 
