@@ -95,9 +95,10 @@ class Spectra:
     stream is; a TraceStream of one-shot blocks, such as
     synthesize_stream's, raises ConfigError before any block is read.
     V for a filter not declared raises ConfigError naming it.  Without
-    ``filters`` the build is one pass, and V for any filter takes a pass
-    of its own over the source, which must then still be readable: V of
-    a one-shot stream raises ConfigError.
+    ``filters`` the build is one pass and keeps its source: V for any
+    filter is then looked up in a Spectra built for those filters over
+    that source, which must still be readable, so V of a one-shot stream
+    raises ConfigError.
 
     Every estimator below is built from these sums: a bandpass is a real
     |H| factor, delay compensation a phase ramp, every eps of V a
@@ -147,7 +148,7 @@ class Spectra:
         self._cross_sum = np.zeros(bins, dtype=complex)  # conj(P) C
         self._lag_sums = np.zeros((2, 3, n))  # d and d² per row and lag
         self._eps = np.empty((3, len(w), sets))  # aa, bb, ab per filter and set
-        self._split_pass(traces, w, self._eps[:2], sums=True)
+        self._split_pass(traces, w, self._eps[:2])
         self.delay, self.delay_fallback = self._ensemble_delay(self._cross_sum / sets)
         if self.filters:
             self._cross_pass(traces, w, self._eps[2])
@@ -167,11 +168,10 @@ class Spectra:
                 out.append((self.weights * g * g)[: _reach(g)].copy())
         return out
 
-    def _split_pass(self, traces, w: list, eps: np.ndarray, sums: bool) -> None:
-        """Transform the four channels of every set and fill eps (2,
-        filters, sets) with each set's split-pair sums Re(conj(P1) P2) and
-        Re(conj(C1) C2) under the weights w; with ``sums``, take the
-        ensemble and lag sums too."""
+    def _split_pass(self, traces, w: list, eps: np.ndarray) -> None:
+        """Transform the four channels of every set, take the ensemble and
+        lag sums and fill eps (2, filters, sets) with each set's split-pair
+        sums Re(conj(P1) P2) and Re(conj(C1) C2) under the weights w."""
         n = self.n
         bins = n // 2 + 1
         norms = ((self.dc[0] + self.dc[1]) * (self.dc[2] + self.dc[3]),
@@ -196,8 +196,6 @@ class Spectra:
             for row, (a, b), out in zip(rows[1:, :k], ((p1, p2), (c1, c2)), eps):
                 np.multiply(np.conjugate(a, out=row), b, out=row)
                 _eps_rows(row, w, real, out[:, lo : lo + k])
-            if not sums:
-                continue
             probe, conj = beams[:, :k]
             np.add(p1, p2, out=probe)
             np.add(c1, c2, out=conj)
@@ -257,11 +255,9 @@ class Spectra:
             return 0.0, True
 
     def _eps_of(self, specs) -> list[np.ndarray]:
-        """Each spec's (3, sets) per-set eps_aa, eps_bb and eps_ab sums.
-
-        A Spectra built for its filters looks them up; one built without
-        filters takes both passes over its source for these specs.
-        """
+        """Each spec's (3, sets) per-set eps_aa, eps_bb and eps_ab sums,
+        looked up in this Spectra or, when it was built without filters,
+        in one built for specs over its source."""
         if self.filters is None:
             if self._source is None:
                 raise ConfigError(
@@ -269,11 +265,7 @@ class Spectra:
                     "once, so no V can be taken from it; declare the filters when "
                     "building it from a TraceSet or a container's stream"
                 )
-            w = self._weights(specs)
-            eps = np.empty((3, len(w), self.sets))
-            self._split_pass(self._source, w, eps[:2], sums=False)
-            self._cross_pass(self._source, w, eps[2])
-            return [eps[:, i] for i in range(len(specs))]
+            return Spectra(self._source, specs)._eps_of(specs)
         for spec in specs:
             if spec not in self.filters:
                 raise ConfigError(

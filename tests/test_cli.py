@@ -484,13 +484,15 @@ def test_report_transforms_each_channel_once_and_each_beam_once(tmp_path, monkey
 
 def test_module_entry_point():
     """``python -m csilab.cli`` runs in a fresh interpreter that finds the
-    csilab this test imported, whether or not PYTHONPATH names it."""
+    csilab this test imported, whether or not PYTHONPATH names it; the
+    rest of PYTHONPATH is kept behind it."""
     here = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "csilab.cli", "theory", "--gain", "2"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=here),
+        env=dict(os.environ,
+                 PYTHONPATH=os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))),
     )
     assert proc.returncode == 0
     assert "0.7500" in proc.stdout

@@ -56,14 +56,20 @@ def ts_g10(acq500):
     return synthesize(g10_model(), acq500)
 
 
+BAND_12 = FilterSpec(f_hi=12e6, f_lo=5e5, order=10)
+# every filter this module asks V for of sp_g10 or sp_coherent
+G10_FILTERS = [None, BAND_12, FilterSpec(f_hi=5e6, f_lo=5e5, order=10),
+               FilterSpec(f_hi=100e6, f_lo=5e5, order=10), *sweep_filters([2e6, 10e6, 30e6])]
+
+
 @pytest.fixture(scope="module")
 def sp_g10(ts_g10):
-    return Spectra(ts_g10)
+    return Spectra(ts_g10, G10_FILTERS)
 
 
 @pytest.fixture(scope="module")
 def sp_coherent(acq500):
-    return Spectra(coherent_traces(acq500))
+    return Spectra(coherent_traces(acq500), [BAND_12])
 
 
 def subset(ts, num_sets):
@@ -100,7 +106,7 @@ class TestG2Curves:
             assert np.mean(resid < 4.0) > 0.95
 
     def test_deterministic(self, ts_g10):
-        a, b = (Spectra(subset(ts_g10, 40)) for _ in range(2))
+        a, b = (Spectra(subset(ts_g10, 40), [None]) for _ in range(2))
         np.testing.assert_array_equal(g2_curves(a, tau_max=50e-9).g2_ab,
                                       g2_curves(b, tau_max=50e-9).g2_ab)
         assert filtered_violation(a, None)["v_mean"] == filtered_violation(b, None)["v_mean"]
@@ -220,7 +226,7 @@ class TestThermalBeam:
 
 class TestViolationFactor:
     def test_one_pass_matches_filter_by_filter(self, sp_g10):
-        spec = FilterSpec(f_hi=12e6, f_lo=5e5, order=10)
+        spec = BAND_12
         shared = sp_g10._violation_stats([None, spec])
         for stats, alone in zip(shared, (filtered_violation(sp_g10, None),
                                          filtered_violation(sp_g10, spec))):
@@ -229,24 +235,25 @@ class TestViolationFactor:
             np.testing.assert_array_equal(stats["v_per_set"], alone["v_per_set"])
 
     def test_violation_needs_no_inverse_transform(self, ts_g10, monkeypatch):
-        """Every eps of V is a Parseval sum over forward transforms: a
-        Spectra built without filters takes its passes over the sets for
-        each V without one inverse transform."""
-        sp = Spectra(subset(ts_g10, 40))
+        """Every eps of V is a Parseval sum the build took: V of a Spectra
+        built for its filters takes no transform of any kind."""
+        sweep = [f * 1e6 for f in range(1, 16)]
+        sp = Spectra(subset(ts_g10, 40), [None, BAND_12, *sweep_filters(sweep)])
 
         def refuse(*args, **kwargs):
-            raise AssertionError("V statistics need no inverse transform")
+            raise AssertionError("V statistics need no transform")
 
-        monkeypatch.setattr(np.fft, "irfft", refuse)
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, refuse)
         filtered_violation(sp, None)
-        filtered_violation(sp, FilterSpec(f_hi=12e6, f_lo=5e5, order=10))
-        cutoff_sweep(sp, [f * 1e6 for f in range(1, 16)])
+        filtered_violation(sp, BAND_12)
+        cutoff_sweep(sp, sweep)
 
     def test_sem_shrinks_with_set_count(self, ts_g10, sp_g10):
         sems = {}
         sigmas = {}
         for n in (50, 200, 500):
-            sp = sp_g10 if n == 500 else Spectra(subset(ts_g10, n))
+            sp = sp_g10 if n == 500 else Spectra(subset(ts_g10, n), [None])
             rep = filtered_violation(sp, None)
             sems[n] = rep["v_sem"]
             sigmas[n] = rep["v_sigma"]
@@ -259,7 +266,7 @@ class TestViolationFactor:
 
     def test_subset_means_consistent(self, ts_g10, sp_g10):
         rep_all = filtered_violation(sp_g10, None)
-        rep_50 = filtered_violation(Spectra(subset(ts_g10, 50)), None)
+        rep_50 = filtered_violation(Spectra(subset(ts_g10, 50), [None]), None)
         assert abs(rep_50["v_mean"] - rep_all["v_mean"]) < 5.0 * rep_50["v_sem"]
 
     def test_anticorrelated_beams_are_degenerate(self, ts_g10):
@@ -267,7 +274,7 @@ class TestViolationFactor:
         codes = ts.codes.copy()
         codes[2] = -codes[0]  # conjugate halves mirror the probe with flipped sign
         codes[3] = -codes[1]
-        flipped = Spectra(dataclasses.replace(ts, codes=codes))
+        flipped = Spectra(dataclasses.replace(ts, codes=codes), [None])
         with pytest.raises(DegenerateSet):
             filtered_violation(flipped, None)
         # the curves need no positive peak: the cross curve dips below one
@@ -355,7 +362,7 @@ class TestModelAgreement:
 class TestLossInvariance:
     @pytest.fixture(scope="class")
     def sp_lossy(self, ts_g10):
-        return Spectra(apply_loss(ts_g10, 0.5, rng_seed=909))
+        return Spectra(apply_loss(ts_g10, 0.5, rng_seed=909), [None])
 
     def test_g2_curves_survive_extra_loss(self, sp_g10, sp_lossy):
         a = g2_curves(sp_g10, tau_max=100e-9)
@@ -516,8 +523,8 @@ class TestSharedSpectra:
             return fit(*args)
 
         monkeypatch.setattr(estimators, "_delay_from_covariance", counted)
-        sp = Spectra(ts40)
-        filtered_violation(sp, FilterSpec(f_hi=12e6, f_lo=5e5, order=10))
+        sp = Spectra(ts40, [BAND_12, *sweep_filters([2e6, 10e6])])
+        filtered_violation(sp, BAND_12)
         normalized_spectra(sp)
         g2_curves(sp, tau_max=50e-9)
         cutoff_sweep(sp, [2e6, 10e6])
@@ -527,7 +534,7 @@ class TestSharedSpectra:
 
     def test_fallback_carried_by_spectra(self, sp_coherent):
         assert (sp_coherent.delay, sp_coherent.delay_fallback) == (0.0, True)
-        stats = filtered_violation(sp_coherent, FilterSpec(f_hi=12e6, f_lo=5e5, order=10))
+        stats = filtered_violation(sp_coherent, BAND_12)
         assert stats["delay_fallback"]
 
 
@@ -600,10 +607,10 @@ class TestChunkedAnalysis:
         assert (stored(32) - stored(16)) / 16 <= 3 * len(set(filters)) * 8
 
     def test_sweep_allocates_less_than_one_ensemble_spectrum(self, ts_g10, monkeypatch):
-        """A 15-cutoff sweep on a Spectra built without filters takes its
-        two passes over the sets a chunk at a time and keeps three floats
-        per set and cutoff: its peak stays below one complex (sets, bins)
-        array."""
+        """A 15-cutoff sweep on a Spectra built without filters builds one
+        for its cutoffs over the same sets, a chunk at a time, which keeps
+        three floats per set and cutoff: its peak stays below one complex
+        (sets, bins) array."""
         monkeypatch.delenv("CSILAB_THREADS", raising=False)
         sp = Spectra(subset(ts_g10, 64))
         cutoff_sweep(sp, SWEEP_MHZ[:1])  # leave numpy's first-call set-up out
@@ -656,7 +663,7 @@ class TestDeclaredFilters:
     def test_v_is_the_same_built_alone_or_among_others(self, built):
         """V under a filter, and every other estimate, does not change by
         one bit with the filters the Spectra was built for, or when a
-        Spectra built without filters takes its own passes."""
+        Spectra built without filters builds one for it over its source."""
         sc, ts, filters, sp = built
         a = sc.analysis.bandpass
         wider, bare = Spectra(ts, [None, *reversed(filters)]), Spectra(ts)
@@ -695,6 +702,29 @@ class TestDeclaredFilters:
         with pytest.raises(ConfigError, match="read only once"):
             Spectra(stream, [FilterSpec(f_hi=15e6)])
         assert not drawn
+
+    def test_source_empty_on_its_second_pass_is_refused(self):
+        """A source read again must yield every set again: one whose blocks
+        come from an iterable that is empty the second time raises
+        ConfigError, with or without declared filters, and leaves no eps
+        unset."""
+        acq = AcquisitionConfig(num_sets=8, samples_per_set=1024, rng_seed=4)
+        ts = synthesize(g10_model(), acq)
+
+        class FirstTimeOnly:
+            def __init__(self):
+                self.blocks = list(ts)
+
+            def __iter__(self):
+                blocks, self.blocks = self.blocks, []
+                return iter(blocks)
+
+        with pytest.raises(ConfigError, match="stream ended after 0 of 8 sets"):
+            Spectra(synth.TraceStream(ts.acquisition, ts.dc_means, FirstTimeOnly()),
+                    [FilterSpec(f_hi=15e6)])
+        sp = Spectra(synth.TraceStream(ts.acquisition, ts.dc_means, FirstTimeOnly()))
+        with pytest.raises(ConfigError, match="stream ended after 0 of 8 sets"):
+            filtered_violation(sp, FilterSpec(f_hi=15e6))
 
     def test_one_shot_stream_without_filters_serves_all_but_v(self):
         acq = AcquisitionConfig(num_sets=8, samples_per_set=1024, rng_seed=4)
