@@ -14,19 +14,27 @@ spectra over an analysis band; both verdicts must agree on the same band.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from collections import deque
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; load it at import)
-import numpy.ma  # noqa: F401  (np.median imports it on its first call)
 
 from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_sum
 from .errors import BandError, ConfigError, DcMissing, DegenerateSet, NoPeak
-from .synth import TraceSet, TraceStream
+from .synth import TraceSet, TraceStream, _thread_count
 
-_CHUNK = 4  # sets transformed and correlated at a time
+_CHUNK = 4  # sets per unit: transformed and correlated at a time, by one thread
+# units in flight at most, one per thread, each with one unit's scratch
+# (1.6 MB at 10 000 samples), so a build's peak stays bounded on any number
+# of CPUs
+_UNITS_IN_FLIGHT = 2
 # a bin where every gain has |H|² at or below this changes no eps, so the
 # eps sums stop after the last bin where some filter rises above it
 _GAIN_FLOOR = 1e-20
@@ -81,9 +89,16 @@ class Spectra:
     ensemble means, and for each of the rows conj(P) C, conj(P1) P2 and
     conj(C1) C2 the per-lag sums of d and d², where d is the fluctuation
     of the set's g2 curve (its inverse transform over n and the DC
-    product).  Sets are transformed _CHUNK at a time into buffers
-    allocated once, as the trace source yields them, so no channel, no
-    beam spectrum and no stream is held whole.
+    product).  Sets are transformed in units of _CHUNK, as the trace
+    source yields them, so no channel, no beam spectrum and no stream is
+    held whole.  The calling thread and a pool share each block's units,
+    on CSILAB_THREADS threads (by default one per CPU the process may
+    run on) but at most _UNITS_IN_FLIGHT, each with one unit's buffers,
+    allocated once per build.  A unit adds to each sum only after the
+    previous unit has, so every sum adds the sets in order and no bit
+    depends on the thread count; the next block is drawn only once the
+    current block's units are done, since a stream may reuse one buffer.
+    An error in a unit stops the others and is raised.
 
     ``filters`` lists the FilterSpecs, and None for the unfiltered V,
     whose V statistics will be asked for.  For each one and each set the
@@ -111,8 +126,9 @@ class Spectra:
 
     Raises DcMissing unless every DC mean is finite and positive,
     ConfigError for sets shorter than MIN_SAMPLES, which leave the delay
-    search too few lags to judge a peak wherever it sits, and SpecError
-    for a filter not below the Nyquist frequency.
+    search too few lags to judge a peak wherever it sits, or for a
+    CSILAB_THREADS that is not an integer, and SpecError for a filter not
+    below the Nyquist frequency.
     """
 
     def __init__(self, traces: TraceSet | TraceStream,
@@ -148,10 +164,18 @@ class Spectra:
         self._cross_sum = np.zeros(bins, dtype=complex)  # conj(P) C
         self._lag_sums = np.zeros((2, 3, n))  # d and d² per row and lag
         self._eps = np.empty((3, len(w), sets))  # aa, bb, ab per filter and set
-        self._split_pass(traces, w, self._eps[:2])
-        self.delay, self.delay_fallback = self._ensemble_delay(self._cross_sum / sets)
-        if self.filters:
-            self._cross_pass(traces, w, self._eps[2])
+        chunk = min(_CHUNK, sets)
+        threads = min(_thread_count(), _UNITS_IN_FLIGHT, -(-sets // chunk))
+        # per thread one unit's scratch: four complex rows and one float row per set
+        scratch = [(np.empty((4, chunk, bins), dtype=complex), np.empty((chunk, n)))
+                   for _ in range(threads)]
+        step = acq.step
+        with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
+            each_unit = functools.partial(_each_unit, traces, chunk, pool, scratch)
+            self._split_pass(each_unit, step, w, self._eps[:2])
+            self.delay, self.delay_fallback = self._ensemble_delay(self._cross_sum / sets)
+            if self.filters:
+                self._cross_pass(each_unit, step, w, self._eps[2])
         self._source = traces if self.filters is None and not one_shot else None
 
     def _weights(self, specs) -> list[np.ndarray]:
@@ -168,82 +192,91 @@ class Spectra:
                 out.append((self.weights * g * g)[: _reach(g)].copy())
         return out
 
-    def _split_pass(self, traces, w: list, eps: np.ndarray) -> None:
+    def _split_pass(self, each_unit, step: float, w: list, eps: np.ndarray) -> None:
         """Transform the four channels of every set, take the ensemble and
         lag sums and fill eps (2, filters, sets) with each set's split-pair
-        sums Re(conj(P1) P2) and Re(conj(C1) C2) under the weights w."""
+        sums Re(conj(P1) P2) and Re(conj(C1) C2) under the weights w.
+
+        A unit's rows enter each of the eight sums (four power rows, the
+        cross row, three lag rows) only once the previous unit's have, so
+        each sum adds its sets in order however the units are threaded.
+        The unit's slots hold the halves, then each beam in its first
+        half's slot; its float buffer holds the dequantized codes, then
+        the real parts, each curve and each power row in turn."""
         n = self.n
         bins = n // 2 + 1
         norms = ((self.dc[0] + self.dc[1]) * (self.dc[2] + self.dc[3]),
                  self.dc[0] * self.dc[1], self.dc[2] * self.dc[3])
-        chunk = min(_CHUNK, self.sets)
-        scaled = np.empty((chunk, n))
-        channels = np.empty((4, chunk, bins), dtype=complex)
-        beams = np.empty((2, chunk, bins), dtype=complex)
-        rows = np.empty((3, chunk, bins), dtype=complex)
-        power = np.empty((chunk, bins))
-        curve = np.empty((chunk, n))
-        real = np.empty((chunk, max((x.size for x in w), default=0)))
-        step = traces.acquisition.step
-        for lo, part in _chunks(traces, chunk):
+        reach = max((x.size for x in w), default=0)
+        turns = _Turns(8)  # power rows 0-3, cross row 4, lag rows 5-7
+
+        def unit(u, lo, part, buffers):
+            slots, work = buffers
             k = len(part)
-            x = channels[:, :k]
-            for ch in range(4):
-                np.multiply(part[:, ch], step, out=scaled[:k])
-                np.fft.rfft(scaled[:k], axis=1, out=x[ch])
-            x[:, :, 0] = 0.0
-            p1, p2, c1, c2 = x
-            for row, (a, b), out in zip(rows[1:, :k], ((p1, p2), (c1, c2)), eps):
-                np.multiply(np.conjugate(a, out=row), b, out=row)
-                _eps_rows(row, w, real, out[:, lo : lo + k])
-            probe, conj = beams[:, :k]
-            np.add(p1, p2, out=probe)
-            np.add(c1, c2, out=conj)
-            np.multiply(np.conjugate(probe, out=rows[0, :k]), conj, out=rows[0, :k])
-            np.subtract(p1, p2, out=p1)
-            np.subtract(c1, c2, out=c1)
-            for total, z in zip(self._power_sums, (probe, conj, p1, c1)):
-                np.abs(z, out=power[:k])
-                _add_rows(total, np.square(power[:k], out=power[:k]))
-            _add_rows(self._cross_sum, rows[0, :k])
-            for s1, s2, row, norm in zip(*self._lag_sums, rows[:, :k], norms):
-                t = np.fft.irfft(row, n=n, axis=-1, out=curve[:k])
+            a, b, c, row = slots[:, :k]
+            flat, power = work[:k], work[:k, :bins]
+
+            def add_power(i, z):
+                np.abs(z, out=power)
+                np.square(power, out=power)
+                with turns.turn(i, u):
+                    _add_rows(self._power_sums[i], power)
+
+            def add_curve(r):
+                t = np.fft.irfft(row, n=n, axis=-1, out=flat)
                 t /= n
-                t /= norm
+                t /= norms[r]
                 # d = (1 + t) - 1, exactly: the set's curve less 1 with the
                 # curve's own rounding, so the sums over sets of d and d² give
                 # its mean and spread to the last bits; raw t would not
                 t += 1.0
                 t -= 1.0
-                _add_rows(s1, t)
-                _add_rows(s2, np.square(t, out=t))
+                with turns.turn(5 + r, u):
+                    _add_rows(self._lag_sums[0, r], t)
+                    _add_rows(self._lag_sums[1, r], np.square(t, out=t))
 
-    def _cross_pass(self, traces, w: list, eps: np.ndarray) -> None:
+            for r, (x1, x2) in ((1, (a, b)), (2, (b, c))):
+                for ch, x in zip((2 * r - 2, 2 * r - 1), (x1, x2)):
+                    np.multiply(part[:, ch], step, out=flat)
+                    np.fft.rfft(flat, axis=1, out=x)
+                    x[:, 0] = 0.0
+                np.multiply(np.conjugate(x1, out=row), x2, out=row)
+                _eps_rows(row, w, work[:, :reach], eps[r - 1, :, lo : lo + k])
+                add_curve(r)
+                add_power(r + 1, np.subtract(x1, x2, out=row))
+                add_power(r - 1, np.add(x1, x2, out=x1))  # the beam, P then C
+            np.multiply(np.conjugate(a, out=row), b, out=row)
+            with turns.turn(4, u):
+                _add_rows(self._cross_sum, row)
+            add_curve(0)
+
+        each_unit(unit, turns)
+
+    def _cross_pass(self, each_unit, step: float, w: list, eps: np.ndarray) -> None:
         """Fill eps (filters, sets) with each set's sum of Re(conj(P) C
         ramp) under the weights w, the ramp advancing the conjugate by the
         delay.  Each beam's halves are summed in the time domain, so a set
-        takes two transforms, P and C."""
+        takes two transforms, P and C.  Units write disjoint eps columns,
+        so they share no sum."""
         n, reach = self.n, max(x.size for x in w)
         ramp = _delay_ramp(n, self.rate, self.delay)[:reach] if self.delay else None
-        chunk = min(_CHUNK, self.sets)
-        scaled = np.empty((chunk, n))
-        beams = np.empty((2, chunk, n // 2 + 1), dtype=complex)
-        rows = np.empty((chunk, reach), dtype=complex)
-        real = np.empty((chunk, reach))
-        step = traces.acquisition.step
-        for lo, part in _chunks(traces, chunk):
+
+        def unit(u, lo, part, buffers):
+            slots, work = buffers
             k = len(part)
-            for beam, ch in zip(beams[:, :k], (0, 2)):
-                np.add(part[:, ch], part[:, ch + 1], out=scaled[:k], dtype=float)
-                np.multiply(scaled[:k], step, out=scaled[:k])
-                np.fft.rfft(scaled[:k], axis=1, out=beam)
-            probe, conj = beams[:, :k, :reach]
-            row = rows[:k]
-            np.multiply(np.conjugate(probe, out=row), conj, out=row)
+            probe, conj, rows = slots[:3, :k]
+            for beam, ch in zip((probe, conj), (0, 2)):
+                np.add(part[:, ch], part[:, ch + 1], out=work[:k], dtype=float)
+                np.multiply(work[:k], step, out=work[:k])
+                np.fft.rfft(work[:k], axis=1, out=beam)
+            row = rows[:, :reach]
+            np.multiply(np.conjugate(probe[:, :reach], out=row), conj[:, :reach], out=row)
             row[:, :1] = 0.0  # each set's mean, as in the first pass
             if ramp is not None:
                 row *= ramp
-            _eps_rows(row, w, real, eps[:, lo : lo + k])
+            _eps_rows(row, w, work[:, :reach], eps[:, lo : lo + k])
+
+        each_unit(unit, _Turns())
 
     def _ensemble_delay(self, cross_mean: np.ndarray) -> tuple[float, bool]:
         cov = np.fft.irfft(cross_mean, n=self.n)
@@ -320,15 +353,86 @@ class Spectra:
         return out
 
 
-def _chunks(traces, size: int):
-    """(index of the first set, set-major codes) of each run of at most
-    size consecutive sets of traces, in set order."""
-    lo = 0
+class _Abandoned(Exception):
+    """A unit stopped because another unit of its pass failed."""
+
+
+class _Turns:
+    """Set order for the sums the units of a pass share.
+
+    Unit u takes its turn at sum i only once units 0 .. u - 1 have passed
+    theirs, so each sum adds its rows in set order however the units are
+    threaded.  Units are handed out in order, so the first unit not done
+    never waits.  fail() ends the pass: a unit waiting for a turn raises
+    _Abandoned and no further unit starts.
+    """
+
+    def __init__(self, sums: int = 0):
+        self._next = [0] * sums
+        self._cond = threading.Condition()
+        self.failed = False
+
+    def fail(self) -> None:
+        with self._cond:
+            self.failed = True
+            self._cond.notify_all()
+
+    @contextmanager
+    def turn(self, i: int, unit: int):
+        with self._cond:
+            while self._next[i] != unit:
+                if self.failed:
+                    raise _Abandoned
+                self._cond.wait()
+        yield
+        with self._cond:
+            self._next[i] += 1
+            self._cond.notify_all()
+
+
+def _each_unit(traces, size: int, pool, scratch: list, work, turns: _Turns) -> None:
+    """work(unit, lo, part, buffers) for each run of at most size
+    consecutive sets of traces, a unit: unit counts them from 0, lo is the
+    index of the run's first set, part its set-major codes.
+
+    The calling thread and the pool's workers, one buffers of scratch
+    each, take a block's next unit as they come free.  The next block is
+    drawn only once every unit of this one is done, since a stream may
+    reuse one buffer for all its blocks.  A unit that raises fails turns,
+    and once the block's other units have stopped, its error is raised.
+    """
+    unit = lo = 0
     for block in traces:
+        todo = deque()
         for first in range(0, len(block), size):
             part = block[first : first + size]
-            yield lo, part
-            lo += len(part)
+            todo.append((unit, lo, part))
+            unit, lo = unit + 1, lo + len(part)
+        futures = [pool.submit(_drain, todo, work, buffers, turns) for buffers in scratch[1:]]
+        errors = []
+        try:
+            _drain(todo, work, scratch[0], turns)
+        except BaseException as exc:  # re-raised below, once the workers stop
+            errors.append(exc)
+        wait(futures)
+        errors += [f.exception() for f in futures if f.exception() is not None]
+        if errors:
+            raise next((e for e in errors if not isinstance(e, _Abandoned)), errors[0])
+
+
+def _drain(todo: deque, work, buffers, turns: _Turns) -> None:
+    """Do the units popped from todo, which threads share, until it is
+    empty or a unit has failed."""
+    try:
+        while not turns.failed:
+            try:
+                unit = todo.popleft()  # deque pops are thread-safe
+            except IndexError:
+                return
+            work(*unit, buffers)
+    except BaseException:
+        turns.fail()
+        raise
 
 
 def _eps_rows(rows: np.ndarray, w: list, real: np.ndarray, out: np.ndarray) -> None:
@@ -390,7 +494,7 @@ def _delay_from_covariance(lags: np.ndarray, cov: np.ndarray, rate: float) -> fl
     bg = cov[np.abs(lags - lags[i]) > _PEAK_HALF_WIDTH]
     if bg.size < _MIN_BACKGROUND:
         raise NoPeak("not enough off-peak lags to judge significance")
-    prominence = peak - float(np.median(bg))
+    prominence = peak - _median(bg)
     noise = float(np.std(bg))
     bar = math.sqrt(2.0 * math.log(bg.size)) + 1.5
     if noise > 0.0 and prominence < bar * noise:
@@ -405,6 +509,16 @@ def _delay_from_covariance(lags: np.ndarray, cov: np.ndarray, rate: float) -> fl
         if denom != 0.0:
             offset = 0.5 * (ym1 - yp1) / denom
     return (lags[i] + offset) / rate
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median of a 1-d float array, from np.partition: np.median
+    imports numpy.ma, about 0.9 MB, on its first call."""
+    k = x.size // 2
+    if x.size % 2:
+        return float(np.partition(x, k)[k])
+    part = np.partition(x, (k - 1, k))
+    return float((part[k - 1] + part[k]) / 2.0)
 
 
 def _delay_ramp(n: int, rate: float, delay: float) -> np.ndarray:

@@ -149,8 +149,11 @@ class TraceStream:
     ``blocks`` yields int16 arrays of shape (k, 4, samples_per_set): k
     consecutive sets, channel order p1, p2, c1, c2, which is the layout of
     the container payload.  A producer may reuse one buffer, so a block
-    is valid only until the next one is drawn, and a stream is read once.
-    Iterating the stream checks that the blocks hold num_sets sets.
+    is valid only until the next one is drawn.  A stream of one-shot
+    blocks, such as synthesize_stream's (an iterator), is read once; a
+    container's stream reads its payload again from the first set each
+    time it is iterated.  Iterating the stream checks that the blocks
+    hold num_sets sets.
     """
 
     acquisition: AcquisitionConfig

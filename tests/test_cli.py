@@ -650,6 +650,7 @@ import os, sys
 import csilab.cli
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy imported"
 import csilab
+assert "numpy.ma" not in sys.modules, "numpy.ma imported"
 csilab.preset("G10")
 out = sys.argv[1]
 before = set(sys.modules)
@@ -661,7 +662,8 @@ print(sorted(set(sys.modules) - before))
 
 
 def test_commands_import_no_module(tmp_path):
-    """csilab.cli imports numpy and no scipy; simulate and report import nothing.
+    """csilab.cli and csilab import numpy, neither scipy nor numpy.ma, and
+    simulate and report import nothing.
 
     A module first imported inside a command is paid for in its run time
     by every process that forks after set-up; numpy loads numpy.fft,

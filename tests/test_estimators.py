@@ -1,8 +1,10 @@
 """Estimator checks against synthesized traces with known statistics."""
 
 import dataclasses
+import itertools
 import os
 import sys
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -572,9 +574,11 @@ class TestChunkedAnalysis:
     )
     def test_results_independent_of_chunk_and_threads(self, num_sets, samples, seed,
                                                      chunk, threads):
-        """Sets are transformed, summed and correlated a chunk at a time;
-        neither the chunk size nor CSILAB_THREADS, which analysis does not
-        read, may change a single bit of any estimate."""
+        """Sets are transformed, summed and correlated a chunk at a time,
+        and the chunks of a block are shared by CSILAB_THREADS threads;
+        neither the chunk size nor the thread count, drawn here for the
+        Spectra builds as well as for synthesis, may change a single bit
+        of any estimate."""
         acq = AcquisitionConfig(num_sets=num_sets, samples_per_set=samples, rng_seed=seed)
         ts = synthesize(g10_model(), acq)
         interval = sys.getswitchinterval()
@@ -644,6 +648,84 @@ class TestChunkedAnalysis:
         finally:
             tracemalloc.stop()
         assert peak < (sp.n // 2 + 1) * np.dtype(complex).itemsize  # 80 KB
+
+
+class TestThreadedBuild:
+    """The calling thread and a pool share each block's units of _CHUNK sets."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4, 64])
+    def test_build_peak_stays_below_one_ensemble_spectrum_on_any_cpu_count(
+            self, ts_g10, monkeypatch, cpus):
+        """The sweep of test_sweep_allocates_less_than_one_ensemble_spectrum,
+        which builds a Spectra for its cutoffs, keeps the same 5.12 MB bound
+        however many CPUs the process may run on: at most _UNITS_IN_FLIGHT
+        threads take units, each with one unit's scratch."""
+        pools = []
+
+        class CountingPool(estimators.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.delenv("CSILAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", CountingPool)
+        sp = Spectra(subset(ts_g10, 64))
+        cutoff_sweep(sp, SWEEP_MHZ[:1])  # leave numpy's first-call set-up out
+        pools.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cutoff_sweep(sp, SWEEP_MHZ)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert 1 + sum(pools) == min(cpus, estimators._UNITS_IN_FLIGHT)
+        assert peak < 64 * (sp.n // 2 + 1) * np.dtype(complex).itemsize  # 5.12 MB
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_failing_unit_is_raised_and_frees_every_thread(self, ts_g10, monkeypatch,
+                                                           threads):
+        """An rfft that raises on its fifth call, in the first pass's second
+        unit, fails the build with its own error.  A unit waiting for the
+        failed unit's turn is woken, so the build ends within the join's
+        timeout and leaves no thread behind."""
+        monkeypatch.setenv("CSILAB_THREADS", threads)
+        rfft, calls = np.fft.rfft, itertools.count(1)
+
+        def fifth_fails(*args, **kwargs):
+            if next(calls) == 5:
+                raise FloatingPointError("fifth rfft")
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", fifth_fails)
+        before = set(threading.enumerate())
+        raised = []
+
+        def build():
+            try:
+                Spectra(subset(ts_g10, 40), [BAND_12])
+            except FloatingPointError as exc:
+                raised.append(exc)
+
+        builder = threading.Thread(target=build, daemon=True)
+        builder.start()
+        builder.join(timeout=60)
+        assert not builder.is_alive()
+        assert [str(exc) for exc in raised] == ["fifth rfft"]
+        assert set(threading.enumerate()) == before
+
+    def test_median_is_np_median(self):
+        """The delay search's median equals np.median, which it replaces to
+        keep numpy.ma out of the process, on odd and even sizes, with and
+        without ties, and leaves its input as it was."""
+        rng = np.random.default_rng(3)
+        for size in [*range(1, 60), 1949, 1950, 1951]:
+            for x in (rng.standard_normal(size), rng.integers(0, 4, size).astype(float)):
+                kept = x.copy()
+                assert estimators._median(x) == np.median(x)
+                assert np.array_equal(x, kept)
 
 
 class TestDeclaredFilters:

@@ -3,7 +3,9 @@
 import dataclasses
 import os
 import struct
+import sys
 import threading
+import time
 import tracemalloc
 import zlib
 from unittest import mock
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from csilab.dsp import FilterSpec
 from csilab.errors import ConfigError, TraceFileError
+from csilab import estimators
 from csilab.estimators import MIN_SAMPLES, Spectra, filtered_violation
 from csilab.scenarios import preset
 from csilab.synth import (
@@ -351,3 +354,43 @@ def test_stream_reads_again_only_while_open(tmp_path):
         sp = Spectra(stream)
     with pytest.raises(TraceFileError, match="closed"):
         filtered_violation(sp, FilterSpec(f_hi=15e6))
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_threaded_build_from_a_container_changes_no_bit(tmp_path, monkeypatch, threads):
+    """A container's stream reads every block into one buffer, so each
+    block's units must be done before the next block is read.  A Spectra
+    built from the stream on 1, 2 or 3 threads (the cap on units in flight
+    lifted to 3), with threads switching as often as possible, equals one
+    built from the TraceSet on one thread, bit for bit.  Each transform
+    on a pool worker first sleeps 10 ms, so a block read before its units
+    were done would overwrite sets a worker has yet to transform."""
+    sc = preset("G10")
+    acq = dataclasses.replace(sc.acquisition, num_sets=2 * BLOCK_SETS + 3, rng_seed=11)
+    ts = synthesize(sc.model, acq)
+    path = tmp_path / "t.cstf"
+    write_stream(ts, path)
+    filters = [None, FilterSpec(f_hi=15e6)]
+    monkeypatch.setenv("CSILAB_THREADS", "1")
+    from_set = Spectra(ts, filters)
+    monkeypatch.setenv("CSILAB_THREADS", threads)
+    monkeypatch.setattr(estimators, "_UNITS_IN_FLIGHT", 3)
+    rfft = np.fft.rfft
+
+    def slow_on_workers(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.01)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", slow_on_workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with open_stream(path) as stream:
+            from_blocks = Spectra(stream, filters)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in ("_eps", "_power_sums", "_cross_sum", "_lag_sums"):
+        assert np.array_equal(getattr(from_blocks, name), getattr(from_set, name)), name
+    assert (from_blocks.delay, from_blocks.delay_fallback) == (from_set.delay,
+                                                               from_set.delay_fallback)
