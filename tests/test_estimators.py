@@ -540,6 +540,18 @@ class TestSharedSpectra:
         assert stats["delay_fallback"]
 
 
+def test_median_is_np_median():
+    """The delay search's median equals np.median, which it replaces to
+    keep numpy.ma out of the process, on odd and even sizes, with and
+    without ties, and leaves its input as it was."""
+    rng = np.random.default_rng(3)
+    for size in [*range(1, 60), 1949, 1950, 1951]:
+        for x in (rng.standard_normal(size), rng.integers(0, 4, size).astype(float)):
+            kept = x.copy()
+            assert estimators._median(x) == np.median(x)
+            assert np.array_equal(x, kept)
+
+
 def _every_estimate(ts):
     """Results of each chunked estimator on a Spectra of ts built for its
     filters, and of the sweep on one built without; a raised DegenerateSet
@@ -561,6 +573,19 @@ def _every_estimate(ts):
         except DegenerateSet as exc:
             results.append(str(exc))
     return results
+
+
+def _sweep_peak(sp) -> int:
+    """tracemalloc peak, in bytes, of a 15-cutoff sweep of sp, once a
+    1-cutoff sweep has left numpy's first-call set-up out."""
+    cutoff_sweep(sp, SWEEP_MHZ[:1])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cutoff_sweep(sp, SWEEP_MHZ)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestChunkedAnalysis:
@@ -617,15 +642,7 @@ class TestChunkedAnalysis:
         (sets, bins) array."""
         monkeypatch.delenv("CSILAB_THREADS", raising=False)
         sp = Spectra(subset(ts_g10, 64))
-        cutoff_sweep(sp, SWEEP_MHZ[:1])  # leave numpy's first-call set-up out
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            cutoff_sweep(sp, SWEEP_MHZ)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * (sp.n // 2 + 1) * np.dtype(complex).itemsize  # 5.12 MB
+        assert _sweep_peak(sp) < 64 * (sp.n // 2 + 1) * np.dtype(complex).itemsize  # 5.12 MB
 
     def test_sweep_of_declared_cutoffs_reads_the_stored_eps(self, ts_g10, monkeypatch):
         """A 15-cutoff sweep on a Spectra built for its cutoffs transforms
@@ -672,16 +689,8 @@ class TestThreadedBuild:
                             raising=False)
         monkeypatch.setattr(estimators, "ThreadPoolExecutor", CountingPool)
         sp = Spectra(subset(ts_g10, 64))
-        cutoff_sweep(sp, SWEEP_MHZ[:1])  # leave numpy's first-call set-up out
-        pools.clear()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            cutoff_sweep(sp, SWEEP_MHZ)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert 1 + sum(pools) == min(cpus, estimators._UNITS_IN_FLIGHT)
+        peak = _sweep_peak(sp)
+        assert 1 + max(pools, default=0) == min(cpus, estimators._UNITS_IN_FLIGHT)
         assert peak < 64 * (sp.n // 2 + 1) * np.dtype(complex).itemsize  # 5.12 MB
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
@@ -715,17 +724,6 @@ class TestThreadedBuild:
         assert not builder.is_alive()
         assert [str(exc) for exc in raised] == ["fifth rfft"]
         assert set(threading.enumerate()) == before
-
-    def test_median_is_np_median(self):
-        """The delay search's median equals np.median, which it replaces to
-        keep numpy.ma out of the process, on odd and even sizes, with and
-        without ties, and leaves its input as it was."""
-        rng = np.random.default_rng(3)
-        for size in [*range(1, 60), 1949, 1950, 1951]:
-            for x in (rng.standard_normal(size), rng.integers(0, 4, size).astype(float)):
-                kept = x.copy()
-                assert estimators._median(x) == np.median(x)
-                assert np.array_equal(x, kept)
 
 
 class TestDeclaredFilters:
