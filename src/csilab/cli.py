@@ -130,13 +130,12 @@ def _verdict(stats: dict, num_sets: int) -> str:
     return "CSI VIOLATED" if stats["violated"] else "CSI NOT VIOLATED"
 
 
-def _analyze(sc: Scenario, sp: Spectra, compensate: bool) -> dict:
+def _analyze(sc: Scenario, sp: Spectra) -> dict:
     """The outputs of every estimator on sp, each file name mapped to its
     contents, summary.txt's text among them."""
     a = sc.analysis
     stats = filtered_violation(sp, a.bandpass)
-    rep = normalized_spectra(sp, compensate=compensate, band=a.spectra_band,
-                             smooth_hz=a.smooth_hz)
+    rep = normalized_spectra(sp, band=a.spectra_band, smooth_hz=a.smooth_hz)
     band = (a.bandpass.f_lo, a.bandpass.f_hi)
     lhs, rhs, classical = csi_frequency_test(rep, sp, band)
     curves = g2_curves(sp, a.tau_max)
@@ -185,7 +184,7 @@ def _read(args, filters):
 
 def cmd_analyze(args) -> int:
     sc, sp = _read(args, lambda sc: [sc.analysis.bandpass])
-    outputs = _analyze(sc, sp, args.compensate)
+    outputs = _analyze(sc, sp)
     _write_outputs(args.out, outputs)
     print(outputs["summary.txt"], end="")
     return 0
@@ -265,7 +264,7 @@ def cmd_report(args) -> int:
         with atomic_write(traces, "w+b") as fh:
             _write(stream, fh)
             sp = Spectra(_stream(fh, traces), filters)
-            outputs = _analyze(sc, sp, args.compensate)
+            outputs = _analyze(sc, sp)
             outputs["vsweep.csv"] = _sweep(sc, sp, cutoffs)
             _write_outputs(args.out, outputs)
     except BaseException:
@@ -295,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("trace", help="trace container to analyze")
     ana.add_argument("--config", help="preset name or scenario INI path")
     ana.add_argument("--out", required=True, help="output directory")
-    ana.add_argument("--no-compensate-delay", dest="compensate",
-                     action="store_false")
     ana.set_defaults(func=cmd_analyze)
 
     sw = sub.add_parser("sweep", help="violation factor vs high-frequency cutoff")
@@ -321,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--seed", type=lambda s: int(s, 0))
     rep.add_argument("--sets", type=int)
     rep.add_argument("--cutoffs", help="override the sweep cutoff list (Hz)")
-    rep.add_argument("--no-compensate-delay", dest="compensate",
-                     action="store_false")
     rep.set_defaults(func=cmd_report)
     return ap
 

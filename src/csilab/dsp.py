@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; load it at import)
 
-from .errors import SpecError
+from .errors import ConfigError, SpecError
 
 # attenuation is exactly 3 dB at the band edges (the half-power
 # convention would sit at 10 log10(2) = 3.0103 dB instead)
@@ -68,13 +68,13 @@ def psd_estimate(traces, rate: float) -> Psd:
     rectangular for spectral fidelity of already-stationary noise.
 
     Parseval holds exactly: sum(power) * df equals the mean per-set
-    variance of the input.
+    variance of the input.  Input of another shape raises ConfigError.
     """
     x = np.asarray(traces, dtype=float)
     if x.ndim == 1:
         x = x[np.newaxis, :]
     if x.ndim != 2:
-        raise ValueError(f"expected 1-D or 2-D trace array, got shape {x.shape}")
+        raise ConfigError(f"expected 1-D or 2-D trace array, got shape {x.shape}")
     x = x - x.mean(axis=1, keepdims=True)
     power = np.add.reduce(np.abs(np.fft.rfft(x, axis=1)) ** 2, axis=0)
     return _psd_from_sum(power, x.shape[0], x.shape[1], rate)

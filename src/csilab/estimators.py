@@ -18,7 +18,6 @@ import functools
 import math
 import threading
 from collections import deque
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -105,15 +104,15 @@ class Spectra:
     build keeps eps_aa, eps_bb and eps_ab, three floats, and no row of
     any set: eps_aa and eps_bb come with the first pass, eps_ab, which
     needs the delay, from a second pass over the source that transforms
-    only P and C, each summed from its halves in the time domain.  So
-    the source must be readable twice: a TraceSet or a container's
-    stream is; a TraceStream of one-shot blocks, such as
-    synthesize_stream's, raises ConfigError before any block is read.
-    V for a filter not declared raises ConfigError naming it.  Without
+    only P and C, each summed from its halves in the time domain.  Every
+    source can be read again, a TraceSet or any TraceStream, and each
+    pass is one reading of it: a synthesis stream synthesizes its sets
+    again, a container's stream reads its file again, which must still be
+    open.  A reading that yields fewer sets raises ConfigError.  V for a
+    filter not declared raises ConfigError naming it.  Without
     ``filters`` the build is one pass and keeps its source: V for any
     filter is then looked up in a Spectra built for those filters over
-    that source, which must still be readable, so V of a one-shot stream
-    raises ConfigError.
+    that source, both passes again.
 
     Every estimator below is built from these sums: a bandpass is a real
     |H| factor, delay compensation a phase ramp, every eps of V a
@@ -153,13 +152,6 @@ class Spectra:
         self.weights = _one_sided(n) * (2.0 / (n * n))
         self.filters = None if filters is None else list(dict.fromkeys(filters))
         w = self._weights(self.filters or [])
-        one_shot = isinstance(traces, TraceStream) and isinstance(traces.blocks, Iterator)
-        if self.filters and one_shot:
-            raise ConfigError(
-                "V under declared filters needs a second pass over the sets once "
-                "the delay is known, and this stream's blocks can be read only once; "
-                "pass a TraceSet or a container's stream"
-            )
         self._power_sums = np.zeros((4, bins))  # |P|², |C|², |P1 - P2|², |C1 - C2|²
         self._cross_sum = np.zeros(bins, dtype=complex)  # conj(P) C
         self._lag_sums = np.zeros((2, 3, n))  # d and d² per row and lag
@@ -176,7 +168,7 @@ class Spectra:
             self.delay, self.delay_fallback = self._ensemble_delay(self._cross_sum / sets)
             if self.filters:
                 self._cross_pass(each_unit, step, w, self._eps[2])
-        self._source = traces if self.filters is None and not one_shot else None
+        self._source = traces if self.filters is None else None
 
     def _weights(self, specs) -> list[np.ndarray]:
         """The weights of each spec's eps sums: the Parseval weights times
@@ -292,12 +284,6 @@ class Spectra:
         looked up in this Spectra or, when it was built without filters,
         in one built for specs over its source."""
         if self.filters is None:
-            if self._source is None:
-                raise ConfigError(
-                    "this Spectra was built without filters from a stream read only "
-                    "once, so no V can be taken from it; declare the filters when "
-                    "building it from a TraceSet or a container's stream"
-                )
             return Spectra(self._source, specs)._eps_of(specs)
         for spec in specs:
             if spec not in self.filters:
@@ -551,8 +537,11 @@ def g2_curves(sp: Spectra, tau_max: float = 100e-9) -> CorrelationReport:
     DegenerateSet, since a standard error needs a spread.  The window
     spans max(4, round(tau_max * rate)) lags each side of zero; past
     (n - 1) // 2 a lag wraps round the set onto a negative one, so a
-    longer window raises ConfigError.
+    longer window raises ConfigError, as does a tau_max that is not
+    finite and > 0.
     """
+    if not 0.0 < tau_max < math.inf:
+        raise ConfigError(f"tau_max must be finite and > 0, got {tau_max}")
     sets = sp.sets
     if sets < 2:
         raise DegenerateSet(f"g2 standard errors need at least 2 sets, got {sets}")
@@ -603,10 +592,13 @@ def normalized_spectra(
     ensemble sums: sum |P - C r|² = sum |P|² + |r|² sum |C|² -
     2 Re(r sum conj(P) C) for the delay ramp r (0 at a zeroed Nyquist
     bin), or r = 1 uncompensated.  squeezing metrics come
-    from a smoothed copy of s_diff (window ``smooth_hz``) so single-bin
-    estimator noise does not fake a deeper minimum; the reported arrays
-    stay raw.
+    from a smoothed copy of s_diff (window ``smooth_hz``, no smoothing
+    below one bin) so single-bin estimator noise does not fake a deeper
+    minimum; the reported arrays stay raw.  A smooth_hz that is not
+    finite and >= 0 raises ConfigError.
     """
+    if not 0.0 <= smooth_hz < math.inf:
+        raise ConfigError(f"smooth_hz must be finite and >= 0, got {smooth_hz}")
     rate = sp.rate
     # a split pair's difference carries its beam's shot noise; the SQL of
     # the intensity difference is the sum of the two

@@ -14,7 +14,7 @@ import math
 import os
 import warnings
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -146,26 +146,28 @@ class TraceSet:
 class TraceStream:
     """Trace sets as set-major blocks, with the header a TraceSet carries.
 
-    ``blocks`` yields int16 arrays of shape (k, 4, samples_per_set): k
-    consecutive sets, channel order p1, p2, c1, c2, which is the layout of
-    the container payload.  A producer may reuse one buffer, so a block
-    is valid only until the next one is drawn.  A stream of one-shot
-    blocks, such as synthesize_stream's (an iterator), is read once; a
-    container's stream reads its payload again from the first set each
-    time it is iterated.  Iterating the stream checks that the blocks
-    hold num_sets sets.
+    ``blocks`` is a callable of no arguments that starts a new reading:
+    each call returns an iterable of int16 arrays of shape (k, 4,
+    samples_per_set), k consecutive sets from the first set on, channel
+    order p1, p2, c1, c2, which is the layout of the container payload.
+    Iterating the stream calls it, so every stream can be read again, one
+    reading at a time.  A reading may reuse one buffer for all its blocks
+    (a container's stream keeps one for every reading), so a block is
+    valid only until the next one is drawn.  synthesize_stream's readings
+    each make their own pool, buffers and at most one ClipWarning.  Every
+    reading checks that its blocks hold num_sets sets.
     """
 
     acquisition: AcquisitionConfig
     dc_means: np.ndarray
-    blocks: Iterable[np.ndarray]
+    blocks: Callable[[], Iterable[np.ndarray]]
     provenance: str = "external"
     charge_scale: float | None = None
 
     def __iter__(self) -> Iterator[np.ndarray]:
         acq = self.acquisition
         done = 0
-        for block in self.blocks:
+        for block in self.blocks():
             done += len(block)
             if (block.dtype != np.int16 or block.shape[1:] != (4, acq.samples_per_set)
                     or done > acq.num_sets):
@@ -314,14 +316,16 @@ def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
     Per-set RNG streams come from SeedSequence(rng_seed).spawn, making the
     codes independent of the block size and the thread schedule.  Every
     check runs here, before the first block; the blocks are made as they
-    are drawn.  CSILAB_THREADS threads, by default one per CPU the process
-    may run on, share each block's sets: the calling thread and a pool of
-    threads - 1 workers each take the next set as they come free.  The run
-    keeps one pool, one block buffer and one scratch set per thread (the
-    normal draws of both beam spectra, one beam's spectrum and parent row
-    and two noise rows: about 0.56 MB at 10 000 samples).  One
-    ClipWarning, for the whole run, follows the last block when more than
-    0.1% of its samples railed.
+    are drawn.  The stream can be read again: each reading synthesizes
+    the same sets anew, bit for bit, from its own root seed.  CSILAB_THREADS
+    threads, by default one per CPU the process may run on, share each
+    block's sets: the calling thread and a pool of threads - 1 workers
+    each take the next set as they come free.  Each reading makes its own
+    pool, block buffer and scratch set per thread (the normal draws of
+    both beam spectra, one beam's spectrum and parent row and two noise
+    rows: about 0.56 MB at 10 000 samples), and one ClipWarning, for the
+    whole reading, follows its last block when more than 0.1% of its
+    samples railed.
     """
     if acq.sample_rate <= 10.0 * model.bandwidth:
         raise ConfigError(
@@ -341,30 +345,23 @@ def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
     n_keep = acq.samples_per_set
     pad = int(math.ceil(0.125 * n_keep))
     n_gen = n_keep + 2 * pad
-    freqs = np.fft.rfftfreq(n_gen, d=1.0 / acq.sample_rate)
-    b00, b01, b11 = _csd_sqrt(model, freqs, zero_nyquist=(n_gen % 2 == 0))
+    bins = n_gen // 2 + 1
     scale = math.sqrt(n_gen * acq.sample_rate / 2.0)
-
     sigmas = [_shot_sigma(dc, acq, model.charge_scale) for dc in (model.probe_dc, model.conj_dc)]
-    root_seed = np.random.SeedSequence(acq.rng_seed)
 
     def scratch():
         # one scratch set per worker: each set's temporaries would otherwise
         # be freed to the kernel and faulted in again for the next set
-        z = np.empty((2, freqs.size, 2))
+        z = np.empty((2, bins, 2))
         # the parent row is free until its irfft, so its complex view holds
         # the mixing term first; 2 * bins floats cover the n_gen samples
-        parent = np.empty(2 * freqs.size)
+        parent = np.empty(2 * bins)
         return (z, z.view(complex)[..., 0],  # z0 and z1, real and imaginary parts from z
-                np.empty(freqs.size, dtype=complex),  # spec
+                np.empty(bins, dtype=complex),  # spec
                 parent, parent.view(complex),  # parent, term
                 np.empty(n_keep), np.empty(n_keep))  # w, raw
 
-    # a beam's spectrum is m0 z0 + m1 z1; the real b00 and b11 are stored
-    # complex, or numpy would cast each into a new array at every multiply
-    mixes = ((b00.astype(complex), b01), (np.conj(b01), b11.astype(complex)))
-
-    def make_sets(todo, work) -> int:
+    def make_sets(todo, mixes, work) -> int:
         """Synthesize the (seed, codes) pairs popped from the deque todo, which
         threads share, until it is empty; return rail hits."""
         z, z01, spec, parent, term, w, raw = work
@@ -391,6 +388,16 @@ def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
                                         sigmas[beam], acq.adc_bits, acq.full_scale)
 
     def blocks() -> Iterator[np.ndarray]:
+        # the mixing tables and the root seed belong to one reading: the
+        # stream keeps this function, so tables made outside it would stay
+        # alive as long as the stream, and spawn advances the root's state
+        b00, b01, b11 = _csd_sqrt(model, np.fft.rfftfreq(n_gen, d=1.0 / acq.sample_rate),
+                                  zero_nyquist=(n_gen % 2 == 0))
+        # a beam's spectrum is m0 z0 + m1 z1; the real b00 and b11 are stored
+        # complex, or numpy would cast each into a new array at every multiply
+        mixes = ((b00.astype(complex), b01), (np.conj(b01), b11.astype(complex)))
+        del b00, b11  # only their complex copies are needed
+        root_seed = np.random.SeedSequence(acq.rng_seed)
         buf = np.empty((min(BLOCK_SETS, sets), 4, n_keep), dtype=np.int16)
         works = [scratch() for _ in range(threads)]
         clipped = 0
@@ -402,8 +409,8 @@ def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
                 # set as it comes free, so a thread the host holds back delays
                 # no other
                 todo = deque(zip(seeds, block))
-                futures = [pool.submit(make_sets, todo, work) for work in works[1:]]
-                clipped += make_sets(todo, works[0])
+                futures = [pool.submit(make_sets, todo, mixes, work) for work in works[1:]]
+                clipped += make_sets(todo, mixes, works[0])
                 clipped += sum(f.result() for f in futures)
                 yield block
         _warn_clipping(clipped, 4 * sets * n_keep, stacklevel=2)
@@ -419,7 +426,7 @@ def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
     return TraceStream(
         acquisition=acq,
         dc_means=dc_means,
-        blocks=blocks(),
+        blocks=blocks,
         provenance=f"fwm:{model.digest()}",
         charge_scale=model.charge_scale,
     )

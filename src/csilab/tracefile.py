@@ -28,6 +28,7 @@ channel is representable, and analysis raises DcMissing on it.
 """
 
 import contextlib
+import functools
 import os
 import struct
 import zlib
@@ -134,8 +135,13 @@ def _read_header(fh, path):
 
 
 def _read_blocks(fh, path, buf: np.ndarray, sets: int):
-    """Yield the payload BLOCK_SETS sets at a time, each read into buf,
-    one buffer of BLOCK_SETS sets reused for every block."""
+    """Yield the payload of the open container fh from its first set,
+    BLOCK_SETS sets at a time, each read into buf, one buffer of
+    BLOCK_SETS sets reused for every block; TraceFileError once fh is
+    closed."""
+    if fh.closed:
+        raise TraceFileError(f"{path}: the container was closed before it was read")
+    fh.seek(HEADER_SIZE)
     for lo in range(0, sets, BLOCK_SETS):
         block = buf[: min(BLOCK_SETS, sets - lo)]
         if fh.readinto(block) != block.nbytes:
@@ -143,32 +149,17 @@ def _read_blocks(fh, path, buf: np.ndarray, sets: int):
         yield block.astype(np.int16, copy=False)  # a copy only on big-endian hosts
 
 
-class _Payload:
-    """The blocks of an open container's payload, read again from its
-    first set each time they are iterated; TraceFileError once the file
-    is closed."""
-
-    def __init__(self, fh, path, acq):
-        self._fh, self._path, self._sets = fh, path, acq.num_sets
-        self._buf = np.empty((min(BLOCK_SETS, acq.num_sets), 4, acq.samples_per_set),
-                             dtype="<i2")
-
-    def __iter__(self):
-        if self._fh.closed:
-            raise TraceFileError(f"{self._path}: the container was closed before it was read")
-        self._fh.seek(HEADER_SIZE)
-        return _read_blocks(self._fh, self._path, self._buf, self._sets)
-
-
 def _stream(fh, path) -> TraceStream:
     """The container in the open binary file fh as a TraceStream of its
-    blocks, which share one buffer; the header and the byte count are
-    checked first, before any block.  Each iteration of the stream reads
-    the payload from its first set, so a Spectra can take its two passes
-    while fh is open."""
+    blocks; the header and the byte count are checked first, before any
+    block.  Each reading of the stream reads the payload from its first
+    set into one buffer that every reading shares, so a Spectra can take
+    its two passes while fh is open."""
     fh.seek(0)
     acq, dc_means = _read_header(fh, path)
-    return TraceStream(acq, dc_means, _Payload(fh, path, acq))
+    buf = np.empty((min(BLOCK_SETS, acq.num_sets), 4, acq.samples_per_set), dtype="<i2")
+    return TraceStream(acq, dc_means,
+                       functools.partial(_read_blocks, fh, path, buf, acq.num_sets))
 
 
 @contextlib.contextmanager

@@ -133,11 +133,11 @@ def test_producer_failing_after_its_first_block_writes_no_container(tmp_path, mo
     def failing(model, acq):
         stream = make(model, acq)
 
-        def blocks(made):
-            yield next(made)
+        def blocks():
+            yield next(iter(stream.blocks()))
             raise RuntimeError("producer died")
 
-        return dataclasses.replace(stream, blocks=blocks(iter(stream.blocks)))
+        return dataclasses.replace(stream, blocks=blocks)
 
     monkeypatch.setattr(cli, "synthesize_stream", failing)
     out = tmp_path / ("t.cstf" if command == "simulate" else "rep")
@@ -338,6 +338,21 @@ def test_bad_cutoffs_exit_2_and_write_nothing(tmp_path, g10_file, monkeypatch, c
     assert run(command, *trace, "--cutoffs", cutoffs, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert "--cutoffs" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_delay_compensation_cannot_be_turned_off(tmp_path, g10_file, capsys, command):
+    """V, sigma_count and the verdict always use the compensated delay, so
+    no flag turns compensation off for the spectra alone: the removed
+    --no-compensate-delay is refused like any unknown option, before a
+    container is read or made."""
+    out = tmp_path / "out"
+    trace = [str(g10_file)] if command == "analyze" else ["--sets", "2"]
+    with pytest.raises(SystemExit) as exc:
+        run(command, *trace, "--no-compensate-delay", "--out", str(out))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-compensate-delay" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from csilab.dsp import FilterSpec, psd_estimate
 from csilab.estimators import Spectra, _delay_ramp, filtered_violation
-from csilab.errors import SpecError
+from csilab.errors import ConfigError, SpecError
 from csilab.synth import AcquisitionConfig, TraceSet, quantize
 from slow_reference import coherent_traces
 
@@ -73,6 +73,11 @@ class TestPsd:
         k = int(round(f0 * n / RATE))
         assert np.isclose(psd.power[k] * psd.df, amp**2 / 2.0, rtol=1e-9)
         assert psd.num_averages == 1
+
+    @pytest.mark.parametrize("shape", [(2, 3, 64), ()])
+    def test_traces_of_another_shape_are_refused(self, shape):
+        with pytest.raises(ConfigError, match="1-D or 2-D"):
+            psd_estimate(np.zeros(shape), RATE)
 
 
 class TestButterworth:

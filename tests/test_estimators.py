@@ -158,6 +158,14 @@ class TestG2Curves:
             assert rep.tau_grid.size == 255
             assert rep.tau_grid[-1] == pytest.approx(127e-9)
 
+    @pytest.mark.parametrize("tau_max", [np.nan, np.inf, -np.inf, 0.0, -1e-9])
+    def test_tau_max_not_finite_and_positive_is_refused(self, tau_max):
+        """A nan or infinite window cannot be counted in lags, and one of no
+        positive length asks for no curve; neither may fall back to 4 lags."""
+        sp = Spectra(coherent_traces(AcquisitionConfig(num_sets=4, samples_per_set=256)))
+        with pytest.raises(ConfigError, match="tau_max must be finite and > 0"):
+            g2_curves(sp, tau_max=tau_max)
+
 
 class TestCoherentBaseline:
     def test_all_curves_flat_at_one(self, sp_coherent):
@@ -445,6 +453,11 @@ class TestSpectra:
     def test_band_without_bins_raises(self, ts_g10, band):
         with pytest.raises(BandError, match="no frequency bin"):
             normalized_spectra(Spectra(subset(ts_g10, 8)), band=band)
+
+    @pytest.mark.parametrize("smooth_hz", [np.nan, np.inf, -np.inf, -1.0])
+    def test_smoothing_not_finite_and_non_negative_is_refused(self, sp_g10, smooth_hz):
+        with pytest.raises(ConfigError, match="smooth_hz must be finite and >= 0"):
+            normalized_spectra(sp_g10, smooth_hz=smooth_hz)
 
 
 class TestCsiFrequencyTest:
@@ -768,21 +781,6 @@ class TestDeclaredFilters:
         with pytest.raises(ConfigError, match="f_hi=5000000.0.* was not declared"):
             filtered_violation(Spectra(subset(ts, 4), []), FilterSpec(f_hi=5e6))
 
-    def test_one_shot_stream_with_filters_is_refused_before_any_block(self):
-        """The second pass needs the sets again, and a one-shot stream
-        cannot give them: it is refused before its first block is drawn."""
-        acq = AcquisitionConfig(num_sets=8, samples_per_set=1024, rng_seed=4)
-        drawn = []
-
-        def blocks():
-            drawn.append(True)
-            yield from synthesize_stream(g10_model(), acq)
-
-        stream = synth.TraceStream(acq, synthesize(g10_model(), acq).dc_means, blocks())
-        with pytest.raises(ConfigError, match="read only once"):
-            Spectra(stream, [FilterSpec(f_hi=15e6)])
-        assert not drawn
-
     def test_source_empty_on_its_second_pass_is_refused(self):
         """A source read again must yield every set again: one whose blocks
         come from an iterable that is empty the second time raises
@@ -795,7 +793,7 @@ class TestDeclaredFilters:
             def __init__(self):
                 self.blocks = list(ts)
 
-            def __iter__(self):
+            def __call__(self):
                 blocks, self.blocks = self.blocks, []
                 return iter(blocks)
 
@@ -806,11 +804,25 @@ class TestDeclaredFilters:
         with pytest.raises(ConfigError, match="stream ended after 0 of 8 sets"):
             filtered_violation(sp, FilterSpec(f_hi=15e6))
 
-    def test_one_shot_stream_without_filters_serves_all_but_v(self):
-        acq = AcquisitionConfig(num_sets=8, samples_per_set=1024, rng_seed=4)
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("filters", [None, [FilterSpec(f_hi=15e6), None]],
+                             ids=["no_filters", "declared"])
+    def test_synthesis_stream_serves_v_like_its_trace_set(self, monkeypatch, threads,
+                                                          filters):
+        """Each pass over a synthesis stream synthesizes its sets anew, so a
+        Spectra built from it, with its filters or looking V up over its
+        source, equals one built from the TraceSet of the same sets in
+        every sum, every eps, the delay and every estimate."""
+        monkeypatch.setenv("CSILAB_THREADS", threads)
+        acq = AcquisitionConfig(num_sets=2 * synth.BLOCK_SETS + 3, samples_per_set=1024,
+                                rng_seed=4)
         ts = synthesize(g10_model(), acq)
-        sp = Spectra(synthesize_stream(g10_model(), acq))
-        assert_identical(normalized_spectra(sp), normalized_spectra(Spectra(ts)))
-        assert_identical(g2_curves(sp, 30e-9), g2_curves(Spectra(ts), 30e-9))
-        with pytest.raises(ConfigError, match="read only once"):
-            filtered_violation(sp, FilterSpec(f_hi=15e6))
+        streamed, whole = (Spectra(x, filters)
+                           for x in (synthesize_stream(g10_model(), acq), ts))
+        for name in ("_eps", "_power_sums", "_cross_sum", "_lag_sums"):
+            assert np.array_equal(getattr(streamed, name), getattr(whole, name)), name
+        assert (streamed.delay, streamed.delay_fallback) == (whole.delay, whole.delay_fallback)
+        for spec in (FilterSpec(f_hi=15e6), None):
+            assert_identical(filtered_violation(streamed, spec), filtered_violation(whole, spec))
+        assert_identical(normalized_spectra(streamed), normalized_spectra(whole))
+        assert_identical(g2_curves(streamed, 30e-9), g2_curves(whole, 30e-9))

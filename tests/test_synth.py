@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -196,6 +197,30 @@ class TestDeterminism:
                 sys.setswitchinterval(interval)
         assert np.array_equal(threaded, serial)
         assert np.array_equal(prefix, serial[:, :k])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_every_reading_of_a_stream_synthesizes_the_same_sets(self, monkeypatch, threads):
+        """A synthesis stream can be read again: each reading starts from a
+        root seed of its own, so it yields the same blocks bit for bit, and
+        makes its own mixing tables, so the stream holds no table between
+        readings (less than one complex row of the synthesis grid)."""
+        monkeypatch.setenv("CSILAB_THREADS", threads)
+        acq = small_acq(num_sets=2 * synth.BLOCK_SETS + 3, samples_per_set=1024)
+        stream = synth.synthesize_stream(model_g10(), acq)
+        first, second = ([block.copy() for block in stream] for _ in range(2))
+        assert [b.shape[0] for b in first] == [synth.BLOCK_SETS, synth.BLOCK_SETS, 3]
+        for a, b in zip(first, second, strict=True):
+            assert np.array_equal(a, b)
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stream = synth.synthesize_stream(model_g10(), acq)
+            assert sum(len(block) for block in stream) == acq.num_sets
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < (1024 + 2 * 128) // 2 * 16  # one complex row of the 1280-sample grid
 
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("CSILAB_THREADS", "many")
@@ -592,3 +617,16 @@ class TestQuantizeInWorker:
         # one warning for the whole array, with the whole-array fraction
         assert len(messages[0]) == 1
         assert messages[0] == messages[1]
+
+    def test_each_reading_of_a_stream_warns_once(self, monkeypatch):
+        monkeypatch.setenv("CSILAB_THREADS", "2")
+        acq = small_acq(num_sets=8)
+        acq = dataclasses.replace(acq, full_scale=suggest_full_scale(model_g10(), acq) / 8.0)
+        stream = synth.synthesize_stream(model_g10(), acq)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(2):
+                for _ in stream:
+                    pass
+        assert [w.category for w in caught] == [ClipWarning, ClipWarning]
+        assert caught[0].message.args == caught[1].message.args

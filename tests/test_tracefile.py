@@ -312,7 +312,7 @@ def test_failing_producer_leaves_target_as_it_was(tmp_path, small_ts):
             yield by_set[i : i + 1]
         raise RuntimeError("producer died")  # after every set was written
 
-    stream = TraceStream(small_ts.acquisition, small_ts.dc_means, blocks())
+    stream = TraceStream(small_ts.acquisition, small_ts.dc_means, blocks)
     with pytest.raises(RuntimeError, match="producer died"):
         write_stream(stream, path)
     assert path.read_bytes() == b"old"
@@ -322,7 +322,7 @@ def test_failing_producer_leaves_target_as_it_was(tmp_path, small_ts):
 @pytest.mark.parametrize("sets", [2, 4])
 def test_stream_of_another_set_count_than_its_header_is_refused(tmp_path, small_ts, sets):
     acq = dataclasses.replace(small_ts.acquisition, num_sets=sets)
-    stream = TraceStream(acq, small_ts.dc_means, iter(small_ts))  # 3 sets
+    stream = TraceStream(acq, small_ts.dc_means, lambda: small_ts)  # 3 sets
     with pytest.raises(ConfigError, match="sets"):
         write_stream(stream, tmp_path / "t.cstf")
     assert os.listdir(tmp_path) == []
