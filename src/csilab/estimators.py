@@ -16,10 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +23,7 @@ import numpy.fft  # noqa: F401  (numpy loads it lazily; load it at import)
 
 from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_sum
 from .errors import BandError, ConfigError, DcMissing, DegenerateSet, NoPeak
-from .synth import TraceSet, TraceStream, _thread_count
+from .synth import TraceSet, TraceStream, _runner, _thread_count, _Turns
 
 _CHUNK = 4  # sets per unit: transformed and correlated at a time, by one thread
 # units in flight at most, one per thread, each with one unit's scratch
@@ -90,14 +86,10 @@ class Spectra:
     of the set's g2 curve (its inverse transform over n and the DC
     product).  Sets are transformed in units of _CHUNK, as the trace
     source yields them, so no channel, no beam spectrum and no stream is
-    held whole.  The calling thread and a pool share each block's units,
-    on CSILAB_THREADS threads (by default one per CPU the process may
-    run on) but at most _UNITS_IN_FLIGHT, each with one unit's buffers,
-    allocated once per build.  A unit adds to each sum only after the
-    previous unit has, so every sum adds the sets in order and no bit
-    depends on the thread count; the next block is drawn only once the
-    current block's units are done, since a stream may reuse one buffer.
-    An error in a unit stops the others and is raised.
+    held whole.  Each pass runs its units through one synth._runner, on
+    at most _UNITS_IN_FLIGHT threads, and a unit adds to each sum only
+    after the previous unit has, so every sum adds the sets in order and
+    no bit depends on the thread count.
 
     ``filters`` lists the FilterSpecs, and None for the unfiltered V,
     whose V statistics will be asked for.  For each one and each set the
@@ -158,12 +150,11 @@ class Spectra:
         self._eps = np.empty((3, len(w), sets))  # aa, bb, ab per filter and set
         chunk = min(_CHUNK, sets)
         threads = min(_thread_count(), _UNITS_IN_FLIGHT, -(-sets // chunk))
-        # per thread one unit's scratch: four complex rows and one float row per set
-        scratch = [(np.empty((4, chunk, bins), dtype=complex), np.empty((chunk, n)))
-                   for _ in range(threads)]
         step = acq.step
-        with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
-            each_unit = functools.partial(_each_unit, traces, chunk, pool, scratch)
+        # per thread one unit's scratch: four complex rows and one float row per set
+        with _runner(threads, lambda: (np.empty((4, chunk, bins), dtype=complex),
+                                       np.empty((chunk, n)))) as run:
+            each_unit = functools.partial(_each_unit, traces, chunk, run)
             self._split_pass(each_unit, step, w, self._eps[:2])
             self.delay, self.delay_fallback = self._ensemble_delay(self._cross_sum / sets)
             if self.filters:
@@ -339,86 +330,20 @@ class Spectra:
         return out
 
 
-class _Abandoned(Exception):
-    """A unit stopped because another unit of its pass failed."""
-
-
-class _Turns:
-    """Set order for the sums the units of a pass share.
-
-    Unit u takes its turn at sum i only once units 0 .. u - 1 have passed
-    theirs, so each sum adds its rows in set order however the units are
-    threaded.  Units are handed out in order, so the first unit not done
-    never waits.  fail() ends the pass: a unit waiting for a turn raises
-    _Abandoned and no further unit starts.
-    """
-
-    def __init__(self, sums: int = 0):
-        self._next = [0] * sums
-        self._cond = threading.Condition()
-        self.failed = False
-
-    def fail(self) -> None:
-        with self._cond:
-            self.failed = True
-            self._cond.notify_all()
-
-    @contextmanager
-    def turn(self, i: int, unit: int):
-        with self._cond:
-            while self._next[i] != unit:
-                if self.failed:
-                    raise _Abandoned
-                self._cond.wait()
-        yield
-        with self._cond:
-            self._next[i] += 1
-            self._cond.notify_all()
-
-
-def _each_unit(traces, size: int, pool, scratch: list, work, turns: _Turns) -> None:
+def _each_unit(traces, size: int, run, work, turns: _Turns) -> None:
     """work(unit, lo, part, buffers) for each run of at most size
     consecutive sets of traces, a unit: unit counts them from 0, lo is the
-    index of the run's first set, part its set-major codes.
-
-    The calling thread and the pool's workers, one buffers of scratch
-    each, take a block's next unit as they come free.  The next block is
-    drawn only once every unit of this one is done, since a stream may
-    reuse one buffer for all its blocks.  A unit that raises fails turns,
-    and once the block's other units have stopped, its error is raised.
-    """
+    index of the run's first set, part its set-major codes.  run, of a
+    synth._runner, does each block's units before the next block is
+    drawn, since a stream may reuse one buffer for all its blocks."""
     unit = lo = 0
     for block in traces:
-        todo = deque()
+        units = []
         for first in range(0, len(block), size):
             part = block[first : first + size]
-            todo.append((unit, lo, part))
+            units.append((unit, lo, part))
             unit, lo = unit + 1, lo + len(part)
-        futures = [pool.submit(_drain, todo, work, buffers, turns) for buffers in scratch[1:]]
-        errors = []
-        try:
-            _drain(todo, work, scratch[0], turns)
-        except BaseException as exc:  # re-raised below, once the workers stop
-            errors.append(exc)
-        wait(futures)
-        errors += [f.exception() for f in futures if f.exception() is not None]
-        if errors:
-            raise next((e for e in errors if not isinstance(e, _Abandoned)), errors[0])
-
-
-def _drain(todo: deque, work, buffers, turns: _Turns) -> None:
-    """Do the units popped from todo, which threads share, until it is
-    empty or a unit has failed."""
-    try:
-        while not turns.failed:
-            try:
-                unit = todo.popleft()  # deque pops are thread-safe
-            except IndexError:
-                return
-            work(*unit, buffers)
-    except BaseException:
-        turns.fail()
-        raise
+        run(units, work, turns)
 
 
 def _eps_rows(rows: np.ndarray, w: list, real: np.ndarray, out: np.ndarray) -> None:

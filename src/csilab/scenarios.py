@@ -51,12 +51,12 @@ class AnalysisSettings:
 
     def __post_init__(self):
         lo, hi = self.spectra_band
-        if not (0.0 <= lo < hi):
-            raise ConfigError(f"spectra band {self.spectra_band} must satisfy 0 <= lo < hi")
-        if not self.tau_max > 0.0:
-            raise ConfigError(f"tau_max must be > 0, got {self.tau_max}")
-        if not self.smooth_hz >= 0.0:
-            raise ConfigError(f"smooth_hz must be >= 0, got {self.smooth_hz}")
+        if not (0.0 <= lo < hi < math.inf):
+            raise ConfigError(f"spectra band {self.spectra_band} must be finite with 0 <= lo < hi")
+        if not 0.0 < self.tau_max < math.inf:
+            raise ConfigError(f"tau_max must be finite and > 0, got {self.tau_max}")
+        if not 0.0 <= self.smooth_hz < math.inf:
+            raise ConfigError(f"smooth_hz must be finite and >= 0, got {self.smooth_hz}")
 
 
 @dataclass(frozen=True)

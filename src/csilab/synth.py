@@ -11,12 +11,14 @@ results are bit-identical no matter how the work is chunked or threaded.
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import threading
 import warnings
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,6 +47,90 @@ def _thread_count() -> int:
     return max(1, n)
 
 
+class _Abandoned(Exception):
+    """A unit stopped because another unit of its run failed."""
+
+
+class _Turns:
+    """Set order for the sums the units of a run share, and its first error.
+
+    Unit u takes its turn at sum i only once units 0 .. u - 1 have passed
+    theirs, so each sum adds its rows in set order however the units are
+    threaded.  Units are handed out in order, so the first unit not done
+    never waits.  fail(error) ends the run and keeps its first error: a
+    unit waiting for a turn raises _Abandoned and no further unit starts.
+    """
+
+    def __init__(self, sums: int = 0):
+        self._next = [0] * sums
+        self._cond = threading.Condition()
+        self.error = None
+
+    def fail(self, error: BaseException) -> None:
+        with self._cond:
+            if self.error is None:
+                self.error = error
+            self._cond.notify_all()
+
+    @contextmanager
+    def turn(self, i: int, unit: int):
+        with self._cond:
+            while self._next[i] != unit:
+                if self.error is not None:
+                    raise _Abandoned
+                self._cond.wait()
+        yield
+        with self._cond:
+            self._next[i] += 1
+            self._cond.notify_all()
+
+
+@contextmanager
+def _runner(threads: int, scratch: Callable[[], object]):
+    """Yield run(units, work, turns), which does a block's units on the
+    calling thread and a pool of threads - 1 workers.
+
+    Each thread gets the buffers one call of scratch makes, here on the
+    calling thread; buffers and pool are made once and serve every call
+    of run.  run calls work(*unit, buffers) for each unit, on whichever
+    thread comes free first, so a thread the host holds back delays no
+    other, and returns once every unit is done, so the caller may reuse
+    the block's buffer.  A unit that raises fails turns: no further unit
+    starts, a unit waiting for a turn stops, and once every thread has
+    stopped the unit's error is raised.  Synthesis runs one unit per set
+    on up to BLOCK_SETS threads, each with about 0.56 MB of scratch at
+    10 000 samples; a Spectra build runs units of 4 sets on at most 2,
+    each with 1.6 MB.
+    """
+    buffers = [scratch() for _ in range(threads)]
+    with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
+
+        def run(units, work, turns: _Turns) -> None:
+            todo = deque(units)
+            futures = [pool.submit(_drain, todo, work, b, turns) for b in buffers[1:]]
+            _drain(todo, work, buffers[0], turns)
+            for future in futures:
+                future.result()  # _drain keeps a unit's error in turns
+            if turns.error is not None:
+                raise turns.error
+
+        yield run
+
+
+def _drain(todo: deque, work, buffers, turns: _Turns) -> None:
+    """Do the units popped from todo, which threads share, until it is
+    empty or a unit has failed; a unit's error goes to turns.fail."""
+    try:
+        while turns.error is None:
+            try:
+                unit = todo.popleft()  # deque pops are thread-safe
+            except IndexError:
+                return
+            work(*unit, buffers)
+    except BaseException as exc:  # raised by run once every thread has stopped
+        turns.fail(exc)
+
+
 @dataclass(frozen=True)
 class AcquisitionConfig:
     """Digitizer settings; defaults match a 1 GS/s 9-bit acquisition."""
@@ -57,6 +143,10 @@ class AcquisitionConfig:
     rng_seed: int = 0xC51F00D
 
     def __post_init__(self):
+        for name in ("samples_per_set", "num_sets", "adc_bits", "rng_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not (0.0 < self.sample_rate < math.inf):
             raise ConfigError(
                 f"sample_rate must be finite and > 0, got {self.sample_rate}"
@@ -150,12 +240,11 @@ class TraceStream:
     each call returns an iterable of int16 arrays of shape (k, 4,
     samples_per_set), k consecutive sets from the first set on, channel
     order p1, p2, c1, c2, which is the layout of the container payload.
-    Iterating the stream calls it, so every stream can be read again, one
-    reading at a time.  A reading may reuse one buffer for all its blocks
-    (a container's stream keeps one for every reading), so a block is
-    valid only until the next one is drawn.  synthesize_stream's readings
-    each make their own pool, buffers and at most one ClipWarning.  Every
-    reading checks that its blocks hold num_sets sets.
+    Iterating the stream calls it, so every stream can be read again, and
+    readings may overlap.  A reading may reuse one buffer of its own for
+    all its blocks, so a block is valid only until the next one of its
+    reading is drawn.  Every reading checks that its blocks hold num_sets
+    sets.
     """
 
     acquisition: AcquisitionConfig
@@ -317,15 +406,12 @@ def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
     codes independent of the block size and the thread schedule.  Every
     check runs here, before the first block; the blocks are made as they
     are drawn.  The stream can be read again: each reading synthesizes
-    the same sets anew, bit for bit, from its own root seed.  CSILAB_THREADS
-    threads, by default one per CPU the process may run on, share each
-    block's sets: the calling thread and a pool of threads - 1 workers
-    each take the next set as they come free.  Each reading makes its own
-    pool, block buffer and scratch set per thread (the normal draws of
-    both beam spectra, one beam's spectrum and parent row and two noise
-    rows: about 0.56 MB at 10 000 samples), and one ClipWarning, for the
-    whole reading, follows its last block when more than 0.1% of its
-    samples railed.
+    the same sets anew, bit for bit, from its own root seed, and makes its
+    own block buffer, _runner (one unit per set, on min(CSILAB_THREADS,
+    BLOCK_SETS, num_sets) threads, each with one scratch set: the normal
+    draws of both beam spectra, one beam's spectrum and parent row and two
+    noise rows) and at most one ClipWarning, which follows its last block
+    when more than 0.1% of its samples railed.
     """
     if acq.sample_rate <= 10.0 * model.bandwidth:
         raise ConfigError(
@@ -361,32 +447,6 @@ def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
                 parent, parent.view(complex),  # parent, term
                 np.empty(n_keep), np.empty(n_keep))  # w, raw
 
-    def make_sets(todo, mixes, work) -> int:
-        """Synthesize the (seed, codes) pairs popped from the deque todo, which
-        threads share, until it is empty; return rail hits."""
-        z, z01, spec, parent, term, w, raw = work
-        clipped = 0
-        while True:
-            try:
-                seed, codes = todo.popleft()  # deque pops are thread-safe
-            except IndexError:
-                return clipped
-            gen = np.random.default_rng(seed)
-            gen.standard_normal(out=z)
-            # the bits of z01 /= sqrt(2), which numpy computes as a product
-            # with the reciprocal, at an eighth of the complex loop's cost
-            z *= 1.0 / math.sqrt(2.0)
-            # one beam at a time: a (2, n_gen) irfft runs about 10% faster,
-            # but its buffer adds about 0.45 MB of peak RSS per thread
-            for beam, (m0, m1) in enumerate(mixes):
-                np.multiply(m0, z01[0], out=spec)
-                spec += np.multiply(m1, z01[1], out=term)
-                spec *= scale
-                np.fft.irfft(spec, n=n_gen, out=parent[:n_gen])
-                clipped += _detect_into(codes[2 * beam : 2 * beam + 2],
-                                        parent[pad : pad + n_keep], w, raw, gen,
-                                        sigmas[beam], acq.adc_bits, acq.full_scale)
-
     def blocks() -> Iterator[np.ndarray]:
         # the mixing tables and the root seed belong to one reading: the
         # stream keeps this function, so tables made outside it would stay
@@ -399,19 +459,35 @@ def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
         del b00, b11  # only their complex copies are needed
         root_seed = np.random.SeedSequence(acq.rng_seed)
         buf = np.empty((min(BLOCK_SETS, sets), 4, n_keep), dtype=np.int16)
-        works = [scratch() for _ in range(threads)]
+        rails = [0] * BLOCK_SETS  # samples clipped in each set of the block
+
+        def make_set(i, seed, codes, work) -> None:
+            """Synthesize set i of the block from its seed into codes."""
+            z, z01, spec, parent, term, w, raw = work
+            gen = np.random.default_rng(seed)
+            gen.standard_normal(out=z)
+            # the bits of z01 /= sqrt(2), which numpy computes as a product
+            # with the reciprocal, at an eighth of the complex loop's cost
+            z *= 1.0 / math.sqrt(2.0)
+            rails[i] = 0
+            # one beam at a time: a (2, n_gen) irfft runs about 10% faster,
+            # but its buffer adds about 0.45 MB of peak RSS per thread
+            for beam, (m0, m1) in enumerate(mixes):
+                np.multiply(m0, z01[0], out=spec)
+                spec += np.multiply(m1, z01[1], out=term)
+                spec *= scale
+                np.fft.irfft(spec, n=n_gen, out=parent[:n_gen])
+                rails[i] += _detect_into(codes[2 * beam : 2 * beam + 2],
+                                         parent[pad : pad + n_keep], w, raw, gen,
+                                         sigmas[beam], acq.adc_bits, acq.full_scale)
+
         clipped = 0
-        with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
+        with _runner(threads, scratch) as run:
             for lo in range(0, sets, BLOCK_SETS):
                 block = buf[: min(BLOCK_SETS, sets - lo)]
                 seeds = root_seed.spawn(len(block))  # children lo, lo + 1, ...
-                # every thread, the calling one included, takes the block's next
-                # set as it comes free, so a thread the host holds back delays
-                # no other
-                todo = deque(zip(seeds, block))
-                futures = [pool.submit(make_sets, todo, mixes, work) for work in works[1:]]
-                clipped += make_sets(todo, mixes, works[0])
-                clipped += sum(f.result() for f in futures)
+                run(zip(range(len(block)), seeds, block), make_set, _Turns())
+                clipped += sum(rails[: len(block)])
                 yield block
         _warn_clipping(clipped, 4 * sets * n_keep, stacklevel=2)
 

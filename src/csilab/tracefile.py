@@ -134,16 +134,16 @@ def _read_header(fh, path):
     return acq, np.array([dc1, dc2, dc3, dc4])
 
 
-def _read_blocks(fh, path, buf: np.ndarray, sets: int):
+def _read_blocks(fh, path, acq: AcquisitionConfig):
     """Yield the payload of the open container fh from its first set,
-    BLOCK_SETS sets at a time, each read into buf, one buffer of
-    BLOCK_SETS sets reused for every block; TraceFileError once fh is
-    closed."""
+    BLOCK_SETS sets at a time, each read from its own offset into one
+    buffer of this reading's; TraceFileError once fh is closed."""
     if fh.closed:
         raise TraceFileError(f"{path}: the container was closed before it was read")
-    fh.seek(HEADER_SIZE)
-    for lo in range(0, sets, BLOCK_SETS):
-        block = buf[: min(BLOCK_SETS, sets - lo)]
+    buf = np.empty((min(BLOCK_SETS, acq.num_sets), 4, acq.samples_per_set), dtype="<i2")
+    for lo in range(0, acq.num_sets, BLOCK_SETS):
+        block = buf[: min(BLOCK_SETS, acq.num_sets - lo)]
+        fh.seek(HEADER_SIZE + lo * buf[0].nbytes)
         if fh.readinto(block) != block.nbytes:
             raise TraceFileError(f"{path}: payload ended early")
         yield block.astype(np.int16, copy=False)  # a copy only on big-endian hosts
@@ -153,13 +153,10 @@ def _stream(fh, path) -> TraceStream:
     """The container in the open binary file fh as a TraceStream of its
     blocks; the header and the byte count are checked first, before any
     block.  Each reading of the stream reads the payload from its first
-    set into one buffer that every reading shares, so a Spectra can take
-    its two passes while fh is open."""
+    set, so a Spectra can take its two passes while fh is open."""
     fh.seek(0)
     acq, dc_means = _read_header(fh, path)
-    buf = np.empty((min(BLOCK_SETS, acq.num_sets), 4, acq.samples_per_set), dtype="<i2")
-    return TraceStream(acq, dc_means,
-                       functools.partial(_read_blocks, fh, path, buf, acq.num_sets))
+    return TraceStream(acq, dc_means, functools.partial(_read_blocks, fh, path, acq))
 
 
 @contextlib.contextmanager

@@ -692,7 +692,7 @@ class TestThreadedBuild:
         threads take units, each with one unit's scratch."""
         pools = []
 
-        class CountingPool(estimators.ThreadPoolExecutor):
+        class CountingPool(synth.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers)
@@ -700,7 +700,7 @@ class TestThreadedBuild:
         monkeypatch.delenv("CSILAB_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        monkeypatch.setattr(estimators, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(synth, "ThreadPoolExecutor", CountingPool)
         sp = Spectra(subset(ts_g10, 64))
         peak = _sweep_peak(sp)
         assert 1 + max(pools, default=0) == min(cpus, estimators._UNITS_IN_FLIGHT)

@@ -1,5 +1,7 @@
 """Preset tables and INI overlay loading."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -219,4 +221,16 @@ def test_integer_keys_are_those_with_integer_defaults():
 ])
 def test_analysis_settings_validate(kw):
     with pytest.raises(ConfigError):
+        AnalysisSettings(bandpass=FilterSpec(f_hi=15e6), **{"spectra_band": (5e5, 20e6), **kw})
+
+
+@pytest.mark.parametrize("kw", [
+    dict(tau_max=math.inf),
+    dict(smooth_hz=math.inf),
+    dict(spectra_band=(0.0, math.inf)),
+])
+def test_analysis_settings_refuse_non_finite_values(kw):
+    """The finiteness g2_curves and normalized_spectra ask of these values
+    is checked when the settings are built, not first when they are used."""
+    with pytest.raises(ConfigError, match="must be finite"):
         AnalysisSettings(bandpass=FilterSpec(f_hi=15e6), **{"spectra_band": (5e5, 20e6), **kw})

@@ -1,12 +1,15 @@
 """Tests of trace synthesis: statistics fidelity, determinism, quantizer."""
 
+import ast
 import dataclasses
+import inspect
 import math
 import os
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -296,6 +299,65 @@ class TestDefaultThreads:
         assert threads == 1
 
 
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_failing_set_ends_the_reading_and_frees_every_thread(monkeypatch, threads):
+    """A _detect_into that raises on set 5 of a 16-set block ends the
+    reading with its own error.  No set starts once it has raised (a
+    set starts by seeding its generator), so the other threads do not
+    finish the block, and the reading ends within the join's timeout
+    and leaves no thread behind."""
+    monkeypatch.setenv("CSILAB_THREADS", threads)
+    current, failed, late = threading.local(), threading.Event(), []
+    default_rng, detect = np.random.default_rng, synth._detect_into
+
+    def seeded(seed):
+        if failed.is_set():
+            late.append(seed.spawn_key[-1])
+        current.set = seed.spawn_key[-1]  # children of the root: the set's index
+        return default_rng(seed)
+
+    def fifth_fails(*args):
+        if current.set == 5:
+            failed.set()
+            raise FloatingPointError("set 5")
+        return detect(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", seeded)
+    monkeypatch.setattr(synth, "_detect_into", fifth_fails)
+    before = set(threading.enumerate())
+    raised = []
+
+    def read():
+        try:
+            synthesize(model_g10(), small_acq(num_sets=16, samples_per_set=2048))
+        except FloatingPointError as exc:
+            raised.append(exc)
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert [str(exc) for exc in raised] == ["set 5"]
+    assert late == []
+    assert set(threading.enumerate()) == before
+
+
+def test_one_function_constructs_a_thread_pool():
+    """Synthesis and the Spectra build share one runner: in all of csilab
+    one call constructs a ThreadPoolExecutor, in synth._runner, so the
+    CountingPool patches of synth.ThreadPoolExecutor see every pool."""
+    pools = [
+        (path.stem, node.lineno)
+        for path in sorted(Path(synth.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ThreadPoolExecutor"
+    ]
+    lines, first = inspect.getsourcelines(synth._runner)
+    assert [module for module, _ in pools] == ["synth"]
+    assert first <= pools[0][1] < first + len(lines)
+
+
 class TestQuantizer:
     def test_zero_maps_to_zero_code(self):
         assert quantize(np.zeros(4), 9, 1.0).tolist() == [0, 0, 0, 0]
@@ -572,6 +634,18 @@ class TestValidation:
     def test_acquisition_field_validation(self, kw):
         with pytest.raises(ConfigError):
             small_acq(**kw)
+
+    @pytest.mark.parametrize("name, bad, good", [
+        ("samples_per_set", 1000.0, 1000), ("num_sets", 2.0, 2), ("adc_bits", 9.0, 9),
+        ("rng_seed", 1.5, 1), ("num_sets", True, 1),
+    ])
+    def test_counts_must_be_integers(self, name, bad, good):
+        """A float or a bool count is refused when the acquisition is built,
+        not later by synthesis, the container writer or SeedSequence; a
+        numpy integer is taken."""
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            small_acq(**{name: bad})
+        assert getattr(small_acq(**{name: np.int64(good)}), name) == good
 
     def test_full_scale_suggestion_avoids_clipping(self):
         model = model_g10(excess=ExcessNoiseSpec(conj_level=2.0))

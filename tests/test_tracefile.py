@@ -356,6 +356,30 @@ def test_stream_reads_again_only_while_open(tmp_path):
         filtered_violation(sp, FilterSpec(f_hi=15e6))
 
 
+def test_overlapping_readings_of_a_container_each_read_the_file(tmp_path):
+    """Each reading of a container's stream has a buffer of its own and
+    reads every block from that block's offset, so readings may overlap:
+    on a 48-set container, reading a's third block, drawn after reading b
+    has drawn its first, is the file's third block, and it leaves b's
+    first block as it was."""
+    acq = AcquisitionConfig(num_sets=3 * BLOCK_SETS, samples_per_set=MIN_SAMPLES, rng_seed=9)
+    ts = synthesize(preset("G10").model, acq)
+    path = tmp_path / "t.cstf"
+    write_stream(ts, path)
+    expected = list(ts)
+    with open_stream(path) as stream:
+        a = iter(stream)
+        for i in range(2):
+            assert np.array_equal(next(a), expected[i])
+        b = iter(stream)
+        b_first = next(b)
+        assert np.array_equal(next(a), expected[2])
+        assert np.array_equal(b_first, expected[0])
+        for i in (1, 2):
+            assert np.array_equal(next(b), expected[i])
+        assert next(a, None) is None and next(b, None) is None
+
+
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_threaded_build_from_a_container_changes_no_bit(tmp_path, monkeypatch, threads):
     """A container's stream reads every block into one buffer, so each
