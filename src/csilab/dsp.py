@@ -1,10 +1,12 @@
-"""PSD estimation and the bandpass filter specification.
+"""PSD estimation, the bandpass filter specification and the squeezing readout.
 
 ``psd_estimate`` takes real trace arrays, (num_sets, num_samples) or 1-D,
 and their sample rate in Hz; transforms act along the last axis.  Spectra
 follow the one-sided convention: integrating `power` over the frequency
 grid returns the time-domain variance (per-set mean removed).  Filtering
 and delay handling of a trace set live in ``estimators.Spectra``.
+``_squeezing`` is the one squeezing readout, of a measured spectrum and
+of the model's; this module imports only ``errors``.
 """
 
 from __future__ import annotations
@@ -110,3 +112,27 @@ def _bandpass_gain(spec: FilterSpec, n: int, rate: float) -> np.ndarray:
             f"f_hi={spec.f_hi} is not below the Nyquist frequency {rate / 2.0}"
         )
     return spec.magnitude(np.fft.rfftfreq(n, d=1.0 / rate))
+
+
+def _squeezing(f: np.ndarray, s_diff: np.ndarray, width: int = 1) -> tuple[float, float]:
+    """(depth in dB below the SQL, bandwidth) of the SQL-normalized
+    difference spectrum s_diff on the grid f, box-smoothed over ``width``
+    bins so single-bin noise does not fake a deeper minimum.  The depth is
+    -10 log10 of the minimum (inf if not positive); the bandwidth is the
+    first up-crossing of 1 past it, interpolated (a "last point below 1"
+    would drift along noise dips), 0 if the minimum is not below 1 and
+    f[-1] if nothing crosses back."""
+    s = s_diff
+    if width > 1:
+        kernel = np.ones(width)
+        s = np.convolve(s, kernel, mode="same") / np.convolve(np.ones_like(s), kernel, mode="same")
+    imin = int(np.argmin(s))
+    depth = -float(10.0 * np.log10(s[imin])) if s[imin] > 0 else np.inf
+    if s[imin] >= 1.0:
+        return depth, 0.0
+    above = np.nonzero(s[imin:] >= 1.0)[0]
+    if not above.size:
+        return depth, float(f[-1])
+    j = imin + int(above[0])
+    s0, s1 = s[j - 1], s[j]
+    return depth, float(f[j - 1] + (1.0 - s0) * (f[j] - f[j - 1]) / (s1 - s0))

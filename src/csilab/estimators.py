@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; load it at import)
 
-from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_sum
+from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_sum, _squeezing
 from .errors import BandError, ConfigError, DcMissing, DegenerateSet, NoPeak
 from .synth import TraceSet, TraceStream, _runner, _thread_count, _Turns
 
@@ -294,11 +294,15 @@ class Spectra:
         once the conjugate is advanced by the delay.  Raises ConfigError
         for a filter the Spectra was not built for, and DegenerateSet when
         fewer than 2 sets carry a positive cross-correlation under some
-        filter.
+        filter, or when eps_aa or eps_bb is 0 in every set, as a dead
+        detector makes its beam's split-pair sum.
         """
         dc_p1, dc_p2, dc_c1, dc_c2 = self.dc
         out = []
         for eps in self._eps_of(specs):
+            if not (eps[0].any() and eps[1].any()):
+                beam = "conjugate" if eps[0].any() else "probe"
+                raise DegenerateSet(f"every set's {beam} split-pair sum is 0: a detector is dead")
             aa = eps[0] / (dc_p1 * dc_p2)
             bb = eps[1] / (dc_c1 * dc_c2)
             ab = eps[2] / ((dc_p1 + dc_p2) * (dc_c1 + dc_c2))
@@ -398,7 +402,7 @@ def _delay_from_covariance(lags: np.ndarray, cov: np.ndarray, rate: float) -> fl
     when the peak does not stand out from the N lags more than
     _PEAK_HALF_WIDTH samples away by sqrt(2 ln N) + 1.5 times their rms: the largest of N Gaussian
     noise lags reaches about sqrt(2 ln N) rms, so a fixed bar would call
-    it a peak.
+    it a peak.  A flat covariance has no peak, even with no background rms.
     """
     i = int(np.argmax(cov))
     peak = cov[i]
@@ -408,7 +412,7 @@ def _delay_from_covariance(lags: np.ndarray, cov: np.ndarray, rate: float) -> fl
     prominence = peak - _median(bg)
     noise = float(np.std(bg))
     bar = math.sqrt(2.0 * math.log(bg.size)) + 1.5
-    if noise > 0.0 and prominence < bar * noise:
+    if not prominence > bar * noise:  # so a flat covariance, 0 > 0, has none
         raise NoPeak(
             f"cross-covariance peak prominence {prominence:.3g} is below "
             f"{bar:.2f} x background rms {noise:.3g}"
@@ -494,15 +498,6 @@ def g2_curves(sp: Spectra, tau_max: float = 100e-9) -> CorrelationReport:
     )
 
 
-def _smooth(power: np.ndarray, width: int) -> np.ndarray:
-    if width <= 1:
-        return power
-    kernel = np.ones(width)
-    num = np.convolve(power, kernel, mode="same")
-    den = np.convolve(np.ones_like(power), kernel, mode="same")
-    return num / den
-
-
 def normalized_spectra(
     sp: Spectra,
     compensate: bool = True,
@@ -516,11 +511,12 @@ def normalized_spectra(
     the estimated delay first.  Every spectrum comes from the Spectra's
     ensemble sums: sum |P - C r|² = sum |P|² + |r|² sum |C|² -
     2 Re(r sum conj(P) C) for the delay ramp r (0 at a zeroed Nyquist
-    bin), or r = 1 uncompensated.  squeezing metrics come
-    from a smoothed copy of s_diff (window ``smooth_hz``, no smoothing
-    below one bin) so single-bin estimator noise does not fake a deeper
-    minimum; the reported arrays stay raw.  A smooth_hz that is not
-    finite and >= 0 raises ConfigError.
+    bin), or r = 1 uncompensated.  The squeezing depth and bandwidth are
+    read off s_diff in ``band`` by dsp._squeezing, the rule
+    CsdModel.predicted_squeezing applies to the model, smoothed over
+    ``smooth_hz`` (no smoothing below one bin), with a bin that has no
+    SQL read as the SQL; the reported arrays stay raw.  A smooth_hz that
+    is not finite and >= 0 raises ConfigError.
     """
     if not 0.0 <= smooth_hz < math.inf:
         raise ConfigError(f"smooth_hz must be finite and >= 0, got {smooth_hz}")
@@ -548,28 +544,11 @@ def normalized_spectra(
         band = (500e3, 0.8 * rate / 2.0)
     sel = _band_mask(f, band)
     width = max(1, int(round(smooth_hz / sql_p.df)))
-    fsel = f[sel]
     # smooth inside the metric band only; a full-grid window would pull
     # out-of-band bins (DC junk, the technical-noise shelf below f_lo)
     # into the average and bias a band-edge minimum upward
-    ssel = _smooth(np.nan_to_num(s_d[sel], nan=1.0), width)
-    imin = int(np.argmin(ssel))
-    squeezing_db_max = -10.0 * math.log10(ssel[imin]) if ssel[imin] > 0 else math.inf
-    if ssel[imin] >= 1.0:
-        squeezing_bandwidth = 0.0
-    else:
-        # first up-crossing past the minimum, linearly interpolated; a
-        # "last point below 1" rule would drift up along noise dips when
-        # the crossing is gentle
-        above = np.nonzero(ssel[imin:] >= 1.0)[0]
-        if above.size:
-            j = imin + int(above[0])
-            s0, s1 = ssel[j - 1], ssel[j]
-            squeezing_bandwidth = float(
-                fsel[j - 1] + (1.0 - s0) * (fsel[j] - fsel[j - 1]) / (s1 - s0)
-            )
-        else:
-            squeezing_bandwidth = float(fsel[-1])
+    squeezing_db_max, squeezing_bandwidth = _squeezing(
+        f[sel], np.nan_to_num(s_d[sel], nan=1.0), width)
 
     return SpectraReport(
         frequencies=f,
@@ -595,13 +574,19 @@ def csi_frequency_test(report: SpectraReport, sp: Spectra, band: tuple[float, fl
     times the integrated difference of the two beams' normalized excess.
     Classical states satisfy lhs >= rhs; lhs < rhs certifies a violation.
     Returns (lhs, rhs, satisfied_classically).  ``sp``, the Spectra the
-    report was read from, supplies the DC means.
+    report was read from, supplies the DC means.  Raises BandError for a
+    band of fewer than two bins, where both integrals are 0, or one
+    holding a bin with no SQL (the DC bin), where they are NaN.
     """
     dc_p1, dc_p2, dc_c1, dc_c2 = sp.dc
     dc_p = dc_p1 + dc_p2
     dc_c = dc_c1 + dc_c2
     f = report.frequencies
     sel = _band_mask(f, band)
+    if np.count_nonzero(sel) < 2:
+        raise BandError(f"band {band} holds one frequency bin; the test needs two or more")
+    if np.isnan([report.s_p_norm[sel], report.s_c_norm[sel], report.s_diff_norm[sel]]).any():
+        raise BandError(f"band {band} holds a bin with no shot-noise reference")
     fsel = f[sel]
     lhs = np.trapezoid(report.s_diff_norm[sel] - 1.0, fsel)
     asym = (dc_p - dc_c) / (dc_p + dc_c)

@@ -42,6 +42,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from .dsp import _squeezing
 from .errors import DegenerateState, DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -534,17 +535,12 @@ class CsdModel:
     def predicted_squeezing(self, f_lo, f_hi, npts: int = 4001):
         """(max squeezing in dB, bandwidth) of the difference spectrum.
 
-        The bandwidth is the first frequency above the spectrum's minimum
-        where the compensated s_diff crosses one, or f_hi if it never does.
-        Squeezing is quoted as a positive number of dB below the SQL.
+        Read off the compensated s_diff on npts points from f_lo to f_hi,
+        unsmoothed, by dsp._squeezing, the rule normalized_spectra applies
+        to a measurement.  Squeezing is quoted in dB below the SQL.
         """
         freqs = np.linspace(f_lo, f_hi, npts)
-        _, _, s_diff = self.normalized_spectra(freqs)
-        imin = int(np.argmin(s_diff))
-        max_db = -float(db(s_diff[imin]))
-        above = np.nonzero(s_diff[imin:] >= 1.0)[0]
-        bw = float(freqs[imin + above[0]]) if above.size else float(f_hi)
-        return max_db, bw
+        return _squeezing(freqs, self.normalized_spectra(freqs)[2])
 
     def channel_variances(self, f_max, npts: int = 20001) -> tuple[float, float]:
         """AC variance of one split-detector channel per beam up to f_max.

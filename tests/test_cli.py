@@ -20,7 +20,7 @@ from csilab import cli, errors, estimators
 from csilab._atomic import atomic_write
 from csilab.cli import _write_csv, _write_text, main
 from csilab.scenarios import preset, preset_names
-from csilab.synth import AcquisitionConfig, synthesize_stream
+from csilab.synth import AcquisitionConfig, synthesize, synthesize_stream
 from csilab.tracefile import HEADER_SIZE, write_stream
 from slow_reference import coherent_traces
 
@@ -246,6 +246,36 @@ def test_one_set_container_exits_2_and_writes_nothing(tmp_path, capsys, command)
     assert run(command, str(trace), *extra, "--out", str(tmp_path / "out")) == 2
     assert "only 1 of 1 sets carry a positive cross-correlation" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["one.cstf"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_dead_detector_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    """A container whose c1 codes are all 0, its DC mean still recorded,
+    once read as a strong violation; it has no V."""
+    sc = preset("G10")
+    ts = synthesize(sc.model, dataclasses.replace(sc.acquisition, num_sets=8, rng_seed=1))
+    codes = ts.codes.copy()
+    codes[2] = 0
+    trace = tmp_path / "dead.cstf"
+    write_stream(dataclasses.replace(ts, codes=codes), trace)
+    extra = ["--cutoffs", "5e6"] if command == "sweep" else []
+    assert run(command, str(trace), *extra, "--out", str(tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert "conjugate split-pair sum is 0" in captured.err
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["dead.cstf"]
+
+
+def test_report_of_a_one_bin_band_exits_2_and_writes_nothing(tmp_path, capsys):
+    """A bandpass that holds one bin of the grid gives the spectral test
+    nothing to integrate; it printed lhs = 0, rhs = 0 before."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[scenario]\npreset = G10\n[analysis]\nf_lo_mhz = 0.95\nf_hi_mhz = 1.05\n")
+    out = tmp_path / "out"
+    assert run("report", "--config", str(cfg), "--sets", "8", "--seed", "1",
+               "--cutoffs", "1.05e6", "--out", str(out)) == 2
+    assert "holds one frequency bin" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.ini"]
 
 
 def test_analyze_truncated_file(tmp_path, g10_file, capsys):

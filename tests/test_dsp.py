@@ -1,17 +1,25 @@
-"""Tests for PSD estimation, the bandpass filter and delay handling.
+"""Tests for PSD estimation, the bandpass filter, delay handling and the
+squeezing readout.
 
 The bandpass is checked through ``FilterSpec.magnitude``, the gain
 ``Spectra`` applies on the rfft grid, and the delay through
 ``Spectra(ts).delay`` on pairs packed into a 16-bit TraceSet.
 """
 
+import ast
+import inspect
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from csilab.dsp import FilterSpec, psd_estimate
+from csilab import dsp, estimators
+from csilab.dsp import FilterSpec, _squeezing, psd_estimate
 from csilab.estimators import Spectra, _delay_ramp, filtered_violation
 from csilab.errors import ConfigError, SpecError
 from csilab.synth import AcquisitionConfig, TraceSet, quantize
+from csilab.theory import CsdModel
 from slow_reference import coherent_traces
 
 RATE = 1e9
@@ -226,3 +234,56 @@ class TestDelay:
         cov = np.fft.irfft(aligned / sp.sets, n=sp.n)
         lags = np.arange(-50, 51)
         assert lags[int(np.argmax(cov[lags % sp.n]))] == 0
+
+
+class TestSqueezingReadout:
+    F = np.linspace(1e6, 10e6, 10)
+
+    @pytest.mark.parametrize("s_diff, depth, bandwidth", [
+        ([2.0, 0.5, 0.5, 0.75, 1.25, 2.0, 0.5, 0.5, 0.5, 2.0], 3.0103, 4.5e6),
+        ([2.0, 1.5, 1.0, 1.25, 40, 40, 40, 40, 40, 40], 0.0, 0.0),
+        ([40.0] * 10, -16.0206, 0.0),
+        ([2.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5], 3.0103, 10e6),
+    ], ids=["first_up_crossing", "touches_the_sql", "no_squeezing", "never_crosses_back"])
+    def test_depth_and_bandwidth_rules(self, s_diff, depth, bandwidth):
+        """The depth is read at the minimum; the bandwidth is the first
+        up-crossing of 1 past it, interpolated between bins, 0 when the
+        minimum is not below 1 and the top of the grid when nothing crosses
+        back."""
+        got = _squeezing(self.F, np.array(s_diff))
+        assert got == pytest.approx((depth, bandwidth), abs=1e-4)
+
+    def test_smoothing_averages_width_bins_shrinking_at_the_edges(self):
+        """A one-bin dip of 0.1 in a flat 1.3 is a 10 dB minimum raw, and
+        the mean of three bins, 0.9, smoothed over three; a flat 0.5 stays
+        0.5 up to both ends of the grid."""
+        s = np.full(10, 1.3)
+        s[5] = 0.1
+        assert _squeezing(self.F, s)[0] == pytest.approx(10.0)
+        assert _squeezing(self.F, s, 3)[0] == pytest.approx(-10.0 * np.log10(0.9))
+        assert _squeezing(self.F, np.full(10, 0.5), 5) == (pytest.approx(3.0103, abs=1e-4), 10e6)
+
+
+def test_one_squeezing_readout():
+    """A measured and a predicted spectrum are read by one rule: in all of
+    csilab the estimators' _smooth is gone, np.argmin appears only in
+    dsp._squeezing, and normalized_spectra and
+    CsdModel.predicted_squeezing both call it."""
+    src = Path(dsp.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert not [
+        module for module, tree in trees.items() for node in ast.walk(tree)
+        if getattr(node, "name", getattr(node, "id", getattr(node, "attr", None))) == "_smooth"
+    ]
+    argmins = [
+        (module, node.lineno) for module, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "argmin"
+    ]
+    lines, first = inspect.getsourcelines(dsp._squeezing)
+    assert [module for module, _ in argmins] == ["dsp"]
+    assert first <= argmins[0][1] < first + len(lines)
+    for caller in (estimators.normalized_spectra, CsdModel.predicted_squeezing):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(caller)))
+        calls = [node.func.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        assert "_squeezing" in calls, caller.__qualname__

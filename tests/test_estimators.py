@@ -291,6 +291,20 @@ class TestViolationFactor:
         rep = g2_curves(flipped)
         assert rep.g2_ab[np.argmin(np.abs(rep.tau_grid))] < 1.0
 
+    @pytest.mark.parametrize("channel, beam", [(0, "probe"), (2, "conjugate")],
+                             ids=["p1", "c1"])
+    def test_dead_detector_is_degenerate(self, ts_g10, channel, beam):
+        """A detector whose codes are all 0, its DC mean still recorded,
+        zeroes its beam's split-pair sum in every set, which would read as
+        a violation (dead c1) or a strong non-violation (dead p1)."""
+        ts = subset(ts_g10, 16)
+        codes = ts.codes.copy()
+        codes[channel] = 0
+        sp = Spectra(dataclasses.replace(ts, codes=codes), [BAND_12, None])
+        for spec in (BAND_12, None):
+            with pytest.raises(DegenerateSet, match=f"every set's {beam} split-pair sum is 0"):
+                filtered_violation(sp, spec)
+
     def test_g2_curves_single_set_is_degenerate(self, ts_g10):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -490,6 +504,17 @@ class TestCsiFrequencyTest:
         with pytest.raises(BandError, match="no frequency bin"):
             csi_frequency_test(normalized_spectra(sp), sp, (5e6, 5e5))
 
+    def test_one_bin_band_raises(self, sp_g10):
+        """Both integrals over a single 100 kHz bin are 0, no verdict."""
+        with pytest.raises(BandError, match="holds one frequency bin"):
+            csi_frequency_test(normalized_spectra(sp_g10), sp_g10, (0.95e6, 1.05e6))
+
+    def test_band_holding_the_dc_bin_raises(self, sp_g10):
+        """The DC bin has no shot-noise reference, so its normalized
+        spectra are NaN, which would read as a violation."""
+        with pytest.raises(BandError, match="no shot-noise reference"):
+            csi_frequency_test(normalized_spectra(sp_g10), sp_g10, (0.0, 5e6))
+
 
 class TestCutoffSweep:
     def test_violation_restored_below_excess_onset(self, sp_g10):
@@ -546,6 +571,22 @@ class TestSharedSpectra:
         assert len(calls) == 1
         assert sp.delay == pytest.approx(8e-9, abs=1e-9)
         assert not sp.delay_fallback
+
+    def test_flat_cross_covariance_falls_back(self):
+        """With both conjugate detectors dead the cross-covariance is 0 at
+        every lag: no peak, so no delay, rather than the first searched
+        lag."""
+        ts = synthesize(g10_model(), AcquisitionConfig(num_sets=4, samples_per_set=1000,
+                                                       rng_seed=5))
+        codes = ts.codes.copy()
+        codes[2:] = 0
+        sp = Spectra(dataclasses.replace(ts, codes=codes))
+        assert (sp.delay, sp.delay_fallback) == (0.0, True)
+
+    def test_clean_spike_on_a_zero_background_is_a_peak(self):
+        lags = np.arange(-100, 101)
+        cov = np.where(lags == 8, 1.0, 0.0)
+        assert estimators._delay_from_covariance(lags, cov, 1e9) == pytest.approx(8e-9)
 
     def test_fallback_carried_by_spectra(self, sp_coherent):
         assert (sp_coherent.delay, sp_coherent.delay_fallback) == (0.0, True)

@@ -255,6 +255,28 @@ class TestSpectralModel:
         assert bw_l < bw_n
         assert np.isclose(db_q, db_n, atol=0.1)  # line-center dB survives
 
+    def test_no_squeezing_has_no_bandwidth(self):
+        """A difference spectrum 40 times the SQL everywhere in the band
+        has a negative depth and bandwidth 0, as a measured one would; the
+        frequency of its minimum is no bandwidth."""
+        loud = self.model(excess=ExcessNoiseSpec(conj_level=40.0, probe_level=40.0,
+                                                 onset_hz=1e3, order=1))
+        depth, bandwidth = loud.predicted_squeezing(0.5e6, 20e6)
+        assert depth == pytest.approx(-16.03, abs=0.01)
+        assert bandwidth == 0.0
+
+    def test_crossing_is_interpolated_between_grid_points(self):
+        """The bandwidth lies between the two grid points that straddle the
+        first up-crossing of the SQL, where the straight line through them
+        crosses one."""
+        m = self.model(eta=0.8, excess=ExcessNoiseSpec(conj_level=4.0, onset_hz=5e6, order=2))
+        _, bandwidth = m.predicted_squeezing(0.1e6, 40e6, npts=401)
+        f = np.linspace(0.1e6, 40e6, 401)
+        s_diff = m.normalized_spectra(f)[2]
+        j = int(np.argmin(s_diff)) + int(np.nonzero(s_diff[np.argmin(s_diff):] >= 1.0)[0][0])
+        assert f[j - 1] < bandwidth < f[j]
+        assert np.interp(bandwidth, f[j - 1 : j + 1], s_diff[j - 1 : j + 1]) == pytest.approx(1.0)
+
     def test_model_validation(self):
         p = SqueezeParams.from_gain(10.0, alpha=100.0)
         with pytest.raises(DomainError):
