@@ -117,15 +117,20 @@ def _bandpass_gain(spec: FilterSpec, n: int, rate: float) -> np.ndarray:
 def _squeezing(f: np.ndarray, s_diff: np.ndarray, width: int = 1) -> tuple[float, float]:
     """(depth in dB below the SQL, bandwidth) of the SQL-normalized
     difference spectrum s_diff on the grid f, box-smoothed over ``width``
-    bins so single-bin noise does not fake a deeper minimum.  The depth is
-    -10 log10 of the minimum (inf if not positive); the bandwidth is the
-    first up-crossing of 1 past it, interpolated (a "last point below 1"
-    would drift along noise dips), 0 if the minimum is not below 1 and
-    f[-1] if nothing crosses back."""
+    bins so single-bin noise does not fake a deeper minimum: each bin is
+    the mean of the bins of the grid within its window, so on a grid of
+    fewer than ``width`` bins it still stands at its own frequency.  The
+    depth is -10 log10 of the minimum (inf if not positive); the bandwidth
+    is the first up-crossing of 1 past it, interpolated (a "last point
+    below 1" would drift along noise dips), 0 if the minimum is not below
+    1 and f[-1] if nothing crosses back."""
     s = s_diff
     if width > 1:
-        kernel = np.ones(width)
-        s = np.convolve(s, kernel, mode="same") / np.convolve(np.ones_like(s), kernel, mode="same")
+        # the full convolution, centred: mode="same" swaps in the kernel
+        # when it is the longer, and returns width bins for a shorter grid
+        kernel, c = np.ones(width), (width - 1) // 2
+        s = (np.convolve(s, kernel)[c : c + s.size]
+             / np.convolve(np.ones_like(s), kernel)[c : c + s.size])
     imin = int(np.argmin(s))
     depth = -float(10.0 * np.log10(s[imin])) if s[imin] > 0 else np.inf
     if s[imin] >= 1.0:

@@ -1,10 +1,10 @@
 """Estimators for the measured twin-beam quantities.
 
-Input is a Spectra: the sums of one or two passes over a trace source,
-a TraceSet or a TraceStream of four quantized AC channels (p1, p2, c1,
-c2) plus recorded DC means.  The split-detection layout makes the shot-noise
-self-term drop out of every correlation: products are always taken
-between different detectors, never of a channel with itself.
+Input is a Spectra: the sums of one or two passes over a TraceStream
+of four quantized AC channels (p1, p2, c1, c2) plus recorded DC means.
+The split-detection layout makes the shot-noise self-term drop out of
+every correlation: products are always taken between different
+detectors, never of a channel with itself.
 
 The violation factor V = (eps_aa + eps_bb) / (2 eps_ab) < 1 flags a
 nonclassical pair; it is computed per set for statistics and pooled over
@@ -23,7 +23,7 @@ import numpy.fft  # noqa: F401  (numpy loads it lazily; load it at import)
 
 from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_sum, _squeezing
 from .errors import BandError, ConfigError, DcMissing, DegenerateSet, NoPeak
-from .synth import TraceSet, TraceStream, _runner, _thread_count, _Turns
+from .synth import TraceStream, _runner, _thread_count, _Turns
 
 _CHUNK = 4  # sets per unit: transformed and correlated at a time, by one thread
 # units in flight at most, one per thread, each with one unit's scratch
@@ -97,14 +97,14 @@ class Spectra:
     any set: eps_aa and eps_bb come with the first pass, eps_ab, which
     needs the delay, from a second pass over the source that transforms
     only P and C, each summed from its halves in the time domain.  Every
-    source can be read again, a TraceSet or any TraceStream, and each
-    pass is one reading of it: a synthesis stream synthesizes its sets
-    again, a container's stream reads its file again, which must still be
-    open.  A reading that yields fewer sets raises ConfigError.  V for a
-    filter not declared raises ConfigError naming it.  Without
-    ``filters`` the build is one pass and keeps its source: V for any
-    filter is then looked up in a Spectra built for those filters over
-    that source, both passes again.
+    TraceStream can be read again, and each pass is one reading of it: a
+    synthesis stream synthesizes its sets again, a container's stream
+    reads its file again, which must still be open, and a TraceSet
+    yields views of its codes again.  A reading that yields fewer sets
+    raises ConfigError.  V for a filter not declared raises ConfigError
+    naming it.  Without ``filters`` the build is one pass and keeps its
+    source: V for any filter is then looked up in a Spectra built for
+    those filters over that source, both passes again.
 
     Every estimator below is built from these sums: a bandpass is a real
     |H| factor, delay compensation a phase ramp, every eps of V a
@@ -122,7 +122,7 @@ class Spectra:
     below the Nyquist frequency.
     """
 
-    def __init__(self, traces: TraceSet | TraceStream,
+    def __init__(self, traces: TraceStream,
                  filters: list[FilterSpec | None] | None = None):
         acq = traces.acquisition
         dc = np.asarray(traces.dc_means, dtype=float)
@@ -285,6 +285,15 @@ class Spectra:
                 )
         return [self._eps[:, self.filters.index(spec)] for spec in specs]
 
+    def _require_live_detectors(self) -> None:
+        """DegenerateSet when a beam's split-pair row conj(P1) P2 or
+        conj(C1) C2 is 0 in every set, as a dead detector makes it: its
+        lag sums of d² are then 0 at every lag, and so is its eps under
+        every filter.  V, the spectra and the g2 curves all refuse it."""
+        for beam, r in (("probe", 1), ("conjugate", 2)):
+            if not self._lag_sums[1, r].any():
+                raise DegenerateSet(f"every set's {beam} split-pair sum is 0: a detector is dead")
+
     def _violation_stats(self, specs) -> list[dict]:
         """V statistics under each FilterSpec of ``specs``, None for no filter.
 
@@ -292,17 +301,14 @@ class Spectra:
         filter reaches: eps_aa and eps_bb of the split-pair rows, eps_ab of
         Re(conj(P) C ramp), the lag-0 covariance of the filtered beams
         once the conjugate is advanced by the delay.  Raises ConfigError
-        for a filter the Spectra was not built for, and DegenerateSet when
-        fewer than 2 sets carry a positive cross-correlation under some
-        filter, or when eps_aa or eps_bb is 0 in every set, as a dead
-        detector makes its beam's split-pair sum.
+        for a filter the Spectra was not built for, and DegenerateSet for
+        a dead detector (_require_live_detectors) or when fewer than 2
+        sets carry a positive cross-correlation under some filter.
         """
+        self._require_live_detectors()
         dc_p1, dc_p2, dc_c1, dc_c2 = self.dc
         out = []
         for eps in self._eps_of(specs):
-            if not (eps[0].any() and eps[1].any()):
-                beam = "conjugate" if eps[0].any() else "probe"
-                raise DegenerateSet(f"every set's {beam} split-pair sum is 0: a detector is dead")
             aa = eps[0] / (dc_p1 * dc_p2)
             bb = eps[1] / (dc_c1 * dc_c2)
             ab = eps[2] / ((dc_p1 + dc_p2) * (dc_c1 + dc_c2))
@@ -463,14 +469,16 @@ def g2_curves(sp: Spectra, tau_max: float = 100e-9) -> CorrelationReport:
     raw lag axis; ``delay`` is the ensemble delay of the Spectra.  The
     unfiltered V statistics of the same ensemble are
     ``filtered_violation(sp, None)``.  Fewer than two sets raise
-    DegenerateSet, since a standard error needs a spread.  The window
-    spans max(4, round(tau_max * rate)) lags each side of zero; past
-    (n - 1) // 2 a lag wraps round the set onto a negative one, so a
-    longer window raises ConfigError, as does a tau_max that is not
+    DegenerateSet, since a standard error needs a spread, and so does a
+    dead detector, whose beam's auto curve would read exactly 1.  The
+    window spans max(4, round(tau_max * rate)) lags each side of zero;
+    past (n - 1) // 2 a lag wraps round the set onto a negative one, so
+    a longer window raises ConfigError, as does a tau_max that is not
     finite and > 0.
     """
     if not 0.0 < tau_max < math.inf:
         raise ConfigError(f"tau_max must be finite and > 0, got {tau_max}")
+    sp._require_live_detectors()
     sets = sp.sets
     if sets < 2:
         raise DegenerateSet(f"g2 standard errors need at least 2 sets, got {sets}")
@@ -515,11 +523,15 @@ def normalized_spectra(
     read off s_diff in ``band`` by dsp._squeezing, the rule
     CsdModel.predicted_squeezing applies to the model, smoothed over
     ``smooth_hz`` (no smoothing below one bin), with a bin that has no
-    SQL read as the SQL; the reported arrays stay raw.  A smooth_hz that
-    is not finite and >= 0 raises ConfigError.
+    SQL read as the SQL; the reported arrays stay raw.  A band narrower
+    than the window smooths each bin over the band's bins in reach.  A
+    smooth_hz that is not finite and >= 0 raises ConfigError, and a dead
+    detector, whose beam's split-pair difference is no SQL, raises
+    DegenerateSet.
     """
     if not 0.0 <= smooth_hz < math.inf:
         raise ConfigError(f"smooth_hz must be finite and >= 0, got {smooth_hz}")
+    sp._require_live_detectors()
     rate = sp.rate
     # a split pair's difference carries its beam's shot noise; the SQL of
     # the intensity difference is the sum of the two

@@ -19,7 +19,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads these lazily; load them at import)
@@ -185,56 +185,8 @@ class AcquisitionConfig:
 
 
 @dataclass
-class TraceSet:
-    """Quantized AC traces of the four detector channels plus DC readings.
-
-    ``codes`` is int16 with shape (4, num_sets, samples_per_set), channel
-    order p1, p2, c1, c2; it may be a transposed view of set-major storage.
-    ``dc_means`` are the bias-T DC photocurrents in
-    the same units as full_scale.  ``charge_scale`` (current per photon
-    flux) is kept for in-memory use by the loss hook; it does not survive
-    file round-trips.  Iterating a TraceSet yields the set-major blocks a
-    TraceStream yields, views of BLOCK_SETS sets each, so either one can
-    be written to a container or transformed into a Spectra.
-    """
-
-    codes: np.ndarray
-    dc_means: np.ndarray
-    acquisition: AcquisitionConfig
-    provenance: str = "external"
-    charge_scale: float | None = None
-
-    def __post_init__(self):
-        if self.codes.shape[0] != 4 or self.codes.ndim != 3:
-            raise ConfigError(f"codes must be (4, sets, samples), got {self.codes.shape}")
-        if self.codes.dtype != np.int16:
-            raise ConfigError(f"codes must be int16, got {self.codes.dtype}")
-        acq = self.acquisition
-        if self.codes.shape[1:] != (acq.num_sets, acq.samples_per_set):
-            raise ConfigError(
-                f"codes hold {self.codes.shape[1]} sets of {self.codes.shape[2]} samples, "
-                f"the acquisition {acq.num_sets} of {acq.samples_per_set}"
-            )
-        if np.shape(self.dc_means) != (4,):
-            raise ConfigError(
-                f"dc_means must hold one value per channel, got shape {np.shape(self.dc_means)}"
-            )
-        # non-positive DC readings are representable (dead channel in an
-        # external file); analysis raises DcMissing when it needs them
-
-    def ac(self, name: str) -> np.ndarray:
-        """Dequantized AC traces (num_sets, samples) of one channel."""
-        return self.codes[CHANNEL_NAMES.index(name)] * self.acquisition.step
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        by_set = self.codes.transpose(1, 0, 2)
-        for lo in range(0, len(by_set), BLOCK_SETS):
-            yield by_set[lo : lo + BLOCK_SETS]
-
-
-@dataclass
 class TraceStream:
-    """Trace sets as set-major blocks, with the header a TraceSet carries.
+    """Trace sets as set-major blocks: the one trace source type.
 
     ``blocks`` is a callable of no arguments that starts a new reading:
     each call returns an iterable of int16 arrays of shape (k, 4,
@@ -244,7 +196,9 @@ class TraceStream:
     readings may overlap.  A reading may reuse one buffer of its own for
     all its blocks, so a block is valid only until the next one of its
     reading is drawn.  Every reading checks that its blocks hold num_sets
-    sets.
+    sets.  ``dc_means`` are the bias-T DC photocurrents in the units of
+    full_scale; ``charge_scale`` (current per photon flux) serves the
+    loss hook in memory and does not survive file round-trips.
     """
 
     acquisition: AcquisitionConfig
@@ -267,6 +221,45 @@ class TraceStream:
             yield block
         if done != acq.num_sets:
             raise ConfigError(f"stream ended after {done} of {acq.num_sets} sets")
+
+
+@dataclass(kw_only=True)
+class TraceSet(TraceStream):
+    """The TraceStream of quantized AC codes held in memory.
+
+    ``codes`` is int16 with shape (4, num_sets, samples_per_set), channel
+    order p1, p2, c1, c2; it may be a transposed view of set-major storage.
+    The blocks are set-major views, BLOCK_SETS sets each, of the codes the
+    TraceSet was built with; dataclasses.replace makes one of new codes.
+    """
+
+    codes: np.ndarray
+    blocks: Callable[[], Iterable[np.ndarray]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.codes.shape[0] != 4 or self.codes.ndim != 3:
+            raise ConfigError(f"codes must be (4, sets, samples), got {self.codes.shape}")
+        if self.codes.dtype != np.int16:
+            raise ConfigError(f"codes must be int16, got {self.codes.dtype}")
+        acq = self.acquisition
+        if self.codes.shape[1:] != (acq.num_sets, acq.samples_per_set):
+            raise ConfigError(
+                f"codes hold {self.codes.shape[1]} sets of {self.codes.shape[2]} samples, "
+                f"the acquisition {acq.num_sets} of {acq.samples_per_set}"
+            )
+        if np.shape(self.dc_means) != (4,):
+            raise ConfigError(
+                f"dc_means must hold one value per channel, got shape {np.shape(self.dc_means)}"
+            )
+        # non-positive DC readings are representable (dead channel in an
+        # external file); analysis raises DcMissing when it needs them
+        by_set = self.codes.transpose(1, 0, 2)
+        self.blocks = lambda: (by_set[lo : lo + BLOCK_SETS]
+                               for lo in range(0, len(by_set), BLOCK_SETS))
+
+    def ac(self, name: str) -> np.ndarray:
+        """Dequantized AC traces (num_sets, samples) of one channel."""
+        return self.codes[CHANNEL_NAMES.index(name)] * self.acquisition.step
 
 
 def quantize(trace, adc_bits: int, full_scale: float) -> np.ndarray:

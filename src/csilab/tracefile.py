@@ -16,8 +16,8 @@ Layout (little endian throughout):
     78      4     CRC32 of bytes 0..78
     82      ...   int16 codes, C order (set, channel, sample)
 
-The payload is a run of set-major blocks, so the blocks of a TraceSet
-or a TraceStream go to disk as they are and come back with one
+The payload is a run of set-major blocks, so the blocks of a
+TraceStream go to disk as they are and come back with one
 ``readinto`` each; read_tracefile reads the whole payload with one.
 Files are written to a temporary sibling and moved into place so a
 crashed writer never leaves a half-written file under the final name.
@@ -46,9 +46,9 @@ _CRC = struct.Struct("<I")
 HEADER_SIZE = _HEADER.size + _CRC.size
 
 
-def write_stream(traces: TraceSet | TraceStream, path) -> None:
-    """Write the blocks of a TraceSet or a TraceStream to path as they
-    arrive, atomically against concurrent readers of path.
+def write_stream(traces: TraceStream, path) -> None:
+    """Write the blocks of a TraceStream, a TraceSet among them, to path
+    as they arrive, atomically against concurrent readers of path.
 
     An exception from the stream, or a stream that does not hold the sets
     its header promises, leaves path as it was and no temporary behind.
@@ -57,7 +57,7 @@ def write_stream(traces: TraceSet | TraceStream, path) -> None:
         _write(traces, fh)
 
 
-def _write(traces: TraceSet | TraceStream, fh) -> None:
+def _write(traces: TraceStream, fh) -> None:
     """Write the container of traces to the open binary file fh, block by
     block, and flush it to disk."""
     acq = traces.acquisition

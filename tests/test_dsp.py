@@ -263,6 +263,25 @@ class TestSqueezingReadout:
         assert _squeezing(self.F, s, 3)[0] == pytest.approx(-10.0 * np.log10(0.9))
         assert _squeezing(self.F, np.full(10, 0.5), 5) == (pytest.approx(3.0103, abs=1e-4), 10e6)
 
+    def test_band_narrower_than_the_window_averages_every_bin(self):
+        """Five bins smoothed over 15: each bin's window holds the whole
+        band, so each reads its mean, 0.94, at its own frequency; nothing
+        crosses back, so the bandwidth is the top of the grid."""
+        f = np.linspace(0.6e6, 1e6, 5)
+        got = _squeezing(f, np.array([0.7, 0.8, 0.9, 1.1, 1.2]), 15)
+        assert got == (pytest.approx(-10.0 * np.log10(0.94)), 1e6)
+        assert got[0] == pytest.approx(0.2687, abs=1e-4)
+
+    def test_smoothing_window_is_centred_on_each_bin(self):
+        """Each bin is the mean of the bins of the grid from width // 2
+        below it to (width - 1) // 2 above it."""
+        s = np.random.default_rng(3).uniform(0.3, 1.5, 300)
+        for width in (2, 15, 300, 400):
+            lo, hi = width // 2, (width - 1) // 2
+            smooth = np.array([s[max(0, i - lo) : i + hi + 1].mean() for i in range(s.size)])
+            f = np.linspace(1e6, 30e6, s.size)
+            assert _squeezing(f, s, width)[0] == pytest.approx(-10.0 * np.log10(smooth.min()))
+
 
 def test_one_squeezing_readout():
     """A measured and a predicted spectrum are read by one rule: in all of

@@ -305,6 +305,22 @@ class TestViolationFactor:
             with pytest.raises(DegenerateSet, match=f"every set's {beam} split-pair sum is 0"):
                 filtered_violation(sp, spec)
 
+    @pytest.mark.parametrize("estimator", [normalized_spectra, g2_curves],
+                             ids=["normalized_spectra", "g2_curves"])
+    @pytest.mark.parametrize("channel, beam", [(0, "probe"), (2, "conjugate")],
+                             ids=["p1", "c1"])
+    def test_dead_detector_has_no_spectra_or_curves(self, ts_g10, estimator, channel, beam):
+        """The spectra and the g2 curves refuse a dead detector as V does:
+        its split pair's difference would stand in for the beam's SQL
+        (a dead c1 reads as squeezing) and its auto curve would be
+        exactly 1.  The Spectra itself still builds."""
+        ts = subset(ts_g10, 16)
+        codes = ts.codes.copy()
+        codes[channel] = 0
+        sp = Spectra(dataclasses.replace(ts, codes=codes), [None])
+        with pytest.raises(DegenerateSet, match=f"every set's {beam} split-pair sum is 0"):
+            estimator(sp)
+
     def test_g2_curves_single_set_is_degenerate(self, ts_g10):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

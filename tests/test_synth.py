@@ -358,6 +358,30 @@ def test_one_function_constructs_a_thread_pool():
     assert first <= pools[0][1] < first + len(lines)
 
 
+def test_one_trace_source_type():
+    """Synthesis, a container and codes in memory are read through one
+    type: a TraceSet is a TraceStream, TraceStream is the one class in
+    all of csilab that defines __iter__, and no annotation names both."""
+    assert issubclass(TraceSet, synth.TraceStream)
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(synth.__file__).parent.glob("*.py"))}
+    iterables = [
+        (module, node.name) for module, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(item, "name", None) == "__iter__" for item in node.body)
+    ]
+    assert iterables == [("synth", "TraceStream")]
+    annotations = [
+        (module, ast.unparse(note)) for module, tree in trees.items()
+        for node in ast.walk(tree)
+        for note in ([node.annotation] if isinstance(node, (ast.arg, ast.AnnAssign))
+                     else [node.returns] if isinstance(node, ast.FunctionDef) else [])
+        if note is not None
+        and {"TraceSet", "TraceStream"} <= {n.id for n in ast.walk(note) if isinstance(n, ast.Name)}
+    ]
+    assert annotations == []
+
+
 class TestQuantizer:
     def test_zero_maps_to_zero_code(self):
         assert quantize(np.zeros(4), 9, 1.0).tolist() == [0, 0, 0, 0]
