@@ -9,6 +9,7 @@ and at the smallest cutoff the ordering follows 1 - 1/(2G).
 Usage: python demos/violation_vs_cutoff.py [outdir]
 """
 
+import dataclasses
 import os
 import sys
 
@@ -18,7 +19,6 @@ from csilab import (
     Spectra,
     cutoff_sweep,
     preset,
-    sweep_filters,
     synthesize,
     violation_factor_ideal,
 )
@@ -32,10 +32,10 @@ def main(outdir="demo_out"):
     table = {}
     for name in PRESETS:
         sc = preset(name)
-        cutoffs = [f * 1e6 for f in CUTOFFS_MHZ]
-        f_lo, order = sc.analysis.bandpass.f_lo, sc.analysis.bandpass.order
-        sp = Spectra(synthesize(sc.model, sc.acquisition), sweep_filters(cutoffs, f_lo, order))
-        rows = cutoff_sweep(sp, cutoffs, f_lo=f_lo, order=order)
+        # the scenario's bandpass at each cutoff
+        specs = [dataclasses.replace(sc.analysis.bandpass, f_hi=f * 1e6) for f in CUTOFFS_MHZ]
+        sp = Spectra(synthesize(sc.model, sc.acquisition), specs)
+        rows = cutoff_sweep(sp, specs)
         table[name] = rows
         path = os.path.join(outdir, f"vsweep_{name.lower()}.csv")
         np.savetxt(

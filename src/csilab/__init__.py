@@ -32,7 +32,6 @@ from .estimators import (
     filtered_violation,
     g2_curves,
     normalized_spectra,
-    sweep_filters,
 )
 from .fock import FockMoments, fock_oracle_moments
 from .scenarios import AnalysisSettings, Scenario, load_scenario, preset, preset_names
@@ -97,7 +96,6 @@ __all__ = [
     "psd_estimate",
     "read_tracefile",
     "squeezing_ideal",
-    "sweep_filters",
     "synthesize",
     "violation_factor_ideal",
     "write_stream",

@@ -30,7 +30,6 @@ from .estimators import (
     filtered_violation,
     g2_curves,
     normalized_spectra,
-    sweep_filters,
 )
 from .fock import fock_oracle_moments
 from .scenarios import Scenario, load_scenario, preset, preset_names
@@ -174,38 +173,29 @@ def _write_outputs(outdir, outputs: dict) -> None:
         (_write_text if isinstance(body, str) else _write_csv)(os.path.join(outdir, name), body)
 
 
-def _read(args, filters):
-    """(scenario, Spectra) of the container args.trace, built block by block
-    for the FilterSpecs ``filters(scenario)``."""
+def cmd_analyze(args) -> int:
     with open_stream(args.trace) as stream:
         sc = _resolve_scenario(args.config)
-        return sc, Spectra(stream, filters(sc))
-
-
-def cmd_analyze(args) -> int:
-    sc, sp = _read(args, lambda sc: [sc.analysis.bandpass])
+        sp = Spectra(stream, [sc.analysis.bandpass])
     outputs = _analyze(sc, sp)
     _write_outputs(args.out, outputs)
     print(outputs["summary.txt"], end="")
     return 0
 
 
-def _sweep_filters(sc: Scenario, cutoffs) -> list:
-    """The bandpass of each cutoff, with the scenario's f_lo and order."""
-    return sweep_filters(cutoffs, sc.analysis.bandpass.f_lo, sc.analysis.bandpass.order)
-
-
-def _sweep(sc: Scenario, sp: Spectra, cutoffs) -> dict:
-    """The columns of vsweep.csv: cutoff_sweep over the scenario's filter."""
-    a = sc.analysis
-    rows = cutoff_sweep(sp, cutoffs, f_lo=a.bandpass.f_lo, order=a.bandpass.order)
+def _sweep(sp: Spectra, specs) -> dict:
+    """The columns of vsweep.csv: cutoff_sweep over the sweep's filters."""
+    rows = cutoff_sweep(sp, specs)
     return {"f_hi_hz": rows[:, 0], "v_mean": rows[:, 1], "v_sigma": rows[:, 2]}
 
 
 def cmd_sweep(args) -> int:
     cutoffs = _parse_cutoffs(args.cutoffs)
-    sc, sp = _read(args, lambda sc: _sweep_filters(sc, cutoffs))
-    columns = _sweep(sc, sp, cutoffs)
+    with open_stream(args.trace) as stream:
+        bandpass = _resolve_scenario(args.config).analysis.bandpass
+        specs = [dataclasses.replace(bandpass, f_hi=c) for c in cutoffs]
+        sp = Spectra(stream, specs)
+    columns = _sweep(sp, specs)
     _write_outputs(args.out, {"vsweep.csv": columns})
     for f_hi, v, sig in zip(*columns.values()):
         print(f"f_hi {f_hi / 1e6:6.2f} MHz  V = {v:.4f} +/- {sig:.4f}")
@@ -253,7 +243,7 @@ def cmd_report(args) -> int:
     sc, stream = _simulate(args)
     if cutoffs is None:
         cutoffs = _default_cutoffs(sc.analysis.bandpass)
-    filters = [sc.analysis.bandpass, *_sweep_filters(sc, cutoffs)]
+    specs = [dataclasses.replace(sc.analysis.bandpass, f_hi=c) for c in cutoffs]
     made, level = [], os.path.abspath(args.out)
     while not os.path.lexists(level):  # the levels this run makes, deepest first
         made.append(level)
@@ -263,9 +253,9 @@ def cmd_report(args) -> int:
         traces = os.path.join(args.out, "traces.cstf")
         with atomic_write(traces, "w+b") as fh:
             _write(stream, fh)
-            sp = Spectra(_stream(fh, traces), filters)
+            sp = Spectra(_stream(fh, traces), [sc.analysis.bandpass, *specs])
             outputs = _analyze(sc, sp)
-            outputs["vsweep.csv"] = _sweep(sc, sp, cutoffs)
+            outputs["vsweep.csv"] = _sweep(sp, specs)
             _write_outputs(args.out, outputs)
     except BaseException:
         for level in made:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,19 +93,19 @@ class Spectra:
     no bit depends on the thread count.
 
     ``filters`` lists the FilterSpecs, and None for the unfiltered V,
-    whose V statistics will be asked for.  For each one and each set the
-    build keeps eps_aa, eps_bb and eps_ab, three floats, and no row of
-    any set: eps_aa and eps_bb come with the first pass, eps_ab, which
-    needs the delay, from a second pass over the source that transforms
-    only P and C, each summed from its halves in the time domain.  Every
-    TraceStream can be read again, and each pass is one reading of it: a
-    synthesis stream synthesizes its sets again, a container's stream
-    reads its file again, which must still be open, and a TraceSet
-    yields views of its codes again.  A reading that yields fewer sets
-    raises ConfigError.  V for a filter not declared raises ConfigError
-    naming it.  Without ``filters`` the build is one pass and keeps its
-    source: V for any filter is then looked up in a Spectra built for
-    those filters over that source, both passes again.
+    whose V statistics will be asked for; V for any other filter raises
+    ConfigError naming it.  For each one and each set the build keeps
+    eps_aa, eps_bb and eps_ab, three floats, and no row of any set:
+    eps_aa and eps_bb come with the first pass, eps_ab, which needs the
+    delay, from a second pass over the source that transforms only P and
+    C, each summed from its halves in the time domain.  Without filters
+    the build is the first pass alone, which gives the delay, the g2
+    curves and the spectra.  Every TraceStream can be read again, and
+    each pass is one reading of it: a synthesis stream synthesizes its
+    sets again, a container's stream reads its file again, which must
+    still be open, and a TraceSet yields views of its codes again.  A
+    reading that yields fewer sets raises ConfigError.  The Spectra
+    keeps no reference to its source.
 
     Every estimator below is built from these sums: a bandpass is a real
     |H| factor, delay compensation a phase ramp, every eps of V a
@@ -122,8 +123,7 @@ class Spectra:
     below the Nyquist frequency.
     """
 
-    def __init__(self, traces: TraceStream,
-                 filters: list[FilterSpec | None] | None = None):
+    def __init__(self, traces: TraceStream, filters: Iterable[FilterSpec | None] = ()):
         acq = traces.acquisition
         dc = np.asarray(traces.dc_means, dtype=float)
         if not np.all(np.isfinite(dc) & (dc > 0.0)):
@@ -142,8 +142,8 @@ class Spectra:
         bins = n // 2 + 1
         # one-sided Parseval weights: mean(x * y) == Re(conj(X) Y) @ weights
         self.weights = _one_sided(n) * (2.0 / (n * n))
-        self.filters = None if filters is None else list(dict.fromkeys(filters))
-        w = self._weights(self.filters or [])
+        self.filters = list(dict.fromkeys(filters))
+        w = self._weights(self.filters)
         self._power_sums = np.zeros((4, bins))  # |P|², |C|², |P1 - P2|², |C1 - C2|²
         self._cross_sum = np.zeros(bins, dtype=complex)  # conj(P) C
         self._lag_sums = np.zeros((2, 3, n))  # d and d² per row and lag
@@ -159,7 +159,6 @@ class Spectra:
             self.delay, self.delay_fallback = self._ensemble_delay(self._cross_sum / sets)
             if self.filters:
                 self._cross_pass(each_unit, step, w, self._eps[2])
-        self._source = traces if self.filters is None else None
 
     def _weights(self, specs) -> list[np.ndarray]:
         """The weights of each spec's eps sums: the Parseval weights times
@@ -271,11 +270,8 @@ class Spectra:
             return 0.0, True
 
     def _eps_of(self, specs) -> list[np.ndarray]:
-        """Each spec's (3, sets) per-set eps_aa, eps_bb and eps_ab sums,
-        looked up in this Spectra or, when it was built without filters,
-        in one built for specs over its source."""
-        if self.filters is None:
-            return Spectra(self._source, specs)._eps_of(specs)
+        """Each spec's (3, sets) per-set eps_aa, eps_bb and eps_ab sums, as
+        the build kept them; ConfigError for a spec not declared."""
         for spec in specs:
             if spec not in self.filters:
                 raise ConfigError(
@@ -468,9 +464,10 @@ def g2_curves(sp: Spectra, tau_max: float = 100e-9) -> CorrelationReport:
     (sets - 1) / sets).  The cross curve is reported against the
     raw lag axis; ``delay`` is the ensemble delay of the Spectra.  The
     unfiltered V statistics of the same ensemble are
-    ``filtered_violation(sp, None)``.  Fewer than two sets raise
-    DegenerateSet, since a standard error needs a spread, and so does a
-    dead detector, whose beam's auto curve would read exactly 1.  The
+    ``filtered_violation(sp, None)`` of a Spectra built with None among
+    its filters.  Fewer than two sets raise DegenerateSet, since a
+    standard error needs a spread, and so does a dead detector, whose
+    beam's auto curve would read exactly 1.  The
     window spans max(4, round(tau_max * rate)) lags each side of zero;
     past (n - 1) // 2 a lag wraps round the set onto a negative one, so
     a longer window raises ConfigError, as does a tau_max that is not
@@ -606,28 +603,19 @@ def csi_frequency_test(report: SpectraReport, sp: Spectra, band: tuple[float, fl
     return float(lhs), float(rhs), bool(lhs >= rhs)
 
 
-def sweep_filters(f_hi_list, f_lo: float = 500e3, order: int = 10) -> list[FilterSpec]:
-    """The bandpass of each cutoff of a sweep; BandError when there is none."""
-    f_hi_list = list(f_hi_list)
-    if not f_hi_list:
-        raise BandError("cutoff list is empty")
-    return [FilterSpec(f_hi=float(f_hi), f_lo=f_lo, order=order) for f_hi in f_hi_list]
+def cutoff_sweep(sp: Spectra, specs) -> np.ndarray:
+    """V statistics under each FilterSpec of a sweep, bandpassing all four
+    channels.
 
-
-def cutoff_sweep(
-    sp: Spectra,
-    f_hi_list,
-    f_lo: float = 500e3,
-    order: int = 10,
-):
-    """V statistics after bandpassing all four channels per cutoff.
-
-    Returns an array of rows (f_hi, v_mean, v_sigma).  The delay is
-    estimated once from the unfiltered ensemble so every cutoff sees the
-    same alignment.  The filters are those of sweep_filters; a Spectra
-    built for other filters raises ConfigError naming the first missing.
+    Returns an array of rows (f_hi, v_mean, v_sigma), one per spec in
+    order.  The delay is estimated once from the unfiltered ensemble so
+    every cutoff sees the same alignment.  ``specs`` are the filters the
+    Spectra was built for; one it was not built for raises ConfigError
+    naming the first missing, and an empty list raises BandError.
     """
-    specs = sweep_filters(f_hi_list, f_lo, order)
+    specs = list(specs)
+    if not specs:
+        raise BandError("cutoff list is empty")
     return np.array([(spec.f_hi, st["v_mean"], st["v_sigma"])
                      for spec, st in zip(specs, sp._violation_stats(specs))])
 

@@ -197,8 +197,9 @@ class TraceStream:
     all its blocks, so a block is valid only until the next one of its
     reading is drawn.  Every reading checks that its blocks hold num_sets
     sets.  ``dc_means`` are the bias-T DC photocurrents in the units of
-    full_scale; ``charge_scale`` (current per photon flux) serves the
-    loss hook in memory and does not survive file round-trips.
+    full_scale, one per channel: any other shape raises ConfigError.
+    ``charge_scale`` (current per photon flux) serves the loss hook in
+    memory and does not survive file round-trips.
     """
 
     acquisition: AcquisitionConfig
@@ -206,6 +207,12 @@ class TraceStream:
     blocks: Callable[[], Iterable[np.ndarray]]
     provenance: str = "external"
     charge_scale: float | None = None
+
+    def __post_init__(self):
+        if np.shape(self.dc_means) != (4,):
+            raise ConfigError(
+                f"dc_means must hold one value per channel, got shape {np.shape(self.dc_means)}"
+            )
 
     def __iter__(self) -> Iterator[np.ndarray]:
         acq = self.acquisition
@@ -247,10 +254,7 @@ class TraceSet(TraceStream):
                 f"codes hold {self.codes.shape[1]} sets of {self.codes.shape[2]} samples, "
                 f"the acquisition {acq.num_sets} of {acq.samples_per_set}"
             )
-        if np.shape(self.dc_means) != (4,):
-            raise ConfigError(
-                f"dc_means must hold one value per channel, got shape {np.shape(self.dc_means)}"
-            )
+        super().__post_init__()
         # non-positive DC readings are representable (dead channel in an
         # external file); analysis raises DcMissing when it needs them
         by_set = self.codes.transpose(1, 0, 2)

@@ -10,6 +10,7 @@ preset and shared module-wide; the full gate runs in about a minute on
 one core.
 """
 
+import dataclasses
 import math
 import time
 from functools import lru_cache
@@ -34,6 +35,9 @@ from csilab.tracefile import read_tracefile, write_stream
 
 _TS = {}
 _TIMINGS = {}
+# the cutoffs, in MHz, of each preset's sweep in test_07
+SWEEP_MHZ = {"G2": range(1, 16), "G5": (1, 3, 6, 9, 12, 15),
+             "G8": (1, 3, 6, 9, 12, 15), "G10": (1, 3, 6, 9, 12, 15)}
 
 
 def trace_set(name):
@@ -45,10 +49,17 @@ def trace_set(name):
     return _TS[name]
 
 
+def sweep_specs(name):
+    """The bandpass of each cutoff of a preset's sweep."""
+    bandpass = preset(name).analysis.bandpass
+    return [dataclasses.replace(bandpass, f_hi=f * 1e6) for f in SWEEP_MHZ.get(name, ())]
+
+
 @lru_cache(maxsize=None)
 def analysis(name):
-    """The one Spectra of a preset's trace set that every estimator reads."""
-    return Spectra(trace_set(name))
+    """The one Spectra of a preset's trace set that every estimator reads,
+    built for its bandpass and its sweep."""
+    return Spectra(trace_set(name), [preset(name).analysis.bandpass, *sweep_specs(name)])
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -72,14 +83,8 @@ def spectra(name):
 
 
 @lru_cache(maxsize=None)
-def sweep_rows(name, cutoffs):
-    sc = preset(name)
-    return cutoff_sweep(
-        analysis(name),
-        [f * 1e6 for f in cutoffs],
-        f_lo=sc.analysis.bandpass.f_lo,
-        order=sc.analysis.bandpass.order,
-    )
+def sweep_rows(name):
+    return cutoff_sweep(analysis(name), sweep_specs(name))
 
 
 def _verdict(capsys, idx, label, ok, details):
@@ -215,7 +220,7 @@ def test_06_squeezing_without_violation(capsys):
 
 
 def test_07_cutoff_sweep(capsys):
-    rows = sweep_rows("G2", tuple(range(1, 16)))
+    rows = sweep_rows("G2")
     v = rows[:, 1]
     crossing = None
     for k in range(1, len(v)):
@@ -228,7 +233,7 @@ def test_07_cutoff_sweep(capsys):
     full_band = {}
     lowest = {"G2": v[0]}
     for name in ("G5", "G8", "G10"):
-        r = sweep_rows(name, (1, 3, 6, 9, 12, 15))
+        r = sweep_rows(name)
         full_band[name] = bool(np.all(r[:, 1] < 1.0))
         lowest[name] = r[0, 1]
     seq = [lowest[n] for n in ("G2", "G5", "G8", "G10")]

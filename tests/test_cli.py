@@ -839,7 +839,7 @@ def test_report_memory_does_not_grow_by_a_row_per_set(tmp_path, short_sets, caps
     more for a ramped copy, would grow it by about 2.7 MB."""
     sc = cli._resolve_scenario(str(short_sets))
     a = sc.analysis.bandpass
-    filters = set([a, *estimators.sweep_filters(cli._default_cutoffs(a), a.f_lo, a.order)])
+    filters = set([a, *(dataclasses.replace(a, f_hi=c) for c in cli._default_cutoffs(a))])
     peaks = {sets: _peak("report", "--config", str(short_sets), "--sets", str(sets),
                          "--out", str(tmp_path / f"r{sets}"))
              for sets in (32, 256)}

@@ -16,7 +16,7 @@ import pytest
 
 from csilab import dsp, estimators
 from csilab.dsp import FilterSpec, _squeezing, psd_estimate
-from csilab.estimators import Spectra, _delay_ramp, filtered_violation
+from csilab.estimators import Spectra, _delay_ramp
 from csilab.errors import ConfigError, SpecError
 from csilab.synth import AcquisitionConfig, TraceSet, quantize
 from csilab.theory import CsdModel
@@ -129,9 +129,9 @@ class TestButterworth:
             FilterSpec(f_hi=15e6, order=3)
         with pytest.raises(SpecError):
             FilterSpec(f_hi=15e6, order=0)
-        sp = Spectra(coherent_traces(AcquisitionConfig(num_sets=2, samples_per_set=256)))
+        ts = coherent_traces(AcquisitionConfig(num_sets=2, samples_per_set=256))
         with pytest.raises(SpecError):
-            filtered_violation(sp, FilterSpec(f_hi=600e6))
+            Spectra(ts, [FilterSpec(f_hi=600e6)])
 
 
 class TestDelay:

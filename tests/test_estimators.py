@@ -24,7 +24,6 @@ from csilab.estimators import (
     filtered_violation,
     g2_curves,
     normalized_spectra,
-    sweep_filters,
 )
 from csilab.scenarios import preset, preset_names
 from csilab.synth import (
@@ -59,9 +58,10 @@ def ts_g10(acq500):
 
 
 BAND_12 = FilterSpec(f_hi=12e6, f_lo=5e5, order=10)
+SWEEP_3 = [FilterSpec(f_hi=f) for f in (2e6, 10e6, 30e6)]
 # every filter this module asks V for of sp_g10 or sp_coherent
 G10_FILTERS = [None, BAND_12, FilterSpec(f_hi=5e6, f_lo=5e5, order=10),
-               FilterSpec(f_hi=100e6, f_lo=5e5, order=10), *sweep_filters([2e6, 10e6, 30e6])]
+               FilterSpec(f_hi=100e6, f_lo=5e5, order=10), *SWEEP_3]
 
 
 @pytest.fixture(scope="module")
@@ -247,8 +247,7 @@ class TestViolationFactor:
     def test_violation_needs_no_inverse_transform(self, ts_g10, monkeypatch):
         """Every eps of V is a Parseval sum the build took: V of a Spectra
         built for its filters takes no transform of any kind."""
-        sweep = [f * 1e6 for f in range(1, 16)]
-        sp = Spectra(subset(ts_g10, 40), [None, BAND_12, *sweep_filters(sweep)])
+        sp = Spectra(subset(ts_g10, 40), [None, BAND_12, *SWEEP])
 
         def refuse(*args, **kwargs):
             raise AssertionError("V statistics need no transform")
@@ -257,7 +256,7 @@ class TestViolationFactor:
             monkeypatch.setattr(np.fft, name, refuse)
         filtered_violation(sp, None)
         filtered_violation(sp, BAND_12)
-        cutoff_sweep(sp, sweep)
+        cutoff_sweep(sp, SWEEP)
 
     def test_sem_shrinks_with_set_count(self, ts_g10, sp_g10):
         sems = {}
@@ -534,7 +533,7 @@ class TestCsiFrequencyTest:
 
 class TestCutoffSweep:
     def test_violation_restored_below_excess_onset(self, sp_g10):
-        rows = cutoff_sweep(sp_g10, [2e6, 10e6, 30e6])
+        rows = cutoff_sweep(sp_g10, SWEEP_3)
         assert rows.shape == (3, 3)
         v = rows[:, 1]
         assert v[0] < 1.0
@@ -547,6 +546,7 @@ class TestCutoffSweep:
 
 
 SWEEP_MHZ = [f * 1e6 for f in range(1, 16)]
+SWEEP = [FilterSpec(f_hi=f) for f in SWEEP_MHZ]
 
 
 def assert_identical(a, b):
@@ -579,11 +579,11 @@ class TestSharedSpectra:
             return fit(*args)
 
         monkeypatch.setattr(estimators, "_delay_from_covariance", counted)
-        sp = Spectra(ts40, [BAND_12, *sweep_filters([2e6, 10e6])])
+        sp = Spectra(ts40, [BAND_12, *SWEEP_3[:2]])
         filtered_violation(sp, BAND_12)
         normalized_spectra(sp)
         g2_curves(sp, tau_max=50e-9)
-        cutoff_sweep(sp, [2e6, 10e6])
+        cutoff_sweep(sp, SWEEP_3[:2])
         assert len(calls) == 1
         assert sp.delay == pytest.approx(8e-9, abs=1e-9)
         assert not sp.delay_fallback
@@ -624,14 +624,13 @@ def test_median_is_np_median():
 
 def _every_estimate(ts):
     """Results of each chunked estimator on a Spectra of ts built for its
-    filters, and of the sweep on one built without; a raised DegenerateSet
-    stands in for a result."""
+    filters; a raised DegenerateSet stands in for a result."""
     band = FilterSpec(f_hi=12e6, f_lo=2e6, order=10)
-    sp = Spectra(ts, [None, band, *sweep_filters([4e6, 12e6, 30e6])])
+    sweep = [FilterSpec(f_hi=f) for f in (4e6, 12e6, 30e6)]
+    sp = Spectra(ts, [None, band, *sweep])
     calls = [
         lambda: tuple(filtered_violation(sp, spec) for spec in (None, band)),
-        lambda: cutoff_sweep(sp, [4e6, 12e6, 30e6]),
-        lambda: cutoff_sweep(Spectra(ts), [4e6, 12e6, 30e6]),
+        lambda: cutoff_sweep(sp, sweep),
         lambda: g2_curves(sp, tau_max=40e-9),
         lambda: normalized_spectra(sp),
         lambda: normalized_spectra(sp, compensate=False),
@@ -645,17 +644,25 @@ def _every_estimate(ts):
     return results
 
 
-def _sweep_peak(sp) -> int:
-    """tracemalloc peak, in bytes, of a 15-cutoff sweep of sp, once a
-    1-cutoff sweep has left numpy's first-call set-up out."""
-    cutoff_sweep(sp, SWEEP_MHZ[:1])
+def _sweep_build_peak(ts) -> int:
+    """tracemalloc peak, in bytes, of building a Spectra of ts for the 15
+    cutoffs of SWEEP, once a 1-cutoff build has left numpy's first-call
+    set-up out."""
+    Spectra(ts, SWEEP[:1])
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cutoff_sweep(sp, SWEEP_MHZ)
+        Spectra(ts, SWEEP)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def _ensemble_spectrum_bytes(ts) -> int:
+    """Bytes of one complex (sets, bins) array of ts: 5.12 MB at 64 sets
+    of 10 000 samples."""
+    acq = ts.acquisition
+    return acq.num_sets * (acq.samples_per_set // 2 + 1) * np.dtype(complex).itemsize
 
 
 class TestChunkedAnalysis:
@@ -697,7 +704,7 @@ class TestChunkedAnalysis:
         """Per set and declared filter a Spectra keeps eps_aa, eps_bb and
         eps_ab, and no row of any set: what it stores grows by at most
         3 x filters x 8 B per set."""
-        filters = [FilterSpec(f_hi=15e6), *sweep_filters(SWEEP_MHZ)]
+        filters = [FilterSpec(f_hi=15e6), *SWEEP]
 
         def stored(num_sets):
             sp = Spectra(subset(ts_g10, num_sets), filters)
@@ -706,21 +713,20 @@ class TestChunkedAnalysis:
         assert (stored(32) - stored(16)) / 16 <= 3 * len(set(filters)) * 8
 
     def test_sweep_allocates_less_than_one_ensemble_spectrum(self, ts_g10, monkeypatch):
-        """A 15-cutoff sweep on a Spectra built without filters builds one
-        for its cutoffs over the same sets, a chunk at a time, which keeps
-        three floats per set and cutoff: its peak stays below one complex
-        (sets, bins) array."""
+        """The build of a Spectra for a 15-cutoff sweep transforms its sets
+        a chunk at a time and keeps three floats per set and cutoff: its
+        peak stays below one complex (sets, bins) array."""
         monkeypatch.delenv("CSILAB_THREADS", raising=False)
-        sp = Spectra(subset(ts_g10, 64))
-        assert _sweep_peak(sp) < 64 * (sp.n // 2 + 1) * np.dtype(complex).itemsize  # 5.12 MB
+        ts = subset(ts_g10, 64)
+        assert _sweep_build_peak(ts) < _ensemble_spectrum_bytes(ts)
 
     def test_sweep_of_declared_cutoffs_reads_the_stored_eps(self, ts_g10, monkeypatch):
         """A 15-cutoff sweep on a Spectra built for its cutoffs transforms
         nothing and allocates less than one complex row of the rfft grid:
         only each cutoff's statistics, a few floats per set."""
         monkeypatch.delenv("CSILAB_THREADS", raising=False)
-        sp = Spectra(subset(ts_g10, 64), sweep_filters(SWEEP_MHZ))
-        cutoff_sweep(sp, SWEEP_MHZ[:1])  # leave numpy's first-call set-up out
+        sp = Spectra(subset(ts_g10, 64), SWEEP)
+        cutoff_sweep(sp, SWEEP[:1])  # leave numpy's first-call set-up out
 
         def refuse(*args, **kwargs):
             raise AssertionError("a declared sweep needs no transform")
@@ -730,7 +736,7 @@ class TestChunkedAnalysis:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            cutoff_sweep(sp, SWEEP_MHZ)
+            cutoff_sweep(sp, SWEEP)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -743,8 +749,8 @@ class TestThreadedBuild:
     @pytest.mark.parametrize("cpus", [1, 2, 4, 64])
     def test_build_peak_stays_below_one_ensemble_spectrum_on_any_cpu_count(
             self, ts_g10, monkeypatch, cpus):
-        """The sweep of test_sweep_allocates_less_than_one_ensemble_spectrum,
-        which builds a Spectra for its cutoffs, keeps the same 5.12 MB bound
+        """The build of test_sweep_allocates_less_than_one_ensemble_spectrum,
+        a Spectra for a 15-cutoff sweep, keeps the same 5.12 MB bound
         however many CPUs the process may run on: at most _UNITS_IN_FLIGHT
         threads take units, each with one unit's scratch."""
         pools = []
@@ -758,10 +764,10 @@ class TestThreadedBuild:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         monkeypatch.setattr(synth, "ThreadPoolExecutor", CountingPool)
-        sp = Spectra(subset(ts_g10, 64))
-        peak = _sweep_peak(sp)
+        ts = subset(ts_g10, 64)
+        peak = _sweep_build_peak(ts)
         assert 1 + max(pools, default=0) == min(cpus, estimators._UNITS_IN_FLIGHT)
-        assert peak < 64 * (sp.n // 2 + 1) * np.dtype(complex).itemsize  # 5.12 MB
+        assert peak < _ensemble_spectrum_bytes(ts)
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_failing_unit_is_raised_and_frees_every_thread(self, ts_g10, monkeypatch,
@@ -807,32 +813,34 @@ class TestDeclaredFilters:
         ts = synthesize(sc.model, dataclasses.replace(sc.acquisition, num_sets=24,
                                                       rng_seed=0xC07))
         a = sc.analysis.bandpass
-        filters = [a, *sweep_filters(SWEEP_MHZ, a.f_lo, a.order)]
+        filters = [a, *(dataclasses.replace(a, f_hi=f) for f in SWEEP_MHZ)]
         return sc, ts, filters, Spectra(ts, filters)
 
     def test_v_is_the_same_built_alone_or_among_others(self, built):
         """V under a filter, and every other estimate, does not change by
-        one bit with the filters the Spectra was built for, or when a
-        Spectra built without filters builds one for it over its source."""
+        one bit with the filters the Spectra was built for; one built
+        without filters gives the same delay, g2 curves and spectra."""
         sc, ts, filters, sp = built
         a = sc.analysis.bandpass
         wider, bare = Spectra(ts, [None, *reversed(filters)]), Spectra(ts)
         for spec in (a, filters[1], filters[8]):
             results = [(filtered_violation(x, spec), g2_curves(x, sc.analysis.tau_max),
                         normalized_spectra(x, band=sc.analysis.spectra_band))
-                       for x in (sp, Spectra(ts, [spec]), wider, bare)]
+                       for x in (sp, Spectra(ts, [spec]), wider)]
             for other in results[1:]:
                 assert_identical(other, results[0])
-        assert_identical(cutoff_sweep(sp, SWEEP_MHZ, a.f_lo, a.order),
-                         cutoff_sweep(bare, SWEEP_MHZ, a.f_lo, a.order))
+        assert_identical(cutoff_sweep(sp, filters[1:]), cutoff_sweep(wider, filters[1:]))
+        assert_identical(*(((x.delay, x.delay_fallback), g2_curves(x, sc.analysis.tau_max),
+                            normalized_spectra(x, band=sc.analysis.spectra_band))
+                           for x in (bare, sp)))
 
     def test_undeclared_filter_is_refused_by_name(self, built):
-        sc, ts, _, sp = built
+        sc, ts, filters, sp = built
         far = FilterSpec(f_hi=200e6, f_lo=sc.analysis.bandpass.f_lo)
         with pytest.raises(ConfigError, match=r"f_hi=200000000\.0.* was not declared"):
             filtered_violation(sp, far)
         with pytest.raises(ConfigError, match=r"f_hi=200000000\.0.* was not declared"):
-            cutoff_sweep(sp, [5e6, 200e6], sc.analysis.bandpass.f_lo)
+            cutoff_sweep(sp, [filters[5], far])
         with pytest.raises(ConfigError, match="the unfiltered V was not declared"):
             filtered_violation(sp, None)
         with pytest.raises(ConfigError, match="f_hi=5000000.0.* was not declared"):
@@ -841,8 +849,8 @@ class TestDeclaredFilters:
     def test_source_empty_on_its_second_pass_is_refused(self):
         """A source read again must yield every set again: one whose blocks
         come from an iterable that is empty the second time raises
-        ConfigError, with or without declared filters, and leaves no eps
-        unset."""
+        ConfigError when the build needs a second pass, and leaves no eps
+        unset.  Built without filters, the build reads it once."""
         acq = AcquisitionConfig(num_sets=8, samples_per_set=1024, rng_seed=4)
         ts = synthesize(g10_model(), acq)
 
@@ -858,18 +866,18 @@ class TestDeclaredFilters:
             Spectra(synth.TraceStream(ts.acquisition, ts.dc_means, FirstTimeOnly()),
                     [FilterSpec(f_hi=15e6)])
         sp = Spectra(synth.TraceStream(ts.acquisition, ts.dc_means, FirstTimeOnly()))
-        with pytest.raises(ConfigError, match="stream ended after 0 of 8 sets"):
-            filtered_violation(sp, FilterSpec(f_hi=15e6))
+        whole = Spectra(ts)
+        assert (sp.delay, sp.delay_fallback) == (whole.delay, whole.delay_fallback)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("filters", [None, [FilterSpec(f_hi=15e6), None]],
+    @pytest.mark.parametrize("filters", [[], [FilterSpec(f_hi=15e6), None]],
                              ids=["no_filters", "declared"])
     def test_synthesis_stream_serves_v_like_its_trace_set(self, monkeypatch, threads,
                                                           filters):
         """Each pass over a synthesis stream synthesizes its sets anew, so a
-        Spectra built from it, with its filters or looking V up over its
-        source, equals one built from the TraceSet of the same sets in
-        every sum, every eps, the delay and every estimate."""
+        Spectra built from it, with or without filters, equals one built
+        from the TraceSet of the same sets in every sum, every eps, the
+        delay and every estimate."""
         monkeypatch.setenv("CSILAB_THREADS", threads)
         acq = AcquisitionConfig(num_sets=2 * synth.BLOCK_SETS + 3, samples_per_set=1024,
                                 rng_seed=4)
@@ -879,7 +887,7 @@ class TestDeclaredFilters:
         for name in ("_eps", "_power_sums", "_cross_sum", "_lag_sums"):
             assert np.array_equal(getattr(streamed, name), getattr(whole, name)), name
         assert (streamed.delay, streamed.delay_fallback) == (whole.delay, whole.delay_fallback)
-        for spec in (FilterSpec(f_hi=15e6), None):
+        for spec in filters:
             assert_identical(filtered_violation(streamed, spec), filtered_violation(whole, spec))
         assert_identical(normalized_spectra(streamed), normalized_spectra(whole))
         assert_identical(g2_curves(streamed, 30e-9), g2_curves(whole, 30e-9))

@@ -25,6 +25,7 @@ from csilab.synth import AcquisitionConfig, synthesize
 
 RTOL = 1e-12
 CUTOFFS = [1e6, 3e6, 6e6, 9e6, 15e6, 100e6]
+SWEEP = [FilterSpec(f_hi=f) for f in CUTOFFS]
 STAT_KEYS = ("eps_aa", "eps_bb", "eps_ab_peak", "v_mean", "v_sigma", "v_sem",
              "sigma_count", "v_pooled", "v_per_set")
 
@@ -35,23 +36,24 @@ def close(actual, desired):
 
 @pytest.fixture(scope="module", params=["G10", "G2"])
 def scenario_ts(request):
-    """(scenario, traces, their Spectra), shared by the module's tests."""
+    """(scenario, traces, their Spectra built for the bandpass, the sweep
+    and no filter), shared by the module's tests."""
     sc = preset(request.param)
     acq = dataclasses.replace(sc.acquisition, num_sets=24, rng_seed=0x5EED)
     ts = synthesize(sc.model, acq)
-    return sc, ts, Spectra(ts)
+    return sc, ts, Spectra(ts, [sc.analysis.bandpass, *SWEEP, None])
 
 
 @pytest.fixture(scope="module")
 def ts_coherent():
     # independent beams: no cross-covariance peak, so the delay falls back to 0
     ts = ref.coherent_traces(AcquisitionConfig(num_sets=24, samples_per_set=4096, rng_seed=0))
-    return ts, Spectra(ts)
+    return ts, Spectra(ts, [FilterSpec(f_hi=5e6), FilterSpec(f_hi=15e6)])
 
 
 def test_cutoff_sweep_matches_reference(scenario_ts):
     _, ts, sp = scenario_ts
-    close(cutoff_sweep(sp, CUTOFFS), ref.cutoff_sweep(ts, CUTOFFS))
+    close(cutoff_sweep(sp, SWEEP), ref.cutoff_sweep(ts, CUTOFFS))
 
 
 def test_filtered_violation_matches_reference(scenario_ts):
@@ -108,7 +110,7 @@ def test_no_peak_falls_back_to_zero_delay(ts_coherent):
     assert fast["delay"] == slow["delay"] == 0.0
     for key in STAT_KEYS:
         close(fast[key], slow[key])
-    close(cutoff_sweep(sp, [5e6, 15e6]), ref.cutoff_sweep(ts, [5e6, 15e6]))
+    close(cutoff_sweep(sp, sp.filters), ref.cutoff_sweep(ts, [5e6, 15e6]))
 
 
 def test_degenerate_sets_raise_like_reference(scenario_ts):
@@ -123,19 +125,18 @@ def test_degenerate_sets_raise_like_reference(scenario_ts):
     spec = FilterSpec(f_hi=15e6)
     with pytest.raises(DegenerateSet):
         ref.filtered_violation(flipped, spec)
-    sp = Spectra(flipped)
+    sp = Spectra(flipped, [spec])
     with pytest.raises(DegenerateSet):
         filtered_violation(sp, spec)
     with pytest.raises(DegenerateSet):
-        cutoff_sweep(sp, [15e6])
+        cutoff_sweep(sp, [spec])
 
 
 @pytest.mark.parametrize("f_hi", [500e6, 600e6])
 def test_cutoff_at_or_above_nyquist_raises(scenario_ts, f_hi):
-    _, ts, sp = scenario_ts
+    _, ts, _ = scenario_ts
     with pytest.raises(SpecError):
         ref.cutoff_sweep(ts, [15e6, f_hi])
-    with pytest.raises(SpecError):
-        cutoff_sweep(sp, [15e6, f_hi])
-    with pytest.raises(SpecError):
-        filtered_violation(sp, FilterSpec(f_hi=f_hi))
+    for specs in ([FilterSpec(f_hi=15e6), FilterSpec(f_hi=f_hi)], [FilterSpec(f_hi=f_hi)]):
+        with pytest.raises(SpecError):
+            Spectra(ts, specs)

@@ -529,6 +529,17 @@ def test_clip_warning_exported():
     assert csilab.ClipWarning is ClipWarning and "ClipWarning" in csilab.__all__
 
 
+def test_star_import_binds_every_public_name():
+    """``from csilab import *`` binds each name of csilab.__all__, once
+    listed, so no name is listed that the package does not define."""
+    import csilab
+
+    namespace = {}
+    exec("from csilab import *", namespace)
+    assert set(csilab.__all__) <= namespace.keys()
+    assert len(set(csilab.__all__)) == len(csilab.__all__)
+
+
 class TestCoherent:
     def test_no_cross_correlation_and_sql_spectra(self):
         acq = small_acq(num_sets=300)
@@ -635,6 +646,14 @@ class TestValidation:
                 dc_means=dc_means,
                 acquisition=small_acq(samples_per_set=16, num_sets=1),
             )
+
+    @pytest.mark.parametrize("dc_means", [np.ones(3), np.ones((2, 2)), np.ones(5)])
+    def test_stream_rejects_misshapen_dc_means(self, dc_means):
+        """Every trace source holds one DC mean per channel, checked when
+        it is built: three would otherwise fail the container's header
+        write and the Spectra's normalization, far from the cause."""
+        with pytest.raises(ConfigError, match="dc_means must hold one value per channel"):
+            synth.TraceStream(small_acq(samples_per_set=16, num_sets=1), dc_means, lambda: ())
 
     def test_sample_rate_guard(self):
         with pytest.raises(ConfigError):

@@ -340,9 +340,9 @@ def test_payload_shrinking_after_open_raises(tmp_path):
 
 def test_stream_reads_again_only_while_open(tmp_path):
     """A container's stream gives its sets again from the first one each
-    time it is iterated, and a closed one raises a typed error: so V of a
-    Spectra built without filters inside open_stream and asked outside
-    it fails with TraceFileError, not with an I/O error of the file."""
+    time it is iterated, and a closed one raises a typed error: so a
+    Spectra built from it outside open_stream fails with TraceFileError,
+    not with an I/O error of the file."""
     acq = AcquisitionConfig(num_sets=BLOCK_SETS + 3, samples_per_set=MIN_SAMPLES, rng_seed=8)
     path = tmp_path / "t.cstf"
     ts = synthesize(preset("G10").model, acq)
@@ -351,9 +351,37 @@ def test_stream_reads_again_only_while_open(tmp_path):
         for _ in range(2):
             assert np.array_equal(np.concatenate([b.copy() for b in stream]),
                                   ts.codes.transpose(1, 0, 2))
-        sp = Spectra(stream)
     with pytest.raises(TraceFileError, match="closed"):
-        filtered_violation(sp, FilterSpec(f_hi=15e6))
+        Spectra(stream, [FilterSpec(f_hi=15e6)])
+
+
+def test_spectra_without_filters_outlives_its_container(tmp_path):
+    """A Spectra built without filters keeps no source: built inside
+    open_stream, it gives the delay, g2 curves and spectra of the
+    TraceSet's, bit for bit, once the container is closed.  Like the
+    TraceSet's, it gives no V: unfiltered or under a FilterSpec, V raises
+    ConfigError naming the filter that was not declared."""
+    acq = AcquisitionConfig(num_sets=BLOCK_SETS + 3, samples_per_set=MIN_SAMPLES, rng_seed=8)
+    path = tmp_path / "t.cstf"
+    ts = synthesize(preset("G10").model, acq)
+    write_stream(ts, path)
+    with open_stream(path) as stream:
+        sp = Spectra(stream)
+    whole = Spectra(ts)
+    assert (sp.delay, sp.delay_fallback) == (whole.delay, whole.delay_fallback)
+    curves = [estimators.g2_curves(x, 30e-9) for x in (sp, whole)]
+    spectra = [estimators.normalized_spectra(x) for x in (sp, whole)]
+    for name, value in vars(curves[0]).items():
+        np.testing.assert_array_equal(value, getattr(curves[1], name), strict=True)
+    for name in ("s_p_norm", "s_c_norm", "s_diff_norm", "squeezing_db_max",
+                 "squeezing_bandwidth"):
+        np.testing.assert_array_equal(getattr(spectra[0], name), getattr(spectra[1], name),
+                                      strict=True)
+    for x in (sp, whole):
+        with pytest.raises(ConfigError, match="the unfiltered V was not declared"):
+            filtered_violation(x, None)
+        with pytest.raises(ConfigError, match=r"f_hi=15000000\.0.* was not declared"):
+            filtered_violation(x, FilterSpec(f_hi=15e6))
 
 
 def test_overlapping_readings_of_a_container_each_read_the_file(tmp_path):
