@@ -35,11 +35,14 @@ from .fock import fock_oracle_moments
 from .scenarios import Scenario, load_scenario, preset, preset_names
 from .synth import synthesize_stream
 from .theory import SqueezeParams, db, g2_ideal, squeezing_ideal, violation_factor_ideal
-from .tracefile import _stream, _write, open_stream, write_stream
+from .tracefile import open_stream, staged_stream, write_stream
 
 ORACLE_TOL = 1e-8
 # a verdict needs V this many standard errors from the classical bound 1
 VERDICT_MIN_SIGMA = 3.0
+# and this many sets that are not degenerate: at 29 degrees of freedom the
+# Student-t tail past 3 standard errors is twice the normal one
+VERDICT_MIN_SETS = 30
 
 
 def _resolve_scenario(config: str | None) -> Scenario:
@@ -121,10 +124,13 @@ def cmd_simulate(args) -> int:
 
 def _verdict(stats: dict, num_sets: int) -> str:
     """The side of 1 that V falls on; INCONCLUSIVE unless V is positive,
-    VERDICT_MIN_SIGMA standard errors from 1 and from most sets, and the
-    delay was measured: without it the conjugate is left uncompensated."""
+    VERDICT_MIN_SIGMA standard errors from 1 and from most sets, at least
+    VERDICT_MIN_SETS sets are kept, and the delay was measured: without
+    it the conjugate is left uncompensated."""
+    kept = num_sets - stats["num_degenerate"]
     if (stats["v_mean"] <= 0.0 or stats["sigma_count"] < VERDICT_MIN_SIGMA
-            or 2 * stats["num_degenerate"] > num_sets or stats["delay_fallback"]):
+            or 2 * stats["num_degenerate"] > num_sets or kept < VERDICT_MIN_SETS
+            or stats["delay_fallback"]):
         return "INCONCLUSIVE"
     return "CSI VIOLATED" if stats["violated"] else "CSI NOT VIOLATED"
 
@@ -250,10 +256,8 @@ def cmd_report(args) -> int:
         level = os.path.dirname(level)
     try:
         os.makedirs(args.out, exist_ok=True)
-        traces = os.path.join(args.out, "traces.cstf")
-        with atomic_write(traces, "w+b") as fh:
-            _write(stream, fh)
-            sp = Spectra(_stream(fh, traces), [sc.analysis.bandpass, *specs])
+        with staged_stream(stream, os.path.join(args.out, "traces.cstf")) as staged:
+            sp = Spectra(staged, [sc.analysis.bandpass, *specs])
             outputs = _analyze(sc, sp)
             outputs["vsweep.csv"] = _sweep(sp, specs)
             _write_outputs(args.out, outputs)

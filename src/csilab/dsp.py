@@ -70,13 +70,21 @@ def psd_estimate(traces, rate: float) -> Psd:
     rectangular for spectral fidelity of already-stationary noise.
 
     Parseval holds exactly: sum(power) * df equals the mean per-set
-    variance of the input.  Input of another shape raises ConfigError.
+    variance of the input.  Input of another shape, fewer than one set of
+    two samples, a non-finite sample or a rate that is not finite and > 0
+    raises ConfigError.
     """
+    if not (0.0 < rate < np.inf):
+        raise ConfigError(f"rate must be finite and > 0, got {rate}")
     x = np.asarray(traces, dtype=float)
     if x.ndim == 1:
         x = x[np.newaxis, :]
     if x.ndim != 2:
         raise ConfigError(f"expected 1-D or 2-D trace array, got shape {x.shape}")
+    if x.shape[0] < 1 or x.shape[1] < 2:
+        raise ConfigError(f"need at least one set of two samples, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ConfigError("cannot estimate a PSD of non-finite samples")
     x = x - x.mean(axis=1, keepdims=True)
     power = np.add.reduce(np.abs(np.fft.rfft(x, axis=1)) ** 2, axis=0)
     return _psd_from_sum(power, x.shape[0], x.shape[1], rate)

@@ -86,10 +86,8 @@ _DEFAULTS = {
         "excess_probe_level": 0.0,
         "excess_onset_mhz": 5.0,
         "excess_order": 2,
-        "excess_conj_cutoff_mhz": 0.0,  # 0 disables the upper edge
         "excess_probe_onset_mhz": 0.0,  # 0 means: share the conjugate onset
         "excess_probe_order": 0,
-        "carrier_detuning_mhz": 0.0,
         "delay_dispersion_ns": 0.0,
         "dispersion_corner_mhz": 0.0,
         "dispersion_order": 2,
@@ -197,7 +195,6 @@ def _build(name: str, params) -> Scenario:
         probe_level=m["excess_probe_level"],
         onset_hz=m["excess_onset_mhz"] * 1e6,
         order=m["excess_order"],
-        conj_cutoff_hz=m["excess_conj_cutoff_mhz"] * 1e6 or None,
         probe_onset_hz=m["excess_probe_onset_mhz"] * 1e6 or None,
         probe_order=m["excess_probe_order"] or None,
     )
@@ -212,7 +209,6 @@ def _build(name: str, params) -> Scenario:
         excess=excess,
         technical=technical,
         probe_dc=m["probe_dc"],
-        carrier_detuning=m["carrier_detuning_mhz"] * 1e6,
         delay_dispersion=m["delay_dispersion_ns"] * 1e-9,
         dispersion_corner_hz=m["dispersion_corner_mhz"] * 1e6,
         dispersion_order=m["dispersion_order"],

@@ -25,7 +25,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads these lazily; load them at import)
 import numpy.random  # noqa: F401
 
-from .errors import ClipWarning, ConfigError
+from .errors import ClipWarning, ConfigError, DcMissing
 from .theory import CsdModel
 
 CHANNEL_NAMES = ("p1", "p2", "c1", "c2")
@@ -271,9 +271,12 @@ def quantize(trace, adc_bits: int, full_scale: float) -> np.ndarray:
 
     code = clip(round(x / step), -2^(bits-1), 2^(bits-1) - 1) with
     step = full_scale / 2^(bits-1); dequantization is code * step.
-    Emits ClipWarning when more than 0.1% of samples rail; a non-finite
-    sample or full scale raises ConfigError.
+    Emits ClipWarning when more than 0.1% of samples rail; a bit count
+    that is not an integer, a non-finite sample or full scale raises
+    ConfigError.
     """
+    if not isinstance(adc_bits, numbers.Integral) or isinstance(adc_bits, bool):
+        raise ConfigError(f"adc_bits must be an integer, got {adc_bits!r}")
     if not (2 <= adc_bits <= 16):
         raise ConfigError(f"adc_bits must be between 2 and 16, got {adc_bits}")
     if not (math.isfinite(full_scale) and full_scale > 0.0):
@@ -516,6 +519,8 @@ def apply_loss(
     ACs scale by the intensity transmission; the open port re-injects
     vacuum so each channel keeps a true shot floor for its reduced DC.
     Normalized correlations are expected to be invariant under this.
+    A DC mean that is negative or not finite raises DcMissing, and a
+    charge_scale that is not finite and > 0 ConfigError, before any draw.
     """
     if not (0.0 < extra_eta <= 1.0):
         raise ConfigError(f"extra_eta must be in (0, 1], got {extra_eta}")
@@ -524,6 +529,10 @@ def apply_loss(
         raise ConfigError(
             "charge_scale unknown (externally loaded traces); pass it explicitly"
         )
+    if not (0.0 < q < math.inf):
+        raise ConfigError(f"charge_scale must be finite and > 0, got {q}")
+    if not all(0.0 <= dc < math.inf for dc in ts.dc_means):
+        raise DcMissing(f"cannot split a DC mean that is negative or not finite: {ts.dc_means}")
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     acq = ts.acquisition
     out = np.empty_like(ts.codes)

@@ -230,7 +230,6 @@ class ExcessNoiseSpec:
     probe_level: float = 0.0
     onset_hz: float = 5e6
     order: int = 2
-    conj_cutoff_hz: float | None = None
     probe_onset_hz: float | None = None
     probe_order: int | None = None
 
@@ -242,19 +241,13 @@ class ExcessNoiseSpec:
             raise DomainError("excess noise onset must be > 0")
         if self.order < 1:
             raise DomainError("excess noise order must be >= 1")
-        if self.conj_cutoff_hz is not None and self.conj_cutoff_hz <= self.onset_hz:
-            raise DomainError("conjugate excess cutoff must sit above the onset")
         if self.probe_onset_hz is not None and self.probe_onset_hz <= 0.0:
             raise DomainError("probe excess onset must be > 0")
         if self.probe_order is not None and self.probe_order < 1:
             raise DomainError("probe excess order must be >= 1")
 
     def shape(self, f) -> np.ndarray:
-        s = highpass_shape(f, self.onset_hz, self.order)
-        if self.conj_cutoff_hz is not None:
-            # the conjugate's Raman noise band has its own upper edge
-            s = s * (1.0 - highpass_shape(f, self.conj_cutoff_hz, self.order))
-        return s
+        return highpass_shape(f, self.onset_hz, self.order)
 
     def probe_shape(self, f) -> np.ndarray:
         onset = self.probe_onset_hz if self.probe_onset_hz is not None else self.onset_hz
@@ -333,7 +326,6 @@ class CsdModel:
     excess: ExcessNoiseSpec = ExcessNoiseSpec()
     technical: TechnicalNoiseSpec = TechnicalNoiseSpec()
     probe_dc: float = 1.0
-    carrier_detuning: float = 0.0
     # relative group-delay dispersion: the conjugate-vs-probe delay swings
     # from ``delay`` at line center by ``delay_dispersion`` past the onset
     # at ``dispersion_corner_hz``; with a cutoff set, the excursion is a
@@ -397,36 +389,16 @@ class CsdModel:
     def sql_conj(self) -> float:
         return 2.0 * self.charge_scale * self.conj_dc
 
-    def _line(self, x) -> np.ndarray:
-        g0 = self.params.gain
-        return 1.0 + (g0 - 1.0) / (1.0 + (np.asarray(x, dtype=float) / self.bandwidth) ** 2)
-
     def _normalized_parts(self, f):
         """SQL-relative detected spectra before any delay phase.
 
         Returns (s_p, s_c, x) with the cross term x in sqrt(SQL_p SQL_c)
         units.  Technical noise rides both beams scaled by their DC.
-
-        With the carrier offset from line center by ``carrier_detuning``,
-        the upper and lower fluctuation sidebands at +-f sample the gain
-        line at different strengths.  Each beam's own noise takes the
-        incoherent average of the two samples, while the probe-conjugate
-        cross term keeps only the amplitude common to both sideband
-        pairs, the geometric mean.  The two coincide on line center; off
-        center the beams decorrelate as f grows, which is what puts dips
-        on the measured cross-correlation functions.
         """
         f = np.asarray(f, dtype=float)
-        d = self.carrier_detuning
-        if d == 0.0:
-            gf = self._line(f)
-            base = 2.0 * (gf - 1.0)
-            cross_src = 2.0 * np.sqrt(gf * (gf - 1.0))
-        else:
-            g_hi = self._line(f + d)
-            g_lo = self._line(f - d)
-            base = (g_hi - 1.0) + (g_lo - 1.0)
-            cross_src = 2.0 * (g_hi * (g_hi - 1.0) * g_lo * (g_lo - 1.0)) ** 0.25
+        gf = 1.0 + (self.params.gain - 1.0) / (1.0 + (f / self.bandwidth) ** 2)
+        base = 2.0 * (gf - 1.0)
+        cross_src = 2.0 * np.sqrt(gf * (gf - 1.0))
         e_p = self.excess.probe_level * self.excess.probe_shape(f)
         e_c = self.excess.conj_level * self.excess.shape(f)
 

@@ -57,6 +57,17 @@ def write_stream(traces: TraceStream, path) -> None:
         _write(traces, fh)
 
 
+@contextlib.contextmanager
+def staged_stream(traces: TraceStream, path):
+    """Write traces to a temporary sibling of path, flushed to disk, and
+    yield the container read back from it as a TraceStream, which can be
+    read again until exit.  The temporary is renamed to path on clean
+    exit; an error removes it and leaves path as it was."""
+    with atomic_write(path, "w+b") as fh:
+        _write(traces, fh)
+        yield _stream(fh, path)
+
+
 def _write(traces: TraceStream, fh) -> None:
     """Write the container of traces to the open binary file fh, block by
     block, and flush it to disk."""

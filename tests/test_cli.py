@@ -419,17 +419,15 @@ def test_theory_refusal_prints_no_table(capsys, argv):
     assert "must be" in err
 
 
-def test_cli_imports_no_private_analysis_name():
-    """The CLI calls the estimators' and dsp's public functions only, so
-    every analysis refusal is decided there and nowhere else."""
+def test_cli_imports_no_private_name():
+    """The CLI calls the public functions of every csilab module only, so
+    every refusal is decided in the module that owns it."""
     tree = ast.parse(inspect.getsource(cli))
-    private = [
-        (node.module, alias.name)
-        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if (node.module or "").split(".")[-1] in ("estimators", "dsp")
-        and alias.name.startswith("_")
-    ]
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "csilab")]
+    assert {"estimators", "tracefile", "synth"} <= {node.module for node in imports}
+    private = [(node.module, alias.name) for node in imports
+               for alias in node.names if alias.name.startswith("_")]
     assert private == []
 
 
@@ -572,22 +570,37 @@ def test_analyze_of_independent_beams_is_inconclusive(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("v_mean, sigma_count, degenerate, fallback, verdict", [
-    (0.98, 35.9, 0, False, "CSI VIOLATED"),
-    (1.02, 10.0, 0, False, "CSI NOT VIOLATED"),
-    (0.98, 3.0, 10, False, "CSI VIOLATED"),
-    (-0.36, 4.0, 0, False, "INCONCLUSIVE"),
-    (0.0, 4.0, 0, False, "INCONCLUSIVE"),
-    (0.98, 2.9, 0, False, "INCONCLUSIVE"),
-    (1.02, 2.9, 0, False, "INCONCLUSIVE"),
-    (0.98, 35.9, 11, False, "INCONCLUSIVE"),
-    (1.05, 68.0, 0, True, "INCONCLUSIVE"),
+@pytest.mark.parametrize("v_mean, sigma_count, sets, degenerate, fallback, verdict", [
+    (0.98, 35.9, 60, 0, False, "CSI VIOLATED"),
+    (1.02, 10.0, 60, 0, False, "CSI NOT VIOLATED"),
+    (0.98, 3.0, 60, 30, False, "CSI VIOLATED"),
+    (-0.36, 4.0, 60, 0, False, "INCONCLUSIVE"),
+    (0.0, 4.0, 60, 0, False, "INCONCLUSIVE"),
+    (0.98, 2.9, 60, 0, False, "INCONCLUSIVE"),
+    (1.02, 2.9, 60, 0, False, "INCONCLUSIVE"),
+    (0.98, 35.9, 60, 31, False, "INCONCLUSIVE"),
+    (1.05, 68.0, 60, 0, True, "INCONCLUSIVE"),
+    # 29 and 30 kept sets, on either side of VERDICT_MIN_SETS
+    (0.98, 35.9, 29, 0, False, "INCONCLUSIVE"),
+    (0.98, 35.9, 40, 11, False, "INCONCLUSIVE"),
+    (0.98, 35.9, 30, 0, False, "CSI VIOLATED"),
+    (1.02, 10.0, 40, 10, False, "CSI NOT VIOLATED"),
 ])
 def test_verdict_needs_positive_v_significance_most_sets_and_a_delay(
-        v_mean, sigma_count, degenerate, fallback, verdict):
+        v_mean, sigma_count, sets, degenerate, fallback, verdict):
     stats = dict(v_mean=v_mean, sigma_count=sigma_count, num_degenerate=degenerate,
                  violated=v_mean < 1.0, delay_fallback=fallback)
-    assert cli._verdict(stats, 20) == verdict
+    assert cli._verdict(stats, sets) == verdict
+
+
+def test_two_sets_give_no_verdict(tmp_path, capsys):
+    """Two sets put V 14.9 standard errors below 1, but a standard error
+    from two values means nothing: the report gives no verdict."""
+    assert run("report", "--config", "G10", "--sets", "2", "--seed", "1",
+               "--out", str(tmp_path / "rep")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "standard error 0.001188, sigma_count = 14.9" in lines
+    assert "verdict: INCONCLUSIVE" in lines
 
 
 def test_loud_laser_without_a_delay_is_inconclusive(tmp_path, capsys):

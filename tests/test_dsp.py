@@ -87,6 +87,25 @@ class TestPsd:
         with pytest.raises(ConfigError, match="1-D or 2-D"):
             psd_estimate(np.zeros(shape), RATE)
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        """0 divided by zero, -1 gave a negative frequency grid and NaN NaN power."""
+        with pytest.raises(ConfigError, match="rate must be finite and > 0"):
+            psd_estimate(np.ones((2, 64)), rate)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1,), (0,), (0, 64)])
+    def test_too_few_sets_or_samples_are_refused(self, shape):
+        """One sample has no frequency step and zero sets no average."""
+        with pytest.raises(ConfigError, match="at least one set of two samples"):
+            psd_estimate(np.zeros(shape), RATE)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_traces_are_refused(self, bad):
+        x = np.zeros((2, 64))
+        x[1, 5] = bad
+        with pytest.raises(ConfigError, match="non-finite"):
+            psd_estimate(x, RATE)
+
 
 class TestButterworth:
     SPEC = FilterSpec(f_hi=15e6, f_lo=500e3, order=10)

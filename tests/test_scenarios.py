@@ -134,6 +134,9 @@ def test_load_disable_flags(tmp_path):
     "text, fragment",
     [
         ("[model]\ngian = 10\n", "unknown key"),
+        # options the source model no longer has
+        ("[model]\ncarrier_detuning_mhz = 2\n", "unknown key 'carrier_detuning_mhz'"),
+        ("[model]\nexcess_conj_cutoff_mhz = 9\n", "unknown key 'excess_conj_cutoff_mhz'"),
         ("[extras]\nx = 1\n", "unknown sections"),
         ("[scenario]\npreset = NOPE\n", "unknown preset"),
         ("[scenario]\nflavor = hot\n", "unknown \\[scenario\\] keys"),
@@ -171,10 +174,8 @@ _BUMPS = {
     ("model", "excess_probe_level"): "0.3",
     ("model", "excess_onset_mhz"): "4",
     ("model", "excess_order"): "3",
-    ("model", "excess_conj_cutoff_mhz"): "9",
     ("model", "excess_probe_onset_mhz"): "10",
     ("model", "excess_probe_order"): "3",
-    ("model", "carrier_detuning_mhz"): "2",
     ("model", "delay_dispersion_ns"): "40",
     ("model", "dispersion_corner_mhz"): "5",
     ("model", "dispersion_order"): "4",
@@ -196,7 +197,7 @@ _BUMPS = {
 
 def test_bumps_cover_every_key():
     assert set(_BUMPS) == {(s, k) for s, table in _DEFAULTS.items() for k in table}
-    assert len(_BUMPS) == 32
+    assert len(_BUMPS) == 30
 
 
 @pytest.mark.parametrize("section, key", list(_BUMPS), ids=[k for _, k in _BUMPS])

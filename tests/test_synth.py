@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from csilab import synth
 from csilab.dsp import psd_estimate
-from csilab.errors import ClipWarning, ConfigError
+from csilab.errors import ClipWarning, ConfigError, DcMissing
 from csilab.estimators import Spectra
 from csilab.synth import (
     AcquisitionConfig,
@@ -440,6 +440,17 @@ class TestQuantizer:
         with pytest.raises(ConfigError, match="non-finite"):
             quantize(np.array([0.1, bad, 0.2]), 9, 1.0)
 
+    @pytest.mark.parametrize("bits", [9.5, 9.0, np.float64(9.0), True],
+                             ids=["9.5", "9.0", "float64", "bool"])
+    def test_bit_count_must_be_an_integer(self, bits):
+        """9.5 bits would put the codes on a +-2^8.5 grid; AcquisitionConfig's
+        integer rule holds here too."""
+        with pytest.raises(ConfigError, match="adc_bits must be an integer"):
+            quantize(np.array([0.1, 0.2, -0.3]), bits, 1.0)
+
+    def test_numpy_integer_bit_count_is_an_integer(self):
+        assert quantize(np.array([0.5]), np.int64(9), 1.0).tolist() == [128]
+
 
 class TestSplit:
     Q = 1e-9
@@ -597,6 +608,21 @@ class TestLossHook:
         )
         with pytest.raises(ConfigError):
             apply_loss(stripped, 0.5)
+
+    @pytest.mark.parametrize("dc", [-1.0, np.nan, np.inf])
+    def test_refuses_a_dc_mean_it_cannot_split(self, dc):
+        """A negative DC has no shot noise to re-inject and a non-finite one
+        no number to scale; both are refused before any draw."""
+        ts = coherent_traces(small_acq(num_sets=2, samples_per_set=256))
+        bad = dataclasses.replace(ts, dc_means=np.array([1.0, 1.0, dc, 1.0]))
+        with pytest.raises(DcMissing, match="DC mean"):
+            apply_loss(bad, 0.5, charge_scale=ts.charge_scale)
+
+    @pytest.mark.parametrize("q", [-1.0, 0.0, np.nan, np.inf])
+    def test_refuses_a_charge_scale_that_is_not_finite_and_positive(self, q):
+        ts = coherent_traces(small_acq(num_sets=2, samples_per_set=256))
+        with pytest.raises(ConfigError, match="charge_scale must be finite and > 0"):
+            apply_loss(ts, 0.5, charge_scale=q)
 
 
 def test_traceset_iterates_as_set_major_block_views(monkeypatch):

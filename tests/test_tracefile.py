@@ -28,7 +28,13 @@ from csilab.synth import (
     synthesize,
     synthesize_stream,
 )
-from csilab.tracefile import HEADER_SIZE, open_stream, read_tracefile, write_stream
+from csilab.tracefile import (
+    HEADER_SIZE,
+    open_stream,
+    read_tracefile,
+    staged_stream,
+    write_stream,
+)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +70,22 @@ def test_rewrite_same_bytes(tmp_path, small_ts):
     write_stream(small_ts, p1)
     write_stream(small_ts, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_staged_stream_reads_back_what_write_stream_writes(tmp_path, small_ts):
+    """The staged container is readable twice before it is renamed into
+    place with write_stream's bytes; an error leaves no file at all."""
+    path = tmp_path / "staged.cstf"
+    with staged_stream(small_ts, path) as staged:
+        assert not path.exists()
+        for _ in range(2):
+            assert np.array_equal(np.concatenate(list(staged)), small_ts.codes.transpose(1, 0, 2))
+        assert np.array_equal(staged.dc_means, small_ts.dc_means)
+    write_stream(small_ts, tmp_path / "plain.cstf")
+    assert path.read_bytes() == (tmp_path / "plain.cstf").read_bytes()
+    with pytest.raises(RuntimeError), staged_stream(small_ts, tmp_path / "failed.cstf"):
+        raise RuntimeError
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.cstf", "staged.cstf"]
 
 
 def test_unresolved_full_scale_refused(tmp_path):
