@@ -11,6 +11,7 @@ of the model's; this module imports only ``errors``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,10 @@ class FilterSpec:
             raise SpecError(
                 f"need 0 < f_lo < f_hi, got f_lo={self.f_lo}, f_hi={self.f_hi}"
             )
-        if self.order < 2 or self.order % 2:
-            raise SpecError(f"filter order must be even and >= 2, got {self.order}")
+        order = self.order
+        if (not isinstance(order, numbers.Integral) or isinstance(order, bool)
+                or order < 2 or order % 2):
+            raise SpecError(f"filter order must be an even integer >= 2, got {order!r}")
 
     def magnitude(self, f) -> np.ndarray:
         """Analog bandpass Butterworth gain |H(f)| on a frequency grid."""

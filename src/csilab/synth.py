@@ -34,7 +34,9 @@ BLOCK_SETS = 16
 
 
 def _thread_count() -> int:
-    """CSILAB_THREADS, or when it is unset the CPUs this process may run on."""
+    """CSILAB_THREADS, or when it is unset the CPUs this process may run on.
+
+    ConfigError for a value that is not an integer >= 1."""
     raw = os.environ.get("CSILAB_THREADS", "").strip()
     if not raw:
         if hasattr(os, "sched_getaffinity"):
@@ -44,7 +46,9 @@ def _thread_count() -> int:
         n = int(raw)
     except ValueError:
         raise ConfigError(f"CSILAB_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
+    if n < 1:
+        raise ConfigError(f"CSILAB_THREADS must be at least 1, got {raw!r}")
+    return n
 
 
 class _Abandoned(Exception):
@@ -99,8 +103,8 @@ def _runner(threads: int, scratch: Callable[[], object]):
     starts, a unit waiting for a turn stops, and once every thread has
     stopped the unit's error is raised.  Synthesis runs one unit per set
     on up to BLOCK_SETS threads, each with about 0.56 MB of scratch at
-    10 000 samples; a Spectra build runs units of 4 sets on at most 2,
-    each with 1.6 MB.
+    10 000 samples; a Spectra build runs units of 2 sets on at most 2,
+    each with 0.8 MB.
     """
     buffers = [scratch() for _ in range(threads)]
     with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
@@ -401,7 +405,9 @@ def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
     """Synthesize the model's trace sets as a TraceStream, BLOCK_SETS at a time.
 
     Each set is synthesized on a 25% longer grid and trimmed symmetrically
-    so the circular wrap of the delay phase never touches the kept window.
+    so the circular wrap of the delay phase never touches the kept window:
+    the model's largest group delay on that grid must stay below 10% of
+    the set, or ConfigError names it.
     Per-set RNG streams come from SeedSequence(rng_seed).spawn, making the
     codes independent of the block size and the thread schedule.  Every
     check runs here, before the first block; the blocks are made as they
@@ -418,20 +424,22 @@ def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
             f"sample_rate {acq.sample_rate} too low to resolve the correlation "
             f"structure; need > 10 * bandwidth = {10 * model.bandwidth}"
         )
-    if abs(model.delay) >= 0.1 * acq.set_duration:
-        raise ConfigError(
-            f"delay {model.delay} must stay below 10% of the set duration "
-            f"{acq.set_duration}"
-        )
-    threads = min(_thread_count(), BLOCK_SETS, acq.num_sets)
-    if acq.full_scale is None:
-        acq = replace(acq, full_scale=suggest_full_scale(model, acq))
-
     sets = acq.num_sets
     n_keep = acq.samples_per_set
     pad = int(math.ceil(0.125 * n_keep))
     n_gen = n_keep + 2 * pad
     bins = n_gen // 2 + 1
+    f_gen = np.fft.rfftfreq(n_gen, d=1.0 / acq.sample_rate)
+    tau = float(np.abs(model.group_delay(f_gen)).max())
+    if tau >= 0.1 * acq.set_duration:
+        raise ConfigError(
+            f"group delay {tau:.3g} s on the synthesis grid must stay below "
+            f"10% of the set duration {acq.set_duration} s"
+        )
+    threads = min(_thread_count(), BLOCK_SETS, acq.num_sets)
+    if acq.full_scale is None:
+        acq = replace(acq, full_scale=suggest_full_scale(model, acq))
+
     scale = math.sqrt(n_gen * acq.sample_rate / 2.0)
     sigmas = [_shot_sigma(dc, acq, model.charge_scale) for dc in (model.probe_dc, model.conj_dc)]
 

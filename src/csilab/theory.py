@@ -64,6 +64,13 @@ def _check_finite(spec) -> None:
             raise DomainError(f"{f.name} must be finite, got {value}")
 
 
+def _check_order(name: str, value) -> None:
+    """DomainError unless value is an integer >= 1: a shape's order is an
+    exponent, and a float or a bool would build a shape of its own."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def highpass_shape(f, corner_hz, order):
     """Smooth saturating high-pass, u/(1+u) with u = (f/corner)^(2 order)."""
     u = (np.asarray(f, dtype=float) / corner_hz) ** (2 * order)
@@ -239,12 +246,11 @@ class ExcessNoiseSpec:
             raise DomainError("excess noise levels must be >= 0")
         if self.onset_hz <= 0.0:
             raise DomainError("excess noise onset must be > 0")
-        if self.order < 1:
-            raise DomainError("excess noise order must be >= 1")
+        _check_order("order", self.order)
         if self.probe_onset_hz is not None and self.probe_onset_hz <= 0.0:
             raise DomainError("probe excess onset must be > 0")
-        if self.probe_order is not None and self.probe_order < 1:
-            raise DomainError("probe excess order must be >= 1")
+        if self.probe_order is not None:
+            _check_order("probe_order", self.probe_order)
 
     def shape(self, f) -> np.ndarray:
         return highpass_shape(f, self.onset_hz, self.order)
@@ -352,8 +358,7 @@ class CsdModel:
             raise DomainError("conjugate delay must be >= 0")
         if self.delay_dispersion != 0.0 and self.dispersion_corner_hz <= 0.0:
             raise DomainError("delay dispersion needs a positive corner frequency")
-        if self.dispersion_order < 1:
-            raise DomainError("dispersion order must be >= 1")
+        _check_order("dispersion_order", self.dispersion_order)
         if (self.dispersion_cutoff_hz is not None
                 and self.dispersion_cutoff_hz <= self.dispersion_corner_hz):
             raise DomainError("dispersion cutoff must sit above the corner")
@@ -365,9 +370,11 @@ class CsdModel:
             )
 
     def digest(self) -> str:
-        """Short sha1 of every field, nested specs included."""
+        """Twelve hex digits of a BLAKE2b hash of every field, nested specs
+        included.  hashlib's BLAKE2 is built into CPython, so a digest
+        pages in none of OpenSSL's libcrypto, as its sha1 would."""
         payload = repr(astuple(self)).encode()
-        return hashlib.sha1(payload).hexdigest()[:12]
+        return hashlib.blake2b(payload, digest_size=6).hexdigest()
 
     @property
     def conj_dc(self) -> float:

@@ -151,6 +151,8 @@ def test_producer_failing_after_its_first_block_writes_no_container(tmp_path, mo
     ("[model]\ngain_bandwidth_mhz = 200\n", None, "too low to resolve"),
     ("[model]\ndelay_ns = 2000\n", None, "set duration"),
     ("", "many", "CSILAB_THREADS"),
+    ("", "0", "CSILAB_THREADS"),
+    ("", "-2", "CSILAB_THREADS"),
 ])
 def test_config_synthesis_refuses_writes_nothing(tmp_path, monkeypatch, capsys, command,
                                                  ini, threads, why):
@@ -767,7 +769,8 @@ def test_benchmark_tracer_runs_a_report(tmp_path):
     names = {span[0] for span in record["spans"]}
     assert {"estimators.filtered_violation", "estimators.cutoff_sweep"} <= names
     assert not [span for span in record["spans"] if span[5] is not None]
-    assert record["counters"]["fft.rfft.calls"] == 4 + 2  # channels, then beams
+    # each unit of _CHUNK sets transforms its 4 channels, then its 2 beams
+    assert record["counters"]["fft.rfft.calls"] == 6 * -(-4 // estimators._CHUNK)
 
 
 SAMPLES = 2048  # per set in the memory tests; 256 sets of codes are 4.2 MB
@@ -821,6 +824,25 @@ def test_second_thread_adds_one_scratch_set(tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CSILAB_THREADS", threads)
         argv = ("simulate", "--config", "G10", "--sets", "32",
                 "--out", str(tmp_path / f"{threads}.cstf"))
+        run(*argv)  # leave first-call set-up out
+        peaks[threads] = min(_peak(*argv) for _ in range(3))
+    assert peaks["2"] - peaks["1"] <= scratch + 32 * 1024, (peaks, scratch)
+
+
+def test_second_build_thread_adds_one_unit_of_scratch(tmp_path, monkeypatch, capsys):
+    """Each thread of a Spectra build keeps one unit's scratch: four
+    complex rows of the rfft grid and one n-sample float row per set of
+    the unit.  Units of 2 sets make that 800 128 B at G10, fixed before
+    measuring; a second thread may raise the peak of analyze by it plus
+    32 KiB, as for synthesis above."""
+    n, chunk = 10000, 2  # G10's samples per set, sets per build unit
+    scratch = 4 * chunk * (n // 2 + 1) * 16 + chunk * n * 8  # 800 128 B
+    traces = tmp_path / "t.cstf"
+    assert run("simulate", "--config", "G10", "--sets", "32", "--out", str(traces)) == 0
+    peaks = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CSILAB_THREADS", threads)
+        argv = ("analyze", str(traces), "--out", str(tmp_path / f"a{threads}"))
         run(*argv)  # leave first-call set-up out
         peaks[threads] = min(_peak(*argv) for _ in range(3))
     assert peaks["2"] - peaks["1"] <= scratch + 32 * 1024, (peaks, scratch)

@@ -148,6 +148,9 @@ class TestButterworth:
             FilterSpec(f_hi=15e6, order=3)
         with pytest.raises(SpecError):
             FilterSpec(f_hi=15e6, order=0)
+        for order in (4.0, 10.5, True):
+            with pytest.raises(SpecError, match="order must be an even integer"):
+                FilterSpec(f_hi=15e6, order=order)
         ts = coherent_traces(AcquisitionConfig(num_sets=2, samples_per_set=256))
         with pytest.raises(SpecError):
             Spectra(ts, [FilterSpec(f_hi=600e6)])

@@ -21,6 +21,7 @@ from csilab import synth
 from csilab.dsp import psd_estimate
 from csilab.errors import ClipWarning, ConfigError, DcMissing
 from csilab.estimators import Spectra
+from csilab.scenarios import preset, preset_names
 from csilab.synth import (
     AcquisitionConfig,
     TraceSet,
@@ -225,9 +226,10 @@ class TestDeterminism:
             tracemalloc.stop()
         assert held < (1024 + 2 * 128) // 2 * 16  # one complex row of the 1280-sample grid
 
-    def test_bad_thread_env(self, monkeypatch):
-        monkeypatch.setenv("CSILAB_THREADS", "many")
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("threads", ["many", "0", "-2"])
+    def test_bad_thread_env(self, monkeypatch, threads):
+        monkeypatch.setenv("CSILAB_THREADS", threads)
+        with pytest.raises(ConfigError, match="CSILAB_THREADS"):
             synthesize(model_g10(), small_acq(num_sets=2))
 
 
@@ -689,6 +691,25 @@ class TestValidation:
         m = model_g10(delay=600e-9)
         with pytest.raises(ConfigError):
             synthesize(m, small_acq(samples_per_set=4096))
+
+    def test_group_delay_guard(self):
+        """The pad must cover the largest group delay on the synthesis
+        grid, not only the line-centre delay: G2 with a 200 ns dispersion
+        swing reaches 136 ns on the 1 250-sample grid of 1 000-sample sets,
+        past 10 % of the set, though its line-centre delay is 13 ns."""
+        sc = preset("G2")
+        model = dataclasses.replace(sc.model, delay_dispersion=200e-9)
+        acq = dataclasses.replace(sc.acquisition, samples_per_set=1000, num_sets=2)
+        with pytest.raises(ConfigError, match="group delay 1.36e-07 s"):
+            synth.synthesize_stream(model, acq)
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_presets_stay_inside_the_group_delay_guard(self, name):
+        sc = preset(name)
+        acq = sc.acquisition
+        n_gen = acq.samples_per_set + 2 * math.ceil(0.125 * acq.samples_per_set)
+        tau = sc.model.group_delay(np.fft.rfftfreq(n_gen, d=1.0 / acq.sample_rate))
+        assert np.abs(tau).max() < 0.05 * acq.set_duration
 
     @pytest.mark.parametrize(
         "kw",

@@ -8,6 +8,7 @@ import pytest
 
 from csilab.errors import DegenerateState, DomainError
 from csilab.fock import fock_oracle_moments
+from csilab.scenarios import preset
 from csilab.theory import (
     CsdModel,
     ExcessNoiseSpec,
@@ -335,6 +336,17 @@ class TestSpectralModel:
         with pytest.raises(DomainError):
             ExcessNoiseSpec(**bad)
 
+    @pytest.mark.parametrize("field", ["order", "probe_order", "dispersion_order"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(3.0), True])
+    def test_orders_must_be_integers(self, field, bad):
+        """A shape's order is an exponent of (f/onset)²; a float or a bool is
+        refused when the spec is built, as AcquisitionConfig refuses a
+        non-integer count, and a numpy integer is taken."""
+        build = self.model if field == "dispersion_order" else ExcessNoiseSpec
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            build(**{field: bad})
+        assert getattr(build(**{field: np.int64(3)}), field) == 3
+
     def test_group_delay_bandpass_swing(self):
         m = self.model(
             delay=13e-9,
@@ -402,7 +414,9 @@ class TestSpectralModel:
 def _bumped(value):
     """A different valid value for one model field."""
     if value is None:
-        return 7e6  # above every onset and corner of the digest model
+        # above every onset and corner of the digest model, and an integer,
+        # as an order must be
+        return 7_000_000
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
@@ -419,6 +433,12 @@ def _perturbations(obj):
                 yield f"{f.name}.{inner[0]}", dataclasses.replace(obj, **{f.name: inner[1]})
         else:
             yield f.name, dataclasses.replace(obj, **{f.name: _bumped(value)})
+
+
+def test_g10_digest_is_pinned():
+    """The provenance digest of the G10 preset: twelve hex digits of a
+    BLAKE2b hash of every model field."""
+    assert preset("G10").model.digest() == "64304362c293"
 
 
 def test_digest_covers_every_field():
