@@ -14,7 +14,6 @@ spectra over an analysis band; both verdicts must agree on the same band.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -24,17 +23,12 @@ import numpy.fft  # noqa: F401  (numpy loads it lazily; load it at import)
 
 from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_sum, _squeezing
 from .errors import BandError, ConfigError, DcMissing, DegenerateSet, NoPeak
-from .synth import TraceStream, _runner, _thread_count, _Turns
+from .synth import TraceStream
 
-# sets per unit: transformed and correlated at a time, by one thread.  A
-# thread's scratch grows with the unit, 0.8 MB at 10 000 samples; 4-set
-# units built about 15 % faster on 2 threads for twice that, and 1-set units
-# about 40 % slower on one
-_CHUNK = 2
-# units in flight at most, one per thread, each with one unit's scratch
-# (0.8 MB at 10 000 samples), so a build's peak stays bounded on any number
-# of CPUs
-_UNITS_IN_FLIGHT = 2
+# sets per unit: transformed and correlated at a time.  The build's scratch
+# grows with the unit, 1.6 MB at 10 000 samples; 2-set units held half that
+# and built about 6 % slower, 1-set units about 40 % slower
+_CHUNK = 4
 # a bin where every gain has |H|² at or below this changes no eps, so the
 # eps sums stop after the last bin where some filter rises above it
 _GAIN_FLOOR = 1e-20
@@ -90,11 +84,9 @@ class Spectra:
     conj(C1) C2 the per-lag sums of d and d², where d is the fluctuation
     of the set's g2 curve (its inverse transform over n and the DC
     product).  Sets are transformed in units of _CHUNK, as the trace
-    source yields them, so no channel, no beam spectrum and no stream is
-    held whole.  Each pass runs its units through one synth._runner, on
-    at most _UNITS_IN_FLIGHT threads, and a unit adds to each sum only
-    after the previous unit has, so every sum adds the sets in order and
-    no bit depends on the thread count.
+    source yields them, one unit after another on the calling thread and
+    in one unit's scratch, so no channel, no beam spectrum and no stream
+    is held whole, and every sum adds the sets in order.
 
     ``filters`` lists the FilterSpecs, and None for the unfiltered V,
     whose V statistics will be asked for; V for any other filter raises
@@ -123,8 +115,9 @@ class Spectra:
     Raises DcMissing unless every DC mean is finite and positive,
     ConfigError for sets shorter than MIN_SAMPLES, which leave the delay
     search too few lags to judge a peak wherever it sits, or for a
-    CSILAB_THREADS that is not an integer, and SpecError for a filter not
-    below the Nyquist frequency.
+    filter that is neither a FilterSpec nor None, SpecError for a filter
+    not below the Nyquist frequency, and BandError for one that passes
+    no bin of the rfft grid.
     """
 
     def __init__(self, traces: TraceStream, filters: Iterable[FilterSpec | None] = ()):
@@ -146,6 +139,10 @@ class Spectra:
         bins = n // 2 + 1
         # one-sided Parseval weights: mean(x * y) == Re(conj(X) Y) @ weights
         self.weights = _one_sided(n) * (2.0 / (n * n))
+        filters = list(filters)
+        for spec in filters:
+            if spec is not None and not isinstance(spec, FilterSpec):
+                raise ConfigError(f"a filter must be a FilterSpec or None, got {spec!r}")
         self.filters = list(dict.fromkeys(filters))
         w = self._weights(self.filters)
         self._power_sums = np.zeros((4, bins))  # |P|², |C|², |P1 - P2|², |C1 - C2|²
@@ -153,74 +150,70 @@ class Spectra:
         self._lag_sums = np.zeros((2, 3, n))  # d and d² per row and lag
         self._eps = np.empty((3, len(w), sets))  # aa, bb, ab per filter and set
         chunk = min(_CHUNK, sets)
-        threads = min(_thread_count(), _UNITS_IN_FLIGHT, -(-sets // chunk))
-        step = acq.step
-        # per thread one unit's scratch: four complex rows and one float row per set
-        with _runner(threads, lambda: (np.empty((4, chunk, bins), dtype=complex),
-                                       np.empty((chunk, n)))) as run:
-            each_unit = functools.partial(_each_unit, traces, chunk, run)
-            self._split_pass(each_unit, step, w, self._eps[:2])
-            self.delay, self.delay_fallback = self._ensemble_delay(self._cross_sum / sets)
-            if self.filters:
-                self._cross_pass(each_unit, step, w, self._eps[2])
+        # one unit's scratch: four complex rows and one float row per set
+        scratch = np.empty((4, chunk, bins), dtype=complex), np.empty((chunk, n))
+        self._split_pass(_units(traces, chunk), scratch, acq.step, w, self._eps[:2])
+        self.delay, self.delay_fallback = self._ensemble_delay(self._cross_sum / sets)
+        if self.filters:
+            self._cross_pass(_units(traces, chunk), scratch, acq.step, w, self._eps[2])
 
     def _weights(self, specs) -> list[np.ndarray]:
         """The weights of each spec's eps sums: the Parseval weights times
         its |H|² (1 for None), up to the last bin where |H|² exceeds
         _GAIN_FLOOR (every bin for None).  SpecError for a filter not below
-        the Nyquist frequency."""
+        the Nyquist frequency and BandError for one with no such bin."""
         out = []
         for spec in specs:
             if spec is None:
                 out.append(self.weights)
-            else:
-                g = _bandpass_gain(spec, self.n, self.rate)
-                out.append((self.weights * g * g)[: _reach(g)].copy())
+                continue
+            g = _bandpass_gain(spec, self.n, self.rate)
+            reach = _reach(g)
+            if not reach:
+                raise BandError(
+                    f"{spec} passes no bin of the {self.rate / self.n:g} Hz grid: "
+                    f"its |H|² stays at or below {_GAIN_FLOOR:g} in every bin"
+                )
+            out.append((self.weights * g * g)[:reach].copy())
         return out
 
-    def _split_pass(self, each_unit, step: float, w: list, eps: np.ndarray) -> None:
-        """Transform the four channels of every set, take the ensemble and
-        lag sums and fill eps (2, filters, sets) with each set's split-pair
-        sums Re(conj(P1) P2) and Re(conj(C1) C2) under the weights w.
+    def _split_pass(self, units, scratch, step: float, w: list, eps: np.ndarray) -> None:
+        """Transform the four channels of every set of units, take the
+        ensemble and lag sums and fill eps (2, filters, sets) with each
+        set's split-pair sums Re(conj(P1) P2) and Re(conj(C1) C2) under
+        the weights w.
 
-        A unit's rows enter each of the eight sums (four power rows, the
-        cross row, three lag rows) only once the previous unit's have, so
-        each sum adds its sets in order however the units are threaded.
-        The unit's slots hold the halves, then each beam in its first
-        half's slot; its float buffer holds the dequantized codes, then
-        the real parts, each curve and each power row in turn."""
+        The scratch's slots hold a unit's halves, then each beam in its
+        first half's slot; its float buffer holds the dequantized codes,
+        then the real parts, each curve and each power row in turn."""
         n = self.n
         bins = n // 2 + 1
         norms = ((self.dc[0] + self.dc[1]) * (self.dc[2] + self.dc[3]),
                  self.dc[0] * self.dc[1], self.dc[2] * self.dc[3])
         reach = max((x.size for x in w), default=0)
-        turns = _Turns(8)  # power rows 0-3, cross row 4, lag rows 5-7
+        slots, work = scratch
 
-        def unit(u, lo, part, buffers):
-            slots, work = buffers
+        def add_power(i, z, power):
+            np.abs(z, out=power)
+            np.square(power, out=power)
+            _add_rows(self._power_sums[i], power)
+
+        def add_curve(r, row, flat):
+            t = np.fft.irfft(row, n=n, axis=-1, out=flat)
+            t /= n
+            t /= norms[r]
+            # d = (1 + t) - 1, exactly: the set's curve less 1 with the
+            # curve's own rounding, so the sums over sets of d and d² give
+            # its mean and spread to the last bits; raw t would not
+            t += 1.0
+            t -= 1.0
+            _add_rows(self._lag_sums[0, r], t)
+            _add_rows(self._lag_sums[1, r], np.square(t, out=t))
+
+        for lo, part in units:
             k = len(part)
             a, b, c, row = slots[:, :k]
             flat, power = work[:k], work[:k, :bins]
-
-            def add_power(i, z):
-                np.abs(z, out=power)
-                np.square(power, out=power)
-                with turns.turn(i, u):
-                    _add_rows(self._power_sums[i], power)
-
-            def add_curve(r):
-                t = np.fft.irfft(row, n=n, axis=-1, out=flat)
-                t /= n
-                t /= norms[r]
-                # d = (1 + t) - 1, exactly: the set's curve less 1 with the
-                # curve's own rounding, so the sums over sets of d and d² give
-                # its mean and spread to the last bits; raw t would not
-                t += 1.0
-                t -= 1.0
-                with turns.turn(5 + r, u):
-                    _add_rows(self._lag_sums[0, r], t)
-                    _add_rows(self._lag_sums[1, r], np.square(t, out=t))
-
             for r, (x1, x2) in ((1, (a, b)), (2, (b, c))):
                 for ch, x in zip((2 * r - 2, 2 * r - 1), (x1, x2)):
                     # assigned: a ufunc fed int16 casts through a 64 KiB buffer
@@ -230,27 +223,22 @@ class Spectra:
                     x[:, 0] = 0.0
                 np.multiply(np.conjugate(x1, out=row), x2, out=row)
                 _eps_rows(row, w, work[:, :reach], eps[r - 1, :, lo : lo + k])
-                add_curve(r)
-                add_power(r + 1, np.subtract(x1, x2, out=row))
-                add_power(r - 1, np.add(x1, x2, out=x1))  # the beam, P then C
+                add_curve(r, row, flat)
+                add_power(r + 1, np.subtract(x1, x2, out=row), power)
+                add_power(r - 1, np.add(x1, x2, out=x1), power)  # the beam, P then C
             np.multiply(np.conjugate(a, out=row), b, out=row)
-            with turns.turn(4, u):
-                _add_rows(self._cross_sum, row)
-            add_curve(0)
+            _add_rows(self._cross_sum, row)
+            add_curve(0, row, flat)
 
-        each_unit(unit, turns)
-
-    def _cross_pass(self, each_unit, step: float, w: list, eps: np.ndarray) -> None:
-        """Fill eps (filters, sets) with each set's sum of Re(conj(P) C
-        ramp) under the weights w, the ramp advancing the conjugate by the
-        delay.  Each beam's halves are summed in the time domain, so a set
-        takes two transforms, P and C.  Units write disjoint eps columns,
-        so they share no sum."""
+    def _cross_pass(self, units, scratch, step: float, w: list, eps: np.ndarray) -> None:
+        """Fill eps (filters, sets) with the sum of Re(conj(P) C ramp)
+        under the weights w of each set of units, the ramp advancing the
+        conjugate by the delay.  Each beam's halves are summed in the time
+        domain, so a set takes two transforms, P and C."""
         n, reach = self.n, max(x.size for x in w)
         ramp = _delay_ramp(n, self.rate, self.delay)[:reach] if self.delay else None
-
-        def unit(u, lo, part, buffers):
-            slots, work = buffers
+        slots, work = scratch
+        for lo, part in units:
             k = len(part)
             probe, conj, rows = slots[:3, :k]
             for beam, ch in zip((probe, conj), (0, 2)):
@@ -268,8 +256,6 @@ class Spectra:
             if ramp is not None:
                 row *= ramp
             _eps_rows(row, w, work[:, :reach], eps[:, lo : lo + k])
-
-        each_unit(unit, _Turns())
 
     def _ensemble_delay(self, cross_mean: np.ndarray) -> tuple[float, bool]:
         cov = np.fft.irfft(cross_mean, n=self.n)
@@ -347,20 +333,17 @@ class Spectra:
         return out
 
 
-def _each_unit(traces, size: int, run, work, turns: _Turns) -> None:
-    """work(unit, lo, part, buffers) for each run of at most size
-    consecutive sets of traces, a unit: unit counts them from 0, lo is the
-    index of the run's first set, part its set-major codes.  run, of a
-    synth._runner, does each block's units before the next block is
+def _units(traces, size: int):
+    """Yield (lo, part) for each run of at most size consecutive sets of
+    traces, a unit: lo is the index of the run's first set, part its
+    set-major codes.  A block's units are done before the next block is
     drawn, since a stream may reuse one buffer for all its blocks."""
-    unit = lo = 0
+    lo = 0
     for block in traces:
-        units = []
         for first in range(0, len(block), size):
             part = block[first : first + size]
-            units.append((unit, lo, part))
-            unit, lo = unit + 1, lo + len(part)
-        run(units, work, turns)
+            yield lo, part
+            lo += len(part)
 
 
 def _eps_rows(rows: np.ndarray, w: list, real: np.ndarray, out: np.ndarray) -> None:
@@ -622,11 +605,15 @@ def cutoff_sweep(sp: Spectra, specs) -> np.ndarray:
     order.  The delay is estimated once from the unfiltered ensemble so
     every cutoff sees the same alignment.  ``specs`` are the filters the
     Spectra was built for; one it was not built for raises ConfigError
-    naming the first missing, and an empty list raises BandError.
+    naming the first missing, as does one that is not a FilterSpec, None
+    included, and an empty list raises BandError.
     """
     specs = list(specs)
     if not specs:
         raise BandError("cutoff list is empty")
+    for spec in specs:
+        if not isinstance(spec, FilterSpec):
+            raise ConfigError(f"a cutoff sweep takes FilterSpecs, got {spec!r}")
     return np.array([(spec.f_hi, st["v_mean"], st["v_sigma"])
                      for spec, st in zip(specs, sp._violation_stats(specs))])
 

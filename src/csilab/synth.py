@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import threading
 import warnings
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
@@ -51,88 +50,49 @@ def _thread_count() -> int:
     return n
 
 
-class _Abandoned(Exception):
-    """A unit stopped because another unit of its run failed."""
-
-
-class _Turns:
-    """Set order for the sums the units of a run share, and its first error.
-
-    Unit u takes its turn at sum i only once units 0 .. u - 1 have passed
-    theirs, so each sum adds its rows in set order however the units are
-    threaded.  Units are handed out in order, so the first unit not done
-    never waits.  fail(error) ends the run and keeps its first error: a
-    unit waiting for a turn raises _Abandoned and no further unit starts.
-    """
-
-    def __init__(self, sums: int = 0):
-        self._next = [0] * sums
-        self._cond = threading.Condition()
-        self.error = None
-
-    def fail(self, error: BaseException) -> None:
-        with self._cond:
-            if self.error is None:
-                self.error = error
-            self._cond.notify_all()
-
-    @contextmanager
-    def turn(self, i: int, unit: int):
-        with self._cond:
-            while self._next[i] != unit:
-                if self.error is not None:
-                    raise _Abandoned
-                self._cond.wait()
-        yield
-        with self._cond:
-            self._next[i] += 1
-            self._cond.notify_all()
-
-
 @contextmanager
 def _runner(threads: int, scratch: Callable[[], object]):
-    """Yield run(units, work, turns), which does a block's units on the
-    calling thread and a pool of threads - 1 workers.
+    """Yield run(units, work), which does a block's units on the calling
+    thread and a pool of threads - 1 workers.
 
     Each thread gets the buffers one call of scratch makes, here on the
     calling thread; buffers and pool are made once and serve every call
     of run.  run calls work(*unit, buffers) for each unit, on whichever
     thread comes free first, so a thread the host holds back delays no
     other, and returns once every unit is done, so the caller may reuse
-    the block's buffer.  A unit that raises fails turns: no further unit
-    starts, a unit waiting for a turn stops, and once every thread has
-    stopped the unit's error is raised.  Synthesis runs one unit per set
-    on up to BLOCK_SETS threads, each with about 0.56 MB of scratch at
-    10 000 samples; a Spectra build runs units of 2 sets on at most 2,
-    each with 0.8 MB.
+    the block's buffer.  A unit that raises stops the run: no further
+    unit starts, and once every thread has stopped the first unit's
+    error is raised.  Synthesis runs one unit per set on up to
+    BLOCK_SETS threads, each with about 0.56 MB of scratch at 10 000
+    samples.
     """
     buffers = [scratch() for _ in range(threads)]
     with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
 
-        def run(units, work, turns: _Turns) -> None:
-            todo = deque(units)
-            futures = [pool.submit(_drain, todo, work, b, turns) for b in buffers[1:]]
-            _drain(todo, work, buffers[0], turns)
+        def run(units, work) -> None:
+            todo, errors = deque(units), []
+            futures = [pool.submit(_drain, todo, work, b, errors) for b in buffers[1:]]
+            _drain(todo, work, buffers[0], errors)
             for future in futures:
-                future.result()  # _drain keeps a unit's error in turns
-            if turns.error is not None:
-                raise turns.error
+                future.result()  # _drain keeps a unit's error in errors
+            if errors:
+                raise errors[0]
 
         yield run
 
 
-def _drain(todo: deque, work, buffers, turns: _Turns) -> None:
+def _drain(todo: deque, work, buffers, errors: list) -> None:
     """Do the units popped from todo, which threads share, until it is
-    empty or a unit has failed; a unit's error goes to turns.fail."""
+    empty or a unit has failed; a unit's error is appended to errors."""
     try:
-        while turns.error is None:
+        while not errors:
             try:
                 unit = todo.popleft()  # deque pops are thread-safe
             except IndexError:
                 return
             work(*unit, buffers)
     except BaseException as exc:  # raised by run once every thread has stopped
-        turns.fail(exc)
+        errors.append(exc)
 
 
 @dataclass(frozen=True)
@@ -494,7 +454,7 @@ def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
             for lo in range(0, sets, BLOCK_SETS):
                 block = buf[: min(BLOCK_SETS, sets - lo)]
                 seeds = root_seed.spawn(len(block))  # children lo, lo + 1, ...
-                run(zip(range(len(block)), seeds, block), make_set, _Turns())
+                run(zip(range(len(block)), seeds, block), make_set)
                 clipped += sum(rails[: len(block)])
                 yield block
         _warn_clipping(clipped, 4 * sets * n_keep, stacklevel=2)
@@ -527,9 +487,13 @@ def apply_loss(
     ACs scale by the intensity transmission; the open port re-injects
     vacuum so each channel keeps a true shot floor for its reduced DC.
     Normalized correlations are expected to be invariant under this.
-    A DC mean that is negative or not finite raises DcMissing, and a
-    charge_scale that is not finite and > 0 ConfigError, before any draw.
+    A source that is not a TraceSet, a TraceStream say, raises
+    ConfigError, a DC mean that is negative or not finite DcMissing, and
+    a charge_scale that is not finite and > 0 ConfigError, all before any
+    draw.
     """
+    if not isinstance(ts, TraceSet):
+        raise ConfigError(f"apply_loss needs a TraceSet, got {type(ts).__name__}")
     if not (0.0 < extra_eta <= 1.0):
         raise ConfigError(f"extra_eta must be in (0, 1], got {extra_eta}")
     q = charge_scale if charge_scale is not None else ts.charge_scale

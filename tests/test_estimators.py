@@ -677,10 +677,10 @@ class TestChunkedAnalysis:
     def test_results_independent_of_chunk_and_threads(self, num_sets, samples, seed,
                                                      chunk, threads):
         """Sets are transformed, summed and correlated a chunk at a time,
-        and the chunks of a block are shared by CSILAB_THREADS threads;
-        neither the chunk size nor the thread count, drawn here for the
-        Spectra builds as well as for synthesis, may change a single bit
-        of any estimate."""
+        and synthesis shares the sets of a block among CSILAB_THREADS
+        threads; neither the chunk size, drawn here for the Spectra builds
+        as well as for synthesis, nor the thread count may change a single
+        bit of any estimate."""
         acq = AcquisitionConfig(num_sets=num_sets, samples_per_set=samples, rng_seed=seed)
         ts = synthesize(g10_model(), acq)
         interval = sys.getswitchinterval()
@@ -744,15 +744,15 @@ class TestChunkedAnalysis:
 
 
 class TestThreadedBuild:
-    """The calling thread and a pool share each block's units of _CHUNK sets."""
+    """The build does its units of _CHUNK sets on the calling thread, however many CPUs."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 4, 64])
     def test_build_peak_stays_below_one_ensemble_spectrum_on_any_cpu_count(
             self, ts_g10, monkeypatch, cpus):
         """The build of test_sweep_allocates_less_than_one_ensemble_spectrum,
         a Spectra for a 15-cutoff sweep, keeps the same 5.12 MB bound
-        however many CPUs the process may run on: at most _UNITS_IN_FLIGHT
-        threads take units, each with one unit's scratch."""
+        however many CPUs the process may run on: it makes no thread pool
+        and holds one unit's scratch."""
         pools = []
 
         class CountingPool(synth.ThreadPoolExecutor):
@@ -766,7 +766,7 @@ class TestThreadedBuild:
         monkeypatch.setattr(synth, "ThreadPoolExecutor", CountingPool)
         ts = subset(ts_g10, 64)
         peak = _sweep_build_peak(ts)
-        assert 1 + max(pools, default=0) == min(cpus, estimators._UNITS_IN_FLIGHT)
+        assert pools == []
         assert peak < _ensemble_spectrum_bytes(ts)
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
@@ -845,6 +845,25 @@ class TestDeclaredFilters:
             filtered_violation(sp, None)
         with pytest.raises(ConfigError, match="f_hi=5000000.0.* was not declared"):
             filtered_violation(Spectra(subset(ts, 4), []), FilterSpec(f_hi=5e6))
+
+    def test_filter_that_is_not_a_filter_spec_is_refused_by_name(self, ts_g10):
+        """A build takes FilterSpecs and None, a sweep FilterSpecs alone;
+        anything else is a ConfigError naming it, not an AttributeError."""
+        ts = subset(ts_g10, 4)
+        with pytest.raises(ConfigError, match="FilterSpec or None, got 15000000.0"):
+            Spectra(ts, [15e6])
+        with pytest.raises(ConfigError, match=r"FilterSpec or None, got \[15000000.0\]"):
+            Spectra(ts, [None, [15e6]])  # unhashable, so refused before the dedup
+        with pytest.raises(ConfigError, match="takes FilterSpecs, got None"):
+            cutoff_sweep(Spectra(ts, [None]), [None])
+
+    def test_filter_that_passes_no_bin_is_refused_by_name(self, ts_g10):
+        """A 100-200 Hz bandpass has |H|² at or below the gain floor in
+        every bin of G10's 100 kHz grid, so it has no eps; it is refused
+        when the Spectra is built, not read as 0 of 8 sets carrying a
+        cross-correlation."""
+        with pytest.raises(BandError, match=r"f_hi=200\.0.* passes no bin of the 100000 Hz"):
+            Spectra(subset(ts_g10, 8), [FilterSpec(f_hi=200.0, f_lo=100.0)])
 
     def test_source_empty_on_its_second_pass_is_refused(self):
         """A source read again must yield every set again: one whose blocks

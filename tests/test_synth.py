@@ -345,9 +345,9 @@ def test_failing_set_ends_the_reading_and_frees_every_thread(monkeypatch, thread
 
 
 def test_one_function_constructs_a_thread_pool():
-    """Synthesis and the Spectra build share one runner: in all of csilab
-    one call constructs a ThreadPoolExecutor, in synth._runner, so the
-    CountingPool patches of synth.ThreadPoolExecutor see every pool."""
+    """In all of csilab one call constructs a ThreadPoolExecutor, in
+    synth._runner, which synthesis runs its sets on, so the CountingPool
+    patches of synth.ThreadPoolExecutor see every pool."""
     pools = [
         (path.stem, node.lineno)
         for path in sorted(Path(synth.__file__).parent.glob("*.py"))
@@ -625,6 +625,19 @@ class TestLossHook:
         ts = coherent_traces(small_acq(num_sets=2, samples_per_set=256))
         with pytest.raises(ConfigError, match="charge_scale must be finite and > 0"):
             apply_loss(ts, 0.5, charge_scale=q)
+
+    def test_refuses_a_stream_before_any_draw(self, monkeypatch):
+        """A TraceStream holds no codes to split: apply_loss names its type
+        in a ConfigError before it seeds a generator."""
+        stream = synth.synthesize_stream(model_g10(), small_acq(num_sets=2,
+                                                                samples_per_set=256))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("apply_loss drew before refusing its source")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ConfigError, match="needs a TraceSet, got TraceStream"):
+            apply_loss(stream, 0.5)
 
 
 def test_traceset_iterates_as_set_major_block_views(monkeypatch):

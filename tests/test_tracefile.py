@@ -5,7 +5,6 @@ import os
 import struct
 import sys
 import threading
-import time
 import tracemalloc
 import zlib
 from unittest import mock
@@ -434,11 +433,9 @@ def test_overlapping_readings_of_a_container_each_read_the_file(tmp_path):
 def test_threaded_build_from_a_container_changes_no_bit(tmp_path, monkeypatch, threads):
     """A container's stream reads every block into one buffer, so each
     block's units must be done before the next block is read.  A Spectra
-    built from the stream on 1, 2 or 3 threads (the cap on units in flight
-    lifted to 3), with threads switching as often as possible, equals one
-    built from the TraceSet on one thread, bit for bit.  Each transform
-    on a pool worker first sleeps 10 ms, so a block read before its units
-    were done would overwrite sets a worker has yet to transform."""
+    built from the stream with CSILAB_THREADS at 1, 2 or 3, threads
+    switching as often as possible, equals one built from the TraceSet
+    at 1, bit for bit."""
     sc = preset("G10")
     acq = dataclasses.replace(sc.acquisition, num_sets=2 * BLOCK_SETS + 3, rng_seed=11)
     ts = synthesize(sc.model, acq)
@@ -448,15 +445,6 @@ def test_threaded_build_from_a_container_changes_no_bit(tmp_path, monkeypatch, t
     monkeypatch.setenv("CSILAB_THREADS", "1")
     from_set = Spectra(ts, filters)
     monkeypatch.setenv("CSILAB_THREADS", threads)
-    monkeypatch.setattr(estimators, "_UNITS_IN_FLIGHT", 3)
-    rfft = np.fft.rfft
-
-    def slow_on_workers(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(0.01)
-        return rfft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", slow_on_workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
