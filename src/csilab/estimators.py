@@ -23,12 +23,8 @@ import numpy.fft  # noqa: F401  (numpy loads it lazily; load it at import)
 
 from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_sum, _squeezing
 from .errors import BandError, ConfigError, DcMissing, DegenerateSet, NoPeak
-from .synth import TraceStream
+from .synth import UNIT_SETS, TraceStream
 
-# sets per unit: transformed and correlated at a time.  The build's scratch
-# grows with the unit, 1.6 MB at 10 000 samples; 2-set units held half that
-# and built about 6 % slower, 1-set units about 40 % slower
-_CHUNK = 4
 # a bin where every gain has |H|² at or below this changes no eps, so the
 # eps sums stop after the last bin where some filter rises above it
 _GAIN_FLOOR = 1e-20
@@ -83,7 +79,7 @@ class Spectra:
     ensemble means, and for each of the rows conj(P) C, conj(P1) P2 and
     conj(C1) C2 the per-lag sums of d and d², where d is the fluctuation
     of the set's g2 curve (its inverse transform over n and the DC
-    product).  Sets are transformed in units of _CHUNK, as the trace
+    product).  Sets are transformed in units of UNIT_SETS, as the trace
     source yields them, one unit after another on the calling thread and
     in one unit's scratch, so no channel, no beam spectrum and no stream
     is held whole, and every sum adds the sets in order.
@@ -149,7 +145,7 @@ class Spectra:
         self._cross_sum = np.zeros(bins, dtype=complex)  # conj(P) C
         self._lag_sums = np.zeros((2, 3, n))  # d and d² per row and lag
         self._eps = np.empty((3, len(w), sets))  # aa, bb, ab per filter and set
-        chunk = min(_CHUNK, sets)
+        chunk = min(UNIT_SETS, sets)
         # one unit's scratch: four complex rows and one float row per set
         scratch = np.empty((4, chunk, bins), dtype=complex), np.empty((chunk, n))
         self._split_pass(_units(traces, chunk), scratch, acq.step, w, self._eps[:2])

@@ -17,8 +17,9 @@ Layout (little endian throughout):
     82      ...   int16 codes, C order (set, channel, sample)
 
 The payload is a run of set-major blocks, so the blocks of a
-TraceStream go to disk as they are and come back with one
-``readinto`` each; read_tracefile reads the whole payload with one.
+TraceStream go to disk as they are, and a reading of open_stream reads
+them back one analysis unit of UNIT_SETS sets per ``readinto``;
+read_tracefile reads the whole payload with one.
 Files are written to a temporary sibling and moved into place so a
 crashed writer never leaves a half-written file under the final name.
 Readers validate the checksum, the header fields and the byte count
@@ -37,7 +38,7 @@ import numpy as np
 
 from ._atomic import atomic_write
 from .errors import ConfigError, TraceFileError
-from .synth import BLOCK_SETS, AcquisitionConfig, TraceSet, TraceStream
+from .synth import UNIT_SETS, AcquisitionConfig, TraceSet, TraceStream
 
 MAGIC = b"CSTF"
 VERSION = 1
@@ -146,14 +147,15 @@ def _read_header(fh, path):
 
 
 def _read_blocks(fh, path, acq: AcquisitionConfig):
-    """Yield the payload of the open container fh from its first set,
-    BLOCK_SETS sets at a time, each read from its own offset into one
-    buffer of this reading's; TraceFileError once fh is closed."""
+    """Yield the payload of the open container fh from its first set, one
+    analysis unit (UNIT_SETS sets) at a time, each read from its own offset
+    into one buffer of this reading's, so a reading holds one unit of
+    codes whatever the set count; TraceFileError once fh is closed."""
     if fh.closed:
         raise TraceFileError(f"{path}: the container was closed before it was read")
-    buf = np.empty((min(BLOCK_SETS, acq.num_sets), 4, acq.samples_per_set), dtype="<i2")
-    for lo in range(0, acq.num_sets, BLOCK_SETS):
-        block = buf[: min(BLOCK_SETS, acq.num_sets - lo)]
+    buf = np.empty((min(UNIT_SETS, acq.num_sets), 4, acq.samples_per_set), dtype="<i2")
+    for lo in range(0, acq.num_sets, UNIT_SETS):
+        block = buf[: min(UNIT_SETS, acq.num_sets - lo)]
         fh.seek(HEADER_SIZE + lo * buf[0].nbytes)
         if fh.readinto(block) != block.nbytes:
             raise TraceFileError(f"{path}: payload ended early")

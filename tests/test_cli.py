@@ -536,9 +536,9 @@ def test_report_transforms_each_channel_once_and_each_beam_once(tmp_path, monkey
     rc = run("report", "--config", "G10", "--out", str(tmp_path / "rep"), "--sets", "12")
     assert rc == 0
     # analysis and sweep share one Spectra: each channel of each set is
-    # transformed once, _CHUNK sets at a time, the delay found once, and
+    # transformed once, UNIT_SETS sets at a time, the delay found once, and
     # the second pass transforms each beam, its halves summed, once
-    chunks = -(-12 // estimators._CHUNK)
+    chunks = -(-12 // estimators.UNIT_SETS)
     assert calls == {"rfft": 6 * chunks, "points": 6 * 12 * 10000, "delay": 1}
 
 
@@ -667,10 +667,14 @@ def race(write, payloads, rounds=10):
     return errors
 
 
-@pytest.mark.parametrize("rows, cols", [(300, 4), (1, 1), (0, 2)])
+@pytest.mark.parametrize("rows, cols", [
+    (300, 4), (1, 1), (0, 2), (cli._CSV_ROWS - 1, 4), (cli._CSV_ROWS, 4),
+    (cli._CSV_ROWS + 1, 4), (2 * cli._CSV_ROWS + 1, 3),
+])
 def test_csv_bytes_match_savetxt(tmp_path, rows, cols):
-    """_write_csv formats the whole table in one operation; the bytes are
-    np.savetxt's, signed zeros, exponents, nan and inf included."""
+    """_write_csv formats the table _CSV_ROWS rows per operation; the bytes
+    are np.savetxt's, signed zeros, exponents, nan and inf included, at
+    every row count around a chunk boundary."""
     rng = np.random.default_rng(rows)
     table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-30, 31, (rows, cols))
     table.ravel()[:4] = [0.0, -0.0, np.nan, -np.inf][: table.size]
@@ -784,8 +788,8 @@ def test_benchmark_tracer_runs_a_report(tmp_path):
     names = {span[0] for span in record["spans"]}
     assert {"estimators.filtered_violation", "estimators.cutoff_sweep"} <= names
     assert not [span for span in record["spans"] if span[5] is not None]
-    # each unit of _CHUNK sets transforms its 4 channels, then its 2 beams
-    assert record["counters"]["fft.rfft.calls"] == 6 * -(-4 // estimators._CHUNK)
+    # each unit of UNIT_SETS sets transforms its 4 channels, then its 2 beams
+    assert record["counters"]["fft.rfft.calls"] == 6 * -(-4 // estimators.UNIT_SETS)
 
 
 SAMPLES = 2048  # per set in the memory tests; 256 sets of codes are 4.2 MB

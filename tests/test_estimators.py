@@ -686,14 +686,14 @@ class TestChunkedAnalysis:
         interval = sys.getswitchinterval()
         with mock.patch.dict(os.environ):
             os.environ.pop("CSILAB_THREADS", None)
-            with (mock.patch.object(estimators, "_CHUNK", num_sets + 1),
+            with (mock.patch.object(estimators, "UNIT_SETS", num_sets + 1),
                   mock.patch.object(synth, "BLOCK_SETS", num_sets + 1)):
                 whole = _every_estimate(ts)  # one chunk: the ensemble at once
             if threads is not None:
                 os.environ["CSILAB_THREADS"] = threads
             sys.setswitchinterval(1e-6)  # switch threads as often as possible
             try:
-                with (mock.patch.object(estimators, "_CHUNK", chunk or num_sets + 1),
+                with (mock.patch.object(estimators, "UNIT_SETS", chunk or num_sets + 1),
                       mock.patch.object(synth, "BLOCK_SETS", chunk or num_sets + 1)):
                     chunked = _every_estimate(ts)
             finally:
@@ -744,7 +744,7 @@ class TestChunkedAnalysis:
 
 
 class TestThreadedBuild:
-    """The build does its units of _CHUNK sets on the calling thread, however many CPUs."""
+    """The build does its units of UNIT_SETS sets on the calling thread, however many CPUs."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 4, 64])
     def test_build_peak_stays_below_one_ensemble_spectrum_on_any_cpu_count(

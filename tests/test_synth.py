@@ -226,6 +226,31 @@ class TestDeterminism:
             tracemalloc.stop()
         assert held < (1024 + 2 * 128) // 2 * 16  # one complex row of the 1280-sample grid
 
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_two_inverse_transforms_per_set_on_any_thread_count(self, monkeypatch, threads):
+        """Synthesis makes exactly two irfft calls per set, one per beam,
+        each of the synthesis grid's points, however many threads share
+        the sets.  The counter holds a lock, so no count is lost between
+        threads switching as often as possible."""
+        monkeypatch.setenv("CSILAB_THREADS", threads)
+        acq = small_acq(num_sets=2 * synth.BLOCK_SETS + 3, samples_per_set=1024)
+        irfft, lock, points = np.fft.irfft, threading.Lock(), []
+
+        def counted_irfft(a, n=None, *args, **kwargs):
+            with lock:
+                points.append(n)
+            return irfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stream = synth.synthesize_stream(model_g10(), acq)
+            assert sum(len(block) for block in stream) == acq.num_sets
+        finally:
+            sys.setswitchinterval(interval)
+        assert points == [1024 + 2 * 128] * (2 * acq.num_sets)  # the padded grid
+
     @pytest.mark.parametrize("threads", ["many", "0", "-2"])
     def test_bad_thread_env(self, monkeypatch, threads):
         monkeypatch.setenv("CSILAB_THREADS", threads)

@@ -21,6 +21,7 @@ from csilab.estimators import MIN_SAMPLES, Spectra, filtered_violation
 from csilab.scenarios import preset
 from csilab.synth import (
     BLOCK_SETS,
+    UNIT_SETS,
     AcquisitionConfig,
     TraceSet,
     TraceStream,
@@ -407,15 +408,15 @@ def test_spectra_without_filters_outlives_its_container(tmp_path):
 
 def test_overlapping_readings_of_a_container_each_read_the_file(tmp_path):
     """Each reading of a container's stream has a buffer of its own and
-    reads every block from that block's offset, so readings may overlap:
-    on a 48-set container, reading a's third block, drawn after reading b
-    has drawn its first, is the file's third block, and it leaves b's
-    first block as it was."""
-    acq = AcquisitionConfig(num_sets=3 * BLOCK_SETS, samples_per_set=MIN_SAMPLES, rng_seed=9)
-    ts = synthesize(preset("G10").model, acq)
+    reads every block, one analysis unit, from that block's offset, so
+    readings may overlap: on a container of three units, reading a's
+    third block, drawn after reading b has drawn its first, is the file's
+    third unit, and it leaves b's first block as it was."""
+    acq = AcquisitionConfig(num_sets=3 * UNIT_SETS, samples_per_set=MIN_SAMPLES, rng_seed=9)
     path = tmp_path / "t.cstf"
-    write_stream(ts, path)
-    expected = list(ts)
+    write_stream(synthesize(preset("G10").model, acq), path)
+    by_set = np.fromfile(path, dtype="<i2", offset=HEADER_SIZE).reshape(-1, 4, MIN_SAMPLES)
+    expected = [by_set[lo : lo + UNIT_SETS] for lo in range(0, len(by_set), UNIT_SETS)]
     with open_stream(path) as stream:
         a = iter(stream)
         for i in range(2):
@@ -427,6 +428,29 @@ def test_overlapping_readings_of_a_container_each_read_the_file(tmp_path):
         for i in (1, 2):
             assert np.array_equal(next(b), expected[i])
         assert next(a, None) is None and next(b, None) is None
+
+
+def test_reading_a_container_holds_one_unit_of_codes(tmp_path):
+    """A reading of a container's stream reads one analysis unit at a
+    time into one buffer: reading every block of a container of more than
+    two synthesis blocks peaks at about one unit of codes, not at one
+    synthesis block."""
+    samples = 4096
+    acq = AcquisitionConfig(num_sets=2 * BLOCK_SETS + 3, samples_per_set=samples, full_scale=1.0)
+    codes = np.random.default_rng(4).integers(-256, 256, size=(4, acq.num_sets, samples),
+                                              dtype=np.int16)
+    path = tmp_path / "t.cstf"
+    write_stream(TraceSet(codes=codes, dc_means=np.ones(4), acquisition=acq), path)
+    unit = UNIT_SETS * 4 * samples * 2  # bytes of one unit's int16 codes
+    with open_stream(path) as stream:
+        tracemalloc.start()
+        try:
+            sets = sum(len(block) for block in stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sets == acq.num_sets
+    assert unit <= peak < 1.25 * unit
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
