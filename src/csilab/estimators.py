@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; load it at import)
 
+from . import synth
 from .dsp import FilterSpec, Psd, _bandpass_gain, _one_sided, _psd_from_sum, _squeezing
 from .errors import BandError, ConfigError, DcMissing, DegenerateSet, NoPeak
-from .synth import UNIT_SETS, TraceStream
 
 # a bin where every gain has |H|² at or below this changes no eps, so the
 # eps sums stop after the last bin where some filter rises above it
@@ -79,10 +79,11 @@ class Spectra:
     ensemble means, and for each of the rows conj(P) C, conj(P1) P2 and
     conj(C1) C2 the per-lag sums of d and d², where d is the fluctuation
     of the set's g2 curve (its inverse transform over n and the DC
-    product).  Sets are transformed in units of UNIT_SETS, as the trace
-    source yields them, one unit after another on the calling thread and
-    in one unit's scratch, so no channel, no beam spectrum and no stream
-    is held whole, and every sum adds the sets in order.
+    product).  Sets are transformed a unit of at most synth.UNIT_SETS at a
+    time, as every reading of a TraceStream yields them, one unit after
+    another on the calling thread and in one unit's scratch, so no
+    channel, no beam spectrum and no stream is held whole, and every sum
+    adds the sets in order.
 
     ``filters`` lists the FilterSpecs, and None for the unfiltered V,
     whose V statistics will be asked for; V for any other filter raises
@@ -116,7 +117,7 @@ class Spectra:
     no bin of the rfft grid.
     """
 
-    def __init__(self, traces: TraceStream, filters: Iterable[FilterSpec | None] = ()):
+    def __init__(self, traces: synth.TraceStream, filters: Iterable[FilterSpec | None] = ()):
         acq = traces.acquisition
         dc = np.asarray(traces.dc_means, dtype=float)
         if not np.all(np.isfinite(dc) & (dc > 0.0)):
@@ -145,13 +146,13 @@ class Spectra:
         self._cross_sum = np.zeros(bins, dtype=complex)  # conj(P) C
         self._lag_sums = np.zeros((2, 3, n))  # d and d² per row and lag
         self._eps = np.empty((3, len(w), sets))  # aa, bb, ab per filter and set
-        chunk = min(UNIT_SETS, sets)
+        chunk = min(synth.UNIT_SETS, sets)
         # one unit's scratch: four complex rows and one float row per set
         scratch = np.empty((4, chunk, bins), dtype=complex), np.empty((chunk, n))
-        self._split_pass(_units(traces, chunk), scratch, acq.step, w, self._eps[:2])
+        self._split_pass(traces, scratch, acq.step, w, self._eps[:2])
         self.delay, self.delay_fallback = self._ensemble_delay(self._cross_sum / sets)
         if self.filters:
-            self._cross_pass(_units(traces, chunk), scratch, acq.step, w, self._eps[2])
+            self._cross_pass(traces, scratch, acq.step, w, self._eps[2])
 
     def _weights(self, specs) -> list[np.ndarray]:
         """The weights of each spec's eps sums: the Parseval weights times
@@ -173,11 +174,11 @@ class Spectra:
             out.append((self.weights * g * g)[:reach].copy())
         return out
 
-    def _split_pass(self, units, scratch, step: float, w: list, eps: np.ndarray) -> None:
-        """Transform the four channels of every set of units, take the
-        ensemble and lag sums and fill eps (2, filters, sets) with each
-        set's split-pair sums Re(conj(P1) P2) and Re(conj(C1) C2) under
-        the weights w.
+    def _split_pass(self, traces, scratch, step: float, w: list, eps: np.ndarray) -> None:
+        """Transform the four channels of every set of one reading of
+        traces, a unit at a time, take the ensemble and lag sums and fill
+        eps (2, filters, sets) with each set's split-pair sums
+        Re(conj(P1) P2) and Re(conj(C1) C2) under the weights w.
 
         The scratch's slots hold a unit's halves, then each beam in its
         first half's slot; its float buffer holds the dequantized codes,
@@ -206,7 +207,8 @@ class Spectra:
             _add_rows(self._lag_sums[0, r], t)
             _add_rows(self._lag_sums[1, r], np.square(t, out=t))
 
-        for lo, part in units:
+        lo = 0
+        for part in traces:
             k = len(part)
             a, b, c, row = slots[:, :k]
             flat, power = work[:k], work[:k, :bins]
@@ -225,16 +227,18 @@ class Spectra:
             np.multiply(np.conjugate(a, out=row), b, out=row)
             _add_rows(self._cross_sum, row)
             add_curve(0, row, flat)
+            lo += k
 
-    def _cross_pass(self, units, scratch, step: float, w: list, eps: np.ndarray) -> None:
+    def _cross_pass(self, traces, scratch, step: float, w: list, eps: np.ndarray) -> None:
         """Fill eps (filters, sets) with the sum of Re(conj(P) C ramp)
-        under the weights w of each set of units, the ramp advancing the
-        conjugate by the delay.  Each beam's halves are summed in the time
-        domain, so a set takes two transforms, P and C."""
+        under the weights w of each set of one reading of traces, the ramp
+        advancing the conjugate by the delay.  Each beam's halves are summed
+        in the time domain, so a set takes two transforms, P and C."""
         n, reach = self.n, max(x.size for x in w)
         ramp = _delay_ramp(n, self.rate, self.delay)[:reach] if self.delay else None
         slots, work = scratch
-        for lo, part in units:
+        lo = 0
+        for part in traces:
             k = len(part)
             probe, conj, rows = slots[:3, :k]
             for beam, ch in zip((probe, conj), (0, 2)):
@@ -252,6 +256,7 @@ class Spectra:
             if ramp is not None:
                 row *= ramp
             _eps_rows(row, w, work[:, :reach], eps[:, lo : lo + k])
+            lo += k
 
     def _ensemble_delay(self, cross_mean: np.ndarray) -> tuple[float, bool]:
         cov = np.fft.irfft(cross_mean, n=self.n)
@@ -327,19 +332,6 @@ class Spectra:
                 num_degenerate=num_degenerate,
             ))
         return out
-
-
-def _units(traces, size: int):
-    """Yield (lo, part) for each run of at most size consecutive sets of
-    traces, a unit: lo is the index of the run's first set, part its
-    set-major codes.  A block's units are done before the next block is
-    drawn, since a stream may reuse one buffer for all its blocks."""
-    lo = 0
-    for block in traces:
-        for first in range(0, len(block), size):
-            part = block[first : first + size]
-            yield lo, part
-            lo += len(part)
 
 
 def _eps_rows(rows: np.ndarray, w: list, real: np.ndarray, out: np.ndarray) -> None:
@@ -572,6 +564,15 @@ def csi_frequency_test(report: SpectraReport, sp: Spectra, band: tuple[float, fl
     the beam-asymmetry weight (difference over sum of the DC currents)
     times the integrated difference of the two beams' normalized excess.
     Classical states satisfy lhs >= rhs; lhs < rhs certifies a violation.
+    Taking each bin's SQL as 2q DC, as CsdModel does, the two sides obey
+
+        lhs - rhs = 2 dc_p dc_c / (SQL_p + SQL_c) * eps_ab * (V_rect - 1)
+
+    with eps_ab the band's trapezoid-integrated compensated cross term
+    over dc_p dc_c and V_rect the pooled V under a rectangular band, so
+    in expectation the test is classical exactly when V_rect >= 1.  The
+    measured test divides by the measured split-pair SQL instead, so on
+    few sets it can disagree with V.
     Returns (lhs, rhs, satisfied_classically).  ``sp``, the Spectra the
     report was read from, supplies the DC means.  Raises BandError for a
     band of fewer than two bins, where both integrals are 0, or one

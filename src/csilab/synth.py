@@ -28,13 +28,12 @@ from .errors import ClipWarning, ConfigError, DcMissing
 from .theory import CsdModel
 
 CHANNEL_NAMES = ("p1", "p2", "c1", "c2")
-# sets per block: the unit synthesis and a TraceSet pass on; synthesis
-# shares a block's sets among its threads and writes it to a container whole
+# sets per synthesis block: synthesis shares a block's sets among its threads
 BLOCK_SETS = 16
-# sets per analysis unit: a container reading reads, and a Spectra build
-# transforms, this many at a time.  At 10 000 samples a reading's buffer
-# holds 0.32 MB and the build's scratch 1.6 MB, both growing with the unit;
-# 2-set units built about 6 % slower, 1-set units about 40 % slower
+# sets per analysis unit, the most a TraceStream reading yields at a time.
+# At 10 000 samples a container reading's buffer holds 0.32 MB and a Spectra
+# build's scratch 1.6 MB, both growing with the unit; 2-set units built
+# about 6 % slower, 1-set units about 40 % slower
 UNIT_SETS = 4
 
 
@@ -163,11 +162,14 @@ class TraceStream:
     samples_per_set), k consecutive sets from the first set on, channel
     order p1, p2, c1, c2, which is the layout of the container payload.
     Iterating the stream calls it, so every stream can be read again, and
-    readings may overlap.  A reading may reuse one buffer of its own for
-    all its blocks, so a block is valid only until the next one of its
-    reading is drawn.  Every reading checks that its blocks hold num_sets
-    sets.  ``dc_means`` are the bias-T DC photocurrents in the units of
-    full_scale, one per channel: any other shape raises ConfigError.
+    readings may overlap.  A reading checks each block as it comes and
+    yields it as views of at most UNIT_SETS sets, the analysis units,
+    whatever the source's block size.  A source may reuse one buffer for
+    all the blocks of a reading, so a unit is valid only until the next
+    one of its reading is drawn.  Every reading checks that its blocks
+    hold num_sets sets.  ``dc_means`` are the bias-T DC photocurrents in
+    the units of full_scale, one per channel: any other shape raises
+    ConfigError.
     ``charge_scale`` (current per photon flux) serves the loss hook in
     memory and does not survive file round-trips.
     """
@@ -185,7 +187,7 @@ class TraceStream:
             )
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        acq = self.acquisition
+        acq, unit = self.acquisition, UNIT_SETS
         done = 0
         for block in self.blocks():
             done += len(block)
@@ -195,7 +197,8 @@ class TraceStream:
                     f"block of {block.dtype} {block.shape} does not fit {acq.num_sets} "
                     f"sets of (4, {acq.samples_per_set}) int16 codes"
                 )
-            yield block
+            for lo in range(0, len(block), unit):
+                yield block[lo : lo + unit]
         if done != acq.num_sets:
             raise ConfigError(f"stream ended after {done} of {acq.num_sets} sets")
 
@@ -206,8 +209,8 @@ class TraceSet(TraceStream):
 
     ``codes`` is int16 with shape (4, num_sets, samples_per_set), channel
     order p1, p2, c1, c2; it may be a transposed view of set-major storage.
-    The blocks are set-major views, BLOCK_SETS sets each, of the codes the
-    TraceSet was built with; dataclasses.replace makes one of new codes.
+    A reading's one block is the set-major view of the codes the TraceSet
+    was built with; dataclasses.replace makes one of new codes.
     """
 
     codes: np.ndarray
@@ -228,8 +231,7 @@ class TraceSet(TraceStream):
         # non-positive DC readings are representable (dead channel in an
         # external file); analysis raises DcMissing when it needs them
         by_set = self.codes.transpose(1, 0, 2)
-        self.blocks = lambda: (by_set[lo : lo + BLOCK_SETS]
-                               for lo in range(0, len(by_set), BLOCK_SETS))
+        self.blocks = lambda: (by_set,)
 
     def ac(self, name: str) -> np.ndarray:
         """Dequantized AC traces (num_sets, samples) of one channel."""
@@ -352,23 +354,26 @@ def _csd_sqrt(m: CsdModel, freqs: np.ndarray, zero_nyquist: bool):
 
 
 def synthesize(model: CsdModel, acq: AcquisitionConfig) -> TraceSet:
-    """Generate a quantized four-channel TraceSet realizing the model.
+    """A quantized four-channel TraceSet realizing the model: synthesize_stream, gathered."""
+    return _gather(synthesize_stream(model, acq))
 
-    The blocks of synthesize_stream, gathered into one TraceSet.
-    """
-    stream = synthesize_stream(model, acq)
+
+def _gather(stream: TraceStream) -> TraceSet:
+    """The TraceSet of one reading of stream, its units copied into one
+    set-major array, the one copy of the codes it holds."""
+    acq = stream.acquisition
     by_set = np.empty((acq.num_sets, 4, acq.samples_per_set), dtype=np.int16)
     lo = 0
-    for block in stream:
-        by_set[lo : lo + len(block)] = block
-        lo += len(block)
+    for unit in stream:
+        by_set[lo : lo + len(unit)] = unit
+        lo += len(unit)
     return TraceSet(codes=by_set.transpose(1, 0, 2), dc_means=stream.dc_means,
-                    acquisition=stream.acquisition, provenance=stream.provenance,
+                    acquisition=acq, provenance=stream.provenance,
                     charge_scale=stream.charge_scale)
 
 
 def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
-    """Synthesize the model's trace sets as a TraceStream, BLOCK_SETS at a time.
+    """Synthesize the model's trace sets as a TraceStream of BLOCK_SETS-set blocks.
 
     Each set is synthesized on a 25% longer grid and trimmed symmetrically
     so the circular wrap of the delay phase never touches the kept window:
@@ -382,7 +387,7 @@ def synthesize_stream(model: CsdModel, acq: AcquisitionConfig) -> TraceStream:
     own block buffer, _runner (one unit per set, on min(CSILAB_THREADS,
     BLOCK_SETS, num_sets) threads, each with one scratch set: the normal
     draws of both beam spectra, one beam's spectrum and parent row and two
-    noise rows) and at most one ClipWarning, which follows its last block
+    noise rows) and at most one ClipWarning, which follows its last unit
     when more than 0.1% of its samples railed.
     """
     if acq.sample_rate <= 10.0 * model.bandwidth:

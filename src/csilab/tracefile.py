@@ -16,10 +16,10 @@ Layout (little endian throughout):
     78      4     CRC32 of bytes 0..78
     82      ...   int16 codes, C order (set, channel, sample)
 
-The payload is a run of set-major blocks, so the blocks of a
+The payload holds the sets in order, set-major, so the units of a
 TraceStream go to disk as they are, and a reading of open_stream reads
 them back one analysis unit of UNIT_SETS sets per ``readinto``;
-read_tracefile reads the whole payload with one.
+read_tracefile gathers one such reading into a TraceSet.
 Files are written to a temporary sibling and moved into place so a
 crashed writer never leaves a half-written file under the final name.
 Readers validate the checksum, the header fields and the byte count
@@ -38,7 +38,8 @@ import numpy as np
 
 from ._atomic import atomic_write
 from .errors import ConfigError, TraceFileError
-from .synth import UNIT_SETS, AcquisitionConfig, TraceSet, TraceStream
+from . import synth
+from .synth import AcquisitionConfig, TraceSet, TraceStream, _gather
 
 MAGIC = b"CSTF"
 VERSION = 1
@@ -48,7 +49,7 @@ HEADER_SIZE = _HEADER.size + _CRC.size
 
 
 def write_stream(traces: TraceStream, path) -> None:
-    """Write the blocks of a TraceStream, a TraceSet among them, to path
+    """Write the units of a TraceStream, a TraceSet among them, to path
     as they arrive, atomically against concurrent readers of path.
 
     An exception from the stream, or a stream that does not hold the sets
@@ -70,8 +71,8 @@ def staged_stream(traces: TraceStream, path):
 
 
 def _write(traces: TraceStream, fh) -> None:
-    """Write the container of traces to the open binary file fh, block by
-    block, and flush it to disk."""
+    """Write the container of traces to the open binary file fh, unit by
+    unit, and flush it to disk."""
     acq = traces.acquisition
     if acq.full_scale is None:
         raise TraceFileError("cannot serialize with unresolved full_scale")
@@ -89,8 +90,8 @@ def _write(traces: TraceStream, fh) -> None:
     )
     fh.write(header)
     fh.write(_CRC.pack(zlib.crc32(header)))
-    for block in traces:
-        fh.write(np.ascontiguousarray(block, dtype="<i2"))
+    for unit in traces:
+        fh.write(np.ascontiguousarray(unit, dtype="<i2"))
     fh.flush()
     os.fsync(fh.fileno())
 
@@ -153,9 +154,10 @@ def _read_blocks(fh, path, acq: AcquisitionConfig):
     codes whatever the set count; TraceFileError once fh is closed."""
     if fh.closed:
         raise TraceFileError(f"{path}: the container was closed before it was read")
-    buf = np.empty((min(UNIT_SETS, acq.num_sets), 4, acq.samples_per_set), dtype="<i2")
-    for lo in range(0, acq.num_sets, UNIT_SETS):
-        block = buf[: min(UNIT_SETS, acq.num_sets - lo)]
+    unit = synth.UNIT_SETS
+    buf = np.empty((min(unit, acq.num_sets), 4, acq.samples_per_set), dtype="<i2")
+    for lo in range(0, acq.num_sets, unit):
+        block = buf[: min(unit, acq.num_sets - lo)]
         fh.seek(HEADER_SIZE + lo * buf[0].nbytes)
         if fh.readinto(block) != block.nbytes:
             raise TraceFileError(f"{path}: payload ended early")
@@ -181,16 +183,6 @@ def open_stream(path):
 
 
 def read_tracefile(path) -> TraceSet:
-    """Read and validate a trace container written by write_stream."""
-    with open(path, "rb") as fh:
-        acq, dc_means = _read_header(fh, path)
-        # one read, straight into place: one copy of the payload, set-major
-        by_set = np.empty((acq.num_sets, 4, acq.samples_per_set), dtype="<i2")
-        if fh.readinto(by_set) != by_set.nbytes:
-            raise TraceFileError(f"{path}: payload ended early")
-    return TraceSet(
-        codes=by_set.astype(np.int16, copy=False).transpose(1, 0, 2),
-        dc_means=dc_means,
-        acquisition=acq,
-        provenance="external",
-    )
+    """Read and validate a trace container written by write_stream: open_stream, gathered."""
+    with open_stream(path) as stream:
+        return _gather(stream)

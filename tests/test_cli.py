@@ -16,7 +16,7 @@ import zlib
 import numpy as np
 import pytest
 
-from csilab import cli, errors, estimators
+from csilab import cli, errors, estimators, synth
 from csilab._atomic import atomic_write
 from csilab.cli import _write_csv, _write_text, main
 from csilab.scenarios import preset, preset_names
@@ -538,7 +538,7 @@ def test_report_transforms_each_channel_once_and_each_beam_once(tmp_path, monkey
     # analysis and sweep share one Spectra: each channel of each set is
     # transformed once, UNIT_SETS sets at a time, the delay found once, and
     # the second pass transforms each beam, its halves summed, once
-    chunks = -(-12 // estimators.UNIT_SETS)
+    chunks = -(-12 // synth.UNIT_SETS)
     assert calls == {"rfft": 6 * chunks, "points": 6 * 12 * 10000, "delay": 1}
 
 
@@ -789,7 +789,7 @@ def test_benchmark_tracer_runs_a_report(tmp_path):
     assert {"estimators.filtered_violation", "estimators.cutoff_sweep"} <= names
     assert not [span for span in record["spans"] if span[5] is not None]
     # each unit of UNIT_SETS sets transforms its 4 channels, then its 2 beams
-    assert record["counters"]["fft.rfft.calls"] == 6 * -(-4 // estimators.UNIT_SETS)
+    assert record["counters"]["fft.rfft.calls"] == 6 * -(-4 // synth.UNIT_SETS)
 
 
 SAMPLES = 2048  # per set in the memory tests; 256 sets of codes are 4.2 MB

@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -519,6 +520,28 @@ class TestCsiFrequencyTest:
         with pytest.raises(BandError, match="no frequency bin"):
             csi_frequency_test(normalized_spectra(sp), sp, (5e6, 5e5))
 
+    @pytest.mark.parametrize("name", preset_names())
+    def test_sides_differ_by_the_pooled_rectangular_v(self, name):
+        """Fed each preset model's spectra between its bandpass edges, the
+        test's lhs - rhs is 2 dc_p dc_c / (SQL_p + SQL_c) * eps_ab *
+        (V_rect - 1), the eps and V_rect integrated by the model on the
+        same grid, so in expectation it is classical exactly when V_rect
+        >= 1."""
+        sc = preset(name)
+        m, bp = sc.model, sc.analysis.bandpass
+        f = np.linspace(bp.f_lo, bp.f_hi, 4001)
+        s_p, s_c, s_diff = m.normalized_spectra(f)
+        report = estimators.SpectraReport(f, s_p, s_c, s_diff, *[None] * 8)
+        halves = SimpleNamespace(dc=(m.probe_dc / 2, m.probe_dc / 2,
+                                     m.conj_dc / 2, m.conj_dc / 2))
+        lhs, rhs, classical = csi_frequency_test(report, halves, (bp.f_lo, bp.f_hi))
+        eps_aa, eps_bb, eps_ab = m.epsilons_on_grid(f)
+        v_rect = (eps_aa + eps_bb) / (2.0 * eps_ab)
+        predicted = (2.0 * m.probe_dc * m.conj_dc / (m.sql_probe + m.sql_conj)
+                     * eps_ab * (v_rect - 1.0))
+        assert lhs - rhs == pytest.approx(predicted, rel=1e-12, abs=0.0)
+        assert classical == (v_rect >= 1.0)
+
     def test_one_bin_band_raises(self, sp_g10):
         """Both integrals over a single 100 kHz bin are 0, no verdict."""
         with pytest.raises(BandError, match="holds one frequency bin"):
@@ -676,26 +699,24 @@ class TestChunkedAnalysis:
     )
     def test_results_independent_of_chunk_and_threads(self, num_sets, samples, seed,
                                                      chunk, threads):
-        """Sets are transformed, summed and correlated a chunk at a time,
+        """Sets are transformed, summed and correlated a unit at a time,
         and synthesis shares the sets of a block among CSILAB_THREADS
-        threads; neither the chunk size, drawn here for the Spectra builds
-        as well as for synthesis, nor the thread count may change a single
-        bit of any estimate."""
+        threads; neither the unit size, drawn here for the stream readings
+        of synthesis and of the Spectra builds, nor the thread count may
+        change a single bit of any estimate."""
         acq = AcquisitionConfig(num_sets=num_sets, samples_per_set=samples, rng_seed=seed)
-        ts = synthesize(g10_model(), acq)
         interval = sys.getswitchinterval()
         with mock.patch.dict(os.environ):
             os.environ.pop("CSILAB_THREADS", None)
-            with (mock.patch.object(estimators, "UNIT_SETS", num_sets + 1),
-                  mock.patch.object(synth, "BLOCK_SETS", num_sets + 1)):
-                whole = _every_estimate(ts)  # one chunk: the ensemble at once
+            with mock.patch.object(synth, "UNIT_SETS", num_sets + 1):
+                # one unit: the ensemble at once
+                whole = _every_estimate(synthesize(g10_model(), acq))
             if threads is not None:
                 os.environ["CSILAB_THREADS"] = threads
             sys.setswitchinterval(1e-6)  # switch threads as often as possible
             try:
-                with (mock.patch.object(estimators, "UNIT_SETS", chunk or num_sets + 1),
-                      mock.patch.object(synth, "BLOCK_SETS", chunk or num_sets + 1)):
-                    chunked = _every_estimate(ts)
+                with mock.patch.object(synth, "UNIT_SETS", chunk or num_sets + 1):
+                    chunked = _every_estimate(synthesize(g10_model(), acq))
             finally:
                 sys.setswitchinterval(interval)
         assert_identical(tuple(chunked), tuple(whole))
@@ -887,6 +908,20 @@ class TestDeclaredFilters:
         sp = Spectra(synth.TraceStream(ts.acquisition, ts.dc_means, FirstTimeOnly()))
         whole = Spectra(ts)
         assert (sp.delay, sp.delay_fallback) == (whole.delay, whole.delay_fallback)
+
+    def test_foreign_stream_of_one_block_builds_its_trace_sets_spectra(self):
+        """A stream of another source whose reading yields every set as one
+        block is cut into units by the reading itself: its Spectra equals
+        the TraceSet's in every sum and every eps."""
+        acq = AcquisitionConfig(num_sets=2 * synth.BLOCK_SETS + 3, samples_per_set=1024,
+                                rng_seed=4)
+        ts = synthesize(g10_model(), acq)
+        by_set = ts.codes.transpose(1, 0, 2).copy()
+        foreign = synth.TraceStream(ts.acquisition, ts.dc_means, lambda: [by_set])
+        filters = [FilterSpec(f_hi=15e6), None]
+        streamed, whole = (Spectra(x, filters) for x in (foreign, ts))
+        for name in ("_eps", "_power_sums", "_cross_sum", "_lag_sums"):
+            assert np.array_equal(getattr(streamed, name), getattr(whole, name)), name
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("filters", [[], [FilterSpec(f_hi=15e6), None]],

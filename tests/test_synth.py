@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -205,14 +206,16 @@ class TestDeterminism:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_every_reading_of_a_stream_synthesizes_the_same_sets(self, monkeypatch, threads):
         """A synthesis stream can be read again: each reading starts from a
-        root seed of its own, so it yields the same blocks bit for bit, and
-        makes its own mixing tables, so the stream holds no table between
-        readings (less than one complex row of the synthesis grid)."""
+        root seed of its own, so it yields the same units bit for bit, its
+        16-set blocks cut into UNIT_SETS-set views, and makes its own
+        mixing tables, so the stream holds no table between readings (less
+        than one complex row of the synthesis grid)."""
         monkeypatch.setenv("CSILAB_THREADS", threads)
         acq = small_acq(num_sets=2 * synth.BLOCK_SETS + 3, samples_per_set=1024)
         stream = synth.synthesize_stream(model_g10(), acq)
         first, second = ([block.copy() for block in stream] for _ in range(2))
-        assert [b.shape[0] for b in first] == [synth.BLOCK_SETS, synth.BLOCK_SETS, 3]
+        unit = synth.UNIT_SETS
+        assert [b.shape[0] for b in first] == [unit] * (acq.num_sets // unit) + [3]
         for a, b in zip(first, second, strict=True):
             assert np.array_equal(a, b)
 
@@ -383,6 +386,79 @@ def test_one_function_constructs_a_thread_pool():
     lines, first = inspect.getsourcelines(synth._runner)
     assert [module for module, _ in pools] == ["synth"]
     assert first <= pools[0][1] < first + len(lines)
+
+
+def _functions(node, prefix):
+    """(qualified name, node) of every function defined anywhere under node."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            name = f"{prefix}.{child.name}"
+            if isinstance(child, ast.FunctionDef):
+                yield name, child
+        yield from _functions(child, name)
+
+
+def _own_nodes(func):
+    """The nodes of func's body, those of functions defined in it left out."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(child for child in ast.iter_child_nodes(node)
+                    if not isinstance(child, ast.FunctionDef))
+
+
+def _slices_by_unit(func) -> bool:
+    """Whether func slices with a bound or step that reads UNIT_SETS,
+    directly or through a local name bound to an expression that reads it."""
+    nodes = list(_own_nodes(func))
+    unit = {"UNIT_SETS"}
+
+    def reads_unit(node):
+        return any(getattr(n, "id", getattr(n, "attr", None)) in unit for n in ast.walk(node))
+
+    assigns = sorted((n for n in nodes if isinstance(n, ast.Assign)), key=lambda n: n.lineno)
+    for node in assigns:
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            unit |= {t.id for t, v in pairs if isinstance(t, ast.Name) and reads_unit(v)}
+    return any(isinstance(n, ast.Slice) and reads_unit(n) for n in nodes)
+
+
+def test_one_unit_cutter_and_one_gatherer():
+    """A reading of a TraceStream cuts whatever blocks its source yields
+    into units: outside tracefile._read_blocks, which reads a container a
+    unit at a time, TraceStream.__iter__ is the one function of csilab
+    that slices by UNIT_SETS.  And one function gathers a reading into a
+    TraceSet: synthesize and read_tracefile both call synth._gather."""
+    functions = {
+        name: func
+        for path in sorted(Path(synth.__file__).parent.glob("*.py"))
+        for name, func in _functions(ast.parse(path.read_text()), path.stem)
+    }
+    slicers = sorted(name for name, func in functions.items() if _slices_by_unit(func))
+    assert slicers == ["synth.TraceStream.__iter__", "tracefile._read_blocks"]
+    for name in ("synth.synthesize", "tracefile.read_tracefile"):
+        assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_gather"
+                   for node in ast.walk(functions[name])), name
+
+
+def test_every_source_parses_as_the_oldest_python_declared():
+    """pyproject.toml declares the oldest Python csilab runs on; every
+    file of src/, tests/ and demos/ parses with that version's grammar."""
+    root = Path(__file__).resolve().parents[1]
+    declared = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                         (root / "pyproject.toml").read_text())
+    version = (int(declared[1]), int(declared[2]))
+    assert version == (3, 10)
+    paths = sorted(path for folder in ("src", "tests", "demos")
+                   for path in (root / folder).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
 
 
 def test_one_trace_source_type():
@@ -666,11 +742,13 @@ class TestLossHook:
 
 
 def test_traceset_iterates_as_set_major_block_views(monkeypatch):
-    """A TraceSet yields what a TraceStream yields: (k, 4, samples) blocks of
-    at most BLOCK_SETS sets, read when iteration starts, here as views of
-    the codes."""
+    """A TraceSet's one block is the set-major view of its codes, and a
+    reading yields it as it yields any stream's blocks: (k, 4, samples)
+    views of at most UNIT_SETS sets, read when iteration starts."""
     ts = coherent_traces(small_acq(num_sets=5, samples_per_set=256))
-    monkeypatch.setattr(synth, "BLOCK_SETS", 2)
+    [whole] = ts.blocks()
+    assert whole.shape == (5, 4, 256) and np.shares_memory(whole, ts.codes)
+    monkeypatch.setattr(synth, "UNIT_SETS", 2)
     blocks = list(ts)
     assert [b.shape for b in blocks] == [(2, 4, 256), (2, 4, 256), (1, 4, 256)]
     assert all(np.shares_memory(b, ts.codes) for b in blocks)

@@ -1,5 +1,6 @@
 """Binary trace container round trips and corruption handling."""
 
+import contextlib
 import dataclasses
 import os
 import struct
@@ -25,6 +26,7 @@ from csilab.synth import (
     AcquisitionConfig,
     TraceSet,
     TraceStream,
+    _gather,
     synthesize,
     synthesize_stream,
 )
@@ -169,6 +171,27 @@ def test_read_holds_one_copy_of_the_payload(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.codes, codes)
     assert peak < 1.2 * codes.nbytes
+
+
+def test_read_tracefile_gathers_one_reading_into_one_copy(tmp_path):
+    """read_tracefile gathers one reading of open_stream: it holds the
+    payload once, in the TraceSet's codes, plus the reading's one unit
+    buffer, on a container of more than two synthesis blocks."""
+    samples = 4096
+    acq = AcquisitionConfig(num_sets=2 * BLOCK_SETS + 3, samples_per_set=samples, full_scale=1.0)
+    codes = np.random.default_rng(5).integers(-256, 256, size=(4, acq.num_sets, samples),
+                                              dtype=np.int16)
+    path = tmp_path / "t.cstf"
+    write_stream(TraceSet(codes=codes, dc_means=np.ones(4), acquisition=acq), path)
+    unit = UNIT_SETS * 4 * samples * 2  # bytes of one unit's int16 codes
+    tracemalloc.start()
+    try:
+        back = read_tracefile(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.codes, codes)
+    assert codes.nbytes <= peak < codes.nbytes + 2 * unit
 
 
 def test_truncated_header(tmp_path, small_ts):
@@ -322,6 +345,36 @@ def test_streaming_changes_no_byte_and_no_bit(tmp_path_factory, num_sets, sample
         assert np.array_equal(getattr(from_blocks, name), getattr(from_set, name)), name
     assert from_blocks.delay == from_set.delay
     assert from_blocks.delay_fallback == from_set.delay_fallback
+
+
+@pytest.mark.parametrize("source, threads", [("trace_set", "1"), ("synthesis", "1"),
+                                             ("synthesis", "2"), ("open_stream", "1"),
+                                             ("staged_stream", "1")])
+def test_every_reading_yields_units_of_the_gathered_codes(tmp_path, monkeypatch, source,
+                                                          threads):
+    """Whatever its source, every reading of a stream yields views of at
+    most UNIT_SETS consecutive sets, which concatenate to the codes one
+    reading gathers into a TraceSet."""
+    monkeypatch.setenv("CSILAB_THREADS", threads)
+    model = preset("G10").model
+    acq = AcquisitionConfig(num_sets=2 * BLOCK_SETS + 3, samples_per_set=MIN_SAMPLES,
+                            rng_seed=12)
+    ts = synthesize(model, acq)
+    path = tmp_path / "t.cstf"
+    write_stream(ts, path)
+    sources = {
+        "trace_set": lambda: contextlib.nullcontext(ts),
+        "synthesis": lambda: contextlib.nullcontext(synthesize_stream(model, acq)),
+        "open_stream": lambda: open_stream(path),
+        "staged_stream": lambda: staged_stream(ts, tmp_path / "staged.cstf"),
+    }
+    with sources[source]() as stream:
+        gathered = _gather(stream).codes.transpose(1, 0, 2)
+        for _ in range(2):
+            units = [unit.copy() for unit in stream]
+            assert all(1 <= len(unit) <= UNIT_SETS for unit in units)
+            assert np.array_equal(np.concatenate(units), gathered)
+    assert np.array_equal(gathered, ts.codes.transpose(1, 0, 2))
 
 
 def test_failing_producer_leaves_target_as_it_was(tmp_path, small_ts):
